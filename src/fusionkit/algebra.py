@@ -234,6 +234,16 @@ def dominant_conjugate(spec: AlgebraSpec, lam: Weight) -> Weight:
         current = simple_reflection(spec, negative + 1, current)
 
 
+def _check_weyl_order(spec: AlgebraSpec, cap: int | None = None):
+    """Raise CapExceeded when |W| is above the Weyl-order cap."""
+    cap = DEFAULT_CAPS.weyl_order if cap is None else cap
+    if spec.weyl_order > cap:
+        raise CapExceeded(
+            f"Weyl group of {spec} has {spec.weyl_order} elements (cap {cap})",
+            required=spec.weyl_order,
+        )
+
+
 def weyl_orbit(spec: AlgebraSpec, lam: Weight, cap: int | None = None):
     """Signed Weyl orbit of lam: closure of (lam, +1) under simple reflections.
 
@@ -241,12 +251,7 @@ def weyl_orbit(spec: AlgebraSpec, lam: Weight, cap: int | None = None):
     the orbit has one entry per image; a lam fixed by some reflection shows
     up with both parities (callers detect stabilizers that way).
     """
-    cap = DEFAULT_CAPS.weyl_order if cap is None else cap
-    if spec.weyl_order > cap:
-        raise CapExceeded(
-            f"Weyl orbit of {spec} needs up to {spec.weyl_order} elements (cap {cap})",
-            required=spec.weyl_order,
-        )
+    _check_weyl_order(spec, cap)
     start = (tuple(lam), 1)
     seen = {start}
     order = [start]
@@ -270,12 +275,7 @@ def weyl_elements(spec: AlgebraSpec, cap: int | None = None):
     Words come from a breadth-first walk of the orbit of rho, so they are
     reduced and their length parity is (-1)^w.
     """
-    cap = DEFAULT_CAPS.weyl_order if cap is None else cap
-    if spec.weyl_order > cap:
-        raise CapExceeded(
-            f"Weyl group of {spec} has {spec.weyl_order} elements (cap {cap})",
-            required=spec.weyl_order,
-        )
+    _check_weyl_order(spec, cap)
     return _weyl_elements_cached(spec)
 
 

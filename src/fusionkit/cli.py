@@ -22,6 +22,7 @@ from .errors import (
     CapExceeded,
     Caps,
     FusionkitError,
+    InvariantViolation,
     OracleMismatchError,
     caps_from_env,
 )
@@ -525,6 +526,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except OracleMismatchError as err:
         print(f"verification failure: {err}", file=sys.stderr)
+        return EXIT_VERIFY
+    except InvariantViolation as err:
+        print(f"invariant violated: {err}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, FusionkitError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -28,6 +28,12 @@ class OracleMismatchError(FusionkitError):
     verification failure, not as noise."""
 
 
+class InvariantViolation(FusionkitError):
+    """An internal invariant of an exact computation failed (a signed
+    accumulation went negative, folding did not terminate, ...).  Raised
+    explicitly, so the check survives ``python -O``."""
+
+
 @dataclass(frozen=True)
 class Caps:
     """Resource limits.  Configuration, not constants: the E-series blows up

@@ -14,24 +14,21 @@ turns silent drift into a loud error.
 
 from __future__ import annotations
 
-import cmath
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from .algebra import (
     AlgebraSpec,
     Weight,
-    apply_word,
     comarks,
     inner_product,
     reflect_to_dominant,
     simple_reflection,
-    weyl_elements,
-    word_sign,
 )
-from .characters import TWO_PI
-from .errors import OracleMismatchError
+from .characters import phase_kernel, phase_sums, signed_orbit_array
+from .errors import InvariantViolation, OracleMismatchError
 from .weights import weight_system
 
 _FOLD_LIMIT = 10_000
@@ -40,7 +37,8 @@ _FOLD_LIMIT = 10_000
 def level_pairing(spec: AlgebraSpec, lam: Weight) -> int:
     """(lam, theta): the level at which lam first becomes integrable."""
     value = inner_product(spec, lam, spec.highest_root)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantViolation(f"(lam, theta) = {value} is not an integer for {lam}")
     return int(value)
 
 
@@ -53,7 +51,7 @@ def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight,
     """Decompose mu (x) nu into irreducibles at algebra level (k = infinity).
 
     Returns a map dominant weight -> multiplicity.  The signed accumulation
-    must come out nonnegative; that cancellation property is asserted.
+    must come out nonnegative; a negative count raises InvariantViolation.
     """
     mu, nu = tuple(mu), tuple(nu)
     ws = weight_system(spec, mu, dim_cap=dim_cap)
@@ -66,7 +64,8 @@ def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight,
         summand = tuple(r - 1 for r in reduced)
         counts[summand] = counts.get(summand, 0) + mult * sign
     counts = {w: c for w, c in counts.items() if c != 0}
-    assert all(c > 0 for c in counts.values()), "signed tensor accumulation went negative"
+    if any(c < 0 for c in counts.values()):
+        raise InvariantViolation(f"signed tensor accumulation of {mu} x {nu} went negative")
     return counts
 
 
@@ -97,7 +96,7 @@ def _fold_to_alcove(spec: AlgebraSpec, beta: Weight, level_shifted: int):
             sign = -sign
             continue
         return current, sign
-    raise RuntimeError(f"alcove folding did not terminate for {beta}")
+    raise InvariantViolation(f"alcove folding did not terminate for {beta}")
 
 
 def fuse_level_k(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
@@ -122,8 +121,10 @@ def _fuse_cached(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
         target = tuple(f - 1 for f in folded)
         counts[target] = counts.get(target, 0) + mult * sign
     counts = {w: c for w, c in counts.items() if c != 0}
-    assert all(c > 0 for c in counts.values()), "folded accumulation went negative"
-    assert all(is_integrable(spec, w, k) for w in counts)
+    if any(c < 0 for c in counts.values()):
+        raise InvariantViolation(f"folded accumulation of {mu} x {nu} at k={k} went negative")
+    if not all(is_integrable(spec, w, k) for w in counts):
+        raise InvariantViolation(f"folding {mu} x {nu} at k={k} left the level-k alcove")
     return tuple(sorted(counts.items()))
 
 
@@ -143,31 +144,21 @@ def level_k_weights(spec: AlgebraSpec, k: int) -> list:
 def _s_matrix(spec: AlgebraSpec, k: int):
     """Rows of the numeric S matrix over integrable weights, unit-normalized.
 
-    Row alpha is sum_w (-1)^w exp(-2 pi i (w(alpha+rho), beta+rho)/K); any
-    overall scalar drops out of the Verlinde ratio, so rows are normalized
-    numerically instead of carrying the closed-form lattice-volume prefactor.
+    Row alpha is sum_w (-1)^w exp(-2 pi i (w(alpha+rho), beta+rho)/K), summed
+    over the signed orbit of alpha+rho by the phase kernel of G; the minus
+    sign is the kernel's phase at the point -(beta+rho).  Any overall scalar
+    drops out of the Verlinde ratio, so rows are normalized numerically
+    instead of carrying the closed-form lattice-volume prefactor.
     """
     weights = level_k_weights(spec, k)
-    level_shifted = k + spec.dual_coxeter
-    words = weyl_elements(spec)
-    g = spec.quad_form
+    kernel = phase_kernel(spec.quad_form, k + spec.dual_coxeter)
+    points = [tuple(-b - 1 for b in beta) for beta in weights]
     rows = []
     for alpha in weights:
-        alpha_rho = tuple(a + 1 for a in alpha)
-        images = [(apply_word(spec, w, alpha_rho), word_sign(w)) for w in words]
-        row = []
-        for beta in weights:
-            beta_rho = tuple(b + 1 for b in beta)
-            total = 0j
-            for image, sign in images:
-                frac = Fraction(0)
-                for i, xi in enumerate(image):
-                    if xi:
-                        frac += xi * sum(g[i][j] * beta_rho[j] for j in range(spec.rank))
-                total += sign * cmath.exp(-1j * TWO_PI * float((frac / level_shifted) % 1))
-            row.append(total)
-        norm = abs(sum(abs(x) ** 2 for x in row)) ** 0.5
-        rows.append(tuple(x / norm for x in row))
+        images, signs = signed_orbit_array(spec, tuple(a + 1 for a in alpha))
+        row = phase_sums(kernel, images, signs, points)
+        row /= np.linalg.norm(row)
+        rows.append(tuple(complex(x) for x in row))
     return tuple(weights), tuple(rows)
 
 

@@ -1,10 +1,24 @@
 """CLI contract: exit codes, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fusionkit import cli
+import fusionkit
+from fusionkit import cli, fusion
+
+SRC = str(Path(fusionkit.__file__).resolve().parent.parent)
+
+
+def run_optimized(*args):
+    """Run python -O with the package on the path; returns the finished process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def run(capsys, *argv):
@@ -75,6 +89,32 @@ def test_fuse_oracle_mismatch_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "fuse_level_k", lambda *a, **k: {(0,): 2})
     code, _ = run(capsys, "fuse", "A1", "--k", "2", "--mu", "2", "--nu", "2", "--oracle")
     assert code == 3
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(fusion, "_FOLD_LIMIT", 0)
+    fusion._fuse_cached.cache_clear()
+    try:
+        code, _ = run(capsys, "fuse", "A1", "--k", "2", "--mu", "1", "--nu", "1")
+    finally:
+        fusion._fuse_cached.cache_clear()
+    assert code == 3
+
+
+def test_invariant_violation_exits_3_under_optimize():
+    script = ("import sys; from fusionkit import cli, fusion; fusion._FOLD_LIMIT = 0; "
+              "sys.exit(cli.main(['fuse', 'A1', '--k', '2', '--mu', '1', '--nu', '1']))")
+    finished = run_optimized("-c", script)
+    assert finished.returncode == 3, finished.stderr
+    assert "invariant violated" in finished.stderr
+
+
+def test_verify_under_optimize():
+    finished = run_optimized("-m", "fusionkit.cli", "verify", "A1", "--k", "2",
+                             "--suite", "identity")
+    assert finished.returncode == 0, finished.stderr
+    records = [json.loads(line) for line in finished.stdout.splitlines()]
+    assert records and all(r["passed"] and r["points_checked"] == 8 for r in records)
 
 
 @pytest.mark.parametrize("suite", ["identity", "lemma", "bounds", "conjugacy"])

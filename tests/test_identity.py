@@ -1,5 +1,6 @@
 """The character/fusion identity suites and the integer bounds."""
 
+import math
 import random
 from itertools import product
 
@@ -16,6 +17,7 @@ from fusionkit.identity import (
     parseval_bound,
     rhs_fusion_sum,
     verify_lemma_weightsum,
+    make_report,
     verify_numerator_identity,
 )
 
@@ -101,6 +103,34 @@ def test_corrupted_coefficient_detected():
         assert not report.passed
 
 
+# On a non-simply-laced algebra the points gamma^T C^-1 with integral gamma
+# are only a sublattice of the weight-lattice points (short-root labels a
+# multiple of 2 or 3), and there some D_{iota+rho} vanish or coincide, so a
+# scan cannot see every wrong coefficient: B3 k=1 misses 5 of 9 corrupted
+# tables and G2 k=2 misses 8 of 16, with or without the integer kernel.
+_SUBLATTICE_BLIND = pytest.mark.xfail(
+    strict=True, reason="C^-1-integral points do not separate all level-k characters")
+
+
+@pytest.mark.parametrize("series,rank,k", [
+    ("A", 2, 2),
+    ("A", 3, 1),
+    pytest.param("G", 2, 2, marks=_SUBLATTICE_BLIND),
+    pytest.param("B", 3, 1, marks=_SUBLATTICE_BLIND),
+])
+def test_every_coefficient_raised_is_detected(series, rank, k):
+    # Exact-zero residuals on correct tables must not hide a wrong one.
+    spec = build_algebra(series, rank)
+    level_shifted = k + spec.dual_coxeter
+    gammas = list(product(range(level_shifted), repeat=rank))
+    for mu in level_k_weights(spec, k):
+        for nu in level_k_weights(spec, k):
+            table = {w: n + 1 for w, n in fuse_level_k(spec, mu, nu, k).items()}
+            report = verify_numerator_identity(spec, mu, nu, k, gammas, coefficients=table)
+            assert not report.passed and report.max_abs_residual > 1, (mu, nu)
+            assert report.points_checked == len(gammas)
+
+
 def test_lemma_weightsum():
     report = verify_lemma_weightsum(A1, (3,), 4, [(g,) for g in range(12)])
     assert report.passed
@@ -150,3 +180,19 @@ def test_report_invariants():
     assert record["passed"] is True
     with pytest.raises(AssertionError):
         VerificationReport("bad", 1, 2.0, True, 1.0, [])
+
+
+@pytest.mark.parametrize("lhs,rhs", [(complex(math.nan, 0), 0j),
+                                     (complex(math.inf, 0), complex(math.inf, 0))])
+def test_non_finite_residual_fails(lhs, rhs):
+    report = make_report("non-finite", 1e-9, [("p0", 0j, 0j), ("p1", lhs, rhs)])
+    assert not report.passed
+    assert report.max_abs_residual == math.inf
+    assert [point for point, _, _ in report.witnesses] == ["p1"]
+
+
+def test_empty_residual_stream_is_an_error():
+    with pytest.raises(ValueError):
+        make_report("empty", 1e-9, [])
+    with pytest.raises(ValueError):
+        verify_numerator_identity(A1, (1,), (1,), 2, [])

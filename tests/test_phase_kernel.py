@@ -1,0 +1,176 @@
+"""The integer phase kernel against the exact Fraction phase formula, the
+word-based S matrix, and the sign law D_{w lam} = (-1)^w D_lam."""
+
+import cmath
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fusionkit import algebra
+from fusionkit.algebra import (
+    apply_word,
+    build_algebra,
+    cartan_inverse,
+    weyl_elements,
+    weyl_orbit,
+    word_sign,
+)
+from fusionkit.characters import (
+    PHASE_TABLE_CAP,
+    TWO_PI,
+    VarietyPoint,
+    alternating_sums,
+    eval_char_trace,
+    eval_D,
+    signed_orbit_array,
+)
+from fusionkit.errors import CapExceeded, Caps
+from fusionkit.fusion import _s_matrix, level_k_weights
+from fusionkit.weights import weight_system
+
+KERNEL_ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                   ("G", 2), ("F", 4)]
+
+
+def fraction_phase(spec, gamma, r, level_shifted) -> Fraction:
+    """(C^-1 gamma) . r / K reduced mod 1, in exact rational arithmetic."""
+    inv = cartan_inverse(spec)
+    total = Fraction(0)
+    for i, ri in enumerate(r):
+        if ri:
+            total += ri * sum(inv[i][j] * gj for j, gj in enumerate(gamma) if gj)
+    return (total / level_shifted) % 1
+
+
+def oracle_phase(spec, gamma, r, level_shifted) -> complex:
+    return cmath.exp(1j * TWO_PI * float(fraction_phase(spec, gamma, r, level_shifted)))
+
+
+def oracle_D(spec, lam, gamma, level_shifted) -> complex:
+    return sum(sign * oracle_phase(spec, gamma, image, level_shifted)
+               for image, sign in weyl_orbit(spec, lam))
+
+
+def oracle_s_matrix(spec, k):
+    """The S matrix from every Weyl word applied to alpha + rho, paired with
+    beta + rho in Fractions."""
+    weights = level_k_weights(spec, k)
+    level_shifted = k + spec.dual_coxeter
+    g = spec.quad_form
+    rows = []
+    for alpha in weights:
+        alpha_rho = tuple(a + 1 for a in alpha)
+        images = [(apply_word(spec, w, alpha_rho), word_sign(w)) for w in weyl_elements(spec)]
+        row = []
+        for beta in weights:
+            beta_rho = tuple(b + 1 for b in beta)
+            total = 0j
+            for image, sign in images:
+                frac = Fraction(0)
+                for i, xi in enumerate(image):
+                    if xi:
+                        frac += xi * sum(g[i][j] * beta_rho[j] for j in range(spec.rank))
+                total += sign * cmath.exp(-1j * TWO_PI * float((frac / level_shifted) % 1))
+            row.append(total)
+        norm = abs(sum(abs(x) ** 2 for x in row)) ** 0.5
+        rows.append(tuple(x / norm for x in row))
+    return tuple(weights), tuple(rows)
+
+
+def random_case(spec, rng):
+    level_shifted = spec.dual_coxeter + rng.randrange(4)
+    period = 12 * level_shifted     # beyond every L = qK used here
+    lam = tuple(rng.randrange(-6, 7) for _ in range(spec.rank))
+    gamma = tuple(rng.randrange(-2 * period, 2 * period) for _ in range(spec.rank))
+    return lam, gamma, level_shifted
+
+
+@pytest.mark.parametrize("series,rank", KERNEL_ALGEBRAS)
+def test_kernel_matches_fraction_oracle(series, rank):
+    spec = build_algebra(series, rank)
+    rng = random.Random(f"{series}{rank}")
+    samples = 2 if spec.weyl_order > 200 else 6
+    for _ in range(samples):
+        lam, gamma, level_shifted = random_case(spec, rng)
+        point = VarietyPoint(gamma, level_shifted)
+        assert abs(eval_D(spec, lam, point) - oracle_D(spec, lam, gamma, level_shifted)) <= 1e-12
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_batched_sums_match_oracle(series, rank):
+    spec = build_algebra(series, rank)
+    rng = random.Random(7)
+    lam1, _, level_shifted = random_case(spec, rng)
+    lam2, _, _ = random_case(spec, rng)
+    gammas = [random_case(spec, rng)[1] for _ in range(20)] + [(0,) * rank]
+    values = alternating_sums(spec, [(lam1, 2), (lam2, -3)], gammas, level_shifted)
+    for gamma, value in zip(gammas, values):
+        expected = (2 * oracle_D(spec, lam1, gamma, level_shifted)
+                    - 3 * oracle_D(spec, lam2, gamma, level_shifted))
+        assert abs(value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("C", 3), ("G", 2)])
+def test_trace_matches_oracle(series, rank):
+    spec = build_algebra(series, rank)
+    rng = random.Random(11)
+    for mu in [(1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (2,)]:
+        _, gamma, level_shifted = random_case(spec, rng)
+        expected = sum(mult * oracle_phase(spec, gamma, r, level_shifted)
+                       for r, mult in weight_system(spec, mu).entries.items())
+        value = eval_char_trace(spec, mu, VarietyPoint(gamma, level_shifted))
+        assert abs(value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2), ("D", 4, 1)])
+def test_s_matrix_matches_word_construction(series, rank, k):
+    spec = build_algebra(series, rank)
+    weights, rows = _s_matrix(spec, k)
+    oracle_weights, oracle_rows = oracle_s_matrix(spec, k)
+    assert weights == oracle_weights
+    for row, oracle_row in zip(rows, oracle_rows):
+        assert max(abs(x - y) for x, y in zip(row, oracle_row)) <= 1e-12
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 3), ("G", 2), ("D", 4)])
+def test_sign_law_is_exact(series, rank):
+    spec = build_algebra(series, rank)
+    rng = random.Random(5)
+    lam, _, level_shifted = random_case(spec, rng)
+    gammas = [random_case(spec, rng)[1] for _ in range(8)]
+    base = alternating_sums(spec, [(lam, 1)], gammas, level_shifted)
+    point = VarietyPoint(gammas[0], level_shifted)
+    single = eval_D(spec, lam, point)
+    for word in weyl_elements(spec):
+        image = apply_word(spec, word, lam)
+        sign = word_sign(word)
+        assert np.array_equal(alternating_sums(spec, [(image, 1)], gammas, level_shifted),
+                              sign * base)
+        assert eval_D(spec, image, point) == sign * single
+
+
+@pytest.mark.parametrize("size", [10**17, 10**19])
+def test_huge_labels_match_oracle(size):
+    # 10**19 does not fit in int64: the orbit is kept in Python ints and
+    # reduced mod L before any int64 arithmetic.
+    spec = build_algebra("A", 2)
+    lam = (size + 1, -size + 5)
+    gamma = (size + 7, -size - 3)
+    value = eval_D(spec, lam, VarietyPoint(gamma, 5))
+    assert abs(value - oracle_D(spec, lam, gamma, 5)) <= 1e-12
+
+
+def test_level_past_table_cap_raises():
+    spec = build_algebra("A", 2)
+    with pytest.raises(CapExceeded):
+        eval_D(spec, (1, 1), VarietyPoint((1, 2), PHASE_TABLE_CAP))
+
+
+def test_weyl_cap_checked_on_cache_hit(monkeypatch):
+    spec = build_algebra("A", 2)
+    signed_orbit_array(spec, (2, 1))
+    monkeypatch.setattr(algebra, "DEFAULT_CAPS", Caps(weyl_order=1))
+    with pytest.raises(CapExceeded):
+        signed_orbit_array(spec, (2, 1))
