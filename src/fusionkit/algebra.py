@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import CapExceeded, DEFAULT_CAPS
+from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation
 
 Weight = tuple  # integer Dynkin labels
 
@@ -296,7 +296,9 @@ def _weyl_elements_cached(spec: AlgebraSpec):
                     words.append((i,) + word)
                     nxt.append(reflected)
         frontier = nxt
-    assert len(words) == spec.weyl_order
+    if len(words) != spec.weyl_order:
+        raise InvariantViolation(f"found {len(words)} Weyl elements of {spec}, "
+                                 f"expected {spec.weyl_order}")
     return tuple(words)
 
 
@@ -346,7 +348,8 @@ def _coefficient_height(cartan, root) -> int:
     inv = _cartan_inverse_cached(cartan)
     rank = len(cartan)
     total = sum(sum(inv[j][i] * root[j] for j in range(rank)) for i in range(rank))
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InvariantViolation(f"{root} has a non-integral height {total}")
     return int(total)
 
 
@@ -369,7 +372,8 @@ def cartan_determinant(spec: AlgebraSpec) -> int:
             factor = rows[r][col] * inv
             if factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InvariantViolation(f"det C = {det} of {spec} is not an integer")
     return int(det)
 
 
@@ -381,6 +385,7 @@ def comarks(spec: AlgebraSpec) -> tuple:
     for i in range(spec.rank):
         unit = tuple(int(i == j) for j in range(spec.rank))
         value = inner_product(spec, unit, theta)
-        assert value.denominator == 1 and value > 0
+        if value.denominator != 1 or value <= 0:
+            raise InvariantViolation(f"comark {value} of {spec} is not a positive integer")
         values.append(int(value))
     return tuple(values)

@@ -422,12 +422,15 @@ def _cmd_theta(args, config: RunConfig) -> int:
         value = theta.theta_weyl(ctx, gamma, -1) if args.antisym else theta.theta_sum(ctx, gamma)
     t_residual = theta.check_T_transform(ctx, gamma)
     heat_residual = theta.check_heat_equation(ctx, gamma)
+    radius, lattice_points, tail_bound = theta.truncation(ctx, gamma)
     header = (["gamma", "tau_re", "tau_im"]
               + [f"u{i+1}" for i in range(spec.rank)]
-              + ["value_re", "value_im", "t_residual", "heat_residual"])
+              + ["value_re", "value_im", "t_residual", "heat_residual",
+                 "radius", "lattice_points", "tail_bound"])
     row = ([" ".join(map(str, gamma)), repr(tau.real), repr(tau.imag)]
            + [repr(x) for x in u]
-           + [repr(value.real), repr(value.imag), repr(t_residual), repr(heat_residual)])
+           + [repr(value.real), repr(value.imag), repr(t_residual), repr(heat_residual),
+              repr(radius), str(lattice_points), repr(tail_bound)])
     _emit([",".join(header), ",".join(row)], config)
     return EXIT_OK
 

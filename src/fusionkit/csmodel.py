@@ -39,7 +39,7 @@ from .algebra import (
     word_sign,
 )
 from .characters import VarietyPoint, eval_D
-from .errors import CapExceeded, OracleMismatchError, DEFAULT_CAPS
+from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation, OracleMismatchError
 from .fusion import is_integrable, level_k_weights
 from .weights import weight_system
 
@@ -81,7 +81,8 @@ def _coroot_labels(spec: AlgebraSpec):
     rows = []
     for j in range(rank):
         row = [Fraction(spec.cartan[j][i]) / halfnorms[j] for i in range(rank)]
-        assert all(x.denominator == 1 for x in row)
+        if any(x.denominator != 1 for x in row):
+            raise InvariantViolation(f"coroot {j} of {spec} has non-integral labels {row}")
         rows.append(tuple(int(x) for x in row))
     return tuple(rows)
 
@@ -109,7 +110,8 @@ def build_model(spec: AlgebraSpec, k: int, hilbert_cap: int | None = None) -> Ga
             )
     coroot_inv = _invert_rational(coroots)
     q = math.lcm(*(entry.denominator for row in coroot_inv for entry in row))
-    assert all((q * entry).denominator == 1 for row in inv for entry in row)
+    if any((q * entry).denominator != 1 for row in inv for entry in row):
+        raise InvariantViolation(f"q = {q} does not clear the denominators of C^-1 of {spec}")
 
     level_shifted = k + spec.dual_coxeter
     period = q * level_shifted
@@ -123,7 +125,9 @@ def build_model(spec: AlgebraSpec, k: int, hilbert_cap: int | None = None) -> Ga
     radical = _radical_subgroup(coroots, level_shifted, period)
     model = GaussianModel(spec, k, level_shifted, q, period, phase_matrix, radical)
     index = _integer_determinant(coroots)
-    assert model.size == level_shifted**spec.rank * index
+    if model.size != level_shifted**spec.rank * index:
+        raise InvariantViolation(f"Gaussian model size {model.size} is not "
+                                 f"K^rank * index = {level_shifted**spec.rank * index}")
     return model
 
 

@@ -11,8 +11,10 @@ The basic object is
 with Im(tau) > 0 for absolute convergence.  The sum is truncated at a radius
 derived from a Gaussian tail bound (smallest eigenvalue of the root-lattice
 Gram matrix), so every reported value is within the context epsilon of the
-full sum; lattice points are accumulated in a fixed order (norm, then
-coefficient vector) for reproducibility.
+full sum.  The points inside that radius are enumerated by a Fincke-Pohst
+walk and kept by an exact integer norm test; their terms are summed with
+math.fsum, so a value is correctly rounded and does not depend on the order
+of enumeration.
 """
 
 from __future__ import annotations
@@ -20,26 +22,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .algebra import (
-    AlgebraSpec,
-    Weight,
-    apply_word,
-    weyl_elements,
-    word_sign,
-)
-from .characters import TWO_PI
+from .algebra import AlgebraSpec, Weight
+from .characters import TWO_PI, signed_orbit_array
 from .errors import CapExceeded, SingularPointError
 from .fusion import fuse_level_k, is_integrable
 from .identity import VerificationReport, make_report
 from .weights import weight_system
 
 _RADIUS_CAP = 60.0
+_POINT_CAP = 1 << 23    # lattice points per enumeration
+_SLACK = 1e-9           # relative widening of the float enumeration bounds
+_EXACT = 1 << 53        # integers below this convert to float exactly
 
 
 def _require_simply_laced(spec: AlgebraSpec):
@@ -78,7 +75,7 @@ class ThetaContext:
     def radius(self) -> float:
         return _truncation_radius(
             self.spec, self.level, self.tau.imag, self._im_u_norm(), self.epsilon, 1.0
-        )
+        )[0]
 
     def _im_u_norm(self) -> float:
         g = _gram_float(self.spec)
@@ -101,8 +98,9 @@ def _root_gram(spec: AlgebraSpec):
 
 @lru_cache(maxsize=4096)
 def _truncation_radius(spec: AlgebraSpec, level: int, im_tau: float, im_u_norm: float,
-                       epsilon: float, shift_norm: float) -> float:
-    """Smallest radius R such that the neglected tail is provably < epsilon.
+                       epsilon: float, shift_norm: float) -> tuple[float, float]:
+    """Smallest radius R such that the neglected tail is provably < epsilon,
+    and that certified tail bound.
 
     Term magnitudes at norm r are bounded by exp(-pi k t r^2 + 2 pi k b r);
     shell populations by a box count through the smallest Gram eigenvalue.
@@ -124,63 +122,123 @@ def _truncation_radius(spec: AlgebraSpec, level: int, im_tau: float, im_u_norm: 
             r += 1.0
 
     radius = max(1.0, shift_norm + 1.0, kb / (2 * kt) + 1.0)
-    while tail(radius) >= epsilon:
+    while (bound := tail(radius)) >= epsilon:
         radius += 1.0
         if radius > _RADIUS_CAP:
             raise CapExceeded(
                 f"Im(tau) = {im_tau} too small to reach epsilon = {epsilon} "
                 f"within radius {_RADIUS_CAP}"
             )
-    return radius
+    return radius, bound
+
+
+@lru_cache(maxsize=None)
+def _integer_gram(spec: AlgebraSpec):
+    """(D, D G) with D the lcm of the denominators of the quadratic form G,
+    so that (x, y) = x^T (D G) y / D with an integral matrix D G."""
+    d = math.lcm(*(x.denominator for row in spec.quad_form for x in row))
+    return d, tuple(tuple(int(x * d) for x in row) for row in spec.quad_form)
+
+
+def _norm_numerator(spec: AlgebraSpec, w) -> int:
+    """w^T (D G) w in Python ints, so (w, w) = result / D exactly."""
+    _, dg = _integer_gram(spec)
+    return sum(wi * sum(g * wj for g, wj in zip(row, w)) for wi, row in zip(w, dg) if wi)
+
+
+def _shift_norm(spec: AlgebraSpec, gamma: Weight, level: int) -> float:
+    """|gamma / level|, the square root of a correctly rounded exact norm."""
+    d, _ = _integer_gram(spec)
+    return math.sqrt(_norm_numerator(spec, gamma) / (d * level * level))
+
+
+@lru_cache(maxsize=None)
+def _root_cholesky(spec: AlgebraSpec):
+    """(d, m) with x A x^T = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 for the
+    root Gram matrix A, read off its upper Cholesky factor."""
+    gram, _ = _root_gram(spec)
+    upper = np.linalg.cholesky(gram).T
+    diag = np.diag(upper)
+    return diag * diag, upper / diag[:, None]
+
+
+def _ellipsoid_candidates(spec: AlgebraSpec, center, radius_sq: float, bound: int):
+    """Integer n with |n_i| <= bound and (n - center) A (n - center)^T <=
+    radius_sq, as an int64 array of rows.
+
+    A level-by-level Fincke-Pohst walk (Math. Comp. 44, 1985), last
+    coordinate first, extends every partial vector at once.  Its float bounds
+    are widened by _SLACK, so the result is a superset of the exact set."""
+    d, m = _root_cholesky(spec)
+    points = np.zeros((1, 0), dtype=np.int64)
+    budget = np.array([radius_sq * (1.0 + _SLACK) + _SLACK])
+    for i in reversed(range(spec.rank)):
+        tail = (points - center[i + 1:]) @ m[i, i + 1:]
+        mid = center[i] - tail
+        half = np.sqrt(np.maximum(budget, 0.0) / d[i])
+        pad = _SLACK * (1.0 + np.abs(mid) + half)
+        lo = np.maximum(np.ceil(mid - half - pad), -bound).astype(np.int64)
+        hi = np.minimum(np.floor(mid + half + pad), bound).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if total > _POINT_CAP:
+            raise CapExceeded(
+                f"theta sum over {spec} needs more than {_POINT_CAP} lattice points",
+                required=total,
+            )
+        parent = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts
+        coord = lo[parent] + (np.arange(total) - first[parent])
+        x = coord - center[i] + tail[parent]
+        budget = budget[parent] - d[i] * x * x
+        points = np.column_stack([coord, points[parent]])
+    return points
 
 
 @lru_cache(maxsize=4096)
 def _lattice_shifts(spec: AlgebraSpec, gamma: Weight, level: int, radius_key: float):
-    """Vectors v = alpha + gamma/level with |v| <= radius, as exact rational
-    coordinate tuples, ordered by (norm, coefficient vector)."""
-    rank = spec.rank
+    """Vectors v = alpha + gamma/level over the root lattice with
+    |v|^2 <= radius_key^2, as read-only float arrays (|v|^2 per point, v per
+    row) in enumeration order.
+
+    Membership is exact: w = level v = gamma + level n C is integral and
+    level^2 D |v|^2 = w^T (D G) w.  Each float is the correctly rounded value
+    of its rational, the candidates are clipped to the box |n_i| <= bound of
+    a plain scan, and a point is kept iff float(|v|^2) <= radius_key^2."""
+    d, dg = _integer_gram(spec)
     _, eig_min = _root_gram(spec)
-    shift = [Fraction(g, level) for g in gamma]
-    shift_norm = _fraction_norm(spec, shift)
-    bound = math.ceil((radius_key + shift_norm) / math.sqrt(eig_min))
-    g = spec.quad_form
-    cartan = spec.cartan
-    radius_sq = radius_key * radius_key
+    bound = math.ceil((radius_key + _shift_norm(spec, gamma, level)) / math.sqrt(eig_min))
+    # v = (n - center) C, so center C = -gamma / level
+    center = -np.linalg.solve(np.array(spec.cartan, dtype=float).T, np.array(gamma, dtype=float))
+    center /= level
+    n = _ellipsoid_candidates(spec, center, radius_key * radius_key, bound)
 
-    entries = []
-    for n in product(range(-bound, bound + 1), repeat=rank):
-        v = [shift[j] + sum(n[i] * cartan[i][j] for i in range(rank)) for j in range(rank)]
-        norm_sq = Fraction(0)
-        for i, vi in enumerate(v):
-            if vi:
-                norm_sq += vi * sum(g[i][j] * v[j] for j in range(rank))
-        if float(norm_sq) <= radius_sq:
-            entries.append((float(norm_sq), n, tuple(v)))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return tuple((norm_sq, v) for norm_sq, _, v in entries)
-
-
-def _fraction_norm(spec: AlgebraSpec, vec) -> float:
-    g = spec.quad_form
-    total = Fraction(0)
-    for i, vi in enumerate(vec):
-        if vi:
-            total += vi * sum(g[i][j] * vec[j] for j in range(spec.rank))
-    return math.sqrt(float(total))
+    # int64 while every product stays below 2^53, where int -> float is exact
+    # and one float division is correctly rounded; Python ints past that.
+    denominator = d * level * level
+    w_max = max(abs(g) + level * bound * sum(abs(row[j]) for row in spec.cartan)
+                for j, g in enumerate(gamma))
+    fits = max(w_max * w_max * sum(abs(x) for row in dg for x in row), denominator) < _EXACT
+    dtype = np.int64 if fits else object
+    cartan = np.array(spec.cartan, dtype=dtype)
+    w = np.array(gamma, dtype=dtype) + level * (n.astype(dtype, copy=False) @ cartan)
+    norms = (((w @ np.array(dg, dtype=dtype)) * w).sum(axis=1) / denominator).astype(float)
+    keep = norms <= radius_key * radius_key
+    norms, coords = norms[keep], (w[keep] / level).astype(float)
+    norms.flags.writeable = False
+    coords.flags.writeable = False
+    return norms, coords
 
 
 def _theta_raw(spec: AlgebraSpec, level: int, tau: complex, u, gamma: Weight,
                radius: float) -> complex:
-    """Truncated lattice sum; radius chosen by the caller."""
-    g = _gram_float(spec)
-    gu = g @ np.array(u, dtype=complex)
-    total = 0j
-    coeff_tau = 1j * math.pi * level * tau
-    coeff_u = 1j * TWO_PI * level
-    for norm_sq, v in _lattice_shifts(spec, tuple(gamma), level, radius):
-        vf = np.array([float(x) for x in v])
-        total += cmath.exp(coeff_tau * norm_sq + coeff_u * complex(vf @ gu))
-    return total
+    """Truncated lattice sum; radius chosen by the caller.  One vectorised
+    exp over the kept points; the real and imaginary parts of the terms are
+    each summed with math.fsum, correctly rounded and in no particular order."""
+    norms, coords = _lattice_shifts(spec, tuple(gamma), level, radius)
+    gu = _gram_float(spec) @ np.array(u, dtype=complex)
+    terms = np.exp(1j * math.pi * level * tau * norms + 1j * TWO_PI * level * (coords @ gu))
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def theta_sum(ctx: ThetaContext, gamma: Weight) -> complex:
@@ -193,21 +251,40 @@ def theta_sum(ctx: ThetaContext, gamma: Weight) -> complex:
 
 
 def _radius_for(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> float:
-    shift_norm = _fraction_norm(ctx.spec, [Fraction(g, ctx.level) for g in gamma])
+    return _truncation_for(ctx, gamma, margin)[0]
+
+
+def _truncation_for(ctx: ThetaContext, gamma: Weight, margin: float = 0.0):
+    """(radius, certified tail bound) for the shift gamma/level."""
     return _truncation_radius(
         ctx.spec, ctx.level, ctx.tau.imag, ctx._im_u_norm() + margin, ctx.epsilon,
-        max(1.0, math.ceil(shift_norm)),
+        max(1.0, math.ceil(_shift_norm(ctx.spec, gamma, ctx.level))),
     )
+
+
+def truncation(ctx: ThetaContext, gamma: Weight) -> tuple[float, int, float]:
+    """(radius, lattice points kept, certified tail bound) of theta_sum at
+    gamma: the sum covers every point with |v| <= radius and the neglected
+    terms add up to less than the tail bound."""
+    gamma = tuple(int(x) for x in gamma)
+    radius, tail = _truncation_for(ctx, gamma)
+    norms, _ = _lattice_shifts(ctx.spec, gamma, ctx.level, radius)
+    return radius, len(norms), tail
 
 
 def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight, parity: int):
     """Net (+-1)^w counts of each Weyl image of gamma, sorted by image.
-    Wall cancellations happen here exactly, before any float work."""
+
+    Read off the cached signed orbit: a stabilised image appears there with
+    both signs, so for parity -1 it cancels exactly, before any float work;
+    for parity +1 every image is reached by |W| / |orbit| group elements."""
+    images, signs = signed_orbit_array(spec, gamma)
     counts: dict[Weight, int] = {}
-    for word in weyl_elements(spec):
-        image = apply_word(spec, word, gamma)
-        sign = word_sign(word) if parity < 0 else 1
+    for image, sign in zip(map(tuple, images.tolist()), signs.tolist()):
         counts[image] = counts.get(image, 0) + sign
+    if parity > 0:
+        stabiliser = spec.weyl_order // len(counts)
+        return sorted((image, stabiliser) for image in counts)
     return sorted((image, c) for image, c in counts.items() if c != 0)
 
 
@@ -246,12 +323,9 @@ def check_T_transform(ctx: ThetaContext, gamma: Weight) -> float:
     gamma = tuple(int(x) for x in gamma)
     radius = _radius_for(ctx, gamma)
     lhs = _theta_raw(ctx.spec, ctx.level, ctx.tau + 1.0, ctx.u, gamma, radius)
-    norm_sq = Fraction(0)
-    g = ctx.spec.quad_form
-    for i, gi in enumerate(gamma):
-        if gi:
-            norm_sq += gi * sum(g[i][j] * gamma[j] for j in range(ctx.spec.rank))
-    phase = cmath.exp(1j * math.pi * float((norm_sq / ctx.level) % 2))
+    d, _ = _integer_gram(ctx.spec)
+    period = d * ctx.level  # (gamma, gamma)/level = N / period
+    phase = cmath.exp(1j * math.pi * ((_norm_numerator(ctx.spec, gamma) % (2 * period)) / period))
     rhs = phase * _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, gamma, radius)
     return abs(lhs - rhs)
 

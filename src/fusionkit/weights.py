@@ -20,7 +20,7 @@ from .algebra import (
     inner_product,
     positive_roots,
 )
-from .errors import CapExceeded, DEFAULT_CAPS
+from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation
 
 
 @dataclass
@@ -36,7 +36,8 @@ class WeightSystem:
     entries: dict = field(repr=False)
 
     def __post_init__(self):
-        assert self.entries.get(self.highest) == 1
+        if self.entries.get(self.highest) != 1:
+            raise InvariantViolation(f"highest weight {self.highest} does not have multiplicity 1")
 
 
 def weyl_dimension(spec: AlgebraSpec, mu: Weight) -> int:
@@ -49,7 +50,8 @@ def weyl_dimension(spec: AlgebraSpec, mu: Weight) -> int:
     result = Fraction(1)
     for alpha in positive_roots(spec):
         result *= inner_product(spec, mu_rho, alpha) / inner_product(spec, rho, alpha)
-    assert result.denominator == 1
+    if result.denominator != 1:
+        raise InvariantViolation(f"Weyl dimension of {mu} came out as {result}")
     return int(result)
 
 
@@ -70,7 +72,9 @@ def weight_system(spec: AlgebraSpec, mu: Weight, dim_cap: int | None = None) -> 
         raise CapExceeded(f"dim({mu}) = {dim} exceeds cap {cap}", required=dim)
     entries = dict(_weight_system_cached(spec, mu))
     ws = WeightSystem(spec=spec, highest=mu, entries=entries)
-    assert sum(entries.values()) == dim
+    if sum(entries.values()) != dim:
+        raise InvariantViolation(f"multiplicities of {mu} add up to {sum(entries.values())}, "
+                                 f"not the Weyl dimension {dim}")
     return ws
 
 
@@ -132,7 +136,8 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
             continue
         lam_rho = tuple(l + 1 for l in lam)
         denominator = norm_top - inner_product(spec, lam_rho, lam_rho)
-        assert denominator > 0
+        if denominator <= 0:
+            raise InvariantViolation(f"Freudenthal denominator {denominator} at {lam} in {mu}")
         acc = Fraction(0)
         for alpha in roots:
             j = 1
@@ -143,7 +148,9 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
                 j += 1
                 shifted = tuple(l + j * a for l, a in zip(lam, alpha))
         value = 2 * acc / denominator
-        assert value.denominator == 1 and value > 0
+        if value.denominator != 1 or value <= 0:
+            raise InvariantViolation(f"multiplicity {value} of {lam} in {mu} is not a "
+                                     f"positive integer")
         mults[lam] = int(value)
     return mults
 

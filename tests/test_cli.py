@@ -109,6 +109,18 @@ def test_invariant_violation_exits_3_under_optimize():
     assert "invariant violated" in finished.stderr
 
 
+def test_weights_invariant_under_optimize():
+    """A Weyl dimension that disagrees with the multiplicities trips the
+    weights invariant, which python -O must not strip."""
+    script = ("import sys; from fusionkit import cli, weights; "
+              "weights.weyl_dimension = lambda spec, mu: 4; "
+              "sys.exit(cli.main(['weights', 'A2', '--mu', '1,0']))")
+    finished = run_optimized("-c", script)
+    assert finished.returncode == 3, finished.stderr
+    assert "invariant violated" in finished.stderr
+    assert "not the Weyl dimension 4" in finished.stderr
+
+
 def test_verify_under_optimize():
     finished = run_optimized("-m", "fusionkit.cli", "verify", "A1", "--k", "2",
                              "--suite", "identity")
@@ -182,6 +194,10 @@ def test_theta_command(capsys):
     assert float(fields["t_residual"]) < 1e-10
     assert float(fields["heat_residual"]) < 1e-4
     assert abs(complex(float(fields["value_re"]), float(fields["value_im"]))) > 0
+    assert float(fields["radius"]) >= 1.0
+    assert int(fields["lattice_points"]) > 0
+    assert float(fields["tail_bound"]) < 1e-12
+    assert list(fields)[-3:] == ["radius", "lattice_points", "tail_bound"]
 
 
 def test_theta_wall_antisym_is_zero(capsys):

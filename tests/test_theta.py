@@ -3,16 +3,22 @@ finite-tau character identity."""
 
 import cmath
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fusionkit.algebra import build_algebra
+from fusionkit.algebra import apply_word, build_algebra, weyl_elements, word_sign
 from fusionkit.characters import GenericPoint, eval_char
 from fusionkit.errors import CapExceeded, SingularPointError
 from fusionkit.fusion import level_k_weights
 from fusionkit.theta import (
     ThetaContext,
+    _gram_float,
+    _lattice_shifts,
     _radius_for,
+    _root_gram,
+    _signed_orbit_counts,
     _theta_raw,
     check_heat_equation,
     check_T_transform,
@@ -26,6 +32,8 @@ from fusionkit.algebra import inner_product
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
+A3 = build_algebra("A", 3)
+D4 = build_algebra("D", 4)
 
 GRID = [(im * 1j, (0.05, 0.11, 0.23)) for im in (0.5, 1.0, 2.0)]
 
@@ -219,3 +227,144 @@ def test_context_validation():
         theta_sum(ThetaContext(A1, 2, 1e-7j, (0.0,)), (1,))
     with pytest.raises(SingularPointError):
         kac_weyl_char(ThetaContext(A1, 4, 1j, (0.0,)), (1,))  # u=0 kills Theta^-
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the plain box scan in Fraction arithmetic.
+
+
+def _fraction_norm_sq(spec, vec):
+    g = spec.quad_form
+    total = Fraction(0)
+    for i, vi in enumerate(vec):
+        if vi:
+            total += vi * sum(g[i][j] * vec[j] for j in range(spec.rank))
+    return total
+
+
+def box_scan_shifts(spec, gamma, level, radius):
+    """Every n in the box |n_i| <= bound with float(|v|^2) <= radius^2, where
+    v = gamma/level + n C in exact rationals: {(|v|^2, v as floats)}.
+
+    A float norm first skips the candidates that are far outside; every
+    candidate whose float norm is below radius^2 + 1e-6 gets the exact
+    Fraction test."""
+    rank = spec.rank
+    gram, eig_min = _root_gram(spec)
+    shift = [Fraction(g, level) for g in gamma]
+    shift_norm = math.sqrt(float(_fraction_norm_sq(spec, shift)))
+    bound = math.ceil((radius + shift_norm) / math.sqrt(eig_min))
+    root_shift = np.array(shift, dtype=float) @ np.linalg.inv(np.array(spec.cartan, dtype=float))
+    box = (np.indices((2 * bound + 1,) * rank).reshape(rank, -1).T - bound).astype(float)
+    x = box + root_shift
+    near = np.einsum("ij,jk,ik->i", x, gram, x) <= radius * radius + 1e-6
+    kept = set()
+    for n in box[near].astype(int).tolist():
+        v = [shift[j] + sum(n[i] * spec.cartan[i][j] for i in range(rank)) for j in range(rank)]
+        norm_sq = float(_fraction_norm_sq(spec, v))
+        if norm_sq <= radius * radius:
+            kept.add((norm_sq, tuple(float(vj) for vj in v)))
+    return kept
+
+
+def box_scan_theta(spec, level, tau, u, gamma, radius):
+    gu = _gram_float(spec) @ np.array(u, dtype=complex)
+    return sum(
+        cmath.exp(1j * math.pi * level * tau * norm_sq
+                  + 1j * 2 * math.pi * level * complex(np.array(v) @ gu))
+        for norm_sq, v in sorted(box_scan_shifts(spec, gamma, level, radius))
+    )
+
+
+def enumerated(spec, gamma, level, radius):
+    norms, coords = _lattice_shifts(spec, tuple(gamma), level, radius)
+    found = {(n, tuple(v)) for n, v in zip(norms.tolist(), coords.tolist())}
+    assert len(found) == len(norms)  # no point twice
+    return found
+
+
+def _shift_cases(spec, level):
+    rank = spec.rank
+    return [
+        (0,) * rank,
+        (1,) + (0,) * (rank - 1),
+        tuple(-1 if i % 2 else 2 for i in range(rank)),   # negative labels
+        (level + 1,) * rank,                              # gamma >= level
+        (-level - 2,) + (1,) * (rank - 1),
+    ]
+
+
+@pytest.mark.parametrize("spec,levels,radius", [
+    (A1, (1, 2, 5), 4.0), (A2, (1, 2, 5), 3.0), (A3, (1, 2, 5), 2.5), (D4, (1, 2, 5), 2.0),
+])
+def test_enumeration_matches_box_scan(spec, levels, radius):
+    for level in levels:
+        for gamma in _shift_cases(spec, level):
+            assert enumerated(spec, gamma, level, radius) == \
+                box_scan_shifts(spec, gamma, level, radius), (level, gamma)
+
+
+@pytest.mark.parametrize("spec", [A1, A2, A3, D4])
+def test_enumeration_at_context_radius(spec):
+    """The radii the theta functions actually use, at several tau."""
+    u = tuple(0.05 + 0.01 * i for i in range(spec.rank))
+    for tau in (1j, 0.5j, 0.3 + 2j):
+        ctx = ThetaContext(spec, 2, tau, u)
+        for gamma in _shift_cases(spec, 2)[:3]:
+            radius = _radius_for(ctx, gamma)
+            assert enumerated(spec, gamma, 2, radius) == box_scan_shifts(spec, gamma, 2, radius)
+
+
+@pytest.mark.parametrize("spec,level,tau", [
+    (A1, 5, 0.3 + 2j), (A2, 2, 0.5j), (A3, 1, 0.3 + 2j), (D4, 1, 1j),
+])
+def test_theta_raw_matches_box_scan_sum(spec, level, tau):
+    u = tuple(0.05 + 0.01 * i for i in range(spec.rank))
+    ctx = ThetaContext(spec, level, tau, u)
+    for gamma in _shift_cases(spec, level)[:3]:
+        radius = _radius_for(ctx, gamma)
+        expected = box_scan_theta(spec, level, ctx.tau, ctx.u, gamma, radius)
+        got = _theta_raw(spec, level, ctx.tau, ctx.u, gamma, radius)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_enumeration_beyond_int64_products():
+    """A level of 10^9 puts level^2 D past 2^53; the Python-int path keeps
+    the exact membership test and the correctly rounded floats."""
+    level = 10**9
+    for gamma in [(1,), (3 * level + 7,)]:
+        assert enumerated(A1, gamma, level, 3.0) == box_scan_shifts(A1, gamma, level, 3.0)
+
+
+def test_enumeration_bounded_memory():
+    """D4 at level 1 and gamma = (7,7,7,7): the scan box would have 135^4
+    candidates (about 15 GiB as coordinate rows); the walk only visits the
+    ellipsoid."""
+    ctx = ThetaContext(D4, 1, 1j, (0.05, 0.02, 0.01, 0.03))
+    gamma = (7, 7, 7, 7)
+    radius = _radius_for(ctx, gamma)
+    norms, coords = _lattice_shifts(D4, gamma, 1, radius)
+    assert len(norms) == 1_517_161
+    assert coords.shape == (1_517_161, 4)
+    assert float(norms.max()) <= radius * radius
+    _lattice_shifts.cache_clear()
+
+
+def word_orbit_counts(spec, gamma, parity):
+    counts = {}
+    for word in weyl_elements(spec):
+        image = apply_word(spec, word, gamma)
+        counts[image] = counts.get(image, 0) + (word_sign(word) if parity < 0 else 1)
+    return sorted((image, c) for image, c in counts.items() if c != 0)
+
+
+@pytest.mark.parametrize("spec", [A1, A2, A3, D4])
+def test_signed_orbit_counts_match_weyl_words(spec):
+    rank = spec.rank
+    regular = tuple(i + 1 for i in range(rank))
+    walls = [(0,) * rank, (1,) + (0,) * (rank - 1), tuple(i % 2 for i in range(rank))]
+    shifted = tuple(-1 if i == 0 else 2 for i in range(rank))
+    for gamma in [regular, shifted] + walls:
+        for parity in (1, -1):
+            assert _signed_orbit_counts(spec, gamma, parity) == \
+                word_orbit_counts(spec, gamma, parity), (gamma, parity)
