@@ -117,21 +117,28 @@ def _cartan_and_halfnorms(series: str, rank: int):
     return tuple(tuple(row) for row in c), tuple(d)
 
 
-def _invert_rational(rows):
-    """Exact inverse of a square integer/rational matrix (Gauss-Jordan)."""
+def _gauss_jordan(rows):
+    """Exact Gauss-Jordan elimination of a square integer/rational matrix:
+    (det, inverse) as Fractions, with inverse None when det = 0."""
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    det = Fraction(1)
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
         scale = aug[col][col]
+        det *= scale
         aug[col] = [x / scale for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return det, tuple(tuple(row[n:]) for row in aug)
 
 
 def build_algebra(series: str, rank: int) -> AlgebraSpec:
@@ -144,7 +151,7 @@ def build_algebra(series: str, rank: int) -> AlgebraSpec:
     if series not in _VALID_RANKS or not isinstance(rank, int) or not _VALID_RANKS[series](rank):
         raise ValueError(f"not a simple Lie algebra: {series}{rank}")
     cartan, halfnorms = _cartan_and_halfnorms(series, rank)
-    inv = _invert_rational(cartan)
+    inv = _cartan_inverse_cached(cartan)
     quad_form = tuple(tuple(inv[i][j] * halfnorms[j] for j in range(rank)) for i in range(rank))
 
     entry = _DUAL_COXETER[series]
@@ -173,7 +180,7 @@ def cartan_inverse(spec: AlgebraSpec) -> tuple:
 
 @lru_cache(maxsize=None)
 def _cartan_inverse_cached(cartan):
-    return _invert_rational(cartan)
+    return _gauss_jordan(cartan)[1]
 
 
 def inner_product(spec: AlgebraSpec, lam: Weight, mu: Weight) -> Fraction:
@@ -356,22 +363,7 @@ def _coefficient_height(cartan, root) -> int:
 def cartan_determinant(spec: AlgebraSpec) -> int:
     """det C, exactly; equals the index of the root lattice in the weight
     lattice."""
-    n = spec.rank
-    rows = [[Fraction(x) for x in row] for row in spec.cartan]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    det, _ = _gauss_jordan(spec.cartan)
     if det.denominator != 1:
         raise InvariantViolation(f"det C = {det} of {spec} is not an integer")
     return int(det)

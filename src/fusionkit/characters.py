@@ -245,6 +245,16 @@ def eval_char(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
     return numerator / denominator
 
 
+def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
+    """sum over (lam, c) in terms of c D_lam(p) / D_rho(p) at every point p.
+
+    Each rho-shifted lam is reflected to the dominant chamber first, so
+    c sign(w) chi_{w(lam) - rho} enters; lam on a wall drops out."""
+    reduced = [(reflect_to_dominant(spec, lam), c) for lam, c in terms]
+    reduced = [(tuple(r - 1 for r in dom), c * sign) for (dom, sign), c in reduced if sign]
+    return [sum((c * eval_char(spec, mu, p) for mu, c in reduced), 0j) for p in points]
+
+
 def eval_char_trace(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
     """Character as the plain weight-system sum sum_{r in Omega_mu} m_r e^{(r,p)};
     slower than eval_char but independent of the Weyl-ratio code path."""
@@ -277,8 +287,6 @@ def virtual_normalize(spec: AlgebraSpec, lam: Weight) -> VirtualChar:
 
 def char_su2_closed(n: int, k: int, x: float) -> float:
     """Closed-form level-k su(2) character sin(pi (n+1) x/(k+2)) / sin(pi x/(k+2))."""
-    import math
-
     denominator = math.sin(math.pi * x / (k + 2))
     if abs(denominator) < DENOMINATOR_FLOOR:
         raise SingularPointError(f"x = {x} is a zero of the level-{k} su(2) denominator")

@@ -13,11 +13,12 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from . import csmodel, identity, theta
 from .algebra import build_algebra
-from .characters import GenericPoint, eval_D
+from .characters import GenericPoint, eval_D, weyl_ratio_sums
 from .errors import (
     CapExceeded,
     Caps,
@@ -32,7 +33,7 @@ from .fusion import (
     tensor_decompose,
     verlinde_table,
 )
-from .identity import VerificationReport
+from .identity import VerificationReport, integer_report
 from .weights import dimension, mult_sum_squares, weight_system
 
 EXIT_OK = 0
@@ -105,27 +106,6 @@ def _report_line(report: VerificationReport, config: RunConfig, mu=None, nu=None
     return json.dumps(record)
 
 
-def _integer_report(case_id: str, checks) -> VerificationReport:
-    """Wrap exact integer comparisons as a report: the residual is the worst
-    constraint violation, so tolerance is 0."""
-    worst = 0
-    witnesses = []
-    count = 0
-    for label, lhs, rhs, ok, overshoot in checks:
-        count += 1
-        if not ok:
-            worst = max(worst, overshoot)
-            witnesses.append((label, complex(lhs), complex(rhs)))
-    return VerificationReport(
-        case_id=case_id,
-        points_checked=count,
-        max_abs_residual=float(worst),
-        passed=worst == 0,
-        tolerance=0.0,
-        witnesses=witnesses,
-    )
-
-
 def _full_residue_gammas(spec, k: int):
     level_shifted = k + spec.dual_coxeter
     if spec.rank == 1:
@@ -154,14 +134,10 @@ def _suite_identity(spec, config: RunConfig):
         labels = [w for w in product(range(4), repeat=spec.rank)]
         for mu in labels:
             for nu in labels:
-                def residuals():
-                    for point in points:
-                        lhs = identity.lhs_char_sum(spec, mu, nu, point)
-                        rhs = identity.rhs_fusion_sum(spec, mu, nu, point)
-                        yield point, lhs, rhs
-                report = identity.make_report(
-                    f"char-sum-identity:{spec}:k=inf:mu={mu}:nu={nu}",
-                    config.tolerance, residuals(),
+                report = identity.check_identity(
+                    f"char-sum-identity:{spec}:k=inf:mu={mu}:nu={nu}", spec, mu, nu,
+                    tensor_decompose(spec, mu, nu), points,
+                    partial(weyl_ratio_sums, spec), config.tolerance,
                 )
                 yield report, mu, nu
         return
@@ -198,8 +174,8 @@ def _suite_bounds(spec, config: RunConfig):
             parseval_checks.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
             total, bound, ok = identity.dim_bound(spec, mu, sigma, config.k)
             dim_checks.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
-    yield _integer_report(f"parseval-bound:{spec}:k={config.k}", parseval_checks), None, None
-    yield _integer_report(f"dimension-bound:{spec}:k={config.k}", dim_checks), None, None
+    yield integer_report(f"parseval-bound:{spec}:k={config.k}", parseval_checks), None, None
+    yield integer_report(f"dimension-bound:{spec}:k={config.k}", dim_checks), None, None
 
 
 def _suite_conjugacy(spec, config: RunConfig):
@@ -214,7 +190,7 @@ def _suite_conjugacy(spec, config: RunConfig):
             both = equal and check.linear_equal
             overshoot = abs(s1 - s2) + abs(check.linear_sums[0] - check.linear_sums[1])
             checks.append((f"a={a},b={b}", s1, s2, both, overshoot))
-    yield _integer_report(f"conjugacy-squares:{spec}:k={config.k}", checks), None, None
+    yield integer_report(f"conjugacy-squares:{spec}:k={config.k}", checks), None, None
 
 
 def _suite_theta(spec, config: RunConfig):
@@ -300,7 +276,7 @@ def _suite_csmodel(spec, config: RunConfig):
                 (f"mu={mu},nu={nu}", len(operator_table), len(folded), agree,
                  0 if agree else 1)
             )
-    yield _integer_report(
+    yield integer_report(
         f"three-way-fusion:{spec}:k={config.k}", mismatch_checks
     ), None, None
 

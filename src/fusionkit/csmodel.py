@@ -32,13 +32,10 @@ import numpy as np
 from .algebra import (
     AlgebraSpec,
     Weight,
-    _invert_rational,
-    apply_word,
+    _gauss_jordan,
     cartan_inverse,
-    weyl_elements,
-    word_sign,
 )
-from .characters import VarietyPoint, eval_D
+from .characters import VarietyPoint, eval_D, signed_orbit_array
 from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation, OracleMismatchError
 from .fusion import is_integrable, level_k_weights
 from .weights import weight_system
@@ -108,7 +105,7 @@ def build_model(spec: AlgebraSpec, k: int, hilbert_cap: int | None = None) -> Ga
                 f"clock phases of {spec} are not constant on affine translation "
                 f"classes; the Gaussian model construction does not apply"
             )
-    coroot_inv = _invert_rational(coroots)
+    coroot_det, coroot_inv = _gauss_jordan(coroots)
     q = math.lcm(*(entry.denominator for row in coroot_inv for entry in row))
     if any((q * entry).denominator != 1 for row in inv for entry in row):
         raise InvariantViolation(f"q = {q} does not clear the denominators of C^-1 of {spec}")
@@ -124,28 +121,11 @@ def build_model(spec: AlgebraSpec, k: int, hilbert_cap: int | None = None) -> Ga
     phase_matrix = tuple(tuple(int(q * entry) for entry in row) for row in inv)
     radical = _radical_subgroup(coroots, level_shifted, period)
     model = GaussianModel(spec, k, level_shifted, q, period, phase_matrix, radical)
-    index = _integer_determinant(coroots)
+    index = abs(int(coroot_det))
     if model.size != level_shifted**spec.rank * index:
         raise InvariantViolation(f"Gaussian model size {model.size} is not "
                                  f"K^rank * index = {level_shifted**spec.rank * index}")
     return model
-
-
-def _integer_determinant(rows) -> int:
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if mat[r][col] != 0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] / mat[col][col]
-            if factor:
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    return abs(int(det))
 
 
 def _radical_subgroup(coroots, level_shifted: int, period: int):
@@ -322,9 +302,8 @@ def primary_state(model: GaussianModel, r: Weight) -> np.ndarray:
     shifted = tuple(x + 1 for x in r)
     state = np.zeros(model.shape, dtype=complex)
     amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
-    for word in weyl_elements(spec):
-        sign = word_sign(word)
-        image = apply_word(spec, word, shifted)
+    images, signs = signed_orbit_array(spec, shifted)
+    for image, sign in zip(images.tolist(), signs.tolist()):
         for t in model.radical:
             index = tuple((x + dt) % model.period for x, dt in zip(image, t))
             state[index] += sign * amplitude

@@ -25,7 +25,6 @@ from .algebra import (
     comarks,
     inner_product,
     reflect_to_dominant,
-    simple_reflection,
 )
 from .characters import phase_kernel, phase_sums, signed_orbit_array
 from .errors import InvariantViolation, OracleMismatchError
@@ -73,29 +72,25 @@ def _fold_to_alcove(spec: AlgebraSpec, beta: Weight, level_shifted: int):
     """Fold a rho-shifted weight into the open level-K affine alcove.
 
     Returns (weight, sign) with sign 0 when beta is stuck to a wall
-    (some label 0, or (beta, theta) = K).  Exact integers throughout.
+    (some label 0, or (beta, theta) = K).  Each round reduces to the
+    dominant chamber by finite reflections, then reflects once about
+    (beta, theta) = K.  Exact integers throughout.
     """
     theta = spec.highest_root
     current = tuple(beta)
     sign = 1
     for _ in range(_FOLD_LIMIT):
-        if 0 in current:
+        current, finite_sign = reflect_to_dominant(spec, current)
+        if finite_sign == 0:
             return None, 0
-        negative = next((i for i, label in enumerate(current) if label < 0), None)
-        if negative is not None:
-            current = simple_reflection(spec, negative + 1, current)
-            sign = -sign
-            continue
+        sign *= finite_sign
         height = level_pairing(spec, current)
         if height == level_shifted:
             return None, 0
-        if height > level_shifted:
-            current = tuple(
-                b + (level_shifted - height) * t for b, t in zip(current, theta)
-            )
-            sign = -sign
-            continue
-        return current, sign
+        if height < level_shifted:
+            return current, sign
+        current = tuple(b + (level_shifted - height) * t for b, t in zip(current, theta))
+        sign = -sign
     raise InvariantViolation(f"alcove folding did not terminate for {beta}")
 
 

@@ -1,12 +1,16 @@
 """Machine verification of the character/fusion identities and the integer
 inequalities they imply.
 
-The central check is the denominator-free identity
+The central identity
 
-    sum_{mu' in Omega_mu} D_{mu'+nu+rho}(gamma) = sum_iota N_{mu nu}^iota D_{iota+rho}(gamma)
+    sum_{mu' in Omega_mu} chi_{mu'+nu} = sum_iota N_{mu nu}^iota chi_iota
 
-on variety points gamma (walls included, both sides stay finite), plus the
-ratio form at generic regular points.  The inequality checks (Parseval-style
+is checked by one routine, check_identity, parameterised by its kernel.  It
+builds the rho-shifted terms of both sides once per (mu, nu) and evaluates
+each side with kernel(terms, points).  The kernels are the alternating sums
+D_lam at variety points (walls included, both sides stay finite), the Weyl
+ratio at generic regular points, and the antisymmetrised theta sums at
+finite tau (theta.verify_kw_identity).  The inequality checks (Parseval-style
 bound, dimension bound, conjugacy symmetry) are exact integer comparisons
 end to end.
 """
@@ -18,12 +22,8 @@ import warnings
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraSpec, Weight
-from .characters import (
-    EvalPoint,
-    alternating_sums,
-    eval_char,
-    virtual_normalize,
-)
+from .characters import EvalPoint, alternating_sums, weyl_ratio_sums
+from .errors import InvariantViolation
 from .fusion import fuse_level_k, is_integrable, tensor_decompose
 from .weights import conjugate, dimension, mult_sum_squares, weight_system
 
@@ -33,7 +33,8 @@ class VerificationReport:
     """Outcome of one verification case.
 
     ``witnesses`` holds (point, lhs, rhs) for every failing point, so it is
-    nonempty exactly when the case failed.
+    nonempty exactly when the case failed.  A report that breaks either rule
+    raises InvariantViolation.
     """
 
     case_id: str
@@ -44,8 +45,12 @@ class VerificationReport:
     witnesses: list = field(default_factory=list)
 
     def __post_init__(self):
-        assert self.passed == (self.max_abs_residual <= self.tolerance)
-        assert bool(self.witnesses) == (not self.passed)
+        if self.passed != (self.max_abs_residual <= self.tolerance):
+            raise InvariantViolation(f"{self.case_id}: passed = {self.passed} with residual "
+                                     f"{self.max_abs_residual} at tolerance {self.tolerance}")
+        if bool(self.witnesses) == self.passed:
+            raise InvariantViolation(f"{self.case_id}: passed = {self.passed} with "
+                                     f"{len(self.witnesses)} witnesses")
 
     def to_dict(self) -> dict:
         return {
@@ -90,34 +95,70 @@ def make_report(case_id: str, tolerance: float, residuals) -> VerificationReport
     )
 
 
+def integer_report(case_id: str, checks) -> VerificationReport:
+    """Wrap exact integer comparisons (label, lhs, rhs, ok, overshoot) as a
+    report: the residual is the worst constraint violation, so tolerance is 0."""
+    worst = 0
+    witnesses = []
+    count = 0
+    for label, lhs, rhs, ok, overshoot in checks:
+        count += 1
+        if not ok:
+            worst = max(worst, overshoot)
+            witnesses.append((label, complex(lhs), complex(rhs)))
+    return VerificationReport(
+        case_id=case_id,
+        points_checked=count,
+        max_abs_residual=float(worst),
+        passed=worst == 0,
+        tolerance=0.0,
+        witnesses=witnesses,
+    )
+
+
+def _lhs_terms(spec: AlgebraSpec, mu: Weight, nu: Weight) -> list:
+    """(mu' + nu + rho, m) over the weight system of mu."""
+    ws = weight_system(spec, tuple(mu))
+    return [(tuple(m + n + 1 for m, n in zip(mu_prime, nu)), mult)
+            for mu_prime, mult in ws.entries.items()]
+
+
+def _rhs_terms(table: dict) -> list:
+    """(iota + rho, N) over a fusion table."""
+    return [(tuple(i + 1 for i in iota), n) for iota, n in table.items()]
+
+
+def check_identity(case_id: str, spec: AlgebraSpec, mu: Weight, nu: Weight, table: dict,
+                   points, kernel, tolerance: float) -> VerificationReport:
+    """Check sum_{mu'} chi_{mu'+nu} = sum_iota N^iota chi_iota at every point,
+    with N from ``table`` and both sides evaluated by
+    ``kernel(terms, points)`` on their rho-shifted (weight, coefficient)
+    terms."""
+    points = list(points)
+    lhs = kernel(_lhs_terms(spec, mu, nu), points)
+    rhs = kernel(_rhs_terms(table), points)
+    return make_report(case_id, tolerance, zip(points, map(complex, lhs), map(complex, rhs)))
+
+
 def lhs_char_sum(spec: AlgebraSpec, mu: Weight, nu: Weight, p: EvalPoint) -> complex:
     """sum over Omega_mu (with multiplicity) of the virtual character of
     mu' + nu at p."""
-    ws = weight_system(spec, tuple(mu))
-    total = 0j
-    for mu_prime, mult in ws.entries.items():
-        shifted = tuple(m + n for m, n in zip(mu_prime, nu))
-        sign, dom = virtual_normalize(spec, shifted)
-        if sign == 0:
-            continue
-        total += mult * sign * eval_char(spec, dom, p)
-    return total
+    return weyl_ratio_sums(spec, _lhs_terms(spec, mu, nu), [p])[0]
 
 
 def rhs_fusion_sum(spec: AlgebraSpec, mu: Weight, nu: Weight, p: EvalPoint,
                    k: int | None = None) -> complex:
     """sum_iota N_{mu nu}^iota chi_iota(p), with N the tensor coefficients
     when k is None (algebra level) and the level-k fusion table otherwise."""
-    if k is None:
-        table = tensor_decompose(spec, tuple(mu), tuple(nu))
-    else:
-        table = fuse_level_k(spec, tuple(mu), tuple(nu), k)
-    return sum(n * eval_char(spec, iota, p) for iota, n in table.items())
+    mu, nu = tuple(mu), tuple(nu)
+    table = tensor_decompose(spec, mu, nu) if k is None else fuse_level_k(spec, mu, nu, k)
+    return weyl_ratio_sums(spec, _rhs_terms(table), [p])[0]
 
 
 def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
                               gammas, tolerance: float = 1e-9,
-                              coefficients: dict | None = None) -> VerificationReport:
+                              coefficients: dict | None = None,
+                              case_id: str | None = None) -> VerificationReport:
     """Check the denominator-free identity at each variety point gamma with
     K = k + c.  Walls are legal here: both sides are plain finite sums.
 
@@ -129,28 +170,22 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
             raise ValueError(f"{lam} is not integrable at level {k}")
     level_shifted = k + spec.dual_coxeter
     table = fuse_level_k(spec, mu, nu, k) if coefficients is None else coefficients
-    ws = weight_system(spec, mu)
     gammas = [tuple(int(g) for g in gamma) for gamma in gammas]
-    lhs_terms = [(tuple(m + n + 1 for m, n in zip(mu_prime, nu)), mult)
-                 for mu_prime, mult in ws.entries.items()]
-    rhs_terms = [(tuple(i + 1 for i in iota), n) for iota, n in table.items()]
-    lhs = alternating_sums(spec, lhs_terms, gammas, level_shifted)
-    rhs = alternating_sums(spec, rhs_terms, gammas, level_shifted)
-    residuals = ((gamma, complex(l), complex(r)) for gamma, l, r in zip(gammas, lhs, rhs))
-
-    case_id = f"numerator-identity:{spec}:k={k}:mu={mu}:nu={nu}"
-    return make_report(case_id, tolerance, residuals)
+    return check_identity(
+        case_id or f"numerator-identity:{spec}:k={k}:mu={mu}:nu={nu}", spec, mu, nu, table,
+        gammas, lambda terms, points: alternating_sums(spec, terms, points, level_shifted),
+        tolerance,
+    )
 
 
 def verify_lemma_weightsum(spec: AlgebraSpec, mu: Weight, k: int, gammas,
                            tolerance: float = 1e-9) -> VerificationReport:
     """The nu = 0 specialization: the weight-system character sum collapses
     to the single highest-weight character."""
-    report = verify_numerator_identity(
-        spec, mu, (0,) * spec.rank, k, gammas, tolerance=tolerance
+    return verify_numerator_identity(
+        spec, mu, (0,) * spec.rank, k, gammas, tolerance=tolerance,
+        case_id=f"weightsum-lemma:{spec}:k={k}:mu={tuple(mu)}",
     )
-    report.case_id = f"weightsum-lemma:{spec}:k={k}:mu={tuple(mu)}"
-    return report
 
 
 def parseval_bound(spec: AlgebraSpec, mu: Weight, sigma: Weight, k: int):

@@ -29,9 +29,8 @@ import numpy as np
 from .algebra import AlgebraSpec, Weight
 from .characters import TWO_PI, signed_orbit_array
 from .errors import CapExceeded, SingularPointError
-from .fusion import fuse_level_k, is_integrable
-from .identity import VerificationReport, make_report
-from .weights import weight_system
+from .fusion import fuse_level_k
+from .identity import VerificationReport, check_identity
 
 _RADIUS_CAP = 60.0
 _POINT_CAP = 1 << 23    # lattice points per enumeration
@@ -370,6 +369,14 @@ def check_heat_equation(ctx: ThetaContext, gamma: Weight, h: float = 1e-3) -> fl
     return float(abs(laplacian - 2j * TWO_PI * level * d_tau))
 
 
+def antisymmetric_theta_sums(spec: AlgebraSpec, level: int, terms, points,
+                             epsilon: float = 1e-12) -> list:
+    """sum over (lam, c) in terms of c Theta^-_{lam, level} at every (tau, u)
+    point.  Wall weights need no normalization: their images cancel exactly."""
+    contexts = (ThetaContext(spec, level, tau, u, epsilon) for tau, u in points)
+    return [sum((c * theta_weyl(ctx, lam, -1) for lam, c in terms), 0j) for ctx in contexts]
+
+
 def verify_kw_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
                        points, tolerance: float = 1e-9,
                        epsilon: float = 1e-12) -> VerificationReport:
@@ -378,33 +385,17 @@ def verify_kw_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
         sum_{mu' in Omega_mu} m Theta^-_{mu'+nu+rho, k+c}
             = sum_iota N_{mu nu}^iota Theta^-_{iota+rho, k+c}
 
-    The antisymmetrization handles virtual left-hand terms by itself (wall
-    images cancel exactly), so no normalization step is needed.
+    checked by identity.check_identity with the antisymmetrised theta kernel.
     """
     _require_simply_laced(spec)
     mu, nu = tuple(mu), tuple(nu)
-    for lam in (mu, nu):
-        if not is_integrable(spec, lam, k):
-            raise ValueError(f"{lam} is not integrable at level {k}")
     level_shifted = k + spec.dual_coxeter
-    table = fuse_level_k(spec, mu, nu, k)
-    ws = weight_system(spec, mu)
-
-    def residuals():
-        for tau, u in points:
-            ctx = ThetaContext(spec, level_shifted, tau, tuple(u), epsilon)
-            lhs = 0j
-            for mu_prime, mult in ws.entries.items():
-                shifted = tuple(m + n + 1 for m, n in zip(mu_prime, nu))
-                lhs += mult * theta_weyl(ctx, shifted, -1)
-            rhs = sum(
-                n * theta_weyl(ctx, tuple(i + 1 for i in iota), -1)
-                for iota, n in table.items()
-            )
-            yield (tau, tuple(u)), lhs, rhs
-
-    case_id = f"kw-identity:{spec}:k={k}:mu={mu}:nu={nu}"
-    return make_report(case_id, tolerance, residuals())
+    return check_identity(
+        f"kw-identity:{spec}:k={k}:mu={mu}:nu={nu}", spec, mu, nu,
+        fuse_level_k(spec, mu, nu, k), [(tau, tuple(u)) for tau, u in points],
+        lambda terms, pts: antisymmetric_theta_sums(spec, level_shifted, terms, pts, epsilon),
+        tolerance,
+    )
 
 
 def su2_numerator_closed(j: int, k: int, tau: complex, u: complex,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fusionkit.algebra import (
+    _gauss_jordan,
     apply_word,
     build_algebra,
     cartan_determinant,
@@ -70,6 +71,26 @@ def test_cartan_invariants(series, rank):
         assert spec.quad_form == cartan_inverse(spec)
     # the highest root is long: (theta, theta) = 2
     assert inner_product(spec, spec.highest_root, spec.highest_root) == 2
+
+
+_LATTICE_INDEX = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
+                  "D": lambda n: 4, "E": lambda n: 9 - n, "F": lambda n: 1, "G": lambda n: 1}
+
+
+@pytest.mark.parametrize("series,rank", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])
+def test_gauss_jordan_det_and_inverse(series, rank):
+    spec = build_algebra(series, rank)
+    det, inverse = _gauss_jordan(spec.cartan)
+    assert det == cartan_determinant(spec) == _LATTICE_INDEX[series](rank)
+    identity = [[sum(spec.cartan[i][m] * inverse[m][j] for m in range(rank))
+                 for j in range(rank)] for i in range(rank)]
+    assert identity == [[int(i == j) for j in range(rank)] for i in range(rank)]
+
+
+def test_gauss_jordan_pivoting_and_singular():
+    assert _gauss_jordan([[0, 1], [1, 0]]) == (-1, ((0, 1), (1, 0)))
+    assert _gauss_jordan([[1, 2], [2, 4]]) == (0, None)
+    assert _gauss_jordan([[Fraction(1, 2), 0], [0, 3]])[0] == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("series,rank", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])

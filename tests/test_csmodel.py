@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fusionkit.algebra import build_algebra
+from fusionkit.algebra import apply_word, build_algebra, weyl_elements, word_sign
 from fusionkit.csmodel import (
     FourierOperator,
     basis_state,
@@ -28,6 +28,31 @@ from fusionkit.fusion import fuse_level_k, level_k_weights, verlinde_table
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
+
+
+def word_primary_state(model, r):
+    """Reference primary state: one term per Weyl word, in word order."""
+    spec = model.spec
+    shifted = tuple(x + 1 for x in r)
+    state = np.zeros(model.shape, dtype=complex)
+    amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
+    for word in weyl_elements(spec):
+        image = apply_word(spec, word, shifted)
+        for t in model.radical:
+            index = tuple((x + dt) % model.period for x, dt in zip(image, t))
+            state[index] += word_sign(word) * amplitude
+    return state
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 6), ("A", 2, 2), ("A", 2, 4),
+                                           ("A", 3, 1), ("B", 2, 2), ("C", 3, 1),
+                                           ("G", 2, 2)])
+def test_primary_state_matches_word_sum(series, rank, k):
+    """The signed-orbit primary states equal the Weyl-word sums bit for bit:
+    for regular weights both walks visit the images in the same order."""
+    model = build_model(build_algebra(series, rank), k)
+    for r in level_k_weights(model.spec, k):
+        assert np.array_equal(primary_state(model, r), word_primary_state(model, r))
 
 
 def test_model_sizes():

@@ -1,12 +1,18 @@
 """The character/fusion identity suites and the integer bounds."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import fusionkit
 from fusionkit.algebra import build_algebra
+from fusionkit.errors import InvariantViolation
 from fusionkit.characters import GenericPoint, eval_char, eval_D
 from fusionkit.fusion import fuse_level_k, level_k_weights, tensor_decompose
 from fusionkit.identity import (
@@ -178,8 +184,26 @@ def test_report_invariants():
     record = report.to_dict()
     assert record["witnesses"] == []
     assert record["passed"] is True
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         VerificationReport("bad", 1, 2.0, True, 1.0, [])
+    with pytest.raises(InvariantViolation):
+        VerificationReport("bad", 1, 0.0, True, 1.0, [("p", 0j, 1j)])
+
+
+def test_report_invariants_under_optimize():
+    """python -O strips asserts; the report checks must still raise."""
+    script = ("from fusionkit.errors import InvariantViolation\n"
+              "from fusionkit.identity import VerificationReport\n"
+              "try:\n"
+              "    VerificationReport('bad', 1, 2.0, True, 1.0, [])\n"
+              "except InvariantViolation:\n"
+              "    raise SystemExit(0)\n"
+              "raise SystemExit(1)\n")
+    src = str(Path(fusionkit.__file__).resolve().parent.parent)
+    finished = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+    assert finished.returncode == 0, finished.stderr
 
 
 @pytest.mark.parametrize("lhs,rhs", [(complex(math.nan, 0), 0j),
