@@ -5,7 +5,9 @@ convention C[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j), the simple root
 alpha_i written in Dynkin labels is row i of C, so every reflection is
 integer-exact.  The symmetric quadratic form G = C^-1 diag((alpha_i,alpha_i)/2)
 pairs weights; long roots are normalized to squared length 2, hence G = C^-1
-exactly for the simply-laced series.
+exactly for the simply-laced series.  Every exact pairing is an integer
+numerator over D, the lcm of the denominators of G: (lam, mu) =
+lam^T (D G) mu / D with D G integral (integer_gram, pairing_numerator).
 
 No floating point is used anywhere in this module: wall detection (the sign-0
 case of reflect_to_dominant) has to be exact.
@@ -77,6 +79,10 @@ class AlgebraSpec:
     dual_coxeter: int
     highest_root: tuple
     weyl_order: int
+
+    def __hash__(self) -> int:
+        # every other field is a function of (series, rank)
+        return hash((self.series, self.rank))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -183,17 +189,32 @@ def _cartan_inverse_cached(cartan):
     return _gauss_jordan(cartan)[1]
 
 
-def inner_product(spec: AlgebraSpec, lam: Weight, mu: Weight) -> Fraction:
-    """Exact symmetric pairing lam^T G mu of two weights."""
+@lru_cache(maxsize=None)
+def integer_gram(spec: AlgebraSpec):
+    """(D, D G) with D the lcm of the denominators of the quadratic form G,
+    so that (x, y) = x^T (D G) y / D with an integral matrix D G."""
+    d = math.lcm(*(x.denominator for row in spec.quad_form for x in row))
+    return d, tuple(tuple(int(x * d) for x in row) for row in spec.quad_form)
+
+
+def pairing_numerator(spec: AlgebraSpec, lam: Weight, mu: Weight) -> int:
+    """lam^T (D G) mu in Python ints, so (lam, mu) = result / D exactly."""
     if len(lam) != spec.rank or len(mu) != spec.rank:
         raise ValueError(f"weight length does not match rank {spec.rank}")
-    g = spec.quad_form
-    total = Fraction(0)
-    for i, li in enumerate(lam):
-        if li:
-            row = g[i]
-            total += li * sum(row[j] * mj for j, mj in enumerate(mu) if mj)
-    return total
+    _, dg = integer_gram(spec)
+    return sum(li * sum(g * mj for g, mj in zip(row, mu)) for li, row in zip(lam, dg) if li)
+
+
+def inner_product(spec: AlgebraSpec, lam: Weight, mu: Weight) -> Fraction:
+    """Exact symmetric pairing lam^T G mu of two weights."""
+    return Fraction(pairing_numerator(spec, lam, mu), integer_gram(spec)[0])
+
+
+@lru_cache(maxsize=None)
+def _theta_row(spec: AlgebraSpec):
+    """(D, (D G) theta), so (lam, theta) = lam . row / D."""
+    d, dg = integer_gram(spec)
+    return d, tuple(sum(g * t for g, t in zip(row, spec.highest_root)) for row in dg)
 
 
 def simple_reflection(spec: AlgebraSpec, i: int, lam: Weight) -> Weight:
@@ -372,12 +393,11 @@ def cartan_determinant(spec: AlgebraSpec) -> int:
 def comarks(spec: AlgebraSpec) -> tuple:
     """(omega_i, theta) for each fundamental weight; these are the integers
     bounding Dynkin labels of level-k integrable weights."""
-    theta = spec.highest_root
+    d, row = _theta_row(spec)
     values = []
-    for i in range(spec.rank):
-        unit = tuple(int(i == j) for j in range(spec.rank))
-        value = inner_product(spec, unit, theta)
-        if value.denominator != 1 or value <= 0:
-            raise InvariantViolation(f"comark {value} of {spec} is not a positive integer")
-        values.append(int(value))
+    for numerator in row:
+        value, remainder = divmod(numerator, d)
+        if remainder or value <= 0:
+            raise InvariantViolation(f"comark {numerator}/{d} of {spec} is not a positive integer")
+        values.append(value)
     return tuple(values)

@@ -17,7 +17,7 @@ from functools import partial
 from itertools import product
 
 from . import csmodel, identity, theta
-from .algebra import build_algebra
+from .algebra import _check_weyl_order, build_algebra
 from .characters import GenericPoint, eval_D, weyl_ratio_sums
 from .errors import (
     CapExceeded,
@@ -79,6 +79,15 @@ def _parse_weight(text: str, rank: int):
 
 def _parse_tau(text: str) -> complex:
     return complex(text.replace("i", "j").replace(" ", ""))
+
+
+def _build_spec(config: RunConfig, uses_weyl_group: bool = True):
+    """The run's algebra; a run that enumerates Weyl orbits is checked
+    against the Weyl-order cap once, up front."""
+    spec = build_algebra(config.series, config.rank)
+    if uses_weyl_group:
+        _check_weyl_order(spec, config.caps.weyl_order)
+    return spec
 
 
 def _emit(lines, config: RunConfig):
@@ -186,10 +195,9 @@ def _suite_conjugacy(spec, config: RunConfig):
     for a in weights:
         for b in weights:
             check = identity.conjugacy_square_check(spec, a, b, config.k)
-            s1, s2, equal = check
-            both = equal and check.linear_equal
-            overshoot = abs(s1 - s2) + abs(check.linear_sums[0] - check.linear_sums[1])
-            checks.append((f"a={a},b={b}", s1, s2, both, overshoot))
+            (s1, s2), (l1, l2) = check.square_sums, check.linear_sums
+            both = check.squares_equal and check.linear_equal
+            checks.append((f"a={a},b={b}", s1, s2, both, abs(s1 - s2) + abs(l1 - l2)))
     yield integer_report(f"conjugacy-squares:{spec}:k={config.k}", checks), None, None
 
 
@@ -290,6 +298,9 @@ _SUITES = {
     "csmodel": _suite_csmodel,
 }
 
+# suites that only fold tensor products and enumerate no Weyl orbit
+_FUSION_ONLY_SUITES = {"bounds", "conjugacy"}
+
 
 # ---------------------------------------------------------------------------
 # commands
@@ -323,7 +334,7 @@ def _cmd_weights(args, config: RunConfig) -> int:
 
 
 def _cmd_fuse(args, config: RunConfig) -> int:
-    spec = build_algebra(config.series, config.rank)
+    spec = _build_spec(config, uses_weyl_group=args.oracle)
     mu = _parse_weight(args.mu, spec.rank)
     nu = _parse_weight(args.nu, spec.rank)
     if config.k is None:
@@ -365,8 +376,8 @@ def _cmd_fuse(args, config: RunConfig) -> int:
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
-    spec = build_algebra(config.series, config.rank)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    spec = _build_spec(config, uses_weyl_group=not set(names) <= _FUSION_ONLY_SUITES)
     lines = []
     all_passed = True
     for name in names:
@@ -378,7 +389,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 
 def _cmd_theta(args, config: RunConfig) -> int:
-    spec = build_algebra(config.series, config.rank)
+    spec = _build_spec(config)
     if config.k is None:
         raise ValueError("theta evaluation needs a finite level")
     tau = _parse_tau(args.tau)

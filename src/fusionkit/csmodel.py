@@ -26,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,9 @@ from .weights import weight_system
 
 _DENSE_FOURIER_CAP = 1024
 
+#: bytes of read-only primary states kept per model
+_STATE_CACHE_BYTES = 1 << 26
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -54,6 +58,10 @@ class GaussianModel:
     period: int                 # L = q K, the covering array side
     phase_matrix: tuple = field(repr=False)   # q C^-1, exact integers
     radical: tuple = field(repr=False)        # K Q-vee mod L, as index tuples
+
+    def __hash__(self) -> int:
+        # every other field is a function of (spec, k)
+        return hash((self.spec, self.k))
 
     @property
     def shape(self):
@@ -296,9 +304,22 @@ def primary_state(model: GaussianModel, r: Weight) -> np.ndarray:
     Integrable r give an orthonormal family; r + rho on an affine wall
     collapses to the zero vector.
     """
+    return _primary_state_view(model, tuple(r)).copy()
+
+
+@lru_cache(maxsize=2)
+def _state_cache(model: GaussianModel) -> dict:
+    return {}
+
+
+def _primary_state_view(model: GaussianModel, r: Weight) -> np.ndarray:
+    """psi_r as a read-only array, kept per (model, r) within _STATE_CACHE_BYTES."""
+    cache = _state_cache(model)
+    if r in cache:
+        return cache[r]
     spec = model.spec
-    if not is_integrable(spec, tuple(r), model.k):
-        raise ValueError(f"{tuple(r)} is not integrable at level {model.k}")
+    if not is_integrable(spec, r, model.k):
+        raise ValueError(f"{r} is not integrable at level {model.k}")
     shifted = tuple(x + 1 for x in r)
     state = np.zeros(model.shape, dtype=complex)
     amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
@@ -307,6 +328,9 @@ def primary_state(model: GaussianModel, r: Weight) -> np.ndarray:
         for t in model.radical:
             index = tuple((x + dt) % model.period for x, dt in zip(image, t))
             state[index] += sign * amplitude
+    state.flags.writeable = False
+    if (len(cache) + 1) * state.nbytes <= _STATE_CACHE_BYTES:
+        cache[r] = state
     return state
 
 
@@ -354,10 +378,13 @@ class FourierOperator:
         exponents = (indices @ b.T @ indices.T) % L
         normalization = math.sqrt(model.size) * len(model.radical)
         self._kernel_inv = np.exp(2j * np.pi * exponents / L) / normalization
+        self._kernel_inv.flags.writeable = False
+        # S = adjoint of the S^-1 kernel
+        self._kernel = self._kernel_inv.conj().T
+        self._kernel.flags.writeable = False
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """S = adjoint of the S^-1 kernel."""
-        flat = self._kernel_inv.conj().T @ state.ravel()
+        flat = self._kernel @ state.ravel()
         return flat.reshape(self.model.shape)
 
     def apply_inverse(self, state: np.ndarray) -> np.ndarray:
@@ -365,7 +392,9 @@ class FourierOperator:
         return flat.reshape(self.model.shape)
 
 
+@lru_cache(maxsize=2)
 def s_operator(model: GaussianModel) -> FourierOperator:
+    """The Fourier operator of the model, built once per model."""
     return FourierOperator(model)
 
 
@@ -400,7 +429,7 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
     evaluated at the matching variety point."""
     spec = model.spec
     value = inner(basis_state(model, gamma),
-                  s_operator(model).apply_inverse(primary_state(model, mu)))
+                  s_operator(model).apply_inverse(_primary_state_view(model, tuple(mu))))
     point = VarietyPoint(tuple(gamma), model.level_shifted)
     expected = (
         eval_D(spec, tuple(m + 1 for m in mu), point)
@@ -421,10 +450,10 @@ def fusion_from_operators(model: GaussianModel, mu: Weight, nu: Weight) -> dict:
     for lam in (mu, nu):
         if not is_integrable(spec, tuple(lam), model.k):
             raise ValueError(f"{tuple(lam)} is not integrable at level {model.k}")
-    image = wilson_operator(model, tuple(mu), "b").apply(primary_state(model, nu))
+    image = wilson_operator(model, tuple(mu), "b").apply(_primary_state_view(model, tuple(nu)))
     table = {}
     for iota in level_k_weights(spec, model.k):
-        coefficient = inner(primary_state(model, iota), image)
+        coefficient = inner(_primary_state_view(model, iota), image)
         nearest = round(coefficient.real)
         if abs(coefficient - nearest) > 1e-8:
             raise OracleMismatchError(

@@ -22,8 +22,8 @@ import numpy as np
 from .algebra import (
     AlgebraSpec,
     Weight,
+    _theta_row,
     comarks,
-    inner_product,
     reflect_to_dominant,
 )
 from .characters import phase_kernel, phase_sums, signed_orbit_array
@@ -35,10 +35,14 @@ _FOLD_LIMIT = 10_000
 
 def level_pairing(spec: AlgebraSpec, lam: Weight) -> int:
     """(lam, theta): the level at which lam first becomes integrable."""
-    value = inner_product(spec, lam, spec.highest_root)
-    if value.denominator != 1:
-        raise InvariantViolation(f"(lam, theta) = {value} is not an integer for {lam}")
-    return int(value)
+    if len(lam) != spec.rank:
+        raise ValueError(f"weight length does not match rank {spec.rank}")
+    d, row = _theta_row(spec)
+    numerator = sum(l * t for l, t in zip(lam, row))
+    value, remainder = divmod(numerator, d)
+    if remainder:
+        raise InvariantViolation(f"(lam, theta) = {numerator}/{d} is not an integer for {lam}")
+    return value
 
 
 def is_integrable(spec: AlgebraSpec, lam: Weight, k: int) -> bool:

@@ -211,14 +211,20 @@ def dim_bound(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
     return total, bound, total <= bound
 
 
-class ConjugacyCheck(tuple):
-    """(squares_b, squares_conj, equal) plus the linear sums as attributes."""
+@dataclass(frozen=True)
+class ConjugacyCheck:
+    """sum_l (N_{ab}^l)^2 and sum_l N_{ab}^l, each for b and for its conjugate."""
 
-    def __new__(cls, s1, s2, equal, linear1, linear2, linear_equal):
-        self = super().__new__(cls, (s1, s2, equal))
-        self.linear_sums = (linear1, linear2)
-        self.linear_equal = linear_equal
-        return self
+    square_sums: tuple
+    linear_sums: tuple
+
+    @property
+    def squares_equal(self) -> bool:
+        return self.square_sums[0] == self.square_sums[1]
+
+    @property
+    def linear_equal(self) -> bool:
+        return self.linear_sums[0] == self.linear_sums[1]
 
 
 _COMPLEX_SERIES = {"A", "D", "E"}
@@ -235,8 +241,7 @@ def conjugacy_square_check(spec: AlgebraSpec, a: Weight, b: Weight, k: int) -> C
         )
     table_b = fuse_level_k(spec, tuple(a), tuple(b), k)
     table_conj = fuse_level_k(spec, tuple(a), conjugate(spec, tuple(b)), k)
-    s1 = sum(n * n for n in table_b.values())
-    s2 = sum(n * n for n in table_conj.values())
-    linear1 = sum(table_b.values())
-    linear2 = sum(table_conj.values())
-    return ConjugacyCheck(s1, s2, s1 == s2, linear1, linear2, linear1 == linear2)
+    return ConjugacyCheck(
+        square_sums=tuple(sum(n * n for n in t.values()) for t in (table_b, table_conj)),
+        linear_sums=tuple(sum(t.values()) for t in (table_b, table_conj)),
+    )

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Weight
+from .algebra import AlgebraSpec, Weight, integer_gram, pairing_numerator
 from .characters import TWO_PI, signed_orbit_array
 from .errors import CapExceeded, SingularPointError
 from .fusion import fuse_level_k
@@ -131,24 +131,10 @@ def _truncation_radius(spec: AlgebraSpec, level: int, im_tau: float, im_u_norm: 
     return radius, bound
 
 
-@lru_cache(maxsize=None)
-def _integer_gram(spec: AlgebraSpec):
-    """(D, D G) with D the lcm of the denominators of the quadratic form G,
-    so that (x, y) = x^T (D G) y / D with an integral matrix D G."""
-    d = math.lcm(*(x.denominator for row in spec.quad_form for x in row))
-    return d, tuple(tuple(int(x * d) for x in row) for row in spec.quad_form)
-
-
-def _norm_numerator(spec: AlgebraSpec, w) -> int:
-    """w^T (D G) w in Python ints, so (w, w) = result / D exactly."""
-    _, dg = _integer_gram(spec)
-    return sum(wi * sum(g * wj for g, wj in zip(row, w)) for wi, row in zip(w, dg) if wi)
-
-
 def _shift_norm(spec: AlgebraSpec, gamma: Weight, level: int) -> float:
     """|gamma / level|, the square root of a correctly rounded exact norm."""
-    d, _ = _integer_gram(spec)
-    return math.sqrt(_norm_numerator(spec, gamma) / (d * level * level))
+    d, _ = integer_gram(spec)
+    return math.sqrt(pairing_numerator(spec, gamma, gamma) / (d * level * level))
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +190,7 @@ def _lattice_shifts(spec: AlgebraSpec, gamma: Weight, level: int, radius_key: fl
     level^2 D |v|^2 = w^T (D G) w.  Each float is the correctly rounded value
     of its rational, the candidates are clipped to the box |n_i| <= bound of
     a plain scan, and a point is kept iff float(|v|^2) <= radius_key^2."""
-    d, dg = _integer_gram(spec)
+    d, dg = integer_gram(spec)
     _, eig_min = _root_gram(spec)
     bound = math.ceil((radius_key + _shift_norm(spec, gamma, level)) / math.sqrt(eig_min))
     # v = (n - center) C, so center C = -gamma / level
@@ -322,9 +308,10 @@ def check_T_transform(ctx: ThetaContext, gamma: Weight) -> float:
     gamma = tuple(int(x) for x in gamma)
     radius = _radius_for(ctx, gamma)
     lhs = _theta_raw(ctx.spec, ctx.level, ctx.tau + 1.0, ctx.u, gamma, radius)
-    d, _ = _integer_gram(ctx.spec)
+    d, _ = integer_gram(ctx.spec)
     period = d * ctx.level  # (gamma, gamma)/level = N / period
-    phase = cmath.exp(1j * math.pi * ((_norm_numerator(ctx.spec, gamma) % (2 * period)) / period))
+    norm = pairing_numerator(ctx.spec, gamma, gamma)
+    phase = cmath.exp(1j * math.pi * ((norm % (2 * period)) / period))
     rhs = phase * _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, gamma, radius)
     return abs(lhs - rhs)
 

@@ -2,14 +2,14 @@
 
 The full multiset of weights is built by walking root strings down from the
 highest weight; multiplicities come from the Freudenthal recursion evaluated
-at the dominant weights only (multiplicity is Weyl-invariant) with exact
-rational arithmetic, then spread over the Weyl orbits.
+at the dominant weights only (multiplicity is Weyl-invariant), then spread
+over the Weyl orbits.  Every pairing is an integer numerator over the common
+denominator D of the quadratic form; each formula divides once, exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -17,7 +17,8 @@ from .algebra import (
     Weight,
     _coefficient_height,
     dominant_conjugate,
-    inner_product,
+    integer_gram,
+    pairing_numerator,
     positive_roots,
 )
 from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation
@@ -43,16 +44,31 @@ class WeightSystem:
 def weyl_dimension(spec: AlgebraSpec, mu: Weight) -> int:
     """Dimension of the irreducible representation mu by the Weyl product
     formula over positive roots; exact."""
+    mu = tuple(mu)
     if any(label < 0 for label in mu):
         raise ValueError(f"{mu} is not dominant")
-    rho = spec.rho
-    mu_rho = tuple(m + 1 for m in mu)
-    result = Fraction(1)
-    for alpha in positive_roots(spec):
-        result *= inner_product(spec, mu_rho, alpha) / inner_product(spec, rho, alpha)
-    if result.denominator != 1:
-        raise InvariantViolation(f"Weyl dimension of {mu} came out as {result}")
-    return int(result)
+    return _weyl_dimension_cached(spec, mu)
+
+
+@lru_cache(maxsize=4096)
+def _weyl_dimension_cached(spec: AlgebraSpec, mu: Weight) -> int:
+    # prod (mu+rho, alpha) / prod (rho, alpha); the factors D cancel
+    numerator = denominator = 1
+    for row in _root_rows(spec):
+        numerator *= sum((m + 1) * r for m, r in zip(mu, row))
+        denominator *= sum(row)
+    dim, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InvariantViolation(f"Weyl dimension of {mu} came out as {numerator}/{denominator}")
+    return dim
+
+
+@lru_cache(maxsize=None)
+def _root_rows(spec: AlgebraSpec) -> tuple:
+    """(D G) alpha for each positive root alpha, so (lam, alpha) = lam . row / D."""
+    _, dg = integer_gram(spec)
+    return tuple(tuple(sum(g * a for g, a in zip(row, alpha)) for row in dg)
+                 for alpha in positive_roots(spec))
 
 
 def weight_system(spec: AlgebraSpec, mu: Weight, dim_cap: int | None = None) -> WeightSystem:
@@ -120,10 +136,11 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
         ((mu+rho)^2 - (lam+rho)^2) m_lam = 2 sum_{alpha>0} sum_{j>=1}
                                              m_{lam+j alpha} (lam+j alpha, alpha)
     """
-    rho = spec.rho
     mu_rho = tuple(m + 1 for m in mu)
-    norm_top = inner_product(spec, mu_rho, mu_rho)
-    roots = positive_roots(spec)
+    norm_top = pairing_numerator(spec, mu_rho, mu_rho)
+    # (alpha, (D G) alpha, D (alpha, alpha)) per positive root
+    roots = [(alpha, row, sum(a * r for a, r in zip(alpha, row)))
+             for alpha, row in zip(positive_roots(spec), _root_rows(spec))]
 
     dominant = sorted(
         (w for w in members if all(label >= 0 for label in w)),
@@ -135,23 +152,24 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
             mults[lam] = 1
             continue
         lam_rho = tuple(l + 1 for l in lam)
-        denominator = norm_top - inner_product(spec, lam_rho, lam_rho)
+        # both sides are numerators over D, which cancels in the ratio
+        denominator = norm_top - pairing_numerator(spec, lam_rho, lam_rho)
         if denominator <= 0:
-            raise InvariantViolation(f"Freudenthal denominator {denominator} at {lam} in {mu}")
-        acc = Fraction(0)
-        for alpha in roots:
+            raise InvariantViolation(f"Freudenthal denominator {denominator}/D at {lam} in {mu}")
+        acc = 0
+        for alpha, row, step in roots:
+            base = sum(l * r for l, r in zip(lam, row))
             j = 1
             shifted = tuple(l + j * a for l, a in zip(lam, alpha))
             while shifted in members:
-                m_above = mults[dominant_conjugate(spec, shifted)]
-                acc += m_above * inner_product(spec, shifted, alpha)
+                acc += mults[dominant_conjugate(spec, shifted)] * (base + j * step)
                 j += 1
                 shifted = tuple(l + j * a for l, a in zip(lam, alpha))
-        value = 2 * acc / denominator
-        if value.denominator != 1 or value <= 0:
-            raise InvariantViolation(f"multiplicity {value} of {lam} in {mu} is not a "
-                                     f"positive integer")
-        mults[lam] = int(value)
+        value, remainder = divmod(2 * acc, denominator)
+        if remainder or value <= 0:
+            raise InvariantViolation(f"multiplicity {2 * acc}/{denominator} of {lam} in {mu} "
+                                     f"is not a positive integer")
+        mults[lam] = value
     return mults
 
 

@@ -180,7 +180,7 @@ def test_criterion_08_conjugacy_symmetry():
         for a in weights:
             for b in weights:
                 check = conjugacy_square_check(A2, a, b, k)
-                assert check[2] and check.linear_equal, (k, a, b)
+                assert check.squares_equal and check.linear_equal, (k, a, b)
                 checked += 1
     _report(8, f"conjugacy symmetry of linear and squared sums over {checked} pairs")
 

@@ -62,6 +62,37 @@ def test_cap_exceeded_exit_1(capsys, monkeypatch):
     assert run(capsys, "weights", "A2", "--mu", "1,1")[0] == 1
 
 
+WEYL_GROUP_COMMANDS = [
+    ("verify", "A2", "--k", "1", "--suite", "identity"),
+    ("verify", "A2", "--k", "1", "--suite", "all"),
+    ("fuse", "A2", "--k", "1", "--mu", "1,0", "--nu", "0,1", "--oracle"),
+    ("theta", "A2", "--k", "1", "--gamma", "1,0", "--tau", "0+1i", "--u", "0.05,0.02"),
+]
+
+
+@pytest.mark.parametrize("argv", WEYL_GROUP_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_weyl_order_cap_flag(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--cap-weyl-order", "6")[0] == 0
+    assert run(capsys, *argv, "--cap-weyl-order", "1")[0] == 1
+
+
+@pytest.mark.parametrize("argv", WEYL_GROUP_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_weyl_order_cap_env(capsys, monkeypatch, argv):
+    monkeypatch.setenv("FUSIONKIT_CAPS", "weyl_order=5")
+    assert run(capsys, *argv)[0] == 1
+
+
+def test_weyl_order_cap_skips_commands_without_orbits(capsys):
+    """Tensor folding and weight systems enumerate no Weyl orbit, so the cap
+    leaves them alone (E7 and E8 lie above the default cap)."""
+    assert run(capsys, "weights", "A2", "--mu", "1,0", "--cap-weyl-order", "1")[0] == 0
+    assert run(capsys, "fuse", "A2", "--k", "1", "--mu", "1,0", "--nu", "0,1",
+               "--cap-weyl-order", "1")[0] == 0
+    assert run(capsys, "verify", "A2", "--k", "1", "--suite", "bounds",
+               "--cap-weyl-order", "1")[0] == 0
+
+
 def test_env_caps_rejects_garbage(capsys, monkeypatch):
     monkeypatch.setenv("FUSIONKIT_CAPS", "nonsense=1")
     assert run(capsys, "weights", "A1", "--mu", "1")[0] == 2

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fusionkit import csmodel
 from fusionkit.algebra import apply_word, build_algebra, weyl_elements, word_sign
 from fusionkit.csmodel import (
     FourierOperator,
@@ -214,6 +215,67 @@ def test_character_inner_product_scan(spec, kmax):
         for mu in level_k_weights(spec, k):
             for index in np.ndindex(*(model.period,) * spec.rank):
                 character_as_inner_product(model, index, mu)  # raises past 1e-10
+
+
+def test_s_operator_built_once_and_read_only():
+    model = build_model(A2, 2)
+    s = s_operator(model)
+    assert s_operator(model) is s
+    assert s_operator(build_model(A2, 2)) is s  # an equal model hits the cache
+    for kernel in (s._kernel_inv, s._kernel):
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 0.0
+    fresh = FourierOperator(model)
+    for v in [(0, 0), (1, 2), (5, 3)]:
+        state = basis_state(model, v)
+        assert np.array_equal(s.apply(state), fresh.apply(state))
+        assert np.array_equal(s.apply_inverse(state), fresh.apply_inverse(state))
+
+
+def test_primary_state_copies_are_independent():
+    model = build_model(A2, 2)
+    first = primary_state(model, (1, 0))
+    reference = first.copy()
+    assert first.flags.writeable
+    first[...] = 7.0
+    again = primary_state(model, (1, 0))
+    assert again is not first and np.array_equal(again, reference)
+    with pytest.raises(ValueError):
+        primary_state(model, (3, 0))
+
+
+def test_primary_state_cache_respects_byte_budget(monkeypatch):
+    model = build_model(A2, 2)
+    csmodel._state_cache.cache_clear()
+    monkeypatch.setattr(csmodel, "_STATE_CACHE_BYTES", 2 * model.cover_size * 16)
+    weights = level_k_weights(A2, 2)
+    table = fusion_from_operators(model, (1, 0), (0, 1))
+    assert len(csmodel._state_cache(model)) == 2
+    assert table == fuse_level_k(A2, (1, 0), (0, 1), 2)
+    for r in weights:
+        assert np.array_equal(primary_state(model, r), word_primary_state(model, r))
+
+
+def _cold(fn, model, *args):
+    """fn with the per-model caches emptied first."""
+    csmodel.s_operator.cache_clear()
+    csmodel._state_cache.cache_clear()
+    return fn(model, *args)
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 6), ("A", 2, 4), ("G", 2, 2)])
+def test_cached_values_equal_cold_values(series, rank, k):
+    model = build_model(build_algebra(series, rank), k)
+    weights = level_k_weights(model.spec, k)
+    gammas = [tuple((3 * i + j) % model.period for j in range(rank)) for i in range(3)]
+    char_cases = [(gamma, mu) for gamma in gammas for mu in weights]
+    fusion_cases = [(mu, nu) for mu in weights for nu in weights][::3]
+    cold_chars = [_cold(character_as_inner_product, model, *case) for case in char_cases]
+    cold_tables = [_cold(fusion_from_operators, model, *case) for case in fusion_cases]
+    for _ in range(2):
+        assert [character_as_inner_product(model, *case) for case in char_cases] == cold_chars
+        assert [fusion_from_operators(model, *case) for case in fusion_cases] == cold_tables
 
 
 def test_fusion_from_operators_examples():

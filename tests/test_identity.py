@@ -169,11 +169,12 @@ def test_dim_bound_values():
 
 def test_conjugacy_check():
     check = conjugacy_square_check(A2, (1, 0), (1, 0), 2)
-    assert tuple(check) == (check[0], check[0], True)
+    s1, s2 = check.square_sums
+    assert s1 == s2 and check.squares_equal
     assert check.linear_equal
     # self-conjugate b: trivially equal
     check = conjugacy_square_check(A2, (1, 0), (1, 1), 3)
-    assert check[2] and check.linear_equal
+    assert check.squares_equal and check.linear_equal
     with pytest.warns(UserWarning):
         conjugacy_square_check(build_algebra("B", 2), (1, 0), (0, 1), 2)
 
