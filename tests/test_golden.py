@@ -28,6 +28,8 @@ CASES = {
     "G2_k2_csmodel": (["G2", "--k", "2", "--suite", "csmodel"], 0),
     "A1_kinf_identity": (["A1", "--k", "inf", "--suite", "identity"], 0),
     "A2_kinf_identity": (["A2", "--k", "inf", "--suite", "identity"], 0),
+    # 192-image orbits with wall terms: the largest orbits of the set
+    "D4_k1_lemma": (["D4", "--k", "1", "--suite", "lemma"], 0),
 }
 
 
