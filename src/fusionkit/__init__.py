@@ -13,9 +13,8 @@ from .algebra import (
     inner_product,
     positive_roots,
     reflect_to_dominant,
+    signed_orbit,
     simple_reflection,
-    weyl_elements,
-    weyl_orbit,
 )
 from .characters import (
     GenericPoint,

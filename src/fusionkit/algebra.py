@@ -9,8 +9,10 @@ exactly for the simply-laced series.  Every exact pairing is an integer
 numerator over D, the lcm of the denominators of G: (lam, mu) =
 lam^T (D G) mu / D with D G integral (integer_gram, pairing_numerator).
 
-No floating point is used anywhere in this module: wall detection (the sign-0
-case of reflect_to_dominant) has to be exact.
+signed_orbit is the one orbit enumerator: a level-by-level walk from the
+dominant conjugate that returns every image once, its sign (-1)^w and the
+order of the stabiliser.  No floating point is used anywhere in this module:
+wall detection (a zero label of the dominant conjugate) has to be exact.
 """
 
 from __future__ import annotations
@@ -233,33 +235,34 @@ class SignedDominant(NamedTuple):
     sign: int
 
 
+def _reduce(spec: AlgebraSpec, beta: Weight):
+    """(dominant conjugate of beta, parity of the reduction), reflecting at
+    the lowest-index negative label so the parity is reproducible."""
+    current = tuple(beta)
+    parity = 1
+    while True:
+        negative = next((idx for idx, label in enumerate(current) if label < 0), None)
+        if negative is None:
+            return current, parity
+        current = simple_reflection(spec, negative + 1, current)
+        parity = -parity
+
+
 def reflect_to_dominant(spec: AlgebraSpec, beta: Weight) -> SignedDominant:
     """Reduce beta to the dominant chamber, tracking the reflection parity.
 
-    Always reflects at the lowest-index negative label, so the sign of a
-    given input is reproducible.  A zero label at any stage means beta is
-    fixed by a reflection and the result is (None, 0).
+    beta lies on a wall (is fixed by a reflection) exactly when its dominant
+    conjugate has a zero label; the result is then (None, 0).
     """
-    current = tuple(beta)
-    sign = 1
-    while True:
-        if 0 in current:
-            return SignedDominant(None, 0)
-        negative = next((idx for idx, label in enumerate(current) if label < 0), None)
-        if negative is None:
-            return SignedDominant(current, sign)
-        current = simple_reflection(spec, negative + 1, current)
-        sign = -sign
+    dominant, parity = _reduce(spec, beta)
+    if 0 in dominant:
+        return SignedDominant(None, 0)
+    return SignedDominant(dominant, parity)
 
 
 def dominant_conjugate(spec: AlgebraSpec, lam: Weight) -> Weight:
     """The unique dominant weight in the Weyl orbit of lam (no sign, walls ok)."""
-    current = tuple(lam)
-    while True:
-        negative = next((idx for idx, label in enumerate(current) if label < 0), None)
-        if negative is None:
-            return current
-        current = simple_reflection(spec, negative + 1, current)
+    return _reduce(spec, lam)[0]
 
 
 def _check_weyl_order(spec: AlgebraSpec, cap: int | None = None):
@@ -272,74 +275,47 @@ def _check_weyl_order(spec: AlgebraSpec, cap: int | None = None):
         )
 
 
-def weyl_orbit(spec: AlgebraSpec, lam: Weight, cap: int | None = None):
-    """Signed Weyl orbit of lam: closure of (lam, +1) under simple reflections.
+class SignedOrbit(NamedTuple):
+    """The Weyl orbit of lam, each image once, with the signs (-1)^w of the
+    elements reaching them and the order of the stabiliser of lam."""
 
-    Each element carries the parity of a word reaching it.  For regular lam
-    the orbit has one entry per image; a lam fixed by some reflection shows
-    up with both parities (callers detect stabilizers that way).
-    """
-    _check_weyl_order(spec, cap)
-    start = (tuple(lam), 1)
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for weight, sign in frontier:
-            for i in range(1, spec.rank + 1):
-                image = (simple_reflection(spec, i, weight), -sign)
-                if image not in seen:
-                    seen.add(image)
-                    order.append(image)
-                    nxt.append(image)
-        frontier = nxt
-    return order
+    images: tuple       # weights in Dynkin labels
+    signs: tuple        # +-1, one per image
+    stabiliser: int     # |W| / |orbit|; > 1 exactly on a wall
 
 
-def weyl_elements(spec: AlgebraSpec, cap: int | None = None):
-    """All Weyl group elements as words in simple reflections (1-based).
+def signed_orbit(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
+    """The signed Weyl orbit of lam as tuples, cached per lam.
+    The Weyl-order cap is checked on every call.
 
-    Words come from a breadth-first walk of the orbit of rho, so they are
-    reduced and their length parity is (-1)^w.
-    """
-    _check_weyl_order(spec, cap)
-    return _weyl_elements_cached(spec)
-
-
-@lru_cache(maxsize=None)
-def _weyl_elements_cached(spec: AlgebraSpec):
-    seen = {spec.rho: ()}
-    frontier = [spec.rho]
-    words = [()]
-    while frontier:
-        nxt = []
-        for image in frontier:
-            word = seen[image]
-            for i in range(1, spec.rank + 1):
-                reflected = simple_reflection(spec, i, image)
-                if reflected not in seen:
-                    # new = s_i o old, applied right-to-left by apply_word
-                    seen[reflected] = (i,) + word
-                    words.append((i,) + word)
-                    nxt.append(reflected)
-        frontier = nxt
-    if len(words) != spec.weyl_order:
-        raise InvariantViolation(f"found {len(words)} Weyl elements of {spec}, "
-                                 f"expected {spec.weyl_order}")
-    return tuple(words)
+    On a wall (stabiliser > 1) each image is still listed once, with the
+    parity of one element reaching it; alternating sums over such an orbit
+    vanish, and symmetric ones weigh each image by the stabiliser."""
+    _check_weyl_order(spec)
+    return _signed_orbit_cached(spec, tuple(lam))
 
 
-def apply_word(spec: AlgebraSpec, word, lam: Weight) -> Weight:
-    """Apply a reflection word (rightmost factor first) to a weight."""
-    current = tuple(lam)
-    for i in reversed(word):
-        current = simple_reflection(spec, i, current)
-    return current
-
-
-def word_sign(word) -> int:
-    return -1 if len(word) % 2 else 1
+@lru_cache(maxsize=4096)
+def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
+    # Level walk from the dominant conjugate: s_i at a positive label
+    # lengthens the shortest element by one, so levels are disjoint and each
+    # is deduplicated on its own, first occurrence in (parent, i) order.
+    dominant, sign = _reduce(spec, lam)
+    images, signs = [], []
+    level = [dominant]
+    while level:
+        images += level
+        signs += [sign] * len(level)
+        level = list(dict.fromkeys(
+            tuple([l - c * a for l, a in zip(weight, spec.cartan[i])])
+            for weight in level for i, c in enumerate(weight) if c > 0
+        ))
+        sign = -sign
+    stabiliser, remainder = divmod(spec.weyl_order, len(images))
+    if remainder:
+        raise InvariantViolation(f"orbit of {lam} in {spec} has {len(images)} images, "
+                                 f"which does not divide |W| = {spec.weyl_order}")
+    return SignedOrbit(tuple(images), tuple(signs), stabiliser)
 
 
 def positive_roots(spec: AlgebraSpec):
@@ -371,14 +347,22 @@ def _positive_roots_from_cartan(cartan):
     return tuple(sorted(height, key=lambda r: (height[r], r)))
 
 
+@lru_cache(maxsize=None)
+def _height_row(cartan):
+    """(det C, row sums of adj C = det C * C^-1), all ints."""
+    det, inv = _gauss_jordan(cartan)
+    return int(det), tuple(int(sum(row) * det) for row in inv)
+
+
 def _coefficient_height(cartan, root) -> int:
-    """Sum of the simple-root coefficients of a root given in Dynkin labels."""
-    inv = _cartan_inverse_cached(cartan)
-    rank = len(cartan)
-    total = sum(sum(inv[j][i] * root[j] for j in range(rank)) for i in range(rank))
-    if total.denominator != 1:
-        raise InvariantViolation(f"{root} has a non-integral height {total}")
-    return int(total)
+    """Sum of the simple-root coefficients of a root given in Dynkin labels:
+    root . (row sums of adj C) / det C, divided exactly."""
+    det, row = _height_row(cartan)
+    numerator = sum(r * a for r, a in zip(root, row))
+    height, remainder = divmod(numerator, det)
+    if remainder:
+        raise InvariantViolation(f"{root} has a non-integral height {Fraction(numerator, det)}")
+    return height
 
 
 def cartan_determinant(spec: AlgebraSpec) -> int:

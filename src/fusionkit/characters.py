@@ -28,10 +28,9 @@ import numpy as np
 from .algebra import (
     AlgebraSpec,
     Weight,
-    _check_weyl_order,
     cartan_inverse,
     reflect_to_dominant,
-    weyl_orbit,
+    signed_orbit,
 )
 from .errors import CapExceeded, SingularPointError
 from .weights import weight_system
@@ -182,32 +181,15 @@ def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> np.ndarray:
     return values
 
 
-def signed_orbit_array(spec: AlgebraSpec, lam: Weight):
-    """The signed Weyl orbit of lam as read-only arrays (images, signs),
-    cached per lam.  The Weyl-order cap is checked on every call."""
-    _check_weyl_order(spec)
-    return _signed_orbit_cached(spec, tuple(lam))
-
-
-@lru_cache(maxsize=4096)
-def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight):
-    orbit = weyl_orbit(spec, lam)
-    images = _lattice_array([image for image, _ in orbit], spec.rank)
-    signs = np.array([sign for _, sign in orbit], dtype=np.int64)
-    images.flags.writeable = False
-    signs.flags.writeable = False
-    return images, signs
-
-
 def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> np.ndarray:
     """sum over (lam, c) in terms of c D_lam(gamma), at every variety point
-    gamma of shifted level K, as one exact count per residue."""
+    gamma of shifted level K, as one exact count per residue.  Terms on a
+    wall (stabiliser > 1) are dropped: their alternating sum is zero."""
     kernel = phase_kernel(cartan_inverse(spec), level_shifted)
-    orbits = [signed_orbit_array(spec, lam) for lam, _ in terms]
-    if not orbits:
-        return np.zeros(len(_lattice_array(gammas, spec.rank)), dtype=complex)
-    images = np.concatenate([images for images, _ in orbits])
-    coeffs = np.concatenate([c * signs for (_, signs), (_, c) in zip(orbits, terms)])
+    orbits = [(signed_orbit(spec, lam), c) for lam, c in terms]
+    orbits = [(orbit, c) for orbit, c in orbits if orbit.stabiliser == 1]
+    images = [image for orbit, _ in orbits for image in orbit.images]
+    coeffs = [c * sign for orbit, c in orbits for sign in orbit.signs]
     return phase_sums(kernel, images, coeffs, gammas)
 
 
@@ -215,16 +197,18 @@ def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> np
 def eval_D(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
     """Alternating Weyl orbit sum D_lam = sum_w (-1)^w e^{(w(lam), p)}.
 
-    Antisymmetric under precomposed simple reflections of lam; identically
-    zero (by exact pairwise cancellation) when lam lies on a wall.
+    Antisymmetric under precomposed simple reflections of lam; exactly zero
+    when lam lies on a wall.
     """
     _check_point(spec, p)
     lam = tuple(lam)
     if isinstance(p, GenericPoint):
-        orbit = weyl_orbit(spec, lam)
+        images, signs, stabiliser = signed_orbit(spec, lam)
+        if stabiliser > 1:
+            return 0j
         gu = _generic_pairing_vector(spec, p.u)
         total = 0.0 + 0.0j
-        for w_lam, sign in orbit:
+        for w_lam, sign in zip(images, signs):
             pairing = sum(li * gi for li, gi in zip(w_lam, gu))
             total += sign * cmath.exp(pairing)
         return total

@@ -35,8 +35,9 @@ from .algebra import (
     Weight,
     _gauss_jordan,
     cartan_inverse,
+    signed_orbit,
 )
-from .characters import VarietyPoint, eval_D, signed_orbit_array
+from .characters import VarietyPoint, eval_D
 from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation, OracleMismatchError
 from .fusion import is_integrable, level_k_weights
 from .weights import weight_system
@@ -323,8 +324,8 @@ def _primary_state_view(model: GaussianModel, r: Weight) -> np.ndarray:
     shifted = tuple(x + 1 for x in r)
     state = np.zeros(model.shape, dtype=complex)
     amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
-    images, signs = signed_orbit_array(spec, shifted)
-    for image, sign in zip(images.tolist(), signs.tolist()):
+    images, signs, _ = signed_orbit(spec, shifted)
+    for image, sign in zip(images, signs):
         for t in model.radical:
             index = tuple((x + dt) % model.period for x, dt in zip(image, t))
             state[index] += sign * amplitude

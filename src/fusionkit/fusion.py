@@ -25,8 +25,9 @@ from .algebra import (
     _theta_row,
     comarks,
     reflect_to_dominant,
+    signed_orbit,
 )
-from .characters import phase_kernel, phase_sums, signed_orbit_array
+from .characters import phase_kernel, phase_sums
 from .errors import InvariantViolation, OracleMismatchError
 from .weights import weight_system
 
@@ -154,7 +155,7 @@ def _s_matrix(spec: AlgebraSpec, k: int):
     points = [tuple(-b - 1 for b in beta) for beta in weights]
     rows = []
     for alpha in weights:
-        images, signs = signed_orbit_array(spec, tuple(a + 1 for a in alpha))
+        images, signs, _ = signed_orbit(spec, tuple(a + 1 for a in alpha))
         row = phase_sums(kernel, images, signs, points)
         row /= np.linalg.norm(row)
         rows.append(tuple(complex(x) for x in row))

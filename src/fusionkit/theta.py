@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Weight, integer_gram, pairing_numerator
-from .characters import TWO_PI, signed_orbit_array
+from .algebra import AlgebraSpec, Weight, integer_gram, pairing_numerator, signed_orbit
+from .characters import TWO_PI
 from .errors import CapExceeded, SingularPointError
 from .fusion import fuse_level_k
 from .identity import VerificationReport, check_identity
@@ -260,17 +260,16 @@ def truncation(ctx: ThetaContext, gamma: Weight) -> tuple[float, int, float]:
 def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight, parity: int):
     """Net (+-1)^w counts of each Weyl image of gamma, sorted by image.
 
-    Read off the cached signed orbit: a stabilised image appears there with
-    both signs, so for parity -1 it cancels exactly, before any float work;
-    for parity +1 every image is reached by |W| / |orbit| group elements."""
-    images, signs = signed_orbit_array(spec, gamma)
-    counts: dict[Weight, int] = {}
-    for image, sign in zip(map(tuple, images.tolist()), signs.tolist()):
-        counts[image] = counts.get(image, 0) + sign
+    Read off the cached signed orbit: for parity +1 every image is reached
+    by stabiliser-many group elements; for parity -1 a gamma on a wall
+    cancels exactly, before any float work, and otherwise each image
+    carries its sign."""
+    images, signs, stabiliser = signed_orbit(spec, gamma)
     if parity > 0:
-        stabiliser = spec.weyl_order // len(counts)
-        return sorted((image, stabiliser) for image in counts)
-    return sorted((image, c) for image, c in counts.items() if c != 0)
+        return sorted((image, stabiliser) for image in images)
+    if stabiliser > 1:
+        return []
+    return sorted(zip(images, signs))
 
 
 def theta_weyl(ctx: ThetaContext, gamma: Weight, parity: int) -> complex:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fusionkit.algebra import (
+    _coefficient_height,
     _gauss_jordan,
-    apply_word,
     build_algebra,
     cartan_determinant,
     cartan_inverse,
@@ -16,12 +16,12 @@ from fusionkit.algebra import (
     inner_product,
     positive_roots,
     reflect_to_dominant,
+    signed_orbit,
     simple_reflection,
-    weyl_elements,
-    weyl_orbit,
-    word_sign,
 )
-from fusionkit.errors import CapExceeded
+from fusionkit.errors import CapExceeded, InvariantViolation
+
+from weyl_oracle import apply_word, weyl_elements, weyl_orbit, word_sign
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)]
@@ -152,7 +152,8 @@ def test_reflect_to_dominant_consistent_over_orbit(series, rank):
     rng = random.Random(3)
     for _ in range(10):
         beta = tuple(rng.randint(1, 4) for _ in range(rank))  # strictly dominant
-        for image, sign in weyl_orbit(spec, beta):
+        images, signs, _ = signed_orbit(spec, beta)
+        for image, sign in zip(images, signs):
             reduced, image_sign = reflect_to_dominant(spec, image)
             assert reduced == beta
             assert image_sign == sign
@@ -161,24 +162,24 @@ def test_reflect_to_dominant_consistent_over_orbit(series, rank):
 @pytest.mark.parametrize("series,rank", ALL_SMALL)
 def test_orbit_of_rho_has_weyl_order(series, rank):
     spec = build_algebra(series, rank)
-    orbit = weyl_orbit(spec, spec.rho)
-    assert len(orbit) == spec.weyl_order
-    assert len({w for w, _ in orbit}) == spec.weyl_order
+    images, _, stabiliser = signed_orbit(spec, spec.rho)
+    assert stabiliser == 1
+    assert len(set(images)) == len(images) == spec.weyl_order
 
 
-def test_wall_weight_appears_with_both_parities():
+def test_wall_weight_has_a_nontrivial_stabiliser():
     a2 = build_algebra("A", 2)
-    orbit = weyl_orbit(a2, (1, 0))
-    start = [(w, s) for w, s in orbit if w == (1, 0)]
-    assert ((1, 0), 1) in start and ((1, 0), -1) in start
+    images, signs, stabiliser = signed_orbit(a2, (1, 0))
+    assert stabiliser == 2
+    assert sorted(images) == [(-1, 1), (0, -1), (1, 0)]
+    assert signs == (1, -1, 1)
+    assert signed_orbit(a2, (1, 1)).stabiliser == 1
 
 
 def test_orbit_cap():
     e8 = build_algebra("E", 8)
     with pytest.raises(CapExceeded):
-        weyl_orbit(e8, e8.rho)
-    with pytest.raises(CapExceeded):
-        weyl_elements(e8)
+        signed_orbit(e8, e8.rho)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("D", 4)])
@@ -188,6 +189,8 @@ def test_weyl_elements_act_like_the_orbit(series, rank):
     assert len(words) == spec.weyl_order
     images = {(apply_word(spec, w, spec.rho), word_sign(w)) for w in words}
     assert images == set(weyl_orbit(spec, spec.rho))
+    walked = signed_orbit(spec, spec.rho)
+    assert images == set(zip(walked.images, walked.signs))
 
 
 def test_dominant_conjugate_matches_signed_reduction():
@@ -208,3 +211,24 @@ def test_positive_root_count(series, rank):
             "C": rank * (2 * rank + 1), "D": rank * (2 * rank - 1),
             "G": 14, "F": 52}
     assert len(positive_roots(spec)) == (dims[series] - rank) // 2
+
+
+def fraction_height(spec, root) -> Fraction:
+    """The simple-root coefficients of root summed in Fractions over C^-1."""
+    inv = cartan_inverse(spec)
+    return sum(sum(inv[j][i] * root[j] for j in range(spec.rank)) for i in range(spec.rank))
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+    ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_integer_height_matches_fraction_formula(series, rank):
+    spec = build_algebra(series, rank)
+    for root in positive_roots(spec):
+        assert _coefficient_height(spec.cartan, root) == fraction_height(spec, root)
+
+
+def test_non_integral_height_raises():
+    a1 = build_algebra("A", 1)
+    with pytest.raises(InvariantViolation):
+        _coefficient_height(a1.cartan, (1,))   # omega_1 = alpha_1 / 2

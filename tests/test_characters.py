@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fusionkit.algebra import apply_word, build_algebra, weyl_elements, word_sign
+from fusionkit.algebra import build_algebra
 from fusionkit.characters import (
     GenericPoint,
     VarietyPoint,
@@ -18,6 +18,8 @@ from fusionkit.characters import (
 )
 from fusionkit.errors import SingularPointError
 from fusionkit.weights import dimension, weight_system
+
+from weyl_oracle import apply_word, weyl_elements, word_sign
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)

@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from fusionkit import algebra
-from fusionkit.algebra import (
-    apply_word,
-    build_algebra,
-    cartan_inverse,
-    weyl_elements,
-    weyl_orbit,
-    word_sign,
-)
+from fusionkit.algebra import build_algebra, cartan_inverse, signed_orbit
 from fusionkit.characters import (
     PHASE_TABLE_CAP,
     TWO_PI,
@@ -24,11 +17,12 @@ from fusionkit.characters import (
     alternating_sums,
     eval_char_trace,
     eval_D,
-    signed_orbit_array,
 )
 from fusionkit.errors import CapExceeded, Caps
 from fusionkit.fusion import _s_matrix, level_k_weights
 from fusionkit.weights import weight_system
+
+from weyl_oracle import apply_word, weyl_elements, weyl_orbit, word_sign
 
 KERNEL_ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4),
                    ("G", 2), ("F", 4)]
@@ -170,7 +164,7 @@ def test_level_past_table_cap_raises():
 
 def test_weyl_cap_checked_on_cache_hit(monkeypatch):
     spec = build_algebra("A", 2)
-    signed_orbit_array(spec, (2, 1))
+    signed_orbit(spec, (2, 1))
     monkeypatch.setattr(algebra, "DEFAULT_CAPS", Caps(weyl_order=1))
     with pytest.raises(CapExceeded):
-        signed_orbit_array(spec, (2, 1))
+        signed_orbit(spec, (2, 1))

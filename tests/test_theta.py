@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit.algebra import apply_word, build_algebra, weyl_elements, word_sign
+from fusionkit.algebra import build_algebra
 from fusionkit.characters import GenericPoint, eval_char
 from fusionkit.errors import CapExceeded, SingularPointError
 from fusionkit.fusion import level_k_weights
@@ -29,6 +29,8 @@ from fusionkit.theta import (
     verify_kw_identity,
 )
 from fusionkit.algebra import inner_product
+
+from weyl_oracle import apply_word, weyl_elements, word_sign
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from fusionkit.algebra import apply_word, build_algebra, weyl_elements
+from fusionkit.algebra import build_algebra
 from fusionkit.errors import CapExceeded
 from fusionkit.weights import (
     conjugate,
@@ -14,6 +14,8 @@ from fusionkit.weights import (
     weight_system,
     weyl_dimension,
 )
+
+from weyl_oracle import apply_word, weyl_elements
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)

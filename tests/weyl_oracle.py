@@ -1,0 +1,83 @@
+"""Independent Weyl-group oracles for the tests: a breadth-first signed
+orbit over (weight, sign) pairs and the group as reduced reflection words.
+
+They share nothing with algebra.signed_orbit but simple_reflection, so the
+level walk is checked against a different enumeration.  Test modules import
+this file as a plain module (``from weyl_oracle import ...``); pytest puts
+the tests directory on sys.path.
+"""
+
+from functools import lru_cache
+
+from fusionkit.algebra import AlgebraSpec, Weight, _check_weyl_order, simple_reflection
+from fusionkit.errors import InvariantViolation
+
+
+def weyl_orbit(spec: AlgebraSpec, lam: Weight, cap: int | None = None):
+    """Signed Weyl orbit of lam: closure of (lam, +1) under simple reflections.
+
+    Each element carries the parity of a word reaching it.  For regular lam
+    the orbit has one entry per image; a lam fixed by some reflection shows
+    up with both parities.
+    """
+    _check_weyl_order(spec, cap)
+    start = (tuple(lam), 1)
+    seen = {start}
+    order = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for weight, sign in frontier:
+            for i in range(1, spec.rank + 1):
+                image = (simple_reflection(spec, i, weight), -sign)
+                if image not in seen:
+                    seen.add(image)
+                    order.append(image)
+                    nxt.append(image)
+        frontier = nxt
+    return order
+
+
+def weyl_elements(spec: AlgebraSpec, cap: int | None = None):
+    """All Weyl group elements as words in simple reflections (1-based).
+
+    Words come from a breadth-first walk of the orbit of rho, so they are
+    reduced and their length parity is (-1)^w.
+    """
+    _check_weyl_order(spec, cap)
+    return _weyl_elements_cached(spec)
+
+
+@lru_cache(maxsize=None)
+def _weyl_elements_cached(spec: AlgebraSpec):
+    seen = {spec.rho: ()}
+    frontier = [spec.rho]
+    words = [()]
+    while frontier:
+        nxt = []
+        for image in frontier:
+            word = seen[image]
+            for i in range(1, spec.rank + 1):
+                reflected = simple_reflection(spec, i, image)
+                if reflected not in seen:
+                    # new = s_i o old, applied right-to-left by apply_word
+                    seen[reflected] = (i,) + word
+                    words.append((i,) + word)
+                    nxt.append(reflected)
+        frontier = nxt
+    if len(words) != spec.weyl_order:
+        raise InvariantViolation(f"found {len(words)} Weyl elements of {spec}, "
+                                 f"expected {spec.weyl_order}")
+    return tuple(words)
+
+
+def apply_word(spec: AlgebraSpec, word, lam: Weight) -> Weight:
+    """Apply a reflection word (rightmost factor first) to a weight."""
+    current = tuple(lam)
+    for i in reversed(word):
+        current = simple_reflection(spec, i, current)
+    return current
+
+
+def word_sign(word) -> int:
+    return -1 if len(word) % 2 else 1
