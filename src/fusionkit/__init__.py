@@ -50,6 +50,7 @@ from .errors import (
     OracleMismatchError,
     SingularPointError,
     caps_from_env,
+    use_caps,
 )
 from .fusion import (
     fuse_level_k,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation
+from .errors import InvariantViolation, check_cap
 
 Weight = tuple  # integer Dynkin labels
 
@@ -265,16 +265,6 @@ def dominant_conjugate(spec: AlgebraSpec, lam: Weight) -> Weight:
     return _reduce(spec, lam)[0]
 
 
-def _check_weyl_order(spec: AlgebraSpec, cap: int | None = None):
-    """Raise CapExceeded when |W| is above the Weyl-order cap."""
-    cap = DEFAULT_CAPS.weyl_order if cap is None else cap
-    if spec.weyl_order > cap:
-        raise CapExceeded(
-            f"Weyl group of {spec} has {spec.weyl_order} elements (cap {cap})",
-            required=spec.weyl_order,
-        )
-
-
 class SignedOrbit(NamedTuple):
     """The Weyl orbit of lam, each image once, with the signs (-1)^w of the
     elements reaching them and the order of the stabiliser of lam."""
@@ -291,7 +281,7 @@ def signed_orbit(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
     On a wall (stabiliser > 1) each image is still listed once, with the
     parity of one element reaching it; alternating sums over such an orbit
     vanish, and symmetric ones weigh each image by the stabiliser."""
-    _check_weyl_order(spec)
+    check_cap("weyl_order", spec.weyl_order, spec)
     return _signed_orbit_cached(spec, tuple(lam))
 
 

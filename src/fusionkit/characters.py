@@ -32,7 +32,7 @@ from .algebra import (
     reflect_to_dominant,
     signed_orbit,
 )
-from .errors import CapExceeded, SingularPointError
+from .errors import CapExceeded, SingularPointError, check_cap
 from .weights import weight_system
 
 #: below this magnitude the Weyl denominator counts as a wall, not a value
@@ -193,13 +193,19 @@ def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> np
     return phase_sums(kernel, images, coeffs, gammas)
 
 
-@lru_cache(maxsize=1 << 16)
 def eval_D(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
     """Alternating Weyl orbit sum D_lam = sum_w (-1)^w e^{(w(lam), p)}.
 
     Antisymmetric under precomposed simple reflections of lam; exactly zero
-    when lam lies on a wall.
+    when lam lies on a wall.  Values are cached; the Weyl-order cap in force
+    is checked on every call, in front of the cache.
     """
+    check_cap("weyl_order", spec.weyl_order, spec)
+    return _eval_D_cached(spec, lam, p)
+
+
+@lru_cache(maxsize=1 << 16)
+def _eval_D_cached(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
     _check_point(spec, p)
     lam = tuple(lam)
     if isinstance(p, GenericPoint):
@@ -215,18 +221,26 @@ def eval_D(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
     return complex(alternating_sums(spec, [(lam, 1)], [p.gamma], p.level_shifted)[0])
 
 
+eval_D.cache_info = _eval_D_cached.cache_info
+
+
 def eval_char(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
     """Character of the dominant weight mu as the Weyl ratio
     D_{mu+rho}(p) / D_rho(p)."""
+    check_cap("weyl_order", spec.weyl_order, spec)
+    return _weyl_ratio(spec, mu, p)
+
+
+def _weyl_ratio(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
+    # eval_char after the Weyl-order check, which callers make once per batch
     if any(label < 0 for label in mu):
         raise ValueError(f"{mu} is not dominant; use virtual_normalize first")
-    denominator = eval_D(spec, spec.rho, p)
+    denominator = _eval_D_cached(spec, spec.rho, p)
     if abs(denominator) < DENOMINATOR_FLOOR:
         raise SingularPointError(
             f"point {p} lies on a wall of {spec}: |D_rho| = {abs(denominator):.3e}"
         )
-    numerator = eval_D(spec, tuple(m + 1 for m in mu), p)
-    return numerator / denominator
+    return _eval_D_cached(spec, tuple(m + 1 for m in mu), p) / denominator
 
 
 def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
@@ -234,9 +248,10 @@ def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
 
     Each rho-shifted lam is reflected to the dominant chamber first, so
     c sign(w) chi_{w(lam) - rho} enters; lam on a wall drops out."""
+    check_cap("weyl_order", spec.weyl_order, spec)
     reduced = [(reflect_to_dominant(spec, lam), c) for lam, c in terms]
     reduced = [(tuple(r - 1 for r in dom), c * sign) for (dom, sign), c in reduced if sign]
-    return [sum((c * eval_char(spec, mu, p) for mu, c in reduced), 0j) for p in points]
+    return [sum((c * _weyl_ratio(spec, mu, p) for mu, c in reduced), 0j) for p in points]
 
 
 def eval_char_trace(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:

@@ -12,12 +12,13 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 
 from . import csmodel, identity, theta
-from .algebra import _check_weyl_order, build_algebra
+from .algebra import AlgebraSpec, build_algebra
 from .characters import GenericPoint, eval_D, weyl_ratio_sums
 from .errors import (
     CapExceeded,
@@ -26,6 +27,7 @@ from .errors import (
     InvariantViolation,
     OracleMismatchError,
     caps_from_env,
+    use_caps,
 )
 from .fusion import (
     fuse_level_k,
@@ -44,8 +46,7 @@ EXIT_VERIFY = 3
 
 @dataclass
 class RunConfig:
-    series: str
-    rank: int
+    spec: AlgebraSpec
     k: int | None           # None means the algebra level (k = infinity)
     tolerance: float
     caps: Caps
@@ -81,28 +82,20 @@ def _parse_tau(text: str) -> complex:
     return complex(text.replace("i", "j").replace(" ", ""))
 
 
-def _build_spec(config: RunConfig, uses_weyl_group: bool = True):
-    """The run's algebra; a run that enumerates Weyl orbits is checked
-    against the Weyl-order cap once, up front."""
-    spec = build_algebra(config.series, config.rank)
-    if uses_weyl_group:
-        _check_weyl_order(spec, config.caps.weyl_order)
-    return spec
+def _output(config: RunConfig):
+    """The --output file, or stdout (left open)."""
+    return open(config.output, "w") if config.output else nullcontext(sys.stdout)
 
 
 def _emit(lines, config: RunConfig):
-    payload = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    with _output(config) as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _report_line(report: VerificationReport, config: RunConfig, mu=None, nu=None) -> str:
     record = {
         "case_id": report.case_id,
-        "algebra": f"{config.series}{config.rank}",
+        "algebra": str(config.spec),
         "k": config.k,
         "mu": list(mu) if mu is not None else None,
         "nu": list(nu) if nu is not None else None,
@@ -113,13 +106,6 @@ def _report_line(report: VerificationReport, config: RunConfig, mu=None, nu=None
         "witnesses": report.to_dict()["witnesses"],
     }
     return json.dumps(record)
-
-
-def _full_residue_gammas(spec, k: int):
-    level_shifted = k + spec.dual_coxeter
-    if spec.rank == 1:
-        return [(g,) for g in range(2 * level_shifted)]
-    return list(product(range(level_shifted), repeat=spec.rank))
 
 
 def _random_regular_points(spec, count: int, seed: int):
@@ -150,7 +136,7 @@ def _suite_identity(spec, config: RunConfig):
                 )
                 yield report, mu, nu
         return
-    gammas = _full_residue_gammas(spec, config.k)
+    gammas = identity._full_residue_gammas(spec, config.k)
     weights = level_k_weights(spec, config.k)
     for mu in weights:
         for nu in weights:
@@ -161,9 +147,7 @@ def _suite_identity(spec, config: RunConfig):
 
 
 def _suite_lemma(spec, config: RunConfig):
-    if config.k is None:
-        raise ValueError("the lemma suite needs a finite level")
-    gammas = _full_residue_gammas(spec, config.k)
+    gammas = identity._full_residue_gammas(spec, config.k)
     for mu in level_k_weights(spec, config.k):
         report = identity.verify_lemma_weightsum(
             spec, mu, config.k, gammas, tolerance=config.tolerance
@@ -172,8 +156,6 @@ def _suite_lemma(spec, config: RunConfig):
 
 
 def _suite_bounds(spec, config: RunConfig):
-    if config.k is None:
-        raise ValueError("the bounds suite needs a finite level")
     weights = level_k_weights(spec, config.k)
     parseval_checks = []
     dim_checks = []
@@ -188,8 +170,6 @@ def _suite_bounds(spec, config: RunConfig):
 
 
 def _suite_conjugacy(spec, config: RunConfig):
-    if config.k is None:
-        raise ValueError("the conjugacy suite needs a finite level")
     weights = level_k_weights(spec, config.k)
     checks = []
     for a in weights:
@@ -202,8 +182,6 @@ def _suite_conjugacy(spec, config: RunConfig):
 
 
 def _suite_theta(spec, config: RunConfig):
-    if config.k is None:
-        raise ValueError("the theta suite needs a finite level")
     k = config.k
     taus = [0.5j, 1j, 0.3 + 2j]
     gammas = [spec.rho, tuple(min(k, 1) if i == 0 else 0 for i in range(spec.rank)),
@@ -231,9 +209,7 @@ def _suite_theta(spec, config: RunConfig):
 
 
 def _suite_csmodel(spec, config: RunConfig):
-    if config.k is None:
-        raise ValueError("the cs-model suite needs a finite level")
-    model = csmodel.build_model(spec, config.k, hilbert_cap=config.caps.hilbert)
+    model = csmodel.build_model(spec, config.k)
     weights = level_k_weights(spec, config.k)
 
     yield identity.make_report(
@@ -298,18 +274,15 @@ _SUITES = {
     "csmodel": _suite_csmodel,
 }
 
-# suites that only fold tensor products and enumerate no Weyl orbit
-_FUSION_ONLY_SUITES = {"bounds", "conjugacy"}
-
 
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_weights(args, config: RunConfig) -> int:
-    spec = build_algebra(config.series, config.rank)
+    spec = config.spec
     mu = _parse_weight(args.mu, spec.rank)
-    ws = weight_system(spec, mu, dim_cap=config.caps.dim)
+    ws = weight_system(spec, mu)
     record = {
         "algebra": str(spec),
         "mu": list(mu),
@@ -334,11 +307,11 @@ def _cmd_weights(args, config: RunConfig) -> int:
 
 
 def _cmd_fuse(args, config: RunConfig) -> int:
-    spec = _build_spec(config, uses_weyl_group=args.oracle)
+    spec = config.spec
     mu = _parse_weight(args.mu, spec.rank)
     nu = _parse_weight(args.nu, spec.rank)
     if config.k is None:
-        table = tensor_decompose(spec, mu, nu, dim_cap=config.caps.dim)
+        table = tensor_decompose(spec, mu, nu)
     else:
         table = fuse_level_k(spec, mu, nu, config.k)
     record = {
@@ -376,20 +349,23 @@ def _cmd_fuse(args, config: RunConfig) -> int:
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
+    """Each report line is written as its case finishes, so a suite that
+    raises keeps the lines of the cases before it."""
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    spec = _build_spec(config, uses_weyl_group=not set(names) <= _FUSION_ONLY_SUITES)
-    lines = []
     all_passed = True
-    for name in names:
-        for report, mu, nu in _SUITES[name](spec, config):
-            lines.append(_report_line(report, config, mu, nu))
-            all_passed &= report.passed
-    _emit(lines, config)
+    with _output(config) as out:
+        for name in names:
+            if config.k is None and name != "identity":
+                raise ValueError(f"the {name} suite needs a finite level")
+            for report, mu, nu in _SUITES[name](config.spec, config):
+                out.write(_report_line(report, config, mu, nu) + "\n")
+                out.flush()
+                all_passed &= report.passed
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
 def _cmd_theta(args, config: RunConfig) -> int:
-    spec = _build_spec(config)
+    spec = config.spec
     if config.k is None:
         raise ValueError("theta evaluation needs a finite level")
     tau = _parse_tau(args.tau)
@@ -476,19 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    series, rank = _parse_algebra(args.algebra)
-    caps = caps_from_env()
-    overrides = {
-        "weyl_order": args.cap_weyl_order,
-        "dim": args.cap_dim,
-        "hilbert": args.cap_hilbert,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            caps = Caps(**{**caps.__dict__, key: value})
+    flags = {name: getattr(args, f"cap_{name}") for name in ("weyl_order", "dim", "hilbert")}
+    caps = replace(caps_from_env(), **{name: v for name, v in flags.items() if v is not None})
     return RunConfig(
-        series=series,
-        rank=rank,
+        spec=build_algebra(*_parse_algebra(args.algebra)),
         k=_parse_level(args.k),
         tolerance=args.tolerance,
         caps=caps,
@@ -510,7 +477,8 @@ def main(argv=None) -> int:
             raise ValueError("theta needs --gamma (or --char with --mu)")
         if args.command == "theta" and args.char and args.mu is None:
             raise ValueError("--char needs --mu")
-        return args.func(args, config)
+        with use_caps(config.caps):
+            return args.func(args, config)
     except CapExceeded as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP

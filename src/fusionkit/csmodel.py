@@ -38,7 +38,7 @@ from .algebra import (
     signed_orbit,
 )
 from .characters import VarietyPoint, eval_D
-from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation, OracleMismatchError
+from .errors import CapExceeded, InvariantViolation, OracleMismatchError, check_cap
 from .fusion import is_integrable, level_k_weights
 from .weights import weight_system
 
@@ -93,7 +93,7 @@ def _coroot_labels(spec: AlgebraSpec):
     return tuple(rows)
 
 
-def build_model(spec: AlgebraSpec, k: int, hilbert_cap: int | None = None) -> GaussianModel:
+def build_model(spec: AlgebraSpec, k: int) -> GaussianModel:
     """Assemble the level-k Gaussian model, failing loudly past the cap.
 
     States are identified under translation by K times the coroot lattice,
@@ -104,7 +104,6 @@ def build_model(spec: AlgebraSpec, k: int, hilbert_cap: int | None = None) -> Ga
     algebras are rejected."""
     if k < 0:
         raise ValueError("level must be nonnegative")
-    cap = DEFAULT_CAPS.hilbert if hilbert_cap is None else hilbert_cap
     inv = cartan_inverse(spec)
     coroots = _coroot_labels(spec)
     for row in coroots:
@@ -121,12 +120,7 @@ def build_model(spec: AlgebraSpec, k: int, hilbert_cap: int | None = None) -> Ga
 
     level_shifted = k + spec.dual_coxeter
     period = q * level_shifted
-    if period**spec.rank > cap:
-        raise CapExceeded(
-            f"Gaussian model for {spec} at k={k} needs a size-{period**spec.rank} "
-            f"covering array (cap {cap})",
-            required=period**spec.rank,
-        )
+    check_cap("hilbert", period**spec.rank, f"the level-{k} Gaussian model of {spec}")
     phase_matrix = tuple(tuple(int(q * entry) for entry in row) for row in inv)
     radical = _radical_subgroup(coroots, level_shifted, period)
     model = GaussianModel(spec, k, level_shifted, q, period, phase_matrix, radical)
@@ -315,6 +309,7 @@ def _state_cache(model: GaussianModel) -> dict:
 
 def _primary_state_view(model: GaussianModel, r: Weight) -> np.ndarray:
     """psi_r as a read-only array, kept per (model, r) within _STATE_CACHE_BYTES."""
+    check_cap("weyl_order", model.spec.weyl_order, model.spec)  # the cache skips signed_orbit
     cache = _state_cache(model)
     if r in cache:
         return cache[r]
@@ -378,7 +373,11 @@ class FourierOperator:
         # rows are bras: the phase of a clock word w evaluated at the state v
         exponents = (indices @ b.T @ indices.T) % L
         normalization = math.sqrt(model.size) * len(model.radical)
-        self._kernel_inv = np.exp(2j * np.pi * exponents / L) / normalization
+        # exp(2 pi i e / L) / normalization, in place so one complex array is live
+        self._kernel_inv = kernel = 2j * np.pi * exponents
+        kernel /= L
+        np.exp(kernel, out=kernel)
+        kernel /= normalization
         self._kernel_inv.flags.writeable = False
         # S = adjoint of the S^-1 kernel
         self._kernel = self._kernel_inv.conj().T

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 
@@ -45,6 +47,29 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+#: the caps in force: DEFAULT_CAPS outside any use_caps block
+_CAPS_IN_FORCE: ContextVar[Caps] = ContextVar("fusionkit_caps", default=DEFAULT_CAPS)
+
+
+def check_cap(name: str, required: int, subject) -> None:
+    """Raise CapExceeded when ``subject`` needs more than the cap ``name``
+    in force allows.  Every check of a Caps field goes through here."""
+    cap = getattr(_CAPS_IN_FORCE.get(), name)
+    if required > cap:
+        raise CapExceeded(f"{subject} needs {name} = {required}, above the cap {cap}",
+                          required=required)
+
+
+@contextmanager
+def use_caps(caps: Caps):
+    """Put ``caps`` in force for the block; check_cap reads them."""
+    token = _CAPS_IN_FORCE.set(caps)
+    try:
+        yield
+    finally:
+        _CAPS_IN_FORCE.reset(token)
+
 
 ENV_CAPS_VAR = "FUSIONKIT_CAPS"
 

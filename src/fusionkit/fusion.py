@@ -28,8 +28,8 @@ from .algebra import (
     signed_orbit,
 )
 from .characters import phase_kernel, phase_sums
-from .errors import InvariantViolation, OracleMismatchError
-from .weights import weight_system
+from .errors import InvariantViolation, OracleMismatchError, check_cap
+from .weights import weight_system, weyl_dimension
 
 _FOLD_LIMIT = 10_000
 
@@ -50,15 +50,14 @@ def is_integrable(spec: AlgebraSpec, lam: Weight, k: int) -> bool:
     return all(label >= 0 for label in lam) and level_pairing(spec, lam) <= k
 
 
-def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight,
-                     dim_cap: int | None = None) -> dict:
+def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight) -> dict:
     """Decompose mu (x) nu into irreducibles at algebra level (k = infinity).
 
     Returns a map dominant weight -> multiplicity.  The signed accumulation
     must come out nonnegative; a negative count raises InvariantViolation.
     """
     mu, nu = tuple(mu), tuple(nu)
-    ws = weight_system(spec, mu, dim_cap=dim_cap)
+    ws = weight_system(spec, mu)
     counts: dict[Weight, int] = {}
     for mu_prime, mult in ws.entries.items():
         shifted = tuple(n + m + 1 for n, m in zip(nu, mu_prime))
@@ -105,6 +104,7 @@ def fuse_level_k(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
     for lam in (mu, nu):
         if not is_integrable(spec, lam, k):
             raise ValueError(f"{lam} is not integrable at level {k}")
+    check_cap("dim", weyl_dimension(spec, mu), mu)  # the cached fold holds V(mu)
     return dict(_fuse_cached(spec, mu, nu, k))
 
 
@@ -168,6 +168,7 @@ def verlinde_N(spec: AlgebraSpec, mu: Weight, nu: Weight, lam: Weight, k: int) -
     for w in (mu, nu, lam):
         if not is_integrable(spec, w, k):
             raise ValueError(f"{tuple(w)} is not integrable at level {k}")
+    check_cap("weyl_order", spec.weyl_order, spec)  # the cached S matrix sums signed orbits
     weights, rows = _s_matrix(spec, k)
     index = {w: i for i, w in enumerate(weights)}
     vacuum = rows[index[(0,) * spec.rank]]

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebra import AlgebraSpec, Weight
 from .characters import EvalPoint, alternating_sums, weyl_ratio_sums
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_cap
 from .fusion import fuse_level_k, is_integrable, tensor_decompose
 from .weights import conjugate, dimension, mult_sum_squares, weight_system
 
@@ -153,6 +154,16 @@ def rhs_fusion_sum(spec: AlgebraSpec, mu: Weight, nu: Weight, p: EvalPoint,
     mu, nu = tuple(mu), tuple(nu)
     table = tensor_decompose(spec, mu, nu) if k is None else fuse_level_k(spec, mu, nu, k)
     return weyl_ratio_sums(spec, _rhs_terms(table), [p])[0]
+
+
+def _full_residue_gammas(spec: AlgebraSpec, k: int) -> list:
+    """Every variety point gamma mod K of the level-k scan (2K on A1), built
+    only after the Weyl-order check of the signed orbits the scan sums."""
+    check_cap("weyl_order", spec.weyl_order, spec)
+    level_shifted = k + spec.dual_coxeter
+    if spec.rank == 1:
+        return [(g,) for g in range(2 * level_shifted)]
+    return list(product(range(level_shifted), repeat=spec.rank))
 
 
 def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,

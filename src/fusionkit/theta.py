@@ -49,8 +49,7 @@ class ThetaContext:
     vector u, and target truncation error.
 
     ``level`` is the k of Theta_{gamma,k}; character-level callers pass
-    k + c.  ``radius`` is the derived truncation bound for shifts gamma/k
-    inside the unit ball; larger shifts grow it per call.
+    k + c.
     """
 
     spec: AlgebraSpec
@@ -69,12 +68,6 @@ class ThetaContext:
         object.__setattr__(self, "u", tuple(complex(x) for x in self.u))
         if len(self.u) != self.spec.rank:
             raise ValueError(f"u has length {len(self.u)}, expected rank {self.spec.rank}")
-
-    @property
-    def radius(self) -> float:
-        return _truncation_radius(
-            self.spec, self.level, self.tau.imag, self._im_u_norm(), self.epsilon, 1.0
-        )[0]
 
     def _im_u_norm(self) -> float:
         g = _gram_float(self.spec)

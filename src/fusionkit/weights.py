@@ -21,7 +21,7 @@ from .algebra import (
     pairing_numerator,
     positive_roots,
 )
-from .errors import CapExceeded, DEFAULT_CAPS, InvariantViolation
+from .errors import InvariantViolation, check_cap
 
 
 @dataclass
@@ -71,21 +71,17 @@ def _root_rows(spec: AlgebraSpec) -> tuple:
                  for alpha in positive_roots(spec))
 
 
-def weight_system(spec: AlgebraSpec, mu: Weight, dim_cap: int | None = None) -> WeightSystem:
+def weight_system(spec: AlgebraSpec, mu: Weight) -> WeightSystem:
     """Compute the weight system of the irreducible representation mu.
 
     Raises CapExceeded (via the Weyl dimension formula, before any heavy
-    work) when the representation is larger than the configured cap.
+    work) when the representation is larger than the dim cap in force.
     """
     mu = tuple(mu)
     if len(mu) != spec.rank:
         raise ValueError(f"weight length does not match rank {spec.rank}")
-    if any(label < 0 for label in mu):
-        raise ValueError(f"{mu} is not dominant")
-    cap = DEFAULT_CAPS.dim if dim_cap is None else dim_cap
     dim = weyl_dimension(spec, mu)
-    if dim > cap:
-        raise CapExceeded(f"dim({mu}) = {dim} exceeds cap {cap}", required=dim)
+    check_cap("dim", dim, mu)
     entries = dict(_weight_system_cached(spec, mu))
     ws = WeightSystem(spec=spec, highest=mu, entries=entries)
     if sum(entries.values()) != dim:

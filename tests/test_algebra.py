@@ -19,7 +19,7 @@ from fusionkit.algebra import (
     signed_orbit,
     simple_reflection,
 )
-from fusionkit.errors import CapExceeded, InvariantViolation
+from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
 
 from weyl_oracle import apply_word, weyl_elements, weyl_orbit, word_sign
 
@@ -180,6 +180,19 @@ def test_orbit_cap():
     e8 = build_algebra("E", 8)
     with pytest.raises(CapExceeded):
         signed_orbit(e8, e8.rho)
+
+
+def test_raised_weyl_order_cap_reaches_the_orbit_walk():
+    """|W(E7)| is above the default cap; raising the cap in force lets the
+    56-image orbit of the minuscule weight through."""
+    e7 = build_algebra("E", 7)
+    minuscule = (1, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(CapExceeded):
+        signed_orbit(e7, minuscule)
+    with use_caps(Caps(weyl_order=e7.weyl_order)):
+        assert len(signed_orbit(e7, minuscule).images) == 56
+    with pytest.raises(CapExceeded):
+        signed_orbit(e7, minuscule)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("D", 4)])

@@ -15,8 +15,9 @@ from fusionkit.characters import (
     eval_char_trace,
     eval_D,
     virtual_normalize,
+    weyl_ratio_sums,
 )
-from fusionkit.errors import SingularPointError
+from fusionkit.errors import CapExceeded, Caps, SingularPointError, use_caps
 from fusionkit.weights import dimension, weight_system
 
 from weyl_oracle import apply_word, weyl_elements, word_sign
@@ -36,6 +37,19 @@ def random_regular_point(spec, rng, scale=2.8):
         p = GenericPoint(tuple(1j * rng.uniform(0.2, scale) for _ in range(spec.rank)))
         if abs(eval_D(spec, spec.rho, p)) > 1e-6:
             return p
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda p: eval_D(A2, (2, 1), p),
+    lambda p: eval_char(A2, (1, 0), p),
+    lambda p: weyl_ratio_sums(A2, [((2, 1), 1)], [p]),
+], ids=["eval_D", "eval_char", "weyl_ratio_sums"])
+def test_weyl_cap_checked_on_cache_hit(evaluate):
+    """The D_lam cache sits behind each entry point's Weyl-order check."""
+    point = GenericPoint((0.3j, 0.7j))
+    evaluate(point)
+    with use_caps(Caps(weyl_order=1)), pytest.raises(CapExceeded):
+        evaluate(point)
 
 
 def test_su2_character_table():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,8 @@ WEYL_GROUP_COMMANDS = [
     ("verify", "A2", "--k", "1", "--suite", "identity"),
     ("verify", "A2", "--k", "1", "--suite", "all"),
     ("fuse", "A2", "--k", "1", "--mu", "1,0", "--nu", "0,1", "--oracle"),
-    ("theta", "A2", "--k", "1", "--gamma", "1,0", "--tau", "0+1i", "--u", "0.05,0.02"),
+    ("theta", "A2", "--k", "1", "--gamma", "1,0", "--tau", "0+1i", "--u", "0.05,0.02",
+     "--antisym"),
 ]
 
 
@@ -84,13 +86,67 @@ def test_weyl_order_cap_env(capsys, monkeypatch, argv):
 
 
 def test_weyl_order_cap_skips_commands_without_orbits(capsys):
-    """Tensor folding and weight systems enumerate no Weyl orbit, so the cap
-    leaves them alone (E7 and E8 lie above the default cap)."""
+    """Tensor folding, weight systems and plain theta sums enumerate no Weyl
+    orbit, so the cap leaves them alone (E7 and E8 lie above the default cap)."""
     assert run(capsys, "weights", "A2", "--mu", "1,0", "--cap-weyl-order", "1")[0] == 0
     assert run(capsys, "fuse", "A2", "--k", "1", "--mu", "1,0", "--nu", "0,1",
                "--cap-weyl-order", "1")[0] == 0
     assert run(capsys, "verify", "A2", "--k", "1", "--suite", "bounds",
                "--cap-weyl-order", "1")[0] == 0
+    assert run(capsys, "theta", "A2", "--k", "1", "--gamma", "1,0", "--tau", "0+1i",
+               "--u", "0.05,0.02", "--cap-weyl-order", "1")[0] == 0
+
+
+#: commands whose Weyl-orbit work sits behind a cache (the S matrix, primary
+#: states, eval_D) or, for theta, behind none
+CACHED_ORBIT_COMMANDS = [
+    ("fuse", "A2", "--k", "1", "--mu", "1,0", "--nu", "0,1", "--oracle"),
+    ("verify", "A2", "--k", "2", "--suite", "csmodel"),
+    ("verify", "A2", "--k", "inf", "--suite", "identity"),
+    ("theta", "A2", "--k", "1", "--gamma", "1,0", "--tau", "0+1i", "--u", "0.05,0.02",
+     "--antisym"),
+]
+
+
+@pytest.mark.parametrize("argv", CACHED_ORBIT_COMMANDS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_weyl_order_cap_checked_on_warm_caches(capsys, argv):
+    """A result cached under the default caps is not returned under a lower
+    cap: the check sits in front of every cache."""
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--cap-weyl-order", "1")[0] == 1
+
+
+def test_cap_dim_reaches_finite_level_runs(capsys):
+    """--cap-dim bounds the weight system behind every fusion table, also at
+    finite level and on a warm fusion cache."""
+    argv = ("fuse", "A2", "--k", "2", "--mu", "1,1", "--nu", "1,0")
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--cap-dim", "2")[0] == 1
+    assert run(capsys, "verify", "A2", "--k", "2", "--suite", "identity",
+               "--cap-dim", "2")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "E7", "--k", "1", "--suite", "identity"),
+    ("verify", "E8", "--k", "1", "--suite", "lemma"),
+], ids=lambda argv: " ".join(argv[1:6:4]))
+def test_e_series_scans_fail_fast(argv):
+    """|W| of E7 and E8 is above the default cap: the residue scan stops
+    before it builds its K^rank points.  Run in a child with a memory limit
+    (one BLAS thread keeps its address space small), so a scan that does
+    start fails alone instead of filling the machine."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "fusionkit.cli", *argv], capture_output=True,
+                          env=env, timeout=5, preexec_fn=limit_memory)
+    assert proc.returncode == 1
+
+
+def test_e_series_runs_without_orbits_pass(capsys):
+    assert run(capsys, "verify", "E7", "--k", "1", "--suite", "bounds")[0] == 0
+    assert run(capsys, "weights", "E8", "--mu", "1,0,0,0,0,0,0,0")[0] == 0
 
 
 def test_env_caps_rejects_garbage(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from fusionkit.csmodel import (
     vacuum_state,
     wilson_operator,
 )
-from fusionkit.errors import CapExceeded
+from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.fusion import fuse_level_k, level_k_weights, verlinde_table
 
 from weyl_oracle import apply_word, weyl_elements, word_sign
@@ -66,7 +66,8 @@ def test_model_sizes():
     assert (m2.denominator_clear, m2.period) == (3, 12)
     assert m2.size == 4 * 4 * 3  # K^rank det C, the faithful quotient
     with pytest.raises(CapExceeded):
-        build_model(A2, 1, hilbert_cap=100)
+        with use_caps(Caps(hilbert=100)):
+            build_model(A2, 1)
     with pytest.raises(ValueError):
         build_model(A1, -1)
 
@@ -199,6 +200,13 @@ def test_fourier_cap():
     model = build_model(d4, 1)
     with pytest.raises(CapExceeded):
         FourierOperator(model)
+
+
+def test_weyl_cap_checked_on_cached_primary_state():
+    model = build_model(A2, 2)
+    primary_state(model, (1, 0))
+    with use_caps(Caps(weyl_order=1)), pytest.raises(CapExceeded):
+        primary_state(model, (1, 0))
 
 
 def test_character_inner_product_values():

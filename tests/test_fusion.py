@@ -101,7 +101,14 @@ def test_verlinde_examples():
     assert verlinde_table(A2, (1, 0), (1, 0), 1) == {(0, 1): 1}
 
 
-@pytest.mark.parametrize("spec,kmax", [(A1, 6), (A2, 4)])
+#: (algebra, highest level) beyond A1 and A2, one per remaining series
+RING_AXIOM_CASES = [
+    pytest.param(build_algebra(name[0], int(name[1:])), kmax, id=f"{name}-{kmax}")
+    for name, kmax in [("B3", 2), ("C3", 2), ("D4", 1), ("E6", 1), ("F4", 1), ("G2", 3)]
+]
+
+
+@pytest.mark.parametrize("spec,kmax", [(A1, 6), (A2, 4)] + RING_AXIOM_CASES)
 def test_oracle_equivalence(spec, kmax):
     for k in range(1, kmax + 1):
         weights = level_k_weights(spec, k)
@@ -112,7 +119,7 @@ def test_oracle_equivalence(spec, kmax):
                     assert folded.get(lam, 0) == verlinde_N(spec, mu, nu, lam, k)
 
 
-@pytest.mark.parametrize("spec,kmax", [(A1, 4), (A2, 2)])
+@pytest.mark.parametrize("spec,kmax", [(A1, 4), (A2, 2)] + RING_AXIOM_CASES)
 def test_fusion_ring_commutative_and_associative(spec, kmax):
     for k in range(1, kmax + 1):
         weights = level_k_weights(spec, k)

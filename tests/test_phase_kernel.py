@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import algebra
 from fusionkit.algebra import build_algebra, cartan_inverse, signed_orbit
 from fusionkit.characters import (
     PHASE_TABLE_CAP,
@@ -18,7 +17,7 @@ from fusionkit.characters import (
     eval_char_trace,
     eval_D,
 )
-from fusionkit.errors import CapExceeded, Caps
+from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.fusion import _s_matrix, level_k_weights
 from fusionkit.weights import weight_system
 
@@ -162,9 +161,8 @@ def test_level_past_table_cap_raises():
         eval_D(spec, (1, 1), VarietyPoint((1, 2), PHASE_TABLE_CAP))
 
 
-def test_weyl_cap_checked_on_cache_hit(monkeypatch):
+def test_weyl_cap_checked_on_cache_hit():
     spec = build_algebra("A", 2)
     signed_orbit(spec, (2, 1))
-    monkeypatch.setattr(algebra, "DEFAULT_CAPS", Caps(weyl_order=1))
-    with pytest.raises(CapExceeded):
+    with use_caps(Caps(weyl_order=1)), pytest.raises(CapExceeded):
         signed_orbit(spec, (2, 1))

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from fusionkit.algebra import build_algebra
-from fusionkit.errors import CapExceeded
+from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.weights import (
     conjugate,
     dimension,
@@ -55,7 +55,8 @@ def test_freudenthal_agrees_with_weyl_dimension(series, rank, max_label):
     for labels in product(range(max_label + 1), repeat=rank):
         if weyl_dimension(spec, labels) > 20000:
             continue
-        ws = weight_system(spec, labels, dim_cap=20000)
+        with use_caps(Caps(dim=20000)):
+            ws = weight_system(spec, labels)
         assert dimension(ws) == weyl_dimension(spec, labels)
 
 
@@ -113,4 +114,5 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         weight_system(A2, (1,))
     with pytest.raises(CapExceeded):
-        weight_system(A2, (9, 9), dim_cap=100)
+        with use_caps(Caps(dim=100)):
+            weight_system(A2, (9, 9))

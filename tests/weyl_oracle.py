@@ -9,18 +9,18 @@ the tests directory on sys.path.
 
 from functools import lru_cache
 
-from fusionkit.algebra import AlgebraSpec, Weight, _check_weyl_order, simple_reflection
-from fusionkit.errors import InvariantViolation
+from fusionkit.algebra import AlgebraSpec, Weight, simple_reflection
+from fusionkit.errors import InvariantViolation, check_cap
 
 
-def weyl_orbit(spec: AlgebraSpec, lam: Weight, cap: int | None = None):
+def weyl_orbit(spec: AlgebraSpec, lam: Weight):
     """Signed Weyl orbit of lam: closure of (lam, +1) under simple reflections.
 
     Each element carries the parity of a word reaching it.  For regular lam
     the orbit has one entry per image; a lam fixed by some reflection shows
     up with both parities.
     """
-    _check_weyl_order(spec, cap)
+    check_cap("weyl_order", spec.weyl_order, spec)
     start = (tuple(lam), 1)
     seen = {start}
     order = [start]
@@ -38,13 +38,13 @@ def weyl_orbit(spec: AlgebraSpec, lam: Weight, cap: int | None = None):
     return order
 
 
-def weyl_elements(spec: AlgebraSpec, cap: int | None = None):
+def weyl_elements(spec: AlgebraSpec):
     """All Weyl group elements as words in simple reflections (1-based).
 
     Words come from a breadth-first walk of the orbit of rho, so they are
     reduced and their length parity is (-1)^w.
     """
-    _check_weyl_order(spec, cap)
+    check_cap("weyl_order", spec.weyl_order, spec)
     return _weyl_elements_cached(spec)
 
 
