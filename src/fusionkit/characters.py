@@ -94,6 +94,22 @@ def _generic_pairing_vector(spec: AlgebraSpec, u):
     )
 
 
+@lru_cache(maxsize=256)
+def roots_of_unity(period: int) -> np.ndarray:
+    """exp(2 pi i e / L) for e = 0 .. L-1, read-only and built once per L:
+    the one table every exact phase of the package is read from.  Callers
+    bound L (PHASE_TABLE_CAP, or the Hilbert cap for the Gaussian model).
+
+    Entry e is exp(i y) at y = (2 pi e)(1/L), the angle numpy forms in
+    np.exp(2j * np.pi * np.arange(L) / L); the table equals that array bit
+    for bit (tests pin it), but built with cmath it keeps numpy's complex
+    exp and division loops out of processes that need no other."""
+    step = 1 / period
+    roots = np.array([cmath.exp(1j * (TWO_PI * e * step)) for e in range(period)])
+    roots.flags.writeable = False
+    return roots
+
+
 class PhaseKernel(NamedTuple):
     """Exact phases exp(2 pi i r^T M gamma / K) of integer vectors r, gamma
     under a rational matrix M: with q the least common denominator of M,
@@ -101,7 +117,7 @@ class PhaseKernel(NamedTuple):
 
     matrix: np.ndarray   # B mod L, int64
     period: int          # L
-    roots: np.ndarray    # exp(2 pi i e / L) for e = 0 .. L-1
+    roots: np.ndarray    # roots_of_unity(L)
 
 
 @lru_cache(maxsize=256)
@@ -125,12 +141,8 @@ def phase_kernel(matrix: tuple, level_shifted: int) -> PhaseKernel:
     matrix_mod = np.array(
         [[int(q * Fraction(x)) % period for x in row] for row in matrix], dtype=np.int64
     )
-    # e / L is correctly rounded, so each entry is the phase the rational
-    # angle e / L itself gives.
-    roots = np.array([cmath.exp(1j * TWO_PI * (e / period)) for e in range(period)])
     matrix_mod.flags.writeable = False
-    roots.flags.writeable = False
-    return PhaseKernel(matrix_mod, period, roots)
+    return PhaseKernel(matrix_mod, period, roots_of_unity(period))
 
 
 def _lattice_array(rows, rank: int) -> np.ndarray:

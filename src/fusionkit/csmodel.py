@@ -15,8 +15,9 @@ literally Z_L with L = 2(k+2); at k=2 the clock eigenvalues are the 8th
 roots of unity.
 
 Operators are applied lazily as sums of phase/shift monomials with integer
-phase exponents mod L, so operator identities hold to rounding error.  Only
-the Fourier kernel is dense, and only below a hard size cap.
+phase exponents mod L, read from the shared table characters.roots_of_unity,
+so operator identities hold to rounding error.  Only the Fourier kernel is
+dense, and only below a hard size cap.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .algebra import (
     cartan_inverse,
     signed_orbit,
 )
-from .characters import VarietyPoint, eval_D
+from .characters import VarietyPoint, eval_D, roots_of_unity
 from .errors import CapExceeded, InvariantViolation, OracleMismatchError, check_cap
 from .fusion import is_integrable, level_k_weights
 from .weights import weight_system
@@ -132,36 +134,33 @@ def build_model(spec: AlgebraSpec, k: int) -> GaussianModel:
 
 
 def _radical_subgroup(coroots, level_shifted: int, period: int):
-    """K Q-vee mod L: the translations glued to the identity on the array."""
+    """K Q-vee mod L: the translations glued to the identity on the array,
+    as the sorted set {K (n . Q-vee) mod L : n in Z_q^rank}; q K = L kills
+    each generator, so n mod q covers the group."""
     rank = len(coroots)
-    generators = [
-        tuple(level_shifted * coroots[j][i] % period for i in range(rank))
-        for j in range(rank)
-    ]
-    seen = {(0,) * rank}
-    frontier = [(0,) * rank]
-    while frontier:
-        nxt = []
-        for element in frontier:
-            for gen in generators:
-                candidate = tuple((e + g) % period for e, g in zip(element, gen))
-                if candidate not in seen:
-                    seen.add(candidate)
-                    nxt.append(candidate)
-        frontier = nxt
-    return tuple(sorted(seen))
+    q = period // level_shifted
+    return tuple(sorted({
+        tuple(level_shifted * sum(n[j] * coroots[j][i] for j in range(rank)) % period
+              for i in range(rank))
+        for n in product(range(q), repeat=rank)
+    }))
+
+
+def _class_state(model: GaussianModel, points, values) -> np.ndarray:
+    """sum_i values[i] sum_t |points[i] + t> over the radical t, added point
+    by point in radical order."""
+    rank = model.spec.rank
+    offsets = np.array(model.radical, dtype=np.int64)
+    indices = (np.array(points, dtype=np.int64).reshape(-1, 1, rank) + offsets) % model.period
+    state = np.zeros(model.shape, dtype=complex)
+    np.add.at(state, tuple(indices.reshape(-1, rank).T), np.repeat(values, len(offsets)))
+    return state
 
 
 def basis_state(model: GaussianModel, v) -> np.ndarray:
     """The normalized physical state |v>: the radical-averaged class of the
     array index v."""
-    state = np.zeros(model.shape, dtype=complex)
-    amplitude = 1.0 / math.sqrt(len(model.radical))
-    base = tuple(int(x) for x in v)
-    for t in model.radical:
-        index = tuple((b + dt) % model.period for b, dt in zip(base, t))
-        state[index] = amplitude
-    return state
+    return _class_state(model, [tuple(int(x) for x in v)], [1.0 / math.sqrt(len(model.radical))])
 
 
 def vacuum_state(model: GaussianModel) -> np.ndarray:
@@ -174,15 +173,17 @@ def inner(bra: np.ndarray, ket: np.ndarray) -> complex:
 
 
 def _phase_array(model: GaussianModel, power) -> np.ndarray:
-    """exp(2 pi i (power^T C^-1 v)/K) over all v, via per-axis integer
-    residues mod L; separable because the exponent is linear in v."""
+    """exp(2 pi i (power^T C^-1 v)/K) over all v, as the product of per-axis
+    root-table lookups at integer residues mod L; separable because the
+    exponent is linear in v."""
     L = model.period
     rank = model.spec.rank
     b = model.phase_matrix
+    roots = roots_of_unity(L)
     coeffs = [sum(power[i] * b[i][j] for i in range(rank)) % L for j in range(rank)]
     result = np.ones((), dtype=complex)
     for axis, c in enumerate(coeffs):
-        arr = np.exp(2j * np.pi * (c * np.arange(L) % L) / L)
+        arr = roots[c * np.arange(L) % L]
         shape = [1] * rank
         shape[axis] = L
         result = result * arr.reshape(shape)
@@ -223,7 +224,7 @@ class LatticeOperator:
         exponent = sum(
             power[i] * b[i][j] * shift[j] for i in range(rank) for j in range(rank)
         ) % L
-        return cmath.exp(2j * cmath.pi * exponent / L)
+        return complex(roots_of_unity(L)[exponent])
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         merged = []
@@ -262,11 +263,11 @@ def shift_op(model: GaussianModel, j: int) -> LatticeOperator:
     return LatticeOperator(model, [(1.0, shift, (0,) * model.spec.rank)])
 
 
-def _sample_indices(model: GaussianModel, count: int, seed: int = 20259):
+def _sample_indices(model: GaussianModel, count: int):
     """Deterministic sample of array indices; everything if the model is small."""
     if model.cover_size <= count:
         return list(np.ndindex(model.shape))
-    rng = random.Random(seed)
+    rng = random.Random(20259)
     picks = sorted(rng.sample(range(model.cover_size), count))
     return [tuple(int(x) for x in np.unravel_index(i, model.shape)) for i in picks]
 
@@ -316,33 +317,21 @@ def _primary_state_view(model: GaussianModel, r: Weight) -> np.ndarray:
     spec = model.spec
     if not is_integrable(spec, r, model.k):
         raise ValueError(f"{r} is not integrable at level {model.k}")
-    shifted = tuple(x + 1 for x in r)
-    state = np.zeros(model.shape, dtype=complex)
     amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
-    images, signs, _ = signed_orbit(spec, shifted)
-    for image, sign in zip(images, signs):
-        for t in model.radical:
-            index = tuple((x + dt) % model.period for x, dt in zip(image, t))
-            state[index] += sign * amplitude
+    images, signs, _ = signed_orbit(spec, tuple(x + 1 for x in r))
+    state = _class_state(model, images, [sign * amplitude for sign in signs])
     state.flags.writeable = False
     if (len(cache) + 1) * state.nbytes <= _STATE_CACHE_BYTES:
         cache[r] = state
     return state
 
 
-def wilson_operator(model: GaussianModel, mu: Weight, basis: str = "b") -> LatticeOperator:
-    """O_mu = sum over the weight system of mu of monomials in the chosen
-    operator family; Weyl even because the weight system is."""
-    if basis not in ("a", "b"):
-        raise ValueError("basis must be 'a' or 'b'")
+def wilson_operator(model: GaussianModel, mu: Weight) -> LatticeOperator:
+    """O_mu = sum over the weight system of mu of the shift monomials b^v;
+    Weyl even because the weight system is."""
     ws = weight_system(model.spec, tuple(mu))
     zero = (0,) * model.spec.rank
-    terms = []
-    for v, mult in sorted(ws.entries.items()):
-        if basis == "b":
-            terms.append((float(mult), v, zero))
-        else:
-            terms.append((float(mult), zero, v))
+    terms = [(float(mult), v, zero) for v, mult in sorted(ws.entries.items())]
     return LatticeOperator(model, terms)
 
 
@@ -367,24 +356,17 @@ class FourierOperator:
                 required=model.cover_size,
             )
         self.model = model
-        L = model.period
         indices = np.stack([idx.ravel() for idx in np.indices(model.shape)], axis=1)
         b = np.array(model.phase_matrix, dtype=np.int64)
         # rows are bras: the phase of a clock word w evaluated at the state v
-        exponents = (indices @ b.T @ indices.T) % L
-        normalization = math.sqrt(model.size) * len(model.radical)
-        # exp(2 pi i e / L) / normalization, in place so one complex array is live
-        self._kernel_inv = kernel = 2j * np.pi * exponents
-        kernel /= L
-        np.exp(kernel, out=kernel)
-        kernel /= normalization
-        self._kernel_inv.flags.writeable = False
-        # S = adjoint of the S^-1 kernel
-        self._kernel = self._kernel_inv.conj().T
-        self._kernel.flags.writeable = False
+        exponents = (indices @ b.T @ indices.T) % model.period
+        self._kernel_inv = kernel = roots_of_unity(model.period)[exponents]
+        kernel /= math.sqrt(model.size) * len(model.radical)
+        kernel.flags.writeable = False
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        flat = self._kernel @ state.ravel()
+        # S is the adjoint of the S^-1 kernel: S x = conj(K^T conj(x))
+        flat = np.conj(self._kernel_inv.T @ np.conj(state.ravel()))
         return flat.reshape(self.model.shape)
 
     def apply_inverse(self, state: np.ndarray) -> np.ndarray:
@@ -450,7 +432,7 @@ def fusion_from_operators(model: GaussianModel, mu: Weight, nu: Weight) -> dict:
     for lam in (mu, nu):
         if not is_integrable(spec, tuple(lam), model.k):
             raise ValueError(f"{tuple(lam)} is not integrable at level {model.k}")
-    image = wilson_operator(model, tuple(mu), "b").apply(_primary_state_view(model, tuple(nu)))
+    image = wilson_operator(model, tuple(mu)).apply(_primary_state_view(model, tuple(nu)))
     table = {}
     for iota in level_k_weights(spec, model.k):
         coefficient = inner(_primary_state_view(model, iota), image)

@@ -163,35 +163,36 @@ def _s_matrix(spec: AlgebraSpec, k: int):
 
 
 def verlinde_N(spec: AlgebraSpec, mu: Weight, nu: Weight, lam: Weight, k: int) -> int:
-    """Independent fusion-coefficient oracle via the S-matrix ratio
-    sum_sigma S_{mu sigma} S_{nu sigma} S*_{lam sigma} / S_{0 sigma}."""
-    for w in (mu, nu, lam):
-        if not is_integrable(spec, w, k):
-            raise ValueError(f"{tuple(w)} is not integrable at level {k}")
-    check_cap("weyl_order", spec.weyl_order, spec)  # the cached S matrix sums signed orbits
-    weights, rows = _s_matrix(spec, k)
-    index = {w: i for i, w in enumerate(weights)}
-    vacuum = rows[index[(0,) * spec.rank]]
-    row_mu, row_nu, row_lam = (rows[index[tuple(w)]] for w in (mu, nu, lam))
-    total = sum(
-        row_mu[s] * row_nu[s] * row_lam[s].conjugate() / vacuum[s]
-        for s in range(len(weights))
-    )
-    nearest = round(total.real)
-    residual = abs(total - nearest)
-    if residual > 1e-6:
-        raise OracleMismatchError(
-            f"Verlinde ratio {total} for N_{{{mu},{nu}}}^{lam} at k={k} "
-            f"is {residual:.2e} from an integer"
-        )
-    return nearest
+    """One coefficient of the Verlinde oracle, read off verlinde_table."""
+    if not is_integrable(spec, lam, k):
+        raise ValueError(f"{tuple(lam)} is not integrable at level {k}")
+    return verlinde_table(spec, mu, nu, k).get(tuple(lam), 0)
 
 
 def verlinde_table(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
-    """Full fusion row of the oracle: lam -> N for every integrable lam."""
+    """Full fusion row of the independent oracle: lam -> N for every
+    integrable lam, by the S-matrix ratio
+    sum_sigma S_{mu sigma} S_{nu sigma} S*_{lam sigma} / S_{0 sigma}."""
+    weights = level_k_weights(spec, k)
+    for w in (mu, nu):
+        if not is_integrable(spec, w, k):
+            raise ValueError(f"{tuple(w)} is not integrable at level {k}")
+    check_cap("weyl_order", spec.weyl_order, spec)  # the cached S matrix sums signed orbits
+    _, rows = _s_matrix(spec, k)
+    vacuum, row_mu, row_nu = (rows[weights.index(tuple(w))] for w in ((0,) * spec.rank, mu, nu))
     table = {}
-    for lam in level_k_weights(spec, k):
-        n = verlinde_N(spec, mu, nu, lam, k)
-        if n:
-            table[lam] = n
+    for lam, row_lam in zip(weights, rows):
+        total = sum(
+            row_mu[s] * row_nu[s] * row_lam[s].conjugate() / vacuum[s]
+            for s in range(len(weights))
+        )
+        nearest = round(total.real)
+        residual = abs(total - nearest)
+        if residual > 1e-6:
+            raise OracleMismatchError(
+                f"Verlinde ratio {total} for N_{{{mu},{nu}}}^{lam} at k={k} "
+                f"is {residual:.2e} from an integer"
+            )
+        if nearest:
+            table[lam] = nearest
     return table

@@ -236,6 +236,18 @@ def test_verify_theta_and_csmodel(capsys):
         assert all(json.loads(line)["passed"] for line in out.strip().splitlines())
 
 
+def test_theta_heat_case_fails_when_the_fine_residual_is_zero(capsys, monkeypatch):
+    """A zero fine-step residual leaves the convergence ratio undefined; the
+    case must fail instead of passing unchecked."""
+    from fusionkit import theta
+
+    monkeypatch.setattr(theta, "check_heat_equation", lambda *a, **k: 0.0)
+    code, out = run(capsys, "verify", "A1", "--k", "2", "--suite", "theta")
+    assert code == 3
+    records = {r["case_id"]: r for r in map(json.loads, out.strip().splitlines())}
+    assert records["theta-heat-equation:A1:k=2"]["passed"] is False
+
+
 def test_verify_identity_at_algebra_level(capsys):
     code, out = run(capsys, "verify", "A1", "--k", "inf", "--suite", "identity",
                     "--seed", "7")

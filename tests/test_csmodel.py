@@ -33,6 +33,25 @@ A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
 
 
+def bfs_radical(model):
+    """Reference radical: breadth-first closure of K Q-vee's generators mod L."""
+    rank, period = model.spec.rank, model.period
+    generators = [tuple(model.level_shifted * c % period for c in row)
+                  for row in csmodel._coroot_labels(model.spec)]
+    seen = {(0,) * rank}
+    frontier = [(0,) * rank]
+    while frontier:
+        nxt = []
+        for element in frontier:
+            for gen in generators:
+                candidate = tuple((e + g) % period for e, g in zip(element, gen))
+                if candidate not in seen:
+                    seen.add(candidate)
+                    nxt.append(candidate)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
 def word_primary_state(model, r):
     """Reference primary state: one term per Weyl word, in word order."""
     spec = model.spec
@@ -56,6 +75,17 @@ def test_primary_state_matches_word_sum(series, rank, k):
     model = build_model(build_algebra(series, rank), k)
     for r in level_k_weights(model.spec, k):
         assert np.array_equal(primary_state(model, r), word_primary_state(model, r))
+
+
+#: every (series, rank, k) the csmodel tests and golden cases build a model of
+MODELS = ([("A", 1, k) for k in range(1, 7)] + [("A", 2, k) for k in range(1, 6)]
+          + [("A", 3, 1), ("B", 2, 2), ("C", 3, 1), ("D", 4, 1), ("G", 2, 1), ("G", 2, 2)])
+
+
+@pytest.mark.parametrize("series,rank,k", MODELS)
+def test_radical_matches_bfs(series, rank, k):
+    model = build_model(build_algebra(series, rank), k)
+    assert model.radical == bfs_radical(model)
 
 
 def test_model_sizes():
@@ -148,12 +178,12 @@ def test_wall_state_vanishes():
 
 def test_wilson_identity_and_shift_structure():
     m = build_model(A1, 2)
-    identity_op = wilson_operator(m, (0,), "b")
+    identity_op = wilson_operator(m, (0,))
     rng = np.random.default_rng(7)
     psi = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
     assert np.abs(identity_op.apply(psi) - psi).max() == 0
     # Omega_1 = {-1, +1}: shift up plus shift down
-    op = wilson_operator(m, (1,), "b")
+    op = wilson_operator(m, (1,))
     b = shift_op(m, 1)
     expected = b.apply(psi) + b.dagger().apply(psi)
     assert np.abs(op.apply(psi) - expected).max() < 1e-12
@@ -164,7 +194,7 @@ def test_state_operator_correspondence(spec, k):
     model = build_model(spec, k)
     psi0 = primary_state(model, (0,) * spec.rank)
     for mu in level_k_weights(spec, k):
-        image = wilson_operator(model, mu, "b").apply(psi0)
+        image = wilson_operator(model, mu).apply(psi0)
         assert np.abs(image - primary_state(model, mu)).max() < 1e-12
 
 
@@ -231,15 +261,30 @@ def test_s_operator_built_once_and_read_only():
     s = s_operator(model)
     assert s_operator(model) is s
     assert s_operator(build_model(A2, 2)) is s  # an equal model hits the cache
-    for kernel in (s._kernel_inv, s._kernel):
-        assert not kernel.flags.writeable
-        with pytest.raises(ValueError):
-            kernel[0, 0] = 0.0
+    assert not s._kernel_inv.flags.writeable
+    with pytest.raises(ValueError):
+        s._kernel_inv[0, 0] = 0.0
     fresh = FourierOperator(model)
     for v in [(0, 0), (1, 2), (5, 3)]:
         state = basis_state(model, v)
         assert np.array_equal(s.apply(state), fresh.apply(state))
         assert np.array_equal(s.apply_inverse(state), fresh.apply_inverse(state))
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 2), ("A", 2, 2), ("G", 2, 2)])
+def test_s_apply_is_the_adjoint_kernel(series, rank, k):
+    """S x = conj(K^T conj(x)) equals the product with the explicit adjoint
+    of the stored S^-1 kernel K, bit for bit."""
+    model = build_model(build_algebra(series, rank), k)
+    s = s_operator(model)
+    adjoint = s._kernel_inv.conj().T
+    rng = np.random.default_rng(5)
+    states = [basis_state(model, v) for v in csmodel._sample_indices(model, 8)]
+    states += [rng.normal(size=model.shape) + 1j * rng.normal(size=model.shape)
+               for _ in range(4)]
+    for state in states:
+        expected = (adjoint @ state.ravel()).reshape(model.shape)
+        assert np.array_equal(s.apply(state), expected)
 
 
 def test_primary_state_copies_are_independent():
@@ -310,7 +355,7 @@ def test_weyl_evenness_of_wilson_operators():
     """O_mu commutes with the Weyl action on states (images of primaries
     under O are Weyl-odd combinations again)."""
     m = build_model(A2, 2)
-    op = wilson_operator(m, (1, 0), "b")
+    op = wilson_operator(m, (1, 0))
     for nu in level_k_weights(A2, 2):
         image = op.apply(primary_state(m, nu))
         table = fuse_level_k(A2, (1, 0), nu, 2)

@@ -101,6 +101,15 @@ def test_verlinde_examples():
     assert verlinde_table(A2, (1, 0), (1, 0), 1) == {(0, 1): 1}
 
 
+def test_verlinde_rejects_non_integrable_weights():
+    with pytest.raises(ValueError, match=r"\(3, 0\) is not integrable"):
+        verlinde_table(A2, (3, 0), (1, 0), 2)
+    with pytest.raises(ValueError, match=r"\(0, 3\) is not integrable"):
+        verlinde_N(A2, (1, 0), (1, 0), (0, 3), 2)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        verlinde_table(A2, (0, 0), (0, 0), -1)
+
+
 #: (algebra, highest level) beyond A1 and A2, one per remaining series
 RING_AXIOM_CASES = [
     pytest.param(build_algebra(name[0], int(name[1:])), kmax, id=f"{name}-{kmax}")

@@ -16,6 +16,8 @@ from fusionkit.characters import (
     alternating_sums,
     eval_char_trace,
     eval_D,
+    phase_kernel,
+    roots_of_unity,
 )
 from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.fusion import _s_matrix, level_k_weights
@@ -166,3 +168,20 @@ def test_weyl_cap_checked_on_cache_hit():
     signed_orbit(spec, (2, 1))
     with use_caps(Caps(weyl_order=1)), pytest.raises(CapExceeded):
         signed_orbit(spec, (2, 1))
+
+
+@pytest.mark.parametrize("series,rank,level_shifted", [("A", 2, 5), ("G", 2, 6), ("F", 4, 10)])
+def test_kernel_reads_the_shared_root_table(series, rank, level_shifted):
+    kernel = phase_kernel(cartan_inverse(build_algebra(series, rank)), level_shifted)
+    roots = roots_of_unity(kernel.period)
+    assert kernel.roots is roots
+    assert not roots.flags.writeable
+
+
+def test_root_table_equals_numpy_exp():
+    """The cmath-built table is the array np.exp gives, bit for bit: the
+    Gaussian model's phases were np.exp values and its golden bytes rest
+    on them."""
+    for period in [*range(1, 200), 210, 576, 1009, 4096]:
+        expected = np.exp(2j * np.pi * np.arange(period) / period)
+        assert roots_of_unity(period).tobytes() == expected.tobytes(), period
