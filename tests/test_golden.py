@@ -30,6 +30,8 @@ CASES = {
     "A2_k5_csmodel": (["A2", "--k", "5", "--suite", "csmodel"], 0),
     "A1_kinf_identity": (["A1", "--k", "inf", "--suite", "identity"], 0),
     "A2_kinf_identity": (["A2", "--k", "inf", "--suite", "identity"], 0),
+    # a quadratic form with thirds: the one non-simply-laced generic case
+    "G2_kinf_identity": (["G2", "--k", "inf", "--suite", "identity"], 0),
     # 192-image orbits with wall terms: the largest orbits of the set
     "D4_k1_lemma": (["D4", "--k", "1", "--suite", "lemma"], 0),
 }
