@@ -240,30 +240,51 @@ def eval_char(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
     """Character of the dominant weight mu as the Weyl ratio
     D_{mu+rho}(p) / D_rho(p)."""
     check_cap("weyl_order", spec.weyl_order, spec)
-    return _weyl_ratio(spec, mu, p)
-
-
-def _weyl_ratio(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
-    # eval_char after the Weyl-order check, which callers make once per batch
     if any(label < 0 for label in mu):
         raise ValueError(f"{mu} is not dominant; use virtual_normalize first")
-    denominator = _eval_D_cached(spec, spec.rho, p)
-    if abs(denominator) < DENOMINATOR_FLOOR:
-        raise SingularPointError(
-            f"point {p} lies on a wall of {spec}: |D_rho| = {abs(denominator):.3e}"
-        )
-    return _eval_D_cached(spec, tuple(m + 1 for m in mu), p) / denominator
+    lam = tuple(m + 1 for m in mu)
+    return _weyl_ratios(spec, [lam], p)[lam]
+
+
+@lru_cache(maxsize=1 << 10)
+def _ratio_table(spec: AlgebraSpec, p: EvalPoint) -> dict:
+    """The per-point table rho-shifted dominant lam -> D_lam(p) / D_rho(p),
+    filled by _weyl_ratios; it holds entries only once D_rho(p) passed
+    the floor."""
+    return {}
+
+
+def _weyl_ratios(spec: AlgebraSpec, shifted, p: EvalPoint) -> dict:
+    """The ratio table at p, with an entry for every rho-shifted dominant
+    weight in ``shifted``.  Callers check the Weyl-order cap first."""
+    table = _ratio_table(spec, p)
+    missing = [lam for lam in shifted if lam not in table]
+    if missing:
+        denominator = _eval_D_cached(spec, spec.rho, p)
+        if abs(denominator) < DENOMINATOR_FLOOR:
+            raise SingularPointError(
+                f"point {p} lies on a wall of {spec}: |D_rho| = {abs(denominator):.3e}"
+            )
+        for lam in missing:
+            table[lam] = _eval_D_cached(spec, lam, p) / denominator
+    return table
 
 
 def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
     """sum over (lam, c) in terms of c D_lam(p) / D_rho(p) at every point p.
 
     Each rho-shifted lam is reflected to the dominant chamber first, so
-    c sign(w) chi_{w(lam) - rho} enters; lam on a wall drops out."""
+    c sign(w) chi_{w(lam) - rho} enters; lam on a wall drops out.  The
+    ratios are read from one table per point, each divided once."""
     check_cap("weyl_order", spec.weyl_order, spec)
     reduced = [(reflect_to_dominant(spec, lam), c) for lam, c in terms]
-    reduced = [(tuple(r - 1 for r in dom), c * sign) for (dom, sign), c in reduced if sign]
-    return [sum((c * _weyl_ratio(spec, mu, p) for mu, c in reduced), 0j) for p in points]
+    reduced = [(dom, c * sign) for (dom, sign), c in reduced if sign]
+    shifted = [lam for lam, _ in reduced]
+    values = []
+    for p in points:
+        table = _weyl_ratios(spec, shifted, p)
+        values.append(sum([c * table[lam] for lam, c in reduced], 0j))
+    return values
 
 
 def eval_char_trace(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:

@@ -129,15 +129,21 @@ def _fuse_cached(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
 
 
 def level_k_weights(spec: AlgebraSpec, k: int) -> list:
-    """All dominant weights integrable at level k, in lexicographic order."""
+    """All dominant weights integrable at level k, in lexicographic order,
+    as a fresh list."""
     if k < 0:
         raise ValueError("level must be nonnegative")
+    return list(_level_k_weights(spec, k))
+
+
+@lru_cache(maxsize=64)
+def _level_k_weights(spec: AlgebraSpec, k: int) -> tuple:
     bounds = comarks(spec)
     found = []
     for labels in product(*(range(k // b + 1) for b in bounds)):
         if sum(l * b for l, b in zip(labels, bounds)) <= k:
             found.append(labels)
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=64)

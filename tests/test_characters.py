@@ -5,7 +5,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fusionkit import characters
 from fusionkit.algebra import build_algebra
 from fusionkit.characters import (
     GenericPoint,
@@ -25,6 +27,7 @@ from weyl_oracle import apply_word, weyl_elements, word_sign
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
 B2 = build_algebra("B", 2)
+G2 = build_algebra("G", 2)
 
 
 def su2_point(u: float) -> GenericPoint:
@@ -39,15 +42,29 @@ def random_regular_point(spec, rng, scale=2.8):
             return p
 
 
-@pytest.mark.parametrize("evaluate", [
-    lambda p: eval_D(A2, (2, 1), p),
-    lambda p: eval_char(A2, (1, 0), p),
-    lambda p: weyl_ratio_sums(A2, [((2, 1), 1)], [p]),
-], ids=["eval_D", "eval_char", "weyl_ratio_sums"])
-def test_weyl_cap_checked_on_cache_hit(evaluate):
-    """The D_lam cache sits behind each entry point's Weyl-order check."""
+def _eval_D_21(p):
+    return eval_D(A2, (2, 1), p)
+
+
+def _eval_char_10(p):
+    return eval_char(A2, (1, 0), p)
+
+
+def _ratio_sums_21(p):
+    return weyl_ratio_sums(A2, [((2, 1), 1)], [p])
+
+
+@pytest.mark.parametrize("warm,evaluate", [
+    (_eval_D_21, _eval_D_21),
+    (_eval_char_10, _eval_char_10),
+    (_ratio_sums_21, _ratio_sums_21),
+    (_ratio_sums_21, _eval_char_10),
+], ids=["eval_D", "eval_char", "weyl_ratio_sums", "eval_char_after_weyl_ratio_sums"])
+def test_weyl_cap_checked_on_cache_hit(warm, evaluate):
+    """The D_lam cache and the ratio table sit behind each entry point's
+    Weyl-order check."""
     point = GenericPoint((0.3j, 0.7j))
-    evaluate(point)
+    warm(point)
     with use_caps(Caps(weyl_order=1)), pytest.raises(CapExceeded):
         evaluate(point)
 
@@ -180,3 +197,85 @@ def test_point_validation():
         eval_char(A1, (-1,), VarietyPoint((1,), 4))
     with pytest.raises(ValueError):
         VarietyPoint((1,), 0)
+
+
+# ---------------------------------------------------------------------------
+# the per-point ratio table behind weyl_ratio_sums and eval_char
+
+
+def reference_ratio_sum(spec, terms, p):
+    """The term-by-term formula the ratio table replaces."""
+    return sum((c * (eval_D(spec, lam, p) / eval_D(spec, spec.rho, p)) for lam, c in terms), 0j)
+
+
+def random_terms(spec, rng, count=12):
+    """rho-shifted terms with dominant, reflected and wall weights."""
+    return [(tuple(rng.randint(-3, 5) for _ in range(spec.rank)), rng.randint(-3, 3))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec,variety", [
+    (A1, False), (A2, False), (B2, False), (G2, False), (A2, True),
+], ids=["A1", "A2", "B2", "G2", "A2-variety"])
+def test_weyl_ratio_sums_equal_term_formula(spec, variety):
+    rng = random.Random(7)
+    if variety:
+        points = [VarietyPoint(g, 5) for g in [(1, 1), (1, 2), (2, 1), (1, 3)]]
+    else:
+        points = [random_regular_point(spec, rng) for _ in range(6)]
+    for _ in range(8):
+        terms = random_terms(spec, rng)
+        expected = [reference_ratio_sum(spec, terms, p) for p in points]
+        characters._ratio_table.cache_clear()
+        assert weyl_ratio_sums(spec, terms, points) == expected  # cold table
+        assert weyl_ratio_sums(spec, terms, points) == expected  # warm table
+        assert weyl_ratio_sums(spec, terms[::-1], points[::-1]) == [
+            reference_ratio_sum(spec, terms[::-1], p) for p in points[::-1]]
+
+
+def test_singular_point_raises_on_cold_and_warm_table():
+    regular, singular = GenericPoint((0.3j, 0.7j)), GenericPoint((0j, 0j))
+    terms = [((2, 1), 1), ((1, 1), 2)]
+    weyl_ratio_sums(A2, terms, [regular])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SingularPointError) as raised:
+            weyl_ratio_sums(A2, terms, [regular, singular])
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert "lies on a wall of A2" in messages[0]
+
+
+def test_empty_terms_give_zero_without_D_rho():
+    points = [GenericPoint((0j, 0j)), GenericPoint((0.31j, 0.77j))]
+    before = eval_D.cache_info()
+    assert weyl_ratio_sums(A2, [], points) == [0j] * len(points)
+    # a wall term reduces away too: nothing is left to divide
+    assert weyl_ratio_sums(A2, [((0, 2), 5)], points) == [0j] * len(points)
+    after = eval_D.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_eval_char_reads_the_table_weyl_ratio_sums_filled():
+    point = GenericPoint((0.41j, 1.3j))
+    [value] = weyl_ratio_sums(A2, [((2, 3), 1)], [point])
+    before = eval_D.cache_info()
+    assert eval_char(A2, (1, 2), point) == value
+    after = eval_D.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2),
+])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_weyl_ratio_matches_weight_system_trace(series, rank, data):
+    """Weyl ratio vs the weight-system trace, two independent evaluations."""
+    spec = build_algebra(series, rank)
+    mu = data.draw(st.tuples(*[st.integers(0, 3)] * rank))
+    p = random_regular_point(spec, random.Random(data.draw(st.integers(0, 2**32))))
+    with use_caps(Caps(dim=300_000)):  # C3 at (3, 3, 3) has dimension 262144
+        trace = eval_char_trace(spec, mu, p)
+    [ratio] = weyl_ratio_sums(spec, [(tuple(m + 1 for m in mu), 1)], [p])
+    assert abs(ratio - trace) <= 1e-9 * abs(trace)

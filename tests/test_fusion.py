@@ -86,6 +86,20 @@ def test_level_k_weights_examples():
     assert level_k_weights(b2, 1) == [(0, 0), (0, 1), (1, 0)]
 
 
+def test_level_k_weights_is_a_fresh_list_per_call():
+    """The weights are cached per (spec, k); a caller mutating its list
+    cannot change what the next caller gets."""
+    first = level_k_weights(A2, 2)
+    expected = list(first)
+    first.append((9, 9))
+    first.reverse()
+    second = level_k_weights(A2, 2)
+    assert second == expected
+    assert second is not first
+    with pytest.raises(ValueError):
+        level_k_weights(A2, -1)
+
+
 def test_integrability_predicate():
     assert is_integrable(A2, (1, 1), 2)
     assert not is_integrable(A2, (1, 1), 1)
