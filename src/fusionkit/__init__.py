@@ -2,6 +2,8 @@
 Lie algebras, with machine verification of the character identities that tie
 them together."""
 
+import importlib
+
 from .algebra import (
     AlgebraSpec,
     SignedDominant,
@@ -25,22 +27,6 @@ from .characters import (
     eval_char_trace,
     eval_D,
     virtual_normalize,
-)
-from .csmodel import (
-    FourierOperator,
-    GaussianModel,
-    LatticeOperator,
-    build_model,
-    character_as_inner_product,
-    check_clock_commutator,
-    check_s_conjugation,
-    clock_op,
-    fusion_from_operators,
-    primary_state,
-    s_operator,
-    shift_op,
-    vacuum_state,
-    wilson_operator,
 )
 from .errors import (
     CapExceeded,
@@ -71,16 +57,6 @@ from .identity import (
     verify_lemma_weightsum,
     verify_numerator_identity,
 )
-from .theta import (
-    ThetaContext,
-    check_heat_equation,
-    check_T_transform,
-    kac_weyl_char,
-    su2_numerator_closed,
-    theta_sum,
-    theta_weyl,
-    verify_kw_identity,
-)
 from .weights import (
     WeightSystem,
     conjugate,
@@ -91,3 +67,31 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+# The numeric layers import numpy; they and their names load on first
+# access (PEP 562), so importing fusionkit for exact work does not load it.
+_LAZY_MODULES = {
+    "csmodel": (
+        "FourierOperator", "GaussianModel", "LatticeOperator", "build_model",
+        "character_as_inner_product", "check_clock_commutator", "check_s_conjugation",
+        "clock_op", "fusion_from_operators", "primary_state", "s_operator", "shift_op",
+        "vacuum_state", "wilson_operator",
+    ),
+    "theta": (
+        "ThetaContext", "check_heat_equation", "check_T_transform", "kac_weyl_char",
+        "su2_numerator_closed", "theta_sum", "theta_weyl", "verify_kw_identity",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_MODULES) | set(_LAZY))

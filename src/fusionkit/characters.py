@@ -12,6 +12,10 @@ as integer counts per residue, and floating point enters only in one dot
 product of those counts with a table of L-th roots of unity.  Root-of-unity
 coincidences (e.g. chi_4 = -chi_2 on the 8th roots of unity) therefore cancel
 exactly, and D_{w lam} = (-1)^w D_lam holds bit for bit.
+
+Only that kernel (roots_of_unity, phase_kernel, phase_sums) uses numpy, and
+it imports numpy on first call: generic points, Weyl ratios and the exact
+layers below run in processes that never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
-
-import numpy as np
 
 from .algebra import (
     AlgebraSpec,
@@ -102,8 +104,11 @@ def roots_of_unity(period: int) -> np.ndarray:
 
     Entry e is exp(i y) at y = (2 pi e)(1/L), the angle numpy forms in
     np.exp(2j * np.pi * np.arange(L) / L); the table equals that array bit
-    for bit (tests pin it), but built with cmath it keeps numpy's complex
-    exp and division loops out of processes that need no other."""
+    for bit (tests pin it), but is built with cmath.  Like the rest of the
+    phase kernel it imports numpy on its first call, so a process that
+    builds no array never loads numpy."""
+    import numpy as np
+
     step = 1 / period
     roots = np.array([cmath.exp(1j * (TWO_PI * e * step)) for e in range(period)])
     roots.flags.writeable = False
@@ -138,6 +143,8 @@ def phase_kernel(matrix: tuple, level_shifted: int) -> PhaseKernel:
             f"of unity (cap {PHASE_TABLE_CAP})",
             required=period,
         )
+    import numpy as np
+
     matrix_mod = np.array(
         [[int(q * Fraction(x)) % period for x in row] for row in matrix], dtype=np.int64
     )
@@ -148,6 +155,8 @@ def phase_kernel(matrix: tuple, level_shifted: int) -> PhaseKernel:
 def _lattice_array(rows, rank: int) -> np.ndarray:
     """Integer vectors as an (n, rank) array: int64 when every entry fits,
     Python ints otherwise (reduced mod L before any int64 arithmetic)."""
+    import numpy as np
+
     if not isinstance(rows, np.ndarray):
         rows = [tuple(row) for row in rows]
         try:
@@ -168,6 +177,8 @@ def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> np.ndarray:
     (point, residue) as integers (float64 holds them exactly below 2^53), and
     the one floating-point step is the dot product of those counts with the
     root table."""
+    import numpy as np
+
     period = kernel.period
     rank = kernel.matrix.shape[0]
     weights = _lattice_array(weights, rank)

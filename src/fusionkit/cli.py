@@ -4,6 +4,10 @@ and theta evaluations, with machine-readable output.
 Exit codes are a stable contract: 0 pass, 1 resource cap exceeded, 2 usage
 error, 3 verification failure or oracle mismatch.  Suite output is JSON
 lines, one report object per case, in a deterministic case order.
+
+The theta and csmodel layers are imported by the commands that use them, so
+``weights``, ``fuse`` without ``--oracle`` and the exact suites run without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 
-from . import csmodel, identity, theta
+from . import identity
 from .algebra import AlgebraSpec, build_algebra
 from .characters import GenericPoint, eval_D, weyl_ratio_sums
 from .errors import (
@@ -183,6 +187,8 @@ def _suite_conjugacy(spec, config: RunConfig):
 
 
 def _suite_theta(spec, config: RunConfig):
+    from . import theta
+
     k = config.k
     taus = [0.5j, 1j, 0.3 + 2j]
     gammas = [spec.rho, tuple(min(k, 1) if i == 0 else 0 for i in range(spec.rank)),
@@ -210,6 +216,8 @@ def _suite_theta(spec, config: RunConfig):
 
 
 def _suite_csmodel(spec, config: RunConfig):
+    from . import csmodel
+
     model = csmodel.build_model(spec, config.k)
     weights = level_k_weights(spec, config.k)
 
@@ -366,6 +374,8 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 
 def _cmd_theta(args, config: RunConfig) -> int:
+    from . import theta
+
     spec = config.spec
     if config.k is None:
         raise ValueError("theta evaluation needs a finite level")
@@ -453,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {args.tolerance}")
     flags = {name: getattr(args, f"cap_{name}") for name in ("weyl_order", "dim", "hilbert")}
     caps = replace(caps_from_env(), **{name: v for name, v in flags.items() if v is not None})
     return RunConfig(

@@ -17,8 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
 from .algebra import (
     AlgebraSpec,
     Weight,
@@ -156,6 +154,8 @@ def _s_matrix(spec: AlgebraSpec, k: int):
     drops out of the Verlinde ratio, so rows are normalized numerically
     instead of carrying the closed-form lattice-volume prefactor.
     """
+    import numpy as np
+
     weights = level_k_weights(spec, k)
     kernel = phase_kernel(spec.quad_form, k + spec.dual_coxeter)
     points = [tuple(-b - 1 for b in beta) for beta in weights]

@@ -43,6 +43,11 @@ def _require_simply_laced(spec: AlgebraSpec):
         raise ValueError(f"theta sums are defined for the ADE series, not {spec}")
 
 
+def _require_finite(name: str, *values):
+    if not all(cmath.isfinite(x) for x in values):
+        raise ValueError(f"{name} must be finite, got {', '.join(map(str, values))}")
+
+
 @dataclass(frozen=True)
 class ThetaContext:
     """Evaluation context: algebra, theta level, modular parameter tau,
@@ -63,9 +68,11 @@ class ThetaContext:
         if self.level <= 0:
             raise ValueError("theta level must be a positive integer")
         object.__setattr__(self, "tau", complex(self.tau))
+        _require_finite("tau", self.tau)
         if self.tau.imag <= 0:
             raise ValueError(f"Im(tau) = {self.tau.imag} must be positive")
         object.__setattr__(self, "u", tuple(complex(x) for x in self.u))
+        _require_finite("u", *self.u)
         if len(self.u) != self.spec.rank:
             raise ValueError(f"u has length {len(self.u)}, expected rank {self.spec.rank}")
 
@@ -389,6 +396,7 @@ def su2_numerator_closed(j: int, k: int, tau: complex, u: complex,
     reflection chi_{j+m} = -chi_{2(k+1)-j-m} follows by an index shift.
     """
     tau = complex(tau)
+    _require_finite("tau and u", tau, u)
     if tau.imag <= 0:
         raise ValueError(f"Im(tau) = {tau.imag} must be positive")
     level = k + 2

@@ -319,3 +319,27 @@ def test_theta_bad_tau_exits_2(capsys):
     assert run(capsys, "theta", "A1", "--k", "2", "--gamma", "1",
                "--tau", "1+0i", "--u", "0.05")[0] == 2
     assert run(capsys, "theta", "A1", "--k", "2", "--tau", "0+1i", "--u", "0.05")[0] == 2
+
+
+@pytest.mark.parametrize("tau,u", [("nan+1i", "0.05,0.02"), ("0+1i", "nan,0.02"),
+                                   ("0+1i", "inf,0.02"), ("0+1i", "0.05,-inf")])
+def test_theta_non_finite_input_exits_2(capsys, tau, u):
+    code = cli.main(["theta", "A2", "--k", "1", "--gamma", "1,0", f"--tau={tau}", f"--u={u}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
+def test_bad_tolerance_exits_2(capsys, tolerance):
+    code = cli.main(["verify", "A2", "--k", "2", "--suite", "bounds", f"--tolerance={tolerance}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "tolerance must be finite and nonnegative" in captured.err
+
+
+def test_zero_tolerance_is_legal(capsys):
+    code, out = run(capsys, "verify", "A2", "--k", "2", "--suite", "bounds",
+                    "--tolerance", "0")
+    assert code == 0
+    assert [json.loads(line)["tolerance"] for line in out.splitlines()] == [0.0, 0.0]

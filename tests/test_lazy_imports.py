@@ -1,0 +1,71 @@
+"""The exact commands run without numpy: numpy, theta and csmodel load on
+first use, and the package still exports every name it did."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fusionkit
+
+SRC = str(Path(fusionkit.__file__).resolve().parent.parent)
+
+NUMPY_FREE_COMMANDS = [
+    ["weights", "A2", "--mu", "1,1"],
+    ["fuse", "A2", "--k", "3", "--mu", "1,0", "--nu", "1,1"],
+    ["fuse", "A2", "--mu", "1,0", "--nu", "1,1"],
+    ["verify", "A2", "--k", "inf", "--suite", "identity"],
+    ["verify", "A2", "--k", "3", "--suite", "bounds"],
+    ["verify", "A2", "--k", "3", "--suite", "conjugacy"],
+]
+
+# Runs cli.main on argv in a fresh interpreter; prints the exit code and
+# which of the lazily loaded modules ended up in sys.modules.
+PROBE = """\
+import sys
+from fusionkit import cli
+code = cli.main(sys.argv[1:])
+loaded = [m for m in ("numpy", "fusionkit.theta", "fusionkit.csmodel") if m in sys.modules]
+print(code, *loaded)
+"""
+
+
+def probe(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv, "--output", os.devnull],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_exact_commands_do_not_load_numpy(argv):
+    assert probe(argv) == ["0"]
+
+
+def test_variety_identity_loads_numpy():
+    """The probe sees numpy when a command does build arrays."""
+    assert probe(["verify", "A2", "--k", "2", "--suite", "identity"]) == ["0", "numpy"]
+
+
+def test_theta_command_loads_theta():
+    assert probe(["theta", "A1", "--k", "2", "--gamma", "1", "--tau", "0+1i",
+                  "--u", "0.05"]) == ["0", "numpy", "fusionkit.theta"]
+
+
+def test_package_exports_numeric_names_lazily():
+    from fusionkit import ThetaContext, build_model, theta_sum  # noqa: F401
+
+    for name, module in fusionkit._LAZY.items():
+        owner = importlib.import_module(f"fusionkit.{module}")
+        assert getattr(fusionkit, name) is getattr(owner, name)
+    names = dir(fusionkit)
+    for name in ("ThetaContext", "build_model", "theta_sum", "theta", "csmodel",
+                 "tensor_decompose", "weight_system"):
+        assert name in names
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fusionkit.no_such_name
+

@@ -231,6 +231,27 @@ def test_context_validation():
         kac_weyl_char(ThetaContext(A1, 4, 1j, (0.0,)), (1,))  # u=0 kills Theta^-
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_context_rejects_non_finite_tau_and_u(bad):
+    for tau in (complex(bad, 1.0), complex(0.0, bad)):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            ThetaContext(A1, 4, tau, (0.1,))
+    for u in ((bad,), (complex(0.1, bad),)):
+        with pytest.raises(ValueError, match="u must be finite"):
+            ThetaContext(A1, 4, 1j, u)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_su2_closed_form_rejects_non_finite_tau_and_u(bad):
+    for tau, u in [(complex(bad, 1.0), 0.05), (complex(0.0, bad), 0.05), (1j, bad),
+                   (1j, complex(0.0, bad))]:
+        with pytest.raises(ValueError, match="must be finite"):
+            su2_numerator_closed(1, 2, tau, u)
+
+
 # ---------------------------------------------------------------------------
 # Differential oracle: the plain box scan in Fraction arithmetic.
 
