@@ -74,8 +74,8 @@ _LAZY_MODULES = {
     "csmodel": (
         "FourierOperator", "GaussianModel", "LatticeOperator", "build_model",
         "character_as_inner_product", "check_clock_commutator", "check_s_conjugation",
-        "clock_op", "fusion_from_operators", "primary_state", "s_operator", "shift_op",
-        "vacuum_state", "wilson_operator",
+        "clock_op", "fusion_from_operators", "operator_fusion_rows", "primary_state",
+        "s_operator", "shift_op", "vacuum_state", "wilson_operator",
     ),
     "theta": (
         "ThetaContext", "check_heat_equation", "check_T_transform", "kac_weyl_char",

@@ -238,13 +238,17 @@ class SignedDominant(NamedTuple):
 def _reduce(spec: AlgebraSpec, beta: Weight):
     """(dominant conjugate of beta, parity of the reduction), reflecting at
     the lowest-index negative label so the parity is reproducible."""
+    cartan = spec.cartan
     current = tuple(beta)
     parity = 1
     while True:
-        negative = next((idx for idx, label in enumerate(current) if label < 0), None)
-        if negative is None:
+        for idx, label in enumerate(current):
+            if label < 0:
+                break
+        else:
             return current, parity
-        current = simple_reflection(spec, negative + 1, current)
+        # s_i(lam) = lam - lam_i alpha_i at the first negative label i
+        current = tuple([l - label * a for l, a in zip(current, cartan[idx])])
         parity = -parity
 
 

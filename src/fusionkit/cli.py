@@ -84,7 +84,11 @@ def _parse_weight(text: str, rank: int):
 
 
 def _parse_tau(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
+    """A complex literal with a trailing i (or j) for the imaginary unit."""
+    text = text.replace(" ", "")
+    if text.endswith("i"):
+        text = text[:-1] + "j"
+    return complex(text)
 
 
 def _output(config: RunConfig):
@@ -260,8 +264,8 @@ def _suite_csmodel(spec, config: RunConfig):
 
     mismatch_checks = []
     for mu in weights:
-        for nu in weights:
-            operator_table = csmodel.fusion_from_operators(model, mu, nu)
+        operator_rows = csmodel.operator_fusion_rows(model, mu, weights)
+        for nu, operator_table in zip(weights, operator_rows):
             folded = fuse_level_k(spec, mu, nu, config.k)
             oracle = verlinde_table(spec, mu, nu, config.k)
             agree = operator_table == folded == oracle

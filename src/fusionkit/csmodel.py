@@ -196,7 +196,8 @@ class LatticeOperator:
     A monomial (coeff, shift, power) acts as
         |v>  ->  coeff * exp(2 pi i (power^T C^-1 v)/K) |v + shift>.
     Clock operators are pure powers, shift operators pure shifts; products
-    stay in this family up to exact root-of-unity scalars.
+    stay in this family up to exact root-of-unity scalars.  apply acts on the
+    trailing rank axes, so it takes one state or a stack of them.
     """
 
     def __init__(self, model: GaussianModel, terms):
@@ -213,8 +214,12 @@ class LatticeOperator:
             if any(power):
                 piece = piece * _phase_array(self.model, power)
             if any(shift):
-                piece = np.roll(piece, shift, axis=tuple(range(self.model.spec.rank)))
-            out += coeff * piece
+                piece = np.roll(piece, shift, axis=tuple(range(-self.model.spec.rank, 0)))
+            if piece is state:
+                piece = coeff * piece
+            else:  # a fresh array: scale it in place, one temporary less
+                piece *= coeff
+            out += piece
         return out
 
     def _commutation_scalar(self, power, shift) -> complex:
@@ -426,22 +431,39 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
 
 
 def fusion_from_operators(model: GaussianModel, mu: Weight, nu: Weight) -> dict:
-    """Fusion coefficients read off the operator algebra: expand
-    O_mu(b) psi_nu over the orthonormal primaries, guarding integrality."""
+    """Fusion coefficients read off the operator algebra: the row of
+    operator_fusion_rows for the one primary psi_nu."""
+    return operator_fusion_rows(model, mu, [nu])[0]
+
+
+def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:
+    """One fusion table per nu in nus: apply O_mu(b) once to the stacked
+    primaries psi_nu and expand each image over the orthonormal primaries,
+    guarding integrality.  Memory is the stack of len(nus) states, not one
+    per integrable weight."""
     spec = model.spec
-    for lam in (mu, nu):
-        if not is_integrable(spec, tuple(lam), model.k):
-            raise ValueError(f"{tuple(lam)} is not integrable at level {model.k}")
-    image = wilson_operator(model, tuple(mu)).apply(_primary_state_view(model, tuple(nu)))
-    table = {}
-    for iota in level_k_weights(spec, model.k):
-        coefficient = inner(_primary_state_view(model, iota), image)
-        nearest = round(coefficient.real)
-        if abs(coefficient - nearest) > 1e-8:
-            raise OracleMismatchError(
-                f"operator expansion coefficient {coefficient} at iota={iota} "
-                f"is {abs(coefficient - nearest):.3e} from an integer"
-            )
-        if nearest:
-            table[iota] = nearest
-    return table
+    nus = [tuple(nu) for nu in nus]
+    for lam in (tuple(mu), *nus):
+        if not is_integrable(spec, lam, model.k):
+            raise ValueError(f"{lam} is not integrable at level {model.k}")
+    weights = level_k_weights(spec, model.k)
+    sources = np.stack([_primary_state_view(model, nu) for nu in nus])
+    images = wilson_operator(model, tuple(mu)).apply(sources).reshape(len(nus), -1)
+    # coefficients[n, i] = <psi_iota_i | O_mu psi_nu_n>
+    coefficients = np.empty((len(nus), len(weights)), dtype=complex)
+    for i, iota in enumerate(weights):
+        coefficients[:, i] = images @ _primary_state_view(model, iota).ravel().conj()
+    tables = []
+    for row in coefficients:
+        table = {}
+        for iota, coefficient in zip(weights, row):
+            nearest = round(coefficient.real)
+            if abs(coefficient - nearest) > 1e-8:
+                raise OracleMismatchError(
+                    f"operator expansion coefficient {coefficient} at iota={iota} "
+                    f"is {abs(coefficient - nearest):.3e} from an integer"
+                )
+            if nearest:
+                table[iota] = nearest
+        tables.append(table)
+    return tables

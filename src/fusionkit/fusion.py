@@ -3,10 +3,12 @@ S-matrix oracle.
 
 Tensor decomposition is the signed reflection algorithm: shift every weight
 of one factor by the other highest weight plus rho, reduce to the dominant
-chamber with parity, and accumulate.  Level-k fusion folds each tensor
-summand into the level-(k+c) affine alcove, alternating finite reflections
-(negative labels) with the affine reflection about (beta, theta) = k + c;
-anything landing on a wall is discarded.  All of that is exact integer
+chamber with parity, and accumulate.  Level-k fusion (Kac-Walton) folds
+each rho-shifted weight beta = nu + mu' + rho into the level-(k+c) affine
+alcove, alternating finite reflections (negative labels) with the affine
+reflection about (beta, theta) = k + c; anything landing on a wall is
+discarded.  The fold depends on beta alone, so it is memoised per (spec, K)
+and shared by every pair at the level.  All of that is exact integer
 arithmetic.  The independent oracle builds the S matrix numerically from
 alternating Weyl sums and evaluates the standard ratio; a rounding guard
 turns silent drift into a loud error.
@@ -30,6 +32,9 @@ from .errors import InvariantViolation, OracleMismatchError, check_cap
 from .weights import weight_system, weyl_dimension
 
 _FOLD_LIMIT = 10_000
+
+#: rho-shifted weights kept per (spec, K) fold memo; past it folds are not kept
+_FOLD_MEMO_ENTRIES = 1 << 14
 
 
 def level_pairing(spec: AlgebraSpec, lam: Weight) -> int:
@@ -97,7 +102,8 @@ def _fold_to_alcove(spec: AlgebraSpec, beta: Weight, level_shifted: int):
 
 
 def fuse_level_k(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
-    """Level-k fusion coefficients by folding the tensor decomposition."""
+    """Level-k fusion coefficients: fold every rho-shifted weight nu + mu' + rho
+    of mu (x) nu into the level-(k+c) alcove and accumulate the signs."""
     mu, nu = tuple(mu), tuple(nu)
     for lam in (mu, nu):
         if not is_integrable(spec, lam, k):
@@ -108,22 +114,49 @@ def fuse_level_k(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
 
 @lru_cache(maxsize=4096)
 def _fuse_cached(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
-    level_shifted = k + spec.dual_coxeter
+    memo = _fold_memo(spec, k + spec.dual_coxeter)
+    finite: dict[Weight, int] = {}
     counts: dict[Weight, int] = {}
-    for summand, mult in tensor_decompose(spec, mu, nu).items():
-        folded, sign = _fold_to_alcove(
-            spec, tuple(s + 1 for s in summand), level_shifted
-        )
-        if sign == 0:
-            continue
-        target = tuple(f - 1 for f in folded)
-        counts[target] = counts.get(target, 0) + mult * sign
+    for mu_prime, mult in weight_system(spec, mu).entries.items():
+        beta = tuple([n + m + 1 for n, m in zip(nu, mu_prime)])
+        entry = memo.get(beta)
+        if entry is None:
+            entry = _fold_entry(spec, beta, k, memo)
+        summand, sign, target, folded_sign = entry
+        if sign:
+            finite[summand] = finite.get(summand, 0) + mult * sign
+        if folded_sign:
+            counts[target] = counts.get(target, 0) + mult * folded_sign
+    if any(c < 0 for c in finite.values()):
+        raise InvariantViolation(f"signed tensor accumulation of {mu} x {nu} went negative")
     counts = {w: c for w, c in counts.items() if c != 0}
     if any(c < 0 for c in counts.values()):
         raise InvariantViolation(f"folded accumulation of {mu} x {nu} at k={k} went negative")
-    if not all(is_integrable(spec, w, k) for w in counts):
-        raise InvariantViolation(f"folding {mu} x {nu} at k={k} left the level-k alcove")
     return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=4)
+def _fold_memo(spec: AlgebraSpec, level_shifted: int) -> dict:
+    """beta -> _fold_entry(beta) at K = level_shifted, up to _FOLD_MEMO_ENTRIES."""
+    return {}
+
+
+def _fold_entry(spec: AlgebraSpec, beta: Weight, k: int, memo: dict) -> tuple:
+    """(tensor summand, its sign, level-k summand, its sign) of one rho-shifted
+    weight, signs 0 on a wall: the finite reduction of beta, then the alcove
+    fold of that.  Kept in memo while it has room."""
+    reduced, sign = reflect_to_dominant(spec, beta)
+    if sign == 0:
+        entry = (None, 0, None, 0)
+    else:
+        folded, affine_sign = _fold_to_alcove(spec, reduced, k + spec.dual_coxeter)
+        target = None if affine_sign == 0 else tuple(f - 1 for f in folded)
+        if target is not None and not is_integrable(spec, target, k):
+            raise InvariantViolation(f"folding {beta} at k={k} left the level-k alcove")
+        entry = (tuple(r - 1 for r in reduced), sign, target, sign * affine_sign)
+    if len(memo) < _FOLD_MEMO_ENTRIES:
+        memo[beta] = entry
+    return entry
 
 
 def level_k_weights(spec: AlgebraSpec, k: int) -> list:
@@ -186,12 +219,11 @@ def verlinde_table(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
     check_cap("weyl_order", spec.weyl_order, spec)  # the cached S matrix sums signed orbits
     _, rows = _s_matrix(spec, k)
     vacuum, row_mu, row_nu = (rows[weights.index(tuple(w))] for w in ((0,) * spec.rank, mu, nu))
+    # t_sigma = S_{mu sigma} S_{nu sigma} / S_{0 sigma} does not depend on lam
+    t = [a * b / v for a, b, v in zip(row_mu, row_nu, vacuum)]
     table = {}
     for lam, row_lam in zip(weights, rows):
-        total = sum(
-            row_mu[s] * row_nu[s] * row_lam[s].conjugate() / vacuum[s]
-            for s in range(len(weights))
-        )
+        total = sum(t_sigma * s.conjugate() for t_sigma, s in zip(t, row_lam))
         nearest = round(total.real)
         residual = abs(total - nearest)
         if residual > 1e-6:

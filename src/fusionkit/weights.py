@@ -80,21 +80,22 @@ def weight_system(spec: AlgebraSpec, mu: Weight) -> WeightSystem:
     mu = tuple(mu)
     if len(mu) != spec.rank:
         raise ValueError(f"weight length does not match rank {spec.rank}")
-    dim = weyl_dimension(spec, mu)
-    check_cap("dim", dim, mu)
-    entries = dict(_weight_system_cached(spec, mu))
-    ws = WeightSystem(spec=spec, highest=mu, entries=entries)
-    if sum(entries.values()) != dim:
-        raise InvariantViolation(f"multiplicities of {mu} add up to {sum(entries.values())}, "
-                                 f"not the Weyl dimension {dim}")
-    return ws
+    check_cap("dim", weyl_dimension(spec, mu), mu)
+    return WeightSystem(spec=spec, highest=mu, entries=dict(_weight_system_cached(spec, mu)))
 
 
 @lru_cache(maxsize=512)
 def _weight_system_cached(spec: AlgebraSpec, mu: Weight):
+    """(weight, multiplicity) pairs of V(mu), checked once against the Weyl
+    dimension when built."""
     members = _weight_set(spec, mu)
     mults = _dominant_multiplicities(spec, mu, members)
-    return tuple((w, mults[dominant_conjugate(spec, w)]) for w in sorted(members))
+    entries = tuple((w, mults[dominant_conjugate(spec, w)]) for w in sorted(members))
+    total, dim = sum(m for _, m in entries), weyl_dimension(spec, mu)
+    if total != dim:
+        raise InvariantViolation(f"multiplicities of {mu} add up to {total}, "
+                                 f"not the Weyl dimension {dim}")
+    return entries
 
 
 def _weight_set(spec: AlgebraSpec, mu: Weight):

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, schemas, determinism."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -181,10 +182,12 @@ def test_fuse_oracle_mismatch_exits_3(capsys, monkeypatch):
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(fusion, "_FOLD_LIMIT", 0)
     fusion._fuse_cached.cache_clear()
+    fusion._fold_memo.cache_clear()
     try:
         code, _ = run(capsys, "fuse", "A1", "--k", "2", "--mu", "1", "--nu", "1")
     finally:
         fusion._fuse_cached.cache_clear()
+        fusion._fold_memo.cache_clear()
     assert code == 3
 
 
@@ -319,6 +322,21 @@ def test_theta_bad_tau_exits_2(capsys):
     assert run(capsys, "theta", "A1", "--k", "2", "--gamma", "1",
                "--tau", "1+0i", "--u", "0.05")[0] == 2
     assert run(capsys, "theta", "A1", "--k", "2", "--tau", "0+1i", "--u", "0.05")[0] == 2
+
+
+def test_theta_infinite_tau_exits_2(capsys):
+    code = cli.main(["theta", "A2", "--k", "1", "--gamma", "1,0", "--tau", "inf+1i",
+                     "--u", "0.05,0.02"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "tau must be finite" in captured.err
+
+
+def test_parse_tau_maps_only_a_trailing_i():
+    assert cli._parse_tau("0+1i") == 1j
+    assert cli._parse_tau("0.3+2i") == 0.3 + 2j
+    assert cli._parse_tau("0.5 + 2j") == 0.5 + 2j
+    assert cli._parse_tau("-infj") == complex(0, -math.inf)
 
 
 @pytest.mark.parametrize("tau,u", [("nan+1i", "0.05,0.02"), ("0+1i", "nan,0.02"),

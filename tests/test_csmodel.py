@@ -18,6 +18,7 @@ from fusionkit.csmodel import (
     clock_op,
     fusion_from_operators,
     inner,
+    operator_fusion_rows,
     primary_state,
     s_operator,
     shift_op,
@@ -351,6 +352,26 @@ def test_three_way_fusion_agreement(spec, kmax):
                 assert operator_table == verlinde_table(spec, mu, nu, k)
 
 
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 4), ("A", 2, 3), ("G", 2, 2)])
+def test_operator_rows_equal_verlinde_rows(series, rank, k):
+    spec = build_algebra(series, rank)
+    model = build_model(spec, k)
+    weights = level_k_weights(spec, k)
+    for mu in weights:
+        rows = operator_fusion_rows(model, mu, weights)
+        assert rows == [verlinde_table(spec, mu, nu, k) for nu in weights]
+        assert rows[1:2] == operator_fusion_rows(model, mu, weights[1:2])
+
+
+def test_operator_applies_to_a_stack_of_states():
+    model = build_model(A2, 2)
+    op = wilson_operator(model, (1, 1)) @ clock_op(model, 1)
+    states = [primary_state(model, r) for r in level_k_weights(A2, 2)]
+    stacked = op.apply(np.stack(states))
+    for state, image in zip(states, stacked):
+        assert np.array_equal(op.apply(state), image)
+
+
 def test_weyl_evenness_of_wilson_operators():
     """O_mu commutes with the Weyl action on states (images of primaries
     under O are Weyl-odd combinations again)."""
@@ -369,6 +390,8 @@ def test_non_integrable_rejected():
         primary_state(m, (3,))
     with pytest.raises(ValueError):
         fusion_from_operators(m, (3,), (0,))
+    with pytest.raises(ValueError):
+        fusion_from_operators(m, (0,), (3,))
 
 
 @pytest.mark.parametrize("series,rank,k", [("B", 2, 2), ("C", 3, 1), ("G", 2, 1)])

@@ -4,7 +4,9 @@ from itertools import product
 
 import pytest
 
+from fusionkit import fusion
 from fusionkit.algebra import build_algebra
+from fusionkit.errors import InvariantViolation
 from fusionkit.fusion import (
     fuse_level_k,
     is_integrable,
@@ -13,7 +15,7 @@ from fusionkit.fusion import (
     verlinde_N,
     verlinde_table,
 )
-from fusionkit.weights import conjugate, dimension, weight_system
+from fusionkit.weights import WeightSystem, conjugate, dimension, weight_system
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -173,3 +175,81 @@ def test_conjugation_covariance():
                 table = fuse_level_k(A2, mu, nu, k)
                 table_bar = fuse_level_k(A2, conjugate(A2, mu), conjugate(A2, nu), k)
                 assert table_bar == {conjugate(A2, w): c for w, c in table.items()}
+
+
+def two_step_fuse(spec, mu, nu, k):
+    """Oracle for the memoised fold: decompose mu (x) nu at k = infinity, then
+    fold each netted summand into the level-(k+c) alcove on its own."""
+    counts = {}
+    for summand, mult in tensor_decompose(spec, mu, nu).items():
+        folded, sign = fusion._fold_to_alcove(
+            spec, tuple(s + 1 for s in summand), k + spec.dual_coxeter
+        )
+        if sign:
+            target = tuple(f - 1 for f in folded)
+            counts[target] = counts.get(target, 0) + mult * sign
+    return {w: c for w, c in counts.items() if c}
+
+
+@pytest.fixture
+def cold_folds():
+    """Empty the fold memos and the fusion cache before and after a test, so
+    a patched fold neither meets nor leaves memoised entries."""
+    fusion._fold_memo.cache_clear()
+    fusion._fuse_cached.cache_clear()
+    yield
+    fusion._fold_memo.cache_clear()
+    fusion._fuse_cached.cache_clear()
+
+
+@pytest.mark.parametrize("name,kmax", [("A1", 4), ("A2", 3), ("A3", 2), ("B2", 2),
+                                       ("C3", 1), ("D4", 1), ("G2", 2)])
+def test_memoised_fold_matches_two_step_fold(cold_folds, name, kmax):
+    spec = build_algebra(name[0], int(name[1:]))
+    entries = []
+    for k in range(kmax + 1):
+        weights = level_k_weights(spec, k)
+        for mu in weights:
+            for nu in weights:
+                assert fuse_level_k(spec, mu, nu, k) == two_step_fuse(spec, mu, nu, k)
+        entries += fusion._fold_memo(spec, k + spec.dual_coxeter).values()
+    # both kinds of wall were met: a finite one, and an affine one after reduction
+    assert any(sign == 0 for _, sign, _, _ in entries)
+    assert any(sign != 0 and folded == 0 for _, sign, _, folded in entries)
+
+
+def test_fold_memo_is_bounded(cold_folds, monkeypatch):
+    assert fusion._fold_memo.cache_info().maxsize is not None
+    monkeypatch.setattr(fusion, "_FOLD_MEMO_ENTRIES", 7)
+    k = 3
+    weights = level_k_weights(A2, k)
+    for mu in weights:
+        for nu in weights:
+            assert fuse_level_k(A2, mu, nu, k) == two_step_fuse(A2, mu, nu, k)
+    assert len(fusion._fold_memo(A2, k + A2.dual_coxeter)) == 7
+
+
+def test_finite_accumulation_negative_raises(cold_folds, monkeypatch):
+    # an extra weight -4 shifts to beta = -2, which reflects to 2 with sign -1
+    broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (-4,): 1})
+    monkeypatch.setattr(fusion, "weight_system", lambda spec, mu: broken)
+    with pytest.raises(InvariantViolation, match="signed tensor accumulation .* went negative"):
+        fuse_level_k(A1, (1,), (1,), 3)
+
+
+def test_folded_accumulation_negative_raises(cold_folds, monkeypatch):
+    monkeypatch.setattr(fusion, "_fold_to_alcove", lambda spec, beta, level: (beta, -1))
+    with pytest.raises(InvariantViolation, match="folded accumulation .* went negative"):
+        fuse_level_k(A1, (1,), (1,), 3)
+
+
+def test_fold_leaving_the_alcove_raises(cold_folds, monkeypatch):
+    monkeypatch.setattr(fusion, "_fold_to_alcove", lambda spec, beta, level: (beta, 1))
+    with pytest.raises(InvariantViolation, match="left the level-k alcove"):
+        fuse_level_k(A1, (1,), (1,), 1)
+
+
+def test_fold_limit_raises(cold_folds, monkeypatch):
+    monkeypatch.setattr(fusion, "_FOLD_LIMIT", 0)
+    with pytest.raises(InvariantViolation, match="did not terminate"):
+        fuse_level_k(A1, (1,), (1,), 2)

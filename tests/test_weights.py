@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
+from fusionkit import weights
 from fusionkit.algebra import build_algebra
-from fusionkit.errors import CapExceeded, Caps, use_caps
+from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
 from fusionkit.weights import (
     conjugate,
     dimension,
@@ -116,3 +117,24 @@ def test_rejects_bad_input():
     with pytest.raises(CapExceeded):
         with use_caps(Caps(dim=100)):
             weight_system(A2, (9, 9))
+
+
+def test_weyl_dimension_checked_when_the_system_is_built(monkeypatch):
+    """The multiplicity sum is checked once, in the cached build; a cold
+    build with a wrong multiplicity still raises, every time."""
+    original = weights._dominant_multiplicities
+
+    def one_too_many(spec, mu, members):
+        mults = original(spec, mu, members)
+        mults[(0, 0)] += 1
+        return mults
+
+    weights._weight_system_cached.cache_clear()
+    monkeypatch.setattr(weights, "_dominant_multiplicities", one_too_many)
+    try:
+        for _ in range(2):
+            with pytest.raises(InvariantViolation,
+                               match="add up to 9, not the Weyl dimension 8"):
+                weight_system(A2, (1, 1))
+    finally:
+        weights._weight_system_cached.cache_clear()
