@@ -68,8 +68,9 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-# The numeric layers import numpy; they and their names load on first
-# access (PEP 562), so importing fusionkit for exact work does not load it.
+# The numeric layers load on first access (PEP 562): csmodel imports numpy,
+# and theta is plain Python needed only for theta sums.  Importing fusionkit
+# for exact work loads neither.
 _LAZY_MODULES = {
     "csmodel": (
         "FourierOperator", "GaussianModel", "LatticeOperator", "build_model",
@@ -79,7 +80,7 @@ _LAZY_MODULES = {
     ),
     "theta": (
         "ThetaContext", "check_heat_equation", "check_T_transform", "kac_weyl_char",
-        "su2_numerator_closed", "theta_sum", "theta_weyl", "verify_kw_identity",
+        "theta_sum", "theta_weyl", "verify_kw_identity",
     ),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}

@@ -5,9 +5,10 @@ Exit codes are a stable contract: 0 pass, 1 resource cap exceeded, 2 usage
 error, 3 verification failure or oracle mismatch.  Suite output is JSON
 lines, one report object per case, in a deterministic case order.
 
-The theta and csmodel layers are imported by the commands that use them, so
-``weights``, ``fuse`` without ``--oracle`` and the exact suites run without
-loading numpy.
+The theta and csmodel layers are imported by the commands that use them.
+numpy is loaded only by the variety-point suites, the csmodel suite and
+``fuse --oracle``; ``weights``, plain ``fuse``, the exact suites and every
+theta evaluation (the layer is plain Python) run without it.
 """
 
 from __future__ import annotations
@@ -400,7 +401,7 @@ def _cmd_theta(args, config: RunConfig) -> int:
         value = theta.theta_weyl(ctx, gamma, -1) if args.antisym else theta.theta_sum(ctx, gamma)
     t_residual = theta.check_T_transform(ctx, gamma)
     heat_residual = theta.check_heat_equation(ctx, gamma)
-    radius, lattice_points, tail_bound = theta.truncation(ctx, gamma)
+    cut = theta.truncation(ctx, gamma)
     header = (["gamma", "tau_re", "tau_im"]
               + [f"u{i+1}" for i in range(spec.rank)]
               + ["value_re", "value_im", "t_residual", "heat_residual",
@@ -408,7 +409,7 @@ def _cmd_theta(args, config: RunConfig) -> int:
     row = ([" ".join(map(str, gamma)), repr(tau.real), repr(tau.imag)]
            + [repr(x) for x in u]
            + [repr(value.real), repr(value.imag), repr(t_residual), repr(heat_residual),
-              repr(radius), str(lattice_points), repr(tail_bound)])
+              repr(cut.radius), str(cut.lattice_points), repr(cut.tail_bound)])
     _emit([",".join(header), ",".join(row)], config)
     return EXIT_OK
 

@@ -26,7 +26,7 @@ from .algebra import AlgebraSpec, Weight
 from .characters import EvalPoint, alternating_sums, weyl_ratio_sums
 from .errors import InvariantViolation, check_cap
 from .fusion import fuse_level_k, is_integrable, tensor_decompose
-from .weights import conjugate, dimension, mult_sum_squares, weight_system
+from .weights import conjugate, square_sum, weight_system, weyl_dimension
 
 
 @dataclass
@@ -204,10 +204,7 @@ def parseval_bound(spec: AlgebraSpec, mu: Weight, sigma: Weight, k: int):
     multiplicity square sums.  Returns (lhs, rhs, passed)."""
     table = fuse_level_k(spec, tuple(sigma), tuple(mu), k)
     lhs = sum(n * n for n in table.values())
-    rhs = min(
-        mult_sum_squares(weight_system(spec, tuple(mu))),
-        mult_sum_squares(weight_system(spec, tuple(sigma))),
-    )
+    rhs = min(square_sum(spec, mu), square_sum(spec, sigma))
     return lhs, rhs, lhs <= rhs
 
 
@@ -215,10 +212,10 @@ def dim_bound(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
     """Exact check of sum_l N_{mu nu}^l <= min(dim mu, dim nu)."""
     table = fuse_level_k(spec, tuple(mu), tuple(nu), k)
     total = sum(table.values())
-    bound = min(
-        dimension(weight_system(spec, tuple(mu))),
-        dimension(weight_system(spec, tuple(nu))),
-    )
+    dims = [weyl_dimension(spec, lam) for lam in (mu, nu)]
+    for lam, dim in zip((mu, nu), dims):
+        check_cap("dim", dim, tuple(lam))
+    bound = min(dims)
     return total, bound, total <= bound
 
 

@@ -8,13 +8,15 @@ The basic object is
     Theta_{gamma,k}(tau, u) = sum over root-lattice alpha of
         exp(i pi k tau (alpha + gamma/k)^2 + 2 pi i k (alpha + gamma/k, u))
 
-with Im(tau) > 0 for absolute convergence.  The sum is truncated at a radius
-derived from a Gaussian tail bound (smallest eigenvalue of the root-lattice
-Gram matrix), so every reported value is within the context epsilon of the
-full sum.  The points inside that radius are enumerated by a Fincke-Pohst
-walk and kept by an exact integer norm test; their terms are summed with
-math.fsum, so a value is correctly rounded and does not depend on the order
-of enumeration.
+with Im(tau) > 0 for absolute convergence.  It depends on gamma only through
+the coset gamma + kQ, so every sum starts from the shortest representative
+of that coset.  The sum is truncated at a radius derived from a Gaussian
+tail bound (smallest eigenvalue of the root-lattice Gram matrix), so every
+reported value is within the context epsilon of the full sum.  The points
+inside that radius are enumerated by a Fincke-Pohst walk and kept by an exact
+integer norm test; their terms are summed with math.fsum, so a value is
+correctly rounded and does not depend on the order of enumeration.  The
+layer is plain Python and does not import numpy.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add, mul, sub, truediv
+from typing import NamedTuple
 
-import numpy as np
-
-from .algebra import AlgebraSpec, Weight, integer_gram, pairing_numerator, signed_orbit
+from .algebra import (AlgebraSpec, Weight, cartan_inverse, integer_gram, pairing_numerator,
+                       signed_orbit)
 from .characters import TWO_PI
 from .errors import CapExceeded, SingularPointError
 from .fusion import fuse_level_k
@@ -35,7 +40,6 @@ from .identity import VerificationReport, check_identity
 _RADIUS_CAP = 60.0
 _POINT_CAP = 1 << 23    # lattice points per enumeration
 _SLACK = 1e-9           # relative widening of the float enumeration bounds
-_EXACT = 1 << 53        # integers below this convert to float exactly
 
 
 def _require_simply_laced(spec: AlgebraSpec):
@@ -76,38 +80,166 @@ class ThetaContext:
         if len(self.u) != self.spec.rank:
             raise ValueError(f"u has length {len(self.u)}, expected rank {self.spec.rank}")
 
-    def _im_u_norm(self) -> float:
-        g = _gram_float(self.spec)
-        imu = np.array([x.imag for x in self.u])
-        return float(np.sqrt(imu @ g @ imu)) if imu.any() else 0.0
-
 
 @lru_cache(maxsize=None)
-def _gram_float(spec: AlgebraSpec):
-    return np.array([[float(x) for x in row] for row in spec.quad_form])
+def _gram_float(spec: AlgebraSpec) -> tuple:
+    return tuple(tuple(float(x) for x in row) for row in spec.quad_form)
 
 
 @lru_cache(maxsize=None)
 def _root_gram(spec: AlgebraSpec):
-    """Gram matrix of the simple roots and its smallest eigenvalue."""
-    c = np.array(spec.cartan, dtype=float)
-    gram = c @ _gram_float(spec) @ c.T
-    return gram, float(np.linalg.eigvalsh(gram).min())
+    """Gram matrix (alpha_i, alpha_j) of the simple roots and its smallest
+    eigenvalue.  On ADE the Gram matrix is the Cartan matrix (G = C^-1)."""
+    return spec.cartan, _smallest_eigenvalue(spec.cartan)
+
+
+def _smallest_eigenvalue(matrix) -> float:
+    """Smallest eigenvalue of a symmetric matrix by cyclic Jacobi sweeps, run
+    until every off-diagonal entry is zero.  Each rotation zeroes a_pq and
+    moves t a_pq between a_pp and a_qq, so a 2 x 2 block of small integers
+    comes out exact (1.0 and 3.0 on A2)."""
+    a = [[float(x) for x in row] for row in matrix]
+    pairs = [(p, q) for p in range(len(a)) for q in range(p + 1, len(a))]
+    for p, q in pairs * 64:  # 64 sweeps at most; zero entries are skipped
+        if not a[p][q]:
+            continue
+        theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+        t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+        c = 1.0 / math.hypot(t, 1.0)
+        s, tau = t * c, t * c / (1.0 + c)
+        a[p][p] -= t * a[p][q]
+        a[q][q] += t * a[p][q]
+        a[p][q] = a[q][p] = 0.0
+        for r in set(range(len(a))) - {p, q}:
+            g, h = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = g - s * (h + g * tau)
+            a[r][q] = a[q][r] = h + s * (g - h * tau)
+    return min(a[i][i] for i in range(len(a)))
+
+
+@lru_cache(maxsize=None)
+def _root_cholesky(spec: AlgebraSpec):
+    """(d, m) with x A x^T = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 for the
+    root Gram matrix A: its exact LDL^T factors, as floats."""
+    a = [[Fraction(x) for x in row] for row in _root_gram(spec)[0]]
+    d, m = [], []
+    for i, row in enumerate(a):
+        d.append(float(row[i]))
+        m.append([float(x / row[i]) for x in row])  # only j > i is read
+        for j in range(i + 1, len(a)):
+            a[j] = [x - row[j] * y / row[i] for x, y in zip(a[j], row)]
+    return d, m
+
+
+def _matvec(matrix, vector) -> list:
+    return [sum(x * y for x, y in zip(row, vector)) for row in matrix]
+
+
+def _ellipsoid(spec: AlgebraSpec, gamma: Weight, level: int, radius_sq: float):
+    """(N, w) for every w = gamma + level n C (n integral) whose v = w / level
+    has |v|^2 <= radius_sq, and perhaps a few just outside; N = level^2 D |v|^2
+    = w^T (D G) w exactly.
+
+    A level-by-level Fincke-Pohst walk (Math. Comp. 44, 1985), last
+    coordinate first, over x = n - center with center C = -gamma / level.
+    Its float bounds are widened by _SLACK, so it visits a superset of the
+    exact set; w and (D G) w are integers updated along the walk, and N
+    along the first coordinate by its exact first differences."""
+    d, m = _root_cholesky(spec)
+    _, dg = integer_gram(spec)
+    center = [float(-sum(map(mul, gamma, column)) / level)
+              for column in zip(*cartan_inverse(spec))]
+    steps = [[level * c for c in row] for row in spec.cartan]
+    dg_steps = [_matvec(dg, step) for step in steps]
+    # (remaining budget, x_j for j > i, w, (D G) w) per partial vector
+    partials = [(radius_sq * (1.0 + _SLACK) + _SLACK, (), list(gamma), _matvec(dg, gamma))]
+    for i in reversed(range(spec.rank)):
+        row, ci, di, step, dg_step = m[i][i + 1:], center[i], d[i], steps[i], dg_steps[i]
+        spans = []
+        for budget, xs, _, _ in partials:
+            mid = ci - sum(map(mul, row, xs))
+            half = math.sqrt(max(budget, 0.0) / di)
+            pad = _SLACK * (1.0 + abs(mid) + half)
+            spans.append((range(math.ceil(mid - half - pad), math.floor(mid + half + pad) + 1), mid))
+        if (total := sum(len(span) for span, _ in spans)) > _POINT_CAP:
+            raise CapExceeded(f"theta sum over {spec} needs more than {_POINT_CAP} lattice "
+                              f"points", required=total)
+        if i == 0:
+            break
+        partials = [(budget - di * (n - mid) ** 2, (n - ci,) + xs,
+                     [a + n * s for a, s in zip(w, step)], [a + n * s for a, s in zip(gw, dg_step)])
+                    for (budget, xs, w, gw), (span, mid) in zip(partials, spans) for n in span]
+    curvature = sum(map(mul, step, dg_step))
+    for (_, _, w, gw), (span, _) in zip(partials, spans):
+        w = tuple([a + span.start * s for a, s in zip(w, step)])
+        gw = [a + span.start * s for a, s in zip(gw, dg_step)]
+        norm, slope = sum(map(mul, w, gw)), sum(map(mul, step, gw))
+        for _ in span:
+            yield norm, w
+            norm += 2 * slope + curvature
+            slope += curvature
+            w = tuple(map(add, w, step))
 
 
 @lru_cache(maxsize=4096)
-def _truncation_radius(spec: AlgebraSpec, level: int, im_tau: float, im_u_norm: float,
-                       epsilon: float, shift_norm: float) -> tuple[float, float]:
-    """Smallest radius R such that the neglected tail is provably < epsilon,
-    and that certified tail bound.
+def _lattice_shifts(spec: AlgebraSpec, gamma: Weight, level: int, radius: float):
+    """|v|^2 per point and one column per coordinate of v, as tuples of
+    floats, for v = alpha + gamma/level over the root lattice with
+    float(|v|^2) <= radius^2; each float is its rational correctly rounded."""
+    d, _ = integer_gram(spec)
+    denominator = d * level * level
+    limit = radius * radius
+    kept = [(norm, w) for numerator, w in _ellipsoid(spec, gamma, level, limit)
+            if (norm := numerator / denominator) <= limit]
+    norms, labels = zip(*kept) if kept else ((), ())
+    return norms, tuple(tuple(map(truediv, column, repeat(level))) for column in zip(*labels))
 
-    Term magnitudes at norm r are bounded by exp(-pi k t r^2 + 2 pi k b r);
-    shell populations by a box count through the smallest Gram eigenvalue.
-    """
-    _, eig_min = _root_gram(spec)
-    sqrt_eig = math.sqrt(eig_min)
-    kt = math.pi * level * im_tau
-    kb = TWO_PI * level * im_u_norm
+
+@lru_cache(maxsize=4096)
+def _representative(spec: AlgebraSpec, gamma: Weight, level: int) -> Weight:
+    """The shortest gamma' = gamma + level beta, beta in the root lattice,
+    ties to the smallest labels: the exact minimum over the ball through the
+    Babai rounding of the coset center.  Theta_{gamma'} = Theta_gamma."""
+    d, _ = integer_gram(spec)
+    shift = [round(-sum(map(mul, gamma, column)) / level) for column in zip(*cartan_inverse(spec))]
+    babai = tuple(g + level * sum(map(mul, shift, column))
+                  for g, column in zip(gamma, zip(*spec.cartan)))
+    norm = pairing_numerator(spec, babai, babai)
+    return min(_ellipsoid(spec, gamma, level, norm / (d * level * level)),
+               default=(norm, babai))[1]
+
+
+class Truncation(NamedTuple):
+    """How theta_sum truncates the sum at gamma.  ``shift`` is the shortest
+    representative of gamma + level Q, from which the sum is taken; it
+    covers the ``lattice_points`` points with |v| <= ``radius``, and the
+    neglected terms add up to less than ``tail_bound``."""
+
+    shift: Weight
+    radius: float
+    lattice_points: int
+    tail_bound: float
+
+
+def truncation(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> Truncation:
+    """The truncation of theta_sum at gamma: the smallest radius whose tail
+    is provably below epsilon.  Term magnitudes at norm r are bounded by
+    exp(-pi k t r^2 + 2 pi k b r), t = Im(tau), b = |Im u| + margin (for
+    callers that move u); shell populations by a box count through the
+    smallest Gram eigenvalue."""
+    spec, level = ctx.spec, ctx.level
+    gamma = tuple(int(x) for x in gamma)
+    if len(gamma) != spec.rank:
+        raise ValueError(f"gamma has length {len(gamma)}, expected rank {spec.rank}")
+    shift = _representative(spec, gamma, level)
+    d, _ = integer_gram(spec)
+    shift_norm = max(1.0, math.ceil(math.sqrt(
+        pairing_numerator(spec, shift, shift) / (d * level * level))))
+    im_u = [x.imag for x in ctx.u]
+    im_u_norm = math.sqrt(math.fsum(map(mul, im_u, _matvec(_gram_float(spec), im_u))))
+    sqrt_eig = math.sqrt(_root_gram(spec)[1])
+    kt = math.pi * level * ctx.tau.imag
+    kb = TWO_PI * level * (im_u_norm + margin)
 
     def tail(radius: float) -> float:
         total = 0.0
@@ -116,145 +248,50 @@ def _truncation_radius(spec: AlgebraSpec, level: int, im_tau: float, im_u_norm: 
             box = 2 * math.ceil((r + 1.0 + shift_norm) / sqrt_eig) + 1
             term = box**spec.rank * math.exp(-kt * r * r + kb * r)
             total += term
-            if term < epsilon * 1e-9 or total > 1e30:
+            if term < ctx.epsilon * 1e-9 or total > 1e30:
                 return total
             r += 1.0
 
     radius = max(1.0, shift_norm + 1.0, kb / (2 * kt) + 1.0)
-    while (bound := tail(radius)) >= epsilon:
+    while (bound := tail(radius)) >= ctx.epsilon:
         radius += 1.0
         if radius > _RADIUS_CAP:
-            raise CapExceeded(
-                f"Im(tau) = {im_tau} too small to reach epsilon = {epsilon} "
-                f"within radius {_RADIUS_CAP}"
-            )
-    return radius, bound
-
-
-def _shift_norm(spec: AlgebraSpec, gamma: Weight, level: int) -> float:
-    """|gamma / level|, the square root of a correctly rounded exact norm."""
-    d, _ = integer_gram(spec)
-    return math.sqrt(pairing_numerator(spec, gamma, gamma) / (d * level * level))
-
-
-@lru_cache(maxsize=None)
-def _root_cholesky(spec: AlgebraSpec):
-    """(d, m) with x A x^T = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 for the
-    root Gram matrix A, read off its upper Cholesky factor."""
-    gram, _ = _root_gram(spec)
-    upper = np.linalg.cholesky(gram).T
-    diag = np.diag(upper)
-    return diag * diag, upper / diag[:, None]
-
-
-def _ellipsoid_candidates(spec: AlgebraSpec, center, radius_sq: float, bound: int):
-    """Integer n with |n_i| <= bound and (n - center) A (n - center)^T <=
-    radius_sq, as an int64 array of rows.
-
-    A level-by-level Fincke-Pohst walk (Math. Comp. 44, 1985), last
-    coordinate first, extends every partial vector at once.  Its float bounds
-    are widened by _SLACK, so the result is a superset of the exact set."""
-    d, m = _root_cholesky(spec)
-    points = np.zeros((1, 0), dtype=np.int64)
-    budget = np.array([radius_sq * (1.0 + _SLACK) + _SLACK])
-    for i in reversed(range(spec.rank)):
-        tail = (points - center[i + 1:]) @ m[i, i + 1:]
-        mid = center[i] - tail
-        half = np.sqrt(np.maximum(budget, 0.0) / d[i])
-        pad = _SLACK * (1.0 + np.abs(mid) + half)
-        lo = np.maximum(np.ceil(mid - half - pad), -bound).astype(np.int64)
-        hi = np.minimum(np.floor(mid + half + pad), bound).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        if total > _POINT_CAP:
-            raise CapExceeded(
-                f"theta sum over {spec} needs more than {_POINT_CAP} lattice points",
-                required=total,
-            )
-        parent = np.repeat(np.arange(len(counts)), counts)
-        first = np.cumsum(counts) - counts
-        coord = lo[parent] + (np.arange(total) - first[parent])
-        x = coord - center[i] + tail[parent]
-        budget = budget[parent] - d[i] * x * x
-        points = np.column_stack([coord, points[parent]])
-    return points
-
-
-@lru_cache(maxsize=4096)
-def _lattice_shifts(spec: AlgebraSpec, gamma: Weight, level: int, radius_key: float):
-    """Vectors v = alpha + gamma/level over the root lattice with
-    |v|^2 <= radius_key^2, as read-only float arrays (|v|^2 per point, v per
-    row) in enumeration order.
-
-    Membership is exact: w = level v = gamma + level n C is integral and
-    level^2 D |v|^2 = w^T (D G) w.  Each float is the correctly rounded value
-    of its rational, the candidates are clipped to the box |n_i| <= bound of
-    a plain scan, and a point is kept iff float(|v|^2) <= radius_key^2."""
-    d, dg = integer_gram(spec)
-    _, eig_min = _root_gram(spec)
-    bound = math.ceil((radius_key + _shift_norm(spec, gamma, level)) / math.sqrt(eig_min))
-    # v = (n - center) C, so center C = -gamma / level
-    center = -np.linalg.solve(np.array(spec.cartan, dtype=float).T, np.array(gamma, dtype=float))
-    center /= level
-    n = _ellipsoid_candidates(spec, center, radius_key * radius_key, bound)
-
-    # int64 while every product stays below 2^53, where int -> float is exact
-    # and one float division is correctly rounded; Python ints past that.
-    denominator = d * level * level
-    w_max = max(abs(g) + level * bound * sum(abs(row[j]) for row in spec.cartan)
-                for j, g in enumerate(gamma))
-    fits = max(w_max * w_max * sum(abs(x) for row in dg for x in row), denominator) < _EXACT
-    dtype = np.int64 if fits else object
-    cartan = np.array(spec.cartan, dtype=dtype)
-    w = np.array(gamma, dtype=dtype) + level * (n.astype(dtype, copy=False) @ cartan)
-    norms = (((w @ np.array(dg, dtype=dtype)) * w).sum(axis=1) / denominator).astype(float)
-    keep = norms <= radius_key * radius_key
-    norms, coords = norms[keep], (w[keep] / level).astype(float)
-    norms.flags.writeable = False
-    coords.flags.writeable = False
-    return norms, coords
+            raise CapExceeded(f"Im(tau) = {ctx.tau.imag} too small to reach epsilon = "
+                              f"{ctx.epsilon} within radius {_RADIUS_CAP}")
+    points = len(_lattice_shifts(spec, shift, level, radius)[0])
+    return Truncation(shift, radius, points, bound)
 
 
 def _theta_raw(spec: AlgebraSpec, level: int, tau: complex, u, gamma: Weight,
                radius: float) -> complex:
-    """Truncated lattice sum; radius chosen by the caller.  One vectorised
-    exp over the kept points; the real and imaginary parts of the terms are
-    each summed with math.fsum, correctly rounded and in no particular order."""
-    norms, coords = _lattice_shifts(spec, tuple(gamma), level, radius)
-    gu = _gram_float(spec) @ np.array(u, dtype=complex)
-    terms = np.exp(1j * math.pi * level * tau * norms + 1j * TWO_PI * level * (coords @ gu))
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    """Truncated lattice sum; radius chosen by the caller.  G u and each
+    (v, G u) are formed left to right, the latter in separate real and
+    imaginary parts; the real and imaginary parts of the terms are each
+    summed with math.fsum, correctly rounded and in no particular order."""
+    norms, columns = _lattice_shifts(spec, tuple(gamma), level, radius)
+    gu = [reduce(add, map(mul, row, u), 0j) for row in _gram_float(spec)]
+
+    def scaled_pairing(parts, scale):
+        total = repeat(0.0)
+        for column, part in zip(columns, parts):
+            total = map(add, total, map(mul, column, repeat(part)))
+        return map(mul, total, repeat(scale))
+
+    a, b = 1j * math.pi * level * tau, TWO_PI * level
+    exponent = map(mul, norms, repeat(a.real))
+    if any(z.imag for z in gu):  # with real G u this term is a signed zero
+        exponent = map(sub, exponent, scaled_pairing([z.imag for z in gu], b))
+    size = list(map(math.exp, exponent))
+    angle = list(map(add, map(mul, norms, repeat(a.imag)),
+                     scaled_pairing([z.real for z in gu], b)))
+    return complex(math.fsum(map(mul, size, map(math.cos, angle))),
+                   math.fsum(map(mul, size, map(math.sin, angle))))
 
 
 def theta_sum(ctx: ThetaContext, gamma: Weight) -> complex:
     """Theta_{gamma, level} at the context's (tau, u)."""
-    gamma = tuple(int(x) for x in gamma)
-    if len(gamma) != ctx.spec.rank:
-        raise ValueError(f"gamma has length {len(gamma)}, expected rank {ctx.spec.rank}")
-    radius = _radius_for(ctx, gamma)
-    return _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, gamma, radius)
-
-
-def _radius_for(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> float:
-    return _truncation_for(ctx, gamma, margin)[0]
-
-
-def _truncation_for(ctx: ThetaContext, gamma: Weight, margin: float = 0.0):
-    """(radius, certified tail bound) for the shift gamma/level."""
-    return _truncation_radius(
-        ctx.spec, ctx.level, ctx.tau.imag, ctx._im_u_norm() + margin, ctx.epsilon,
-        max(1.0, math.ceil(_shift_norm(ctx.spec, gamma, ctx.level))),
-    )
-
-
-def truncation(ctx: ThetaContext, gamma: Weight) -> tuple[float, int, float]:
-    """(radius, lattice points kept, certified tail bound) of theta_sum at
-    gamma: the sum covers every point with |v| <= radius and the neglected
-    terms add up to less than the tail bound."""
-    gamma = tuple(int(x) for x in gamma)
-    radius, tail = _truncation_for(ctx, gamma)
-    norms, _ = _lattice_shifts(ctx.spec, gamma, ctx.level, radius)
-    return radius, len(norms), tail
+    cut = truncation(ctx, gamma)
+    return _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, cut.shift, cut.radius)
 
 
 def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight, parity: int):
@@ -293,9 +330,8 @@ def kac_weyl_char(ctx: ThetaContext, mu: Weight) -> complex:
     """
     denominator = theta_weyl(ctx, ctx.spec.rho, -1)
     if abs(denominator) < 1e-13:
-        raise SingularPointError(
-            f"(tau, u) = ({ctx.tau}, {ctx.u}) is a zero of the theta denominator"
-        )
+        raise SingularPointError(f"(tau, u) = ({ctx.tau}, {ctx.u}) is a zero of the "
+                                 f"theta denominator")
     numerator = theta_weyl(ctx, tuple(m + 1 for m in mu), -1)
     return numerator / denominator
 
@@ -303,15 +339,15 @@ def kac_weyl_char(ctx: ThetaContext, mu: Weight) -> complex:
 def check_T_transform(ctx: ThetaContext, gamma: Weight) -> float:
     """Residual of Theta(tau+1, u) = exp(i pi (gamma,gamma)/k) Theta(tau, u).
 
-    The phase exponent is reduced mod 2 exactly before exponentiation."""
-    gamma = tuple(int(x) for x in gamma)
-    radius = _radius_for(ctx, gamma)
-    lhs = _theta_raw(ctx.spec, ctx.level, ctx.tau + 1.0, ctx.u, gamma, radius)
+    The phase exponent is reduced mod 2 exactly before exponentiation; it is
+    the same for every gamma of one coset gamma + kQ."""
+    cut = truncation(ctx, gamma)
+    lhs = _theta_raw(ctx.spec, ctx.level, ctx.tau + 1.0, ctx.u, cut.shift, cut.radius)
     d, _ = integer_gram(ctx.spec)
     period = d * ctx.level  # (gamma, gamma)/level = N / period
-    norm = pairing_numerator(ctx.spec, gamma, gamma)
+    norm = pairing_numerator(ctx.spec, cut.shift, cut.shift)
     phase = cmath.exp(1j * math.pi * ((norm % (2 * period)) / period))
-    rhs = phase * _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, gamma, radius)
+    rhs = phase * _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, cut.shift, cut.radius)
     return abs(lhs - rhs)
 
 
@@ -321,38 +357,32 @@ def check_heat_equation(ctx: ThetaContext, gamma: Weight, h: float = 1e-3) -> fl
         (laplacian_u - 4 pi i k d/dtau) Theta = 0
 
     where the Laplacian is weighted by the inverse quadratic form (the
-    coordinates pair through G, so contraction needs G^-1).  Expected to
-    scale as h^2 on top of truncation noise."""
-    gamma = tuple(int(x) for x in gamma)
+    coordinates pair through G, so contraction needs G^-1, the Cartan
+    matrix on ADE).  Expected to scale as h^2 on top of truncation noise."""
     spec, level = ctx.spec, ctx.level
-    rank = spec.rank
-    radius = _radius_for(ctx, gamma, margin=2.0 * h)
+    cut = truncation(ctx, gamma, margin=2.0 * h)
 
-    def value(tau, u):
-        return _theta_raw(spec, level, tau, u, gamma, radius)
+    def value(tau, *moves):
+        u = list(ctx.u)
+        for axis, sign in moves:
+            u[axis] += sign * h
+        return _theta_raw(spec, level, tau, u, cut.shift, cut.radius)
 
-    tau, u = ctx.tau, np.array(ctx.u, dtype=complex)
-    g_inv = np.linalg.inv(_gram_float(spec))
-    center = value(tau, tuple(u))
-
+    tau, g_inv = ctx.tau, spec.cartan
+    center = value(tau)
     laplacian = 0j
-    for a in range(rank):
-        e_a = np.eye(rank)[a]
-        laplacian += g_inv[a][a] * (
-            value(tau, tuple(u + h * e_a)) - 2 * center + value(tau, tuple(u - h * e_a))
-        ) / (h * h)
-        for b in range(a + 1, rank):
-            e_b = np.eye(rank)[b]
+    for a in range(spec.rank):
+        second = value(tau, (a, 1)) - 2 * center + value(tau, (a, -1))
+        laplacian += g_inv[a][a] * second * (1.0 / (h * h))
+        for b in range(a + 1, spec.rank):
             mixed = (
-                value(tau, tuple(u + h * e_a + h * e_b))
-                - value(tau, tuple(u + h * e_a - h * e_b))
-                - value(tau, tuple(u - h * e_a + h * e_b))
-                + value(tau, tuple(u - h * e_a - h * e_b))
+                value(tau, (a, 1), (b, 1)) - value(tau, (a, 1), (b, -1))
+                - value(tau, (a, -1), (b, 1)) + value(tau, (a, -1), (b, -1))
             ) / (4 * h * h)
             laplacian += 2 * g_inv[a][b] * mixed
 
-    d_tau = (value(tau + h, tuple(u)) - value(tau - h, tuple(u))) / (2 * h)
-    return float(abs(laplacian - 2j * TWO_PI * level * d_tau))
+    d_tau = (value(tau + h) - value(tau - h)) / (2 * h)
+    return abs(laplacian - 2j * TWO_PI * level * d_tau)
 
 
 def antisymmetric_theta_sums(spec: AlgebraSpec, level: int, terms, points,
@@ -382,34 +412,3 @@ def verify_kw_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
         lambda terms, pts: antisymmetric_theta_sums(spec, level_shifted, terms, pts, epsilon),
         tolerance,
     )
-
-
-def su2_numerator_closed(j: int, k: int, tau: complex, u: complex,
-                         epsilon: float = 1e-12) -> complex:
-    """The su(2)_k character numerator as an explicit scalar two-term sum:
-
-        sum_{a in Z}  e^{2 pi i tau K (a + m/2K)^2 + 2 pi i K (a + m/2K) u}
-                    - e^{2 pi i tau K (a - m/2K)^2 + 2 pi i K (a - m/2K) u}
-
-    with m = j+1 and K = k+2.  Agrees with theta_weyl(-1) on A1 at
-    gamma = (j+1,), and vanishes identically at j = k+1; for j+m > k+1 the
-    reflection chi_{j+m} = -chi_{2(k+1)-j-m} follows by an index shift.
-    """
-    tau = complex(tau)
-    _require_finite("tau and u", tau, u)
-    if tau.imag <= 0:
-        raise ValueError(f"Im(tau) = {tau.imag} must be positive")
-    level = k + 2
-    shift = (j + 1) / (2.0 * level)
-    decay = TWO_PI * tau.imag * level
-    growth = TWO_PI * level * abs(complex(u).imag)
-    bound = 3 + math.ceil(
-        abs(shift) + growth / (2 * decay) + math.sqrt(max(math.log(1 / epsilon), 1.0) / decay)
-    )
-    def term(x: float) -> complex:
-        return cmath.exp(1j * TWO_PI * tau * level * x * x + 1j * TWO_PI * level * x * u)
-
-    total = 0j
-    for a in range(-bound, bound + 1):
-        total += term(a + shift) - term(a - shift)
-    return total

@@ -84,6 +84,19 @@ def weight_system(spec: AlgebraSpec, mu: Weight) -> WeightSystem:
     return WeightSystem(spec=spec, highest=mu, entries=dict(_weight_system_cached(spec, mu)))
 
 
+def square_sum(spec: AlgebraSpec, mu: Weight) -> int:
+    """Sum of squared multiplicities of V(mu), cached per mu, without a
+    copy of the weight system; the same dim cap check as weight_system."""
+    mu = tuple(mu)
+    check_cap("dim", weyl_dimension(spec, mu), mu)
+    return _square_sum_cached(spec, mu)
+
+
+@lru_cache(maxsize=4096)
+def _square_sum_cached(spec: AlgebraSpec, mu: Weight) -> int:
+    return sum(m * m for _, m in _weight_system_cached(spec, mu))
+
+
 @lru_cache(maxsize=512)
 def _weight_system_cached(spec: AlgebraSpec, mu: Weight):
     """(weight, multiplicity) pairs of V(mu), checked once against the Weyl

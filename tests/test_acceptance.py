@@ -39,11 +39,12 @@ from fusionkit.theta import (
     ThetaContext,
     check_heat_equation,
     check_T_transform,
-    su2_numerator_closed,
     theta_weyl,
     verify_kw_identity,
 )
 from fusionkit.weights import mult_sum_squares, weight_system
+
+from su2_oracle import su2_numerator_closed
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)

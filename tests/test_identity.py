@@ -12,7 +12,7 @@ import pytest
 
 import fusionkit
 from fusionkit.algebra import build_algebra
-from fusionkit.errors import InvariantViolation
+from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
 from fusionkit.characters import GenericPoint, eval_char, eval_D
 from fusionkit.fusion import fuse_level_k, level_k_weights, tensor_decompose
 from fusionkit.identity import (
@@ -165,6 +165,18 @@ def test_dim_bound_values():
     for mu in level_k_weights(A2, 3):
         for nu in level_k_weights(A2, 3):
             assert dim_bound(A2, mu, nu, 3)[2]
+
+
+@pytest.mark.parametrize("helper", [parseval_bound, dim_bound])
+def test_bound_helpers_check_the_dim_cap_on_both_weights(helper):
+    """The bounds read cached dimensions and square sums, not weight systems;
+    the dim cap still applies to each weight, on warm caches too."""
+    big = (2, 1)  # dim 15
+    for mu, nu in [(big, (0, 0)), ((0, 0), big)]:
+        assert helper(A2, mu, nu, 3)[2]
+        with use_caps(Caps(dim=14)):
+            with pytest.raises(CapExceeded):
+                helper(A2, mu, nu, 3)
 
 
 def test_conjugacy_check():

@@ -1,5 +1,6 @@
-"""The exact commands run without numpy: numpy, theta and csmodel load on
-first use, and the package still exports every name it did."""
+"""The exact commands and the theta layer run without numpy: numpy, theta
+and csmodel load on first use, and the package exports its numeric names
+lazily."""
 
 import importlib
 import os
@@ -53,7 +54,18 @@ def test_variety_identity_loads_numpy():
 
 def test_theta_command_loads_theta():
     assert probe(["theta", "A1", "--k", "2", "--gamma", "1", "--tau", "0+1i",
-                  "--u", "0.05"]) == ["0", "numpy", "fusionkit.theta"]
+                  "--u", "0.05"]) == ["0", "fusionkit.theta"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "A3", "--k", "1", "--suite", "theta"],
+    ["theta", "A3", "--k", "1", "--char", "--mu", "1,0,0", "--tau", "0+1i",
+     "--u", "0.05,0.02,0.01"],
+], ids=" ".join)
+def test_theta_runs_without_numpy(argv):
+    """The theta layer is plain Python: its suite and characters load it and
+    nothing that imports numpy."""
+    assert probe(argv) == ["0", "fusionkit.theta"]
 
 
 def test_package_exports_numeric_names_lazily():

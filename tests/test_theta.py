@@ -3,6 +3,7 @@ finite-tau character identity."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,20 +17,21 @@ from fusionkit.theta import (
     ThetaContext,
     _gram_float,
     _lattice_shifts,
-    _radius_for,
     _root_gram,
     _signed_orbit_counts,
+    _smallest_eigenvalue,
     _theta_raw,
     check_heat_equation,
     check_T_transform,
     kac_weyl_char,
-    su2_numerator_closed,
     theta_sum,
     theta_weyl,
+    truncation,
     verify_kw_identity,
 )
-from fusionkit.algebra import inner_product
+from fusionkit.algebra import inner_product, integer_gram, pairing_numerator
 
+from su2_oracle import su2_numerator_closed
 from weyl_oracle import apply_word, weyl_elements, word_sign
 
 A1 = build_algebra("A", 1)
@@ -85,7 +87,7 @@ def test_projective_periodicity_under_tau_shifts():
 def test_truncation_soundness():
     ctx = ThetaContext(A2, 3, 0.6j, (0.04, 0.09), epsilon=1e-12)
     gamma = (2, 1)
-    radius = _radius_for(ctx, gamma)
+    radius = truncation(ctx, gamma).radius
     value = _theta_raw(A2, 3, ctx.tau, ctx.u, gamma, radius)
     doubled = _theta_raw(A2, 3, ctx.tau, ctx.u, gamma, 2 * radius)
     assert abs(value - doubled) < ctx.epsilon
@@ -300,8 +302,8 @@ def box_scan_theta(spec, level, tau, u, gamma, radius):
 
 
 def enumerated(spec, gamma, level, radius):
-    norms, coords = _lattice_shifts(spec, tuple(gamma), level, radius)
-    found = {(n, tuple(v)) for n, v in zip(norms.tolist(), coords.tolist())}
+    norms, columns = _lattice_shifts(spec, tuple(gamma), level, radius)
+    found = set(zip(norms, zip(*columns)))
     assert len(found) == len(norms)  # no point twice
     return found
 
@@ -334,7 +336,7 @@ def test_enumeration_at_context_radius(spec):
     for tau in (1j, 0.5j, 0.3 + 2j):
         ctx = ThetaContext(spec, 2, tau, u)
         for gamma in _shift_cases(spec, 2)[:3]:
-            radius = _radius_for(ctx, gamma)
+            radius = truncation(ctx, gamma).radius
             assert enumerated(spec, gamma, 2, radius) == box_scan_shifts(spec, gamma, 2, radius)
 
 
@@ -345,7 +347,7 @@ def test_theta_raw_matches_box_scan_sum(spec, level, tau):
     u = tuple(0.05 + 0.01 * i for i in range(spec.rank))
     ctx = ThetaContext(spec, level, tau, u)
     for gamma in _shift_cases(spec, level)[:3]:
-        radius = _radius_for(ctx, gamma)
+        radius = truncation(ctx, gamma).radius
         expected = box_scan_theta(spec, level, ctx.tau, ctx.u, gamma, radius)
         got = _theta_raw(spec, level, ctx.tau, ctx.u, gamma, radius)
         assert abs(got - expected) <= 1e-12 * abs(expected)
@@ -360,17 +362,111 @@ def test_enumeration_beyond_int64_products():
 
 
 def test_enumeration_bounded_memory():
-    """D4 at level 1 and gamma = (7,7,7,7): the scan box would have 135^4
-    candidates (about 15 GiB as coordinate rows); the walk only visits the
-    ellipsoid."""
+    """D4 at level 1 and gamma = (7,7,7,7): summed from gamma itself the
+    radius would be 17 and the walk would keep 1,517,161 points.  gamma lies
+    in the root lattice, so the sum starts from the representative 0, at
+    radius 4 with 625 points, and is the same sum."""
     ctx = ThetaContext(D4, 1, 1j, (0.05, 0.02, 0.01, 0.03))
     gamma = (7, 7, 7, 7)
-    radius = _radius_for(ctx, gamma)
-    norms, coords = _lattice_shifts(D4, gamma, 1, radius)
-    assert len(norms) == 1_517_161
-    assert coords.shape == (1_517_161, 4)
-    assert float(norms.max()) <= radius * radius
-    _lattice_shifts.cache_clear()
+    cut = truncation(ctx, gamma)
+    assert cut.shift == (0, 0, 0, 0)
+    assert (cut.radius, cut.lattice_points) == (4.0, 625)
+    assert cut.tail_bound < ctx.epsilon
+    value = theta_sum(ctx, gamma)
+    assert value == theta_sum(ctx, cut.shift)
+    # the same points, enumerated around the unreduced centre
+    assert value == _theta_raw(D4, 1, ctx.tau, ctx.u, gamma, cut.radius)
+    assert abs(value - 1.0405239877472405) < 1e-15
+
+
+def test_point_cap_checked_by_both_walks(monkeypatch):
+    """_POINT_CAP bounds the representative search as well as the sum's
+    enumeration, also for shifts already seen."""
+    from fusionkit import theta
+
+    ctx = ThetaContext(A2, 7, 0.5j, (0.05, 0.02))
+    theta._representative.cache_clear()
+    monkeypatch.setattr(theta, "_POINT_CAP", 0)
+    with pytest.raises(CapExceeded):
+        truncation(ctx, (123, -45))
+    monkeypatch.setattr(theta, "_POINT_CAP", 1 << 23)
+    cut = truncation(ctx, (123, -45))
+    theta._lattice_shifts.cache_clear()
+    monkeypatch.setattr(theta, "_POINT_CAP", cut.lattice_points - 1)
+    with pytest.raises(CapExceeded):
+        theta_sum(ctx, (123, -45))
+
+
+def brute_representative(spec, gamma, level):
+    """Shortest gamma + level n C by a scan of the box of every n within
+    |gamma / level| / sqrt(lambda_min) of the coset centre, in exact int64
+    norms; ties go to the smallest labels."""
+    rank = spec.rank
+    cartan = np.array(spec.cartan, dtype=np.int64)
+    eig = np.linalg.eigvalsh(cartan.astype(float)).min()
+    d, dg = integer_gram(spec)
+    start = pairing_numerator(spec, gamma, gamma) / (d * level * level)
+    center = np.rint(-np.linalg.solve(cartan.T.astype(float), np.array(gamma, float)) / level)
+    half = math.ceil(math.sqrt(start / eig)) + 1
+    box = np.indices((2 * half + 1,) * rank).reshape(rank, -1).T - half + center.astype(np.int64)
+    w = np.array(gamma, dtype=np.int64) + level * (box @ cartan)
+    norms = ((w @ np.array(dg, dtype=np.int64)) * w).sum(axis=1)
+    order = np.lexsort(tuple(w.T[::-1]) + (norms,))
+    return tuple(int(x) for x in w[order[0]])
+
+
+@pytest.mark.parametrize("spec,levels", [
+    (A1, (1, 2, 3, 5)), (A2, (1, 2, 3, 5)), (A3, (1, 2, 3)), (D4, (1, 2)),
+])
+def test_coset_representative_is_shortest(spec, levels):
+    rng = random.Random(7)
+    for level in levels:
+        gammas = _shift_cases(spec, level)
+        gammas += [tuple(rng.randint(-level - 2, level + 2) for _ in range(spec.rank))
+                   for _ in range(4)]
+        ctx = ThetaContext(spec, level, 1j, (0.05,) * spec.rank)
+        for gamma in gammas:
+            assert truncation(ctx, gamma).shift == brute_representative(spec, gamma, level), \
+                (level, gamma)
+
+
+@pytest.mark.parametrize("spec,level", [(A1, 3), (A2, 2), (A3, 1), (A3, 3), (D4, 2)])
+def test_theta_constant_on_cosets(spec, level):
+    """Theta_gamma = Theta_{gamma + k beta} for root-lattice beta: the same
+    representative and the same value, which the box scan around the moved
+    centre confirms."""
+    rng = random.Random(11)
+    u = tuple(0.05 + 0.01 * i for i in range(spec.rank))
+    ctx = ThetaContext(spec, level, 0.3 + 1.2j, u)
+    for gamma in _shift_cases(spec, level)[:3]:
+        value = theta_sum(ctx, gamma)
+        for _ in range(3):
+            coefficients = [rng.randint(-1, 1) for _ in range(spec.rank)]
+            moved = tuple(g + level * sum(c * row[j] for c, row in zip(coefficients, spec.cartan))
+                          for j, g in enumerate(gamma))
+            assert truncation(ctx, moved).shift == truncation(ctx, gamma).shift
+            assert theta_sum(ctx, moved) == value
+            radius = truncation(ctx, moved).radius
+            expected = box_scan_theta(spec, level, ctx.tau, ctx.u, moved, radius)
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_smallest_eigenvalue_exact_on_a1_a2():
+    assert _root_gram(A1)[1] == 2.0
+    assert _root_gram(A2)[1] == 1.0
+
+
+@pytest.mark.parametrize("series,rank", [("A", r) for r in range(1, 9)]
+                         + [("D", r) for r in range(4, 9)] + [("E", r) for r in (6, 7, 8)])
+def test_smallest_eigenvalue_box_counts_match_eigvalsh(series, rank):
+    """The Jacobi eigenvalue gives the tail bound the same shell box counts
+    ceil((r + 1 + s) / sqrt(lambda)) as LAPACK's."""
+    cartan = build_algebra(series, rank).cartan
+    ours = math.sqrt(_smallest_eigenvalue(cartan))
+    lapack = math.sqrt(float(np.linalg.eigvalsh(np.array(cartan, dtype=float)).min()))
+    for r in range(1, 61):
+        for s in range(1, 61):
+            assert math.ceil((r + 1.0 + s) / ours) == math.ceil((r + 1.0 + s) / lapack), (r, s)
 
 
 def word_orbit_counts(spec, gamma, parity):
