@@ -1,7 +1,8 @@
 """Golden output: `verify ... --seed 0` must reproduce the recorded JSON
 lines byte for byte.  Refactors of the checking code keep the arithmetic and
 the summation order, so the residuals themselves are pinned, not only the
-verdicts.
+verdicts.  The `weights` and `fuse` tables are pinned the same way, in each
+output format.
 
 Re-record (only after a deliberate change of output) with
 
@@ -36,10 +37,34 @@ CASES = {
     "D4_k1_lemma": (["D4", "--k", "1", "--suite", "lemma"], 0),
 }
 
+#: file name -> (command line, exit code); the suffix names the format
+COMMAND_CASES = {
+    # multiplicities up to 2 and a quadratic form with thirds
+    "G2_weights.jsonl": (["weights", "G2", "--mu", "1,1", "--format", "json"], 0),
+    "G2_weights.csv": (["weights", "G2", "--mu", "1,1", "--format", "csv"], 0),
+    "G2_weights.txt": (["weights", "G2", "--mu", "1,1", "--format", "text"], 0),
+    "B3_weights.jsonl": (["weights", "B3", "--mu", "1,0,1", "--format", "json"], 0),
+    "A2_k2_fuse_oracle.jsonl": (["fuse", "A2", "--k", "2", "--mu", "1,1", "--nu", "1,1",
+                                 "--oracle", "--format", "json"], 0),
+    "A2_k2_fuse_oracle.csv": (["fuse", "A2", "--k", "2", "--mu", "1,1", "--nu", "1,1",
+                               "--oracle", "--format", "csv"], 0),
+    "A2_k2_fuse_oracle.txt": (["fuse", "A2", "--k", "2", "--mu", "1,1", "--nu", "1,1",
+                               "--oracle", "--format", "text"], 0),
+    "B3_k2_fuse_oracle.jsonl": (["fuse", "B3", "--k", "2", "--mu", "1,0,1", "--nu", "0,0,1",
+                                 "--oracle", "--format", "json"], 0),
+    "G2_kinf_fuse.txt": (["fuse", "G2", "--k", "inf", "--mu", "1,0", "--nu", "0,1",
+                          "--format", "text"], 0),
+}
+
+
+def run_cli(argv, path):
+    """Run `<argv> --output path` in process; the exit code."""
+    return cli.main([*argv, "--output", str(path)])
+
 
 def run_verify(args, path):
     """Run `verify <args> --seed 0 --output path` in process; the exit code."""
-    return cli.main(["verify", *args, "--seed", "0", "--output", str(path)])
+    return run_cli(["verify", *args, "--seed", "0"], path)
 
 
 @pytest.mark.filterwarnings("ignore:G2 admits no complex representations")
@@ -49,6 +74,14 @@ def test_verify_output_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.jsonl"
     assert run_verify(args, out) == expected_code
     assert out.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_command_output_matches_golden(name, tmp_path):
+    argv, expected_code = COMMAND_CASES[name]
+    out = tmp_path / name
+    assert run_cli(argv, out) == expected_code
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_g2_all_keeps_suites_before_theta(capsys):
@@ -69,5 +102,9 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (args, expected_code) in sorted(CASES.items()):
         code = run_verify(args, GOLDEN / f"{name}.jsonl")
+        if code != expected_code:
+            sys.exit(f"{name}: exit {code}, expected {expected_code}")
+    for name, (argv, expected_code) in sorted(COMMAND_CASES.items()):
+        code = run_cli(argv, GOLDEN / name)
         if code != expected_code:
             sys.exit(f"{name}: exit {code}, expected {expected_code}")
