@@ -8,23 +8,18 @@ from .algebra import (
     AlgebraSpec,
     SignedDominant,
     build_algebra,
-    cartan_determinant,
     cartan_inverse,
     comarks,
     dominant_conjugate,
-    inner_product,
     positive_roots,
     reflect_to_dominant,
     signed_orbit,
-    simple_reflection,
 )
 from .characters import (
     GenericPoint,
     VarietyPoint,
     VirtualChar,
-    char_su2_closed,
     eval_char,
-    eval_char_trace,
     eval_D,
     virtual_normalize,
 )
@@ -44,24 +39,19 @@ from .fusion import (
     level_k_weights,
     level_pairing,
     tensor_decompose,
-    verlinde_N,
     verlinde_table,
 )
 from .identity import (
     VerificationReport,
     conjugacy_square_check,
     dim_bound,
-    lhs_char_sum,
     parseval_bound,
-    rhs_fusion_sum,
     verify_lemma_weightsum,
     verify_numerator_identity,
 )
 from .weights import (
     WeightSystem,
     conjugate,
-    dimension,
-    mult_sum_squares,
     weight_system,
     weyl_dimension,
 )
@@ -75,8 +65,8 @@ _LAZY_MODULES = {
     "csmodel": (
         "FourierOperator", "GaussianModel", "LatticeOperator", "build_model",
         "character_as_inner_product", "check_clock_commutator", "check_s_conjugation",
-        "clock_op", "fusion_from_operators", "operator_fusion_rows", "primary_state",
-        "s_operator", "shift_op", "vacuum_state", "wilson_operator",
+        "clock_op", "operator_fusion_rows", "primary_state", "s_operator", "shift_op",
+        "wilson_operator",
     ),
     "theta": (
         "ThetaContext", "check_heat_equation", "check_T_transform", "kac_weyl_char",

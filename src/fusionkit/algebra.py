@@ -166,9 +166,8 @@ def build_algebra(series: str, rank: int) -> AlgebraSpec:
     dual_coxeter = entry(rank) if callable(entry) else entry[rank]
     entry = _WEYL_ORDER[series]
     weyl_order = entry(rank) if callable(entry) else entry[rank]
-
-    roots = _positive_roots_from_cartan(cartan)
-    theta = max(roots, key=lambda r: _coefficient_height(cartan, r))
+    # positive roots come ordered by height, and theta is the unique highest
+    theta = _positive_roots_from_cartan(cartan)[-1]
 
     return AlgebraSpec(
         series=series,
@@ -207,27 +206,11 @@ def pairing_numerator(spec: AlgebraSpec, lam: Weight, mu: Weight) -> int:
     return sum(li * sum(g * mj for g, mj in zip(row, mu)) for li, row in zip(lam, dg) if li)
 
 
-def inner_product(spec: AlgebraSpec, lam: Weight, mu: Weight) -> Fraction:
-    """Exact symmetric pairing lam^T G mu of two weights."""
-    return Fraction(pairing_numerator(spec, lam, mu), integer_gram(spec)[0])
-
-
 @lru_cache(maxsize=None)
 def _theta_row(spec: AlgebraSpec):
     """(D, (D G) theta), so (lam, theta) = lam . row / D."""
     d, dg = integer_gram(spec)
     return d, tuple(sum(g * t for g, t in zip(row, spec.highest_root)) for row in dg)
-
-
-def simple_reflection(spec: AlgebraSpec, i: int, lam: Weight) -> Weight:
-    """Reflection in the i-th simple root (1-based), lam - lam_i * alpha_i."""
-    if not 1 <= i <= spec.rank:
-        raise ValueError(f"reflection index {i} out of range 1..{spec.rank}")
-    coeff = lam[i - 1]
-    if coeff == 0:
-        return tuple(lam)
-    alpha = spec.cartan[i - 1]
-    return tuple(l - coeff * a for l, a in zip(lam, alpha))
 
 
 class SignedDominant(NamedTuple):
@@ -339,33 +322,6 @@ def _positive_roots_from_cartan(cartan):
                         nxt.append(above)
         frontier = nxt
     return tuple(sorted(height, key=lambda r: (height[r], r)))
-
-
-@lru_cache(maxsize=None)
-def _height_row(cartan):
-    """(det C, row sums of adj C = det C * C^-1), all ints."""
-    det, inv = _gauss_jordan(cartan)
-    return int(det), tuple(int(sum(row) * det) for row in inv)
-
-
-def _coefficient_height(cartan, root) -> int:
-    """Sum of the simple-root coefficients of a root given in Dynkin labels:
-    root . (row sums of adj C) / det C, divided exactly."""
-    det, row = _height_row(cartan)
-    numerator = sum(r * a for r, a in zip(root, row))
-    height, remainder = divmod(numerator, det)
-    if remainder:
-        raise InvariantViolation(f"{root} has a non-integral height {Fraction(numerator, det)}")
-    return height
-
-
-def cartan_determinant(spec: AlgebraSpec) -> int:
-    """det C, exactly; equals the index of the root lattice in the weight
-    lattice."""
-    det, _ = _gauss_jordan(spec.cartan)
-    if det.denominator != 1:
-        raise InvariantViolation(f"det C = {det} of {spec} is not an integer")
-    return int(det)
 
 
 def comarks(spec: AlgebraSpec) -> tuple:

@@ -35,7 +35,6 @@ from .algebra import (
     signed_orbit,
 )
 from .errors import CapExceeded, SingularPointError, check_cap
-from .weights import weight_system
 
 #: below this magnitude the Weyl denominator counts as a wall, not a value
 DENOMINATOR_FLOOR = 1e-9
@@ -298,22 +297,6 @@ def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
     return values
 
 
-def eval_char_trace(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
-    """Character as the plain weight-system sum sum_{r in Omega_mu} m_r e^{(r,p)};
-    slower than eval_char but independent of the Weyl-ratio code path."""
-    _check_point(spec, p)
-    ws = weight_system(spec, mu)
-    if isinstance(p, GenericPoint):
-        gu = _generic_pairing_vector(spec, p.u)
-        return sum(
-            mult * cmath.exp(sum(ri * gi for ri, gi in zip(r, gu)))
-            for r, mult in ws.entries.items()
-        )
-    kernel = phase_kernel(cartan_inverse(spec), p.level_shifted)
-    values = phase_sums(kernel, list(ws.entries), list(ws.entries.values()), [p.gamma])
-    return complex(values[0])
-
-
 def virtual_normalize(spec: AlgebraSpec, lam: Weight) -> VirtualChar:
     """Reduce an arbitrary lattice weight to its virtual-character normal form.
 
@@ -326,11 +309,3 @@ def virtual_normalize(spec: AlgebraSpec, lam: Weight) -> VirtualChar:
     if sign == 0:
         return VirtualChar(0, None)
     return VirtualChar(sign, tuple(r - 1 for r in reduced))
-
-
-def char_su2_closed(n: int, k: int, x: float) -> float:
-    """Closed-form level-k su(2) character sin(pi (n+1) x/(k+2)) / sin(pi x/(k+2))."""
-    denominator = math.sin(math.pi * x / (k + 2))
-    if abs(denominator) < DENOMINATOR_FLOOR:
-        raise SingularPointError(f"x = {x} is a zero of the level-{k} su(2) denominator")
-    return math.sin(math.pi * (n + 1) * x / (k + 2)) / denominator

@@ -42,7 +42,7 @@ from .fusion import (
     verlinde_table,
 )
 from .identity import VerificationReport, integer_report
-from .weights import dimension, mult_sum_squares, weight_system
+from .weights import square_sum, weight_system, weyl_dimension
 
 EXIT_OK = 0
 EXIT_CAP = 1
@@ -93,13 +93,37 @@ def _parse_tau(text: str) -> complex:
 
 
 def _output(config: RunConfig):
-    """The --output file, or stdout (left open)."""
-    return open(config.output, "w") if config.output else nullcontext(sys.stdout)
+    """The --output file, or stdout (left open).  A file that cannot be
+    opened for writing is a usage error."""
+    try:
+        return open(config.output, "w") if config.output else nullcontext(sys.stdout)
+    except OSError as err:
+        raise ValueError(f"cannot write --output {config.output}: {err.strerror}") from None
 
 
 def _emit(lines, config: RunConfig):
     with _output(config) as out:
         out.writelines(line + "\n" for line in lines)
+
+
+def _rows(table: dict, column: str) -> list:
+    """A weight -> integer table as JSON rows, sorted by weight."""
+    return [{"weight": list(w), column: c} for w, c in sorted(table.items())]
+
+
+def _emit_table(record: dict, table: dict, column: str, title: str, config: RunConfig,
+                footer=()):
+    """One weight -> integer table in the run's format: the whole record as
+    one JSON line, the table as CSV with a weight and a ``column`` column,
+    or text: the title, one indented line per weight, then the footer."""
+    entries = sorted(table.items())
+    if config.fmt == "json":
+        lines = [json.dumps(record)]
+    elif config.fmt == "csv":
+        lines = [f"weight,{column}"] + [f"\"{','.join(map(str, w))}\",{c}" for w, c in entries]
+    else:
+        lines = [title] + [f"  {w}: {c}" for w, c in entries] + list(footer)
+    _emit(lines, config)
 
 
 def _report_line(report: VerificationReport, config: RunConfig, mu=None, nu=None) -> str:
@@ -297,26 +321,17 @@ def _cmd_weights(args, config: RunConfig) -> int:
     spec = config.spec
     mu = _parse_weight(args.mu, spec.rank)
     ws = weight_system(spec, mu)
+    dim, sum_squares = weyl_dimension(spec, mu), square_sum(spec, mu)
     record = {
         "algebra": str(spec),
         "mu": list(mu),
-        "dim": dimension(ws),
-        "sum_squares": mult_sum_squares(ws),
-        "entries": [
-            {"weight": list(w), "multiplicity": m} for w, m in sorted(ws.entries.items())
-        ],
+        "dim": dim,
+        "sum_squares": sum_squares,
+        "entries": _rows(ws.entries, "multiplicity"),
     }
-    if config.fmt == "json":
-        _emit([json.dumps(record)], config)
-    elif config.fmt == "csv":
-        lines = ["weight,multiplicity"]
-        lines += [f"\"{','.join(map(str, w))}\",{m}" for w, m in sorted(ws.entries.items())]
-        _emit(lines, config)
-    else:
-        lines = [f"weight system of {mu} in {spec}: dim {record['dim']}, "
-                 f"sum of squared multiplicities {record['sum_squares']}"]
-        lines += [f"  {w}: {m}" for w, m in sorted(ws.entries.items())]
-        _emit(lines, config)
+    title = (f"weight system of {mu} in {spec}: dim {dim}, "
+             f"sum of squared multiplicities {sum_squares}")
+    _emit_table(record, ws.entries, "multiplicity", title, config)
     return EXIT_OK
 
 
@@ -333,32 +348,22 @@ def _cmd_fuse(args, config: RunConfig) -> int:
         "k": config.k,
         "mu": list(mu),
         "nu": list(nu),
-        "table": [{"weight": list(w), "coefficient": c} for w, c in sorted(table.items())],
+        "table": _rows(table, "coefficient"),
     }
     exit_code = EXIT_OK
+    footer = []
     if args.oracle:
         if config.k is None:
             raise ValueError("--oracle needs a finite level")
         oracle = verlinde_table(spec, mu, nu, config.k)
         record["oracle_matches"] = oracle == table
         if not record["oracle_matches"]:
-            record["oracle_table"] = [
-                {"weight": list(w), "coefficient": c} for w, c in sorted(oracle.items())
-            ]
+            record["oracle_table"] = _rows(oracle, "coefficient")
             exit_code = EXIT_VERIFY
-    if config.fmt == "json":
-        _emit([json.dumps(record)], config)
-    elif config.fmt == "csv":
-        lines = ["weight,coefficient"]
-        lines += [f"\"{','.join(map(str, w))}\",{c}" for w, c in sorted(table.items())]
-        _emit(lines, config)
-    else:
-        level_name = "infinity" if config.k is None else str(config.k)
-        lines = [f"{mu} x {nu} in {spec} at k = {level_name}:"]
-        lines += [f"  {w}: {c}" for w, c in sorted(table.items())]
-        if args.oracle:
-            lines.append(f"oracle agreement: {record['oracle_matches']}")
-        _emit(lines, config)
+        footer.append(f"oracle agreement: {record['oracle_matches']}")
+    level_name = "infinity" if config.k is None else str(config.k)
+    title = f"{mu} x {nu} in {spec} at k = {level_name}:"
+    _emit_table(record, table, "coefficient", title, config, footer)
     return exit_code
 
 
@@ -366,11 +371,12 @@ def _cmd_verify(args, config: RunConfig) -> int:
     """Each report line is written as its case finishes, so a suite that
     raises keeps the lines of the cases before it."""
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    finite_only = [name for name in names if name != "identity"]
+    if config.k is None and finite_only:  # checked before the first case runs
+        raise ValueError(f"the {finite_only[0]} suite needs a finite level")
     all_passed = True
     with _output(config) as out:
         for name in names:
-            if config.k is None and name != "identity":
-                raise ValueError(f"the {name} suite needs a finite level")
             for report, mu, nu in _SUITES[name](config.spec, config):
                 out.write(_report_line(report, config, mu, nu) + "\n")
                 out.flush()

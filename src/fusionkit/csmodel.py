@@ -163,11 +163,6 @@ def basis_state(model: GaussianModel, v) -> np.ndarray:
     return _class_state(model, [tuple(int(x) for x in v)], [1.0 / math.sqrt(len(model.radical))])
 
 
-def vacuum_state(model: GaussianModel) -> np.ndarray:
-    """|0>: unit-norm, fixed by every clock operator."""
-    return basis_state(model, (0,) * model.spec.rank)
-
-
 def inner(bra: np.ndarray, ket: np.ndarray) -> complex:
     return complex(np.vdot(bra, ket))
 
@@ -428,12 +423,6 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
             f"differs from the alternating sum by {abs(value - expected):.3e}"
         )
     return value
-
-
-def fusion_from_operators(model: GaussianModel, mu: Weight, nu: Weight) -> dict:
-    """Fusion coefficients read off the operator algebra: the row of
-    operator_fusion_rows for the one primary psi_nu."""
-    return operator_fusion_rows(model, mu, [nu])[0]
 
 
 def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:

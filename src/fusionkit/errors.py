@@ -39,11 +39,17 @@ class InvariantViolation(FusionkitError):
 @dataclass(frozen=True)
 class Caps:
     """Resource limits.  Configuration, not constants: the E-series blows up
-    quickly and the library must fail loudly instead of hanging."""
+    quickly and the library must fail loudly instead of hanging.  A cap
+    below 1 is rejected with ValueError."""
 
     weyl_order: int = 10**6
     dim: int = 10**5
     hilbert: int = 10**6
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"cap {name} must be at least 1, got {value}")
 
 
 DEFAULT_CAPS = Caps()

@@ -201,13 +201,6 @@ def _s_matrix(spec: AlgebraSpec, k: int):
     return tuple(weights), tuple(rows)
 
 
-def verlinde_N(spec: AlgebraSpec, mu: Weight, nu: Weight, lam: Weight, k: int) -> int:
-    """One coefficient of the Verlinde oracle, read off verlinde_table."""
-    if not is_integrable(spec, lam, k):
-        raise ValueError(f"{tuple(lam)} is not integrable at level {k}")
-    return verlinde_table(spec, mu, nu, k).get(tuple(lam), 0)
-
-
 def verlinde_table(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
     """Full fusion row of the independent oracle: lam -> N for every
     integrable lam, by the S-matrix ratio

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import AlgebraSpec, Weight
-from .characters import EvalPoint, alternating_sums, weyl_ratio_sums
+from .characters import alternating_sums
 from .errors import InvariantViolation, check_cap
-from .fusion import fuse_level_k, is_integrable, tensor_decompose
+from .fusion import fuse_level_k, is_integrable
 from .weights import conjugate, square_sum, weight_system, weyl_dimension
 
 
@@ -139,21 +139,6 @@ def check_identity(case_id: str, spec: AlgebraSpec, mu: Weight, nu: Weight, tabl
     lhs = kernel(_lhs_terms(spec, mu, nu), points)
     rhs = kernel(_rhs_terms(table), points)
     return make_report(case_id, tolerance, zip(points, map(complex, lhs), map(complex, rhs)))
-
-
-def lhs_char_sum(spec: AlgebraSpec, mu: Weight, nu: Weight, p: EvalPoint) -> complex:
-    """sum over Omega_mu (with multiplicity) of the virtual character of
-    mu' + nu at p."""
-    return weyl_ratio_sums(spec, _lhs_terms(spec, mu, nu), [p])[0]
-
-
-def rhs_fusion_sum(spec: AlgebraSpec, mu: Weight, nu: Weight, p: EvalPoint,
-                   k: int | None = None) -> complex:
-    """sum_iota N_{mu nu}^iota chi_iota(p), with N the tensor coefficients
-    when k is None (algebra level) and the level-k fusion table otherwise."""
-    mu, nu = tuple(mu), tuple(nu)
-    table = tensor_decompose(spec, mu, nu) if k is None else fuse_level_k(spec, mu, nu, k)
-    return weyl_ratio_sums(spec, _rhs_terms(table), [p])[0]
 
 
 def _full_residue_gammas(spec: AlgebraSpec, k: int) -> list:

@@ -15,7 +15,6 @@ from functools import lru_cache
 from .algebra import (
     AlgebraSpec,
     Weight,
-    _coefficient_height,
     dominant_conjugate,
     integer_gram,
     pairing_numerator,
@@ -135,16 +134,16 @@ def _weight_set(spec: AlgebraSpec, mu: Weight):
         frontier = nxt
     return members
 
-def _depth(spec: AlgebraSpec, mu: Weight, lam: Weight) -> int:
-    """Height of mu - lam in simple-root coordinates."""
-    return _coefficient_height(spec.cartan, tuple(m - l for m, l in zip(mu, lam)))
-
 
 def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
     """Freudenthal recursion on the dominant weights, top down:
 
         ((mu+rho)^2 - (lam+rho)^2) m_lam = 2 sum_{alpha>0} sum_{j>=1}
                                              m_{lam+j alpha} (lam+j alpha, alpha)
+
+    Dominant weights are visited by increasing denominator: for dominant
+    lam below lam', (lam+rho)^2 < (lam'+rho)^2 (Humphreys, section 13.4), so
+    every m_{lam+j alpha} is known when lam is reached.
     """
     mu_rho = tuple(m + 1 for m in mu)
     norm_top = pairing_numerator(spec, mu_rho, mu_rho)
@@ -152,18 +151,17 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
     roots = [(alpha, row, sum(a * r for a, r in zip(alpha, row)))
              for alpha, row in zip(positive_roots(spec), _root_rows(spec))]
 
+    # both sides are numerators over D, which cancels in the ratio
     dominant = sorted(
-        (w for w in members if all(label >= 0 for label in w)),
-        key=lambda w: _depth(spec, mu, w),
+        (norm_top - pairing_numerator(spec, lam_rho, lam_rho), lam)
+        for lam in members if all(label >= 0 for label in lam)
+        for lam_rho in [tuple(l + 1 for l in lam)]
     )
     mults: dict[Weight, int] = {}
-    for lam in dominant:
+    for denominator, lam in dominant:
         if lam == mu:
             mults[lam] = 1
             continue
-        lam_rho = tuple(l + 1 for l in lam)
-        # both sides are numerators over D, which cancels in the ratio
-        denominator = norm_top - pairing_numerator(spec, lam_rho, lam_rho)
         if denominator <= 0:
             raise InvariantViolation(f"Freudenthal denominator {denominator}/D at {lam} in {mu}")
         acc = 0
@@ -181,16 +179,6 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
                                      f"is not a positive integer")
         mults[lam] = value
     return mults
-
-
-def dimension(ws: WeightSystem) -> int:
-    """Sum of multiplicities = dim of the representation."""
-    return sum(ws.entries.values())
-
-
-def mult_sum_squares(ws: WeightSystem) -> int:
-    """Sum of squared multiplicities over the weight system."""
-    return sum(m * m for m in ws.entries.values())
 
 
 def conjugate(spec: AlgebraSpec, mu: Weight) -> Weight:

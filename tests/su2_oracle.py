@@ -1,12 +1,24 @@
-"""The su(2)_k character numerator as an explicit scalar two-term sum, an
-oracle for the lattice theta sums of fusionkit.theta that shares no code
-with them.  Test modules import this file as a plain module
-(``from su2_oracle import ...``); pytest puts the tests directory on
-sys.path.
+"""Closed forms of su(2)_k: the character numerator as an explicit scalar
+two-term sum, an oracle for the lattice theta sums of fusionkit.theta that
+shares no code with them, and the level-k character as a ratio of sines, an
+oracle for the Weyl ratios of fusionkit.characters.  Test modules import
+this file as a plain module (``from su2_oracle import ...``); pytest puts
+the tests directory on sys.path.
 """
 
 import cmath
 import math
+
+from fusionkit.characters import DENOMINATOR_FLOOR
+from fusionkit.errors import SingularPointError
+
+
+def char_su2_closed(n: int, k: int, x: float) -> float:
+    """Closed-form level-k su(2) character sin(pi (n+1) x/(k+2)) / sin(pi x/(k+2))."""
+    denominator = math.sin(math.pi * x / (k + 2))
+    if abs(denominator) < DENOMINATOR_FLOOR:
+        raise SingularPointError(f"x = {x} is a zero of the level-{k} su(2) denominator")
+    return math.sin(math.pi * (n + 1) * x / (k + 2)) / denominator
 
 
 def su2_numerator_closed(j: int, k: int, tau: complex, u: complex,

@@ -6,25 +6,35 @@ from fractions import Fraction
 import pytest
 
 from fusionkit.algebra import (
-    _coefficient_height,
     _gauss_jordan,
     build_algebra,
-    cartan_determinant,
     cartan_inverse,
     comarks,
     dominant_conjugate,
-    inner_product,
+    integer_gram,
+    pairing_numerator,
     positive_roots,
     reflect_to_dominant,
     signed_orbit,
-    simple_reflection,
 )
-from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
+from fusionkit.errors import CapExceeded, Caps, use_caps
 
-from weyl_oracle import apply_word, weyl_elements, weyl_orbit, word_sign
+from weyl_oracle import (
+    apply_word,
+    cartan_determinant,
+    simple_reflection,
+    weyl_elements,
+    weyl_orbit,
+    word_sign,
+)
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)]
+
+
+def pairing(spec, lam, mu) -> Fraction:
+    """(lam, mu) as the integer numerator over D."""
+    return Fraction(pairing_numerator(spec, lam, mu), integer_gram(spec)[0])
 
 
 def test_a1_tables():
@@ -41,7 +51,7 @@ def test_a2_tables():
     assert a2.cartan == ((2, -1), (-1, 2))
     assert a2.dual_coxeter == 3
     assert a2.highest_root == (1, 1)
-    assert inner_product(a2, a2.rho, a2.rho) == 2
+    assert pairing(a2, a2.rho, a2.rho) == 2
 
 
 @pytest.mark.parametrize("series,rank", [("A", 0), ("B", 1), ("C", 2), ("D", 3),
@@ -70,7 +80,7 @@ def test_cartan_invariants(series, rank):
     if series in ("A", "D", "E"):
         assert spec.quad_form == cartan_inverse(spec)
     # the highest root is long: (theta, theta) = 2
-    assert inner_product(spec, spec.highest_root, spec.highest_root) == 2
+    assert pairing(spec, spec.highest_root, spec.highest_root) == 2
 
 
 _LATTICE_INDEX = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
@@ -96,7 +106,7 @@ def test_gauss_jordan_pivoting_and_singular():
 @pytest.mark.parametrize("series,rank", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])
 def test_dual_coxeter_against_rho_pairing(series, rank):
     spec = build_algebra(series, rank)
-    assert inner_product(spec, spec.rho, spec.highest_root) + 1 == spec.dual_coxeter
+    assert pairing(spec, spec.rho, spec.highest_root) + 1 == spec.dual_coxeter
     assert spec.dual_coxeter == 1 + sum(comarks(spec))
 
 
@@ -110,7 +120,7 @@ def test_root_base_roundtrip(series, rank):
                  for i in range(rank)]  # (alpha_i, alpha_i)/2 via G C^T diag
     for i in range(rank):
         for j in range(rank):
-            lhs = inner_product(spec, spec.cartan[i], spec.cartan[j])
+            lhs = pairing(spec, spec.cartan[i], spec.cartan[j])
             assert lhs == spec.cartan[i][j] * halfnorms[j]
             assert lhs == spec.cartan[j][i] * halfnorms[i]
 
@@ -133,8 +143,8 @@ def test_reflection_involution_and_isometry(series, rank):
         mu = tuple(rng.randint(-5, 5) for _ in range(rank))
         i = rng.randint(1, rank)
         assert simple_reflection(spec, i, simple_reflection(spec, i, lam)) == lam
-        assert inner_product(spec, simple_reflection(spec, i, lam),
-                             simple_reflection(spec, i, mu)) == inner_product(spec, lam, mu)
+        assert pairing(spec, simple_reflection(spec, i, lam),
+                       simple_reflection(spec, i, mu)) == pairing(spec, lam, mu)
 
 
 def test_reflect_to_dominant_examples():
@@ -236,12 +246,13 @@ def fraction_height(spec, root) -> Fraction:
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
     ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 def test_integer_height_matches_fraction_formula(series, rank):
+    """positive_roots is sorted by the integral heights of the Fraction
+    formula, and the highest root is its last entry, the one root of
+    greatest height."""
     spec = build_algebra(series, rank)
-    for root in positive_roots(spec):
-        assert _coefficient_height(spec.cartan, root) == fraction_height(spec, root)
-
-
-def test_non_integral_height_raises():
-    a1 = build_algebra("A", 1)
-    with pytest.raises(InvariantViolation):
-        _coefficient_height(a1.cartan, (1,))   # omega_1 = alpha_1 / 2
+    roots = positive_roots(spec)
+    heights = [fraction_height(spec, root) for root in roots]
+    assert all(height.denominator == 1 for height in heights)
+    assert heights == sorted(heights)
+    assert roots[-1] == spec.highest_root
+    assert heights.count(heights[-1]) == 1

@@ -12,16 +12,16 @@ from fusionkit.algebra import build_algebra
 from fusionkit.characters import (
     GenericPoint,
     VarietyPoint,
-    char_su2_closed,
     eval_char,
-    eval_char_trace,
     eval_D,
     virtual_normalize,
     weyl_ratio_sums,
 )
 from fusionkit.errors import CapExceeded, Caps, SingularPointError, use_caps
-from fusionkit.weights import dimension, weight_system
+from fusionkit.weights import weyl_dimension
 
+from character_oracle import eval_char_trace
+from su2_oracle import char_su2_closed
 from weyl_oracle import apply_word, weyl_elements, word_sign
 
 A1 = build_algebra("A", 1)
@@ -84,7 +84,7 @@ def test_char_at_zero_point_is_dimension():
     # chi_mu(u) = dim(mu) + O(|u|^2) as u -> 0 through regular points
     p = GenericPoint((5e-3j, 6.5e-3j))
     for mu in [(1, 0), (1, 1), (2, 1)]:
-        assert abs(eval_char(A2, mu, p) - dimension(weight_system(A2, mu))) < 0.05
+        assert abs(eval_char(A2, mu, p) - weyl_dimension(A2, mu)) < 0.05
 
 
 def test_eval_D_variety_two_term():

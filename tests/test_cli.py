@@ -29,6 +29,12 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def run_with_stderr(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_weights_json(capsys):
     code, out = run(capsys, "weights", "A1", "--mu", "2")
     assert code == 0
@@ -153,6 +159,17 @@ def test_e_series_runs_without_orbits_pass(capsys):
 def test_env_caps_rejects_garbage(capsys, monkeypatch):
     monkeypatch.setenv("FUSIONKIT_CAPS", "nonsense=1")
     assert run(capsys, "weights", "A1", "--mu", "1")[0] == 2
+    # a cap below 1 is a usage error, from the environment and from the flags
+    for override in ("dim=0", "weyl_order=-5", "hilbert=0"):
+        monkeypatch.setenv("FUSIONKIT_CAPS", override)
+        code, _, err = run_with_stderr(capsys, "weights", "A1", "--mu", "1")
+        assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
+    monkeypatch.delenv("FUSIONKIT_CAPS")
+    for flag, name, value in [("--cap-dim", "dim", "-1"), ("--cap-dim", "dim", "0"),
+                              ("--cap-weyl-order", "weyl_order", "0"),
+                              ("--cap-hilbert", "hilbert", "-3")]:
+        code, _, err = run_with_stderr(capsys, "weights", "A1", "--mu", "1", flag, value)
+        assert code == 2 and err == f"error: cap {name} must be at least 1, got {value}\n"
 
 
 def test_fuse_examples(capsys):
@@ -285,6 +302,29 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert code == 0 and out == ""
     lines = target.read_text().strip().splitlines()
     assert lines and all(json.loads(line)["passed"] for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "A1", "--mu", "1"],
+    ["fuse", "A1", "--k", "2", "--mu", "1", "--nu", "1"],
+    ["verify", "A1", "--k", "2", "--suite", "lemma"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    """A directory or a file in a missing directory as --output exits 2 with
+    one error line, not a traceback."""
+    for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+        code, out, err = run_with_stderr(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --output {target}: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_infinite_level_rejected_before_the_first_case(capsys):
+    """verify with the default --k inf --suite all stops at the lemma suite's
+    level check before the identity suite runs any case."""
+    code, out, err = run_with_stderr(capsys, "verify", "A2")
+    assert code == 2 and out == ""
+    assert err == "error: the lemma suite needs a finite level\n"
 
 
 def test_theta_command(capsys):

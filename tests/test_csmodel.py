@@ -16,13 +16,11 @@ from fusionkit.csmodel import (
     check_clock_commutator,
     check_s_conjugation,
     clock_op,
-    fusion_from_operators,
     inner,
     operator_fusion_rows,
     primary_state,
     s_operator,
     shift_op,
-    vacuum_state,
     wilson_operator,
 )
 from fusionkit.errors import CapExceeded, Caps, use_caps
@@ -134,7 +132,7 @@ def test_clock_commutator_phase():
     # a b a^-1 b^-1 = exp(2 pi i (1/2) / 4) = exp(i pi / 4) on every state
     a, b = clock_op(m, 1), shift_op(m, 1)
     group = a @ b @ a.dagger() @ b.dagger()
-    psi = vacuum_state(m)
+    psi = basis_state(m, (0,))
     ratio = group.apply(psi)[(0,)] / psi[(0,)]
     assert abs(ratio - cmath.exp(1j * cmath.pi / 4)) < 1e-14
 
@@ -201,10 +199,10 @@ def test_state_operator_correspondence(spec, k):
 
 def test_s_vacuum_is_uniform():
     m = build_model(A1, 2)
-    state = s_operator(m).apply_inverse(vacuum_state(m))
+    state = s_operator(m).apply_inverse(basis_state(m, (0,)))
     assert np.allclose(state, 1.0 / math.sqrt(8))
     m2 = build_model(A2, 1)
-    state2 = s_operator(m2).apply_inverse(vacuum_state(m2))
+    state2 = s_operator(m2).apply_inverse(basis_state(m2, (0, 0)))
     # uniform over the 48 physical states = constant on the covering array
     assert np.allclose(state2, state2[(0, 0)])
     assert abs(np.linalg.norm(state2) - 1.0) < 1e-12
@@ -305,7 +303,7 @@ def test_primary_state_cache_respects_byte_budget(monkeypatch):
     csmodel._state_cache.cache_clear()
     monkeypatch.setattr(csmodel, "_STATE_CACHE_BYTES", 2 * model.cover_size * 16)
     weights = level_k_weights(A2, 2)
-    table = fusion_from_operators(model, (1, 0), (0, 1))
+    table = operator_fusion_rows(model, (1, 0), [(0, 1)])[0]
     assert len(csmodel._state_cache(model)) == 2
     assert table == fuse_level_k(A2, (1, 0), (0, 1), 2)
     for r in weights:
@@ -327,17 +325,18 @@ def test_cached_values_equal_cold_values(series, rank, k):
     char_cases = [(gamma, mu) for gamma in gammas for mu in weights]
     fusion_cases = [(mu, nu) for mu in weights for nu in weights][::3]
     cold_chars = [_cold(character_as_inner_product, model, *case) for case in char_cases]
-    cold_tables = [_cold(fusion_from_operators, model, *case) for case in fusion_cases]
+    cold_tables = [_cold(operator_fusion_rows, model, mu, [nu])[0] for mu, nu in fusion_cases]
     for _ in range(2):
         assert [character_as_inner_product(model, *case) for case in char_cases] == cold_chars
-        assert [fusion_from_operators(model, *case) for case in fusion_cases] == cold_tables
+        assert [operator_fusion_rows(model, mu, [nu])[0]
+                for mu, nu in fusion_cases] == cold_tables
 
 
 def test_fusion_from_operators_examples():
     m = build_model(A1, 2)
-    assert fusion_from_operators(m, (2,), (2,)) == {(0,): 1}
+    assert operator_fusion_rows(m, (2,), [(2,)])[0] == {(0,): 1}
     for mu in level_k_weights(A1, 2):
-        assert fusion_from_operators(m, mu, (0,)) == {mu: 1}
+        assert operator_fusion_rows(m, mu, [(0,)])[0] == {mu: 1}
 
 
 @pytest.mark.parametrize("spec,kmax", [(A1, 4), (A2, 2)])
@@ -347,7 +346,7 @@ def test_three_way_fusion_agreement(spec, kmax):
         weights = level_k_weights(spec, k)
         for mu in weights:
             for nu in weights:
-                operator_table = fusion_from_operators(model, mu, nu)
+                operator_table = operator_fusion_rows(model, mu, [nu])[0]
                 assert operator_table == fuse_level_k(spec, mu, nu, k)
                 assert operator_table == verlinde_table(spec, mu, nu, k)
 
@@ -389,9 +388,9 @@ def test_non_integrable_rejected():
     with pytest.raises(ValueError):
         primary_state(m, (3,))
     with pytest.raises(ValueError):
-        fusion_from_operators(m, (3,), (0,))
+        operator_fusion_rows(m, (3,), [(0,)])
     with pytest.raises(ValueError):
-        fusion_from_operators(m, (0,), (3,))
+        operator_fusion_rows(m, (0,), [(3,)])
 
 
 @pytest.mark.parametrize("series,rank,k", [("B", 2, 2), ("C", 3, 1), ("G", 2, 1)])
@@ -407,7 +406,7 @@ def test_non_simply_laced_models(series, rank, k):
             assert abs(value - (1.0 if r == s else 0.0)) < 1e-12
     for mu in weights:
         for nu in weights:
-            assert fusion_from_operators(model, mu, nu) == fuse_level_k(spec, mu, nu, k)
+            assert operator_fusion_rows(model, mu, [nu])[0] == fuse_level_k(spec, mu, nu, k)
     assert check_s_conjugation(model) < 1e-12
 
 

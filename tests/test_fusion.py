@@ -12,10 +12,9 @@ from fusionkit.fusion import (
     is_integrable,
     level_k_weights,
     tensor_decompose,
-    verlinde_N,
     verlinde_table,
 )
-from fusionkit.weights import WeightSystem, conjugate, dimension, weight_system
+from fusionkit.weights import WeightSystem, conjugate, weyl_dimension
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -39,9 +38,8 @@ def test_tensor_dimension_sum_rule(spec):
     for mu in labels:
         for nu in labels:
             table = tensor_decompose(spec, mu, nu)
-            total = sum(c * dimension(weight_system(spec, w)) for w, c in table.items())
-            assert total == (dimension(weight_system(spec, mu))
-                             * dimension(weight_system(spec, nu)))
+            total = sum(c * weyl_dimension(spec, w) for w, c in table.items())
+            assert total == weyl_dimension(spec, mu) * weyl_dimension(spec, nu)
 
 
 def test_fuse_su2_collapse_at_level_2():
@@ -109,19 +107,15 @@ def test_integrability_predicate():
 
 
 def test_verlinde_examples():
-    assert verlinde_N(A1, (2,), (2,), (0,), 2) == 1
-    assert verlinde_N(A1, (2,), (2,), (2,), 2) == 0
+    assert verlinde_table(A1, (2,), (2,), 2) == {(0,): 1}
     for nu in level_k_weights(A1, 3):
-        for lam in level_k_weights(A1, 3):
-            assert verlinde_N(A1, (0,), nu, lam, 3) == int(nu == lam)
+        assert verlinde_table(A1, (0,), nu, 3) == {nu: 1}
     assert verlinde_table(A2, (1, 0), (1, 0), 1) == {(0, 1): 1}
 
 
 def test_verlinde_rejects_non_integrable_weights():
     with pytest.raises(ValueError, match=r"\(3, 0\) is not integrable"):
         verlinde_table(A2, (3, 0), (1, 0), 2)
-    with pytest.raises(ValueError, match=r"\(0, 3\) is not integrable"):
-        verlinde_N(A2, (1, 0), (1, 0), (0, 3), 2)
     with pytest.raises(ValueError, match="level must be nonnegative"):
         verlinde_table(A2, (0, 0), (0, 0), -1)
 
@@ -139,9 +133,7 @@ def test_oracle_equivalence(spec, kmax):
         weights = level_k_weights(spec, k)
         for mu in weights:
             for nu in weights:
-                folded = fuse_level_k(spec, mu, nu, k)
-                for lam in weights:
-                    assert folded.get(lam, 0) == verlinde_N(spec, mu, nu, lam, k)
+                assert fuse_level_k(spec, mu, nu, k) == verlinde_table(spec, mu, nu, k)
 
 
 @pytest.mark.parametrize("spec,kmax", [(A1, 4), (A2, 2)] + RING_AXIOM_CASES)

@@ -19,13 +19,13 @@ from fusionkit.identity import (
     VerificationReport,
     conjugacy_square_check,
     dim_bound,
-    lhs_char_sum,
     parseval_bound,
-    rhs_fusion_sum,
     verify_lemma_weightsum,
     make_report,
     verify_numerator_identity,
 )
+
+from character_oracle import lhs_char_sum, rhs_fusion_sum
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)

@@ -81,3 +81,34 @@ def test_package_exports_numeric_names_lazily():
     with pytest.raises(AttributeError, match="no_such_name"):
         fusionkit.no_such_name
 
+
+
+#: the public names of the package, lazy ones included
+PUBLIC_NAMES = [
+    "AlgebraSpec", "CapExceeded", "Caps", "DEFAULT_CAPS", "FourierOperator", "FusionkitError",
+    "GaussianModel", "GenericPoint", "LatticeOperator", "OracleMismatchError", "SignedDominant",
+    "SingularPointError", "ThetaContext", "VarietyPoint", "VerificationReport", "VirtualChar",
+    "WeightSystem", "algebra", "build_algebra", "build_model", "caps_from_env", "cartan_inverse",
+    "character_as_inner_product", "characters", "check_T_transform", "check_clock_commutator",
+    "check_heat_equation", "check_s_conjugation", "clock_op", "comarks",
+    "conjugacy_square_check", "conjugate", "csmodel", "dim_bound", "dominant_conjugate",
+    "errors", "eval_D", "eval_char", "fuse_level_k", "fusion", "identity", "importlib",
+    "is_integrable", "kac_weyl_char", "level_k_weights", "level_pairing",
+    "operator_fusion_rows", "parseval_bound", "positive_roots", "primary_state",
+    "reflect_to_dominant", "s_operator", "shift_op", "signed_orbit", "tensor_decompose",
+    "theta", "theta_sum", "theta_weyl", "use_caps", "verify_kw_identity",
+    "verify_lemma_weightsum", "verify_numerator_identity", "verlinde_table",
+    "virtual_normalize", "weight_system", "weights", "weyl_dimension", "wilson_operator",
+]
+
+
+def test_public_names_are_pinned():
+    """dir(fusionkit) in a fresh interpreter, where no test has imported a
+    submodule such as fusionkit.cli, lists exactly the pinned names."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = "import fusionkit; print(*(n for n in dir(fusionkit) if not n.startswith('_')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 68

@@ -14,7 +14,6 @@ from fusionkit.characters import (
     TWO_PI,
     VarietyPoint,
     alternating_sums,
-    eval_char_trace,
     eval_D,
     phase_kernel,
     roots_of_unity,
@@ -23,6 +22,7 @@ from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.fusion import _s_matrix, level_k_weights
 from fusionkit.weights import weight_system
 
+from character_oracle import eval_char_trace
 from weyl_oracle import apply_word, weyl_elements, weyl_orbit, word_sign
 
 KERNEL_ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4),

@@ -29,7 +29,7 @@ from fusionkit.theta import (
     truncation,
     verify_kw_identity,
 )
-from fusionkit.algebra import inner_product, integer_gram, pairing_numerator
+from fusionkit.algebra import integer_gram, pairing_numerator
 
 from su2_oracle import su2_numerator_closed
 from weyl_oracle import apply_word, weyl_elements, word_sign
@@ -174,8 +174,8 @@ def test_kac_weyl_tau_to_infinity_is_trig_character():
         mu_rho = (mu[0] + 1,)
         scale = cmath.exp(
             1j * math.pi * tau
-            * float(inner_product(A1, mu_rho, mu_rho) - inner_product(A1, (1,), (1,)))
-            / level
+            * (pairing_numerator(A1, mu_rho, mu_rho) - pairing_numerator(A1, (1,), (1,)))
+            / integer_gram(A1)[0] / level
         )
         trig = eval_char(A1, mu, GenericPoint((2j * math.pi * u,)))
         assert abs(kac_weyl_char(ctx, mu) / scale - trig) < 1e-9

@@ -10,8 +10,7 @@ from fusionkit.algebra import build_algebra
 from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
 from fusionkit.weights import (
     conjugate,
-    dimension,
-    mult_sum_squares,
+    square_sum,
     weight_system,
     weyl_dimension,
 )
@@ -30,21 +29,22 @@ def test_su2_weight_systems():
 
 def test_su2_dimension_is_label_plus_one():
     for n in range(8):
-        assert dimension(weight_system(A1, (n,))) == n + 1
+        assert sum(weight_system(A1, (n,)).entries.values()) == n + 1
+        assert weyl_dimension(A1, (n,)) == n + 1
 
 
 def test_a2_adjoint():
     ws = weight_system(A2, (1, 1))
     assert len(ws.entries) == 7
     assert ws.entries[(0, 0)] == 2
-    assert dimension(ws) == 8
-    assert mult_sum_squares(ws) == 10
+    assert weyl_dimension(A2, (1, 1)) == 8
+    assert square_sum(A2, (1, 1)) == 10
 
 
 def test_a2_small_sum_squares():
-    assert mult_sum_squares(weight_system(A2, (1, 0))) == 3
-    assert dimension(weight_system(A2, (1, 0))) == 3
-    assert mult_sum_squares(weight_system(A2, (2, 0))) == 6
+    assert square_sum(A2, (1, 0)) == 3
+    assert weyl_dimension(A2, (1, 0)) == 3
+    assert square_sum(A2, (2, 0)) == 6
 
 
 @pytest.mark.parametrize("series,rank,max_label", [
@@ -58,7 +58,7 @@ def test_freudenthal_agrees_with_weyl_dimension(series, rank, max_label):
             continue
         with use_caps(Caps(dim=20000)):
             ws = weight_system(spec, labels)
-        assert dimension(ws) == weyl_dimension(spec, labels)
+        assert sum(ws.entries.values()) == weyl_dimension(spec, labels)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("A", 3)])
@@ -104,9 +104,9 @@ def test_conjugate_is_involutive_and_negates_weights():
 @pytest.mark.parametrize("mu", [(0, 0), (1, 0), (1, 1), (2, 2), (3, 0)])
 def test_sum_squares_dominates_dimension(mu):
     ws = weight_system(A2, mu)
-    assert mult_sum_squares(ws) >= dimension(ws)
+    assert square_sum(A2, mu) >= weyl_dimension(A2, mu)
     all_ones = all(m == 1 for m in ws.entries.values())
-    assert (mult_sum_squares(ws) == dimension(ws)) == all_ones
+    assert (square_sum(A2, mu) == weyl_dimension(A2, mu)) == all_ones
 
 
 def test_rejects_bad_input():

@@ -1,16 +1,37 @@
-"""Independent Weyl-group oracles for the tests: a breadth-first signed
-orbit over (weight, sign) pairs and the group as reduced reflection words.
+"""Independent Weyl-group oracles for the tests: one simple reflection with
+its range check, a breadth-first signed orbit over (weight, sign) pairs, the
+group as reduced reflection words, and det C.
 
-They share nothing with algebra.signed_orbit but simple_reflection, so the
-level walk is checked against a different enumeration.  Test modules import
-this file as a plain module (``from weyl_oracle import ...``); pytest puts
-the tests directory on sys.path.
+They share nothing with algebra.signed_orbit, so the level walk is checked
+against a different enumeration.  Test modules import this file as a plain
+module (``from weyl_oracle import ...``); pytest puts the tests directory on
+sys.path.
 """
 
 from functools import lru_cache
 
-from fusionkit.algebra import AlgebraSpec, Weight, simple_reflection
+from fusionkit.algebra import AlgebraSpec, Weight, _gauss_jordan
 from fusionkit.errors import InvariantViolation, check_cap
+
+
+def simple_reflection(spec: AlgebraSpec, i: int, lam: Weight) -> Weight:
+    """Reflection in the i-th simple root (1-based), lam - lam_i * alpha_i."""
+    if not 1 <= i <= spec.rank:
+        raise ValueError(f"reflection index {i} out of range 1..{spec.rank}")
+    coeff = lam[i - 1]
+    if coeff == 0:
+        return tuple(lam)
+    alpha = spec.cartan[i - 1]
+    return tuple(l - coeff * a for l, a in zip(lam, alpha))
+
+
+def cartan_determinant(spec: AlgebraSpec) -> int:
+    """det C, exactly; equals the index of the root lattice in the weight
+    lattice."""
+    det, _ = _gauss_jordan(spec.cartan)
+    if det.denominator != 1:
+        raise InvariantViolation(f"det C = {det} of {spec} is not an integer")
+    return int(det)
 
 
 def weyl_orbit(spec: AlgebraSpec, lam: Weight):
