@@ -18,10 +18,8 @@ from .algebra import (
 from .characters import (
     GenericPoint,
     VarietyPoint,
-    VirtualChar,
     eval_char,
     eval_D,
-    virtual_normalize,
 )
 from .errors import (
     CapExceeded,

@@ -125,6 +125,13 @@ def _cartan_and_halfnorms(series: str, rank: int):
     return tuple(tuple(row) for row in c), tuple(d)
 
 
+def _coroot_labels(spec: AlgebraSpec) -> tuple:
+    """Dynkin labels of the simple coroots alpha_i / d_i, the rows of
+    diag(1/d) C; every 1/d_i above is 1, 2 or 3, so they are integers."""
+    _, halfnorms = _cartan_and_halfnorms(spec.series, spec.rank)
+    return tuple(tuple(int(x / d) for x in row) for row, d in zip(spec.cartan, halfnorms))
+
+
 def _gauss_jordan(rows):
     """Exact Gauss-Jordan elimination of a square integer/rational matrix:
     (det, inverse) as Fractions, with inverse None when det = 0."""
@@ -198,19 +205,19 @@ def integer_gram(spec: AlgebraSpec):
     return d, tuple(tuple(int(x * d) for x in row) for row in spec.quad_form)
 
 
+def require_rank(spec: AlgebraSpec, *weights) -> None:
+    """Raise ValueError unless every weight has one label per simple root.
+    Public entry points call it; their hot internal loops do not."""
+    for lam in weights:
+        if len(lam) != spec.rank:
+            raise ValueError(f"weight length does not match rank {spec.rank}")
+
+
 def pairing_numerator(spec: AlgebraSpec, lam: Weight, mu: Weight) -> int:
     """lam^T (D G) mu in Python ints, so (lam, mu) = result / D exactly."""
-    if len(lam) != spec.rank or len(mu) != spec.rank:
-        raise ValueError(f"weight length does not match rank {spec.rank}")
+    require_rank(spec, lam, mu)
     _, dg = integer_gram(spec)
     return sum(li * sum(g * mj for g, mj in zip(row, mu)) for li, row in zip(lam, dg) if li)
-
-
-@lru_cache(maxsize=None)
-def _theta_row(spec: AlgebraSpec):
-    """(D, (D G) theta), so (lam, theta) = lam . row / D."""
-    d, dg = integer_gram(spec)
-    return d, tuple(sum(g * t for g, t in zip(row, spec.highest_root)) for row in dg)
 
 
 class SignedDominant(NamedTuple):
@@ -249,6 +256,7 @@ def reflect_to_dominant(spec: AlgebraSpec, beta: Weight) -> SignedDominant:
 
 def dominant_conjugate(spec: AlgebraSpec, lam: Weight) -> Weight:
     """The unique dominant weight in the Weyl orbit of lam (no sign, walls ok)."""
+    require_rank(spec, lam)
     return _reduce(spec, lam)[0]
 
 
@@ -268,6 +276,7 @@ def signed_orbit(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
     On a wall (stabiliser > 1) each image is still listed once, with the
     parity of one element reaching it; alternating sums over such an orbit
     vanish, and symmetric ones weigh each image by the stabiliser."""
+    require_rank(spec, lam)
     check_cap("weyl_order", spec.weyl_order, spec)
     return _signed_orbit_cached(spec, tuple(lam))
 
@@ -324,12 +333,14 @@ def _positive_roots_from_cartan(cartan):
     return tuple(sorted(height, key=lambda r: (height[r], r)))
 
 
+@lru_cache(maxsize=None)
 def comarks(spec: AlgebraSpec) -> tuple:
-    """(omega_i, theta) for each fundamental weight; these are the integers
-    bounding Dynkin labels of level-k integrable weights."""
-    d, row = _theta_row(spec)
+    """(omega_i, theta) for each fundamental weight: the integers a_i with
+    (lam, theta) = sum_i lam_i a_i, which bound level-k Dynkin labels."""
+    d, dg = integer_gram(spec)
     values = []
-    for numerator in row:
+    for row in dg:
+        numerator = sum(g * t for g, t in zip(row, spec.highest_root))
         value, remainder = divmod(numerator, d)
         if remainder or value <= 0:
             raise InvariantViolation(f"comark {numerator}/{d} of {spec} is not a positive integer")

@@ -1,9 +1,9 @@
-"""Numeric characters: alternating Weyl sums, their ratios, and the virtual
-normal form for arbitrary lattice weights.
+"""Numeric characters: alternating Weyl sums and their Weyl ratios.
 
 Two kinds of evaluation point are supported.  A Generic point carries a
-complex vector u and pairs weights through the quadratic form, (r, u) = r^T G u;
-callers who want bounded trigonometric characters pass purely imaginary u.
+complex vector u and pairs weights through the quadratic form, (r, u) = r^T G u,
+with G u from _generic_pairing_vector (theta uses it too); callers who want
+bounded trigonometric characters pass purely imaginary u.
 A Variety point carries an integer vector gamma and a shifted level K = k + c,
 and pairs through exp(2 pi i gamma^T C^-1 r / K).  Variety phases go through
 one exact integer kernel: with q clearing the denominators of C^-1 and
@@ -32,6 +32,7 @@ from .algebra import (
     Weight,
     cartan_inverse,
     reflect_to_dominant,
+    require_rank,
     signed_orbit,
 )
 from .errors import CapExceeded, SingularPointError, check_cap
@@ -74,11 +75,6 @@ class VarietyPoint:
 
 
 EvalPoint = Union[GenericPoint, VarietyPoint]
-
-
-class VirtualChar(NamedTuple):
-    sign: int
-    dominant: Weight | None
 
 
 def _check_point(spec: AlgebraSpec, p: EvalPoint):
@@ -222,6 +218,7 @@ def eval_D(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
     when lam lies on a wall.  Values are cached; the Weyl-order cap in force
     is checked on every call, in front of the cache.
     """
+    require_rank(spec, lam)
     check_cap("weyl_order", spec.weyl_order, spec)
     return _eval_D_cached(spec, lam, p)
 
@@ -249,9 +246,10 @@ eval_D.cache_info = _eval_D_cached.cache_info
 def eval_char(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
     """Character of the dominant weight mu as the Weyl ratio
     D_{mu+rho}(p) / D_rho(p)."""
+    require_rank(spec, mu)
     check_cap("weyl_order", spec.weyl_order, spec)
     if any(label < 0 for label in mu):
-        raise ValueError(f"{mu} is not dominant; use virtual_normalize first")
+        raise ValueError(f"{mu} is not dominant; reduce mu + rho with reflect_to_dominant")
     lam = tuple(m + 1 for m in mu)
     return _weyl_ratios(spec, [lam], p)[lam]
 
@@ -296,16 +294,3 @@ def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
         values.append(sum([c * table[lam] for lam, c in reduced], 0j))
     return values
 
-
-def virtual_normalize(spec: AlgebraSpec, lam: Weight) -> VirtualChar:
-    """Reduce an arbitrary lattice weight to its virtual-character normal form.
-
-    chi_lam = sign * chi_dominant where (dominant, sign) comes from reducing
-    lam + rho; weights whose shift lands on a wall have sign 0 and no
-    dominant representative (their character vanishes identically).
-    """
-    shifted = tuple(l + 1 for l in lam)
-    reduced, sign = reflect_to_dominant(spec, shifted)
-    if sign == 0:
-        return VirtualChar(0, None)
-    return VirtualChar(sign, tuple(r - 1 for r in reduced))

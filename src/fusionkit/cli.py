@@ -208,9 +208,8 @@ def _suite_conjugacy(spec, config: RunConfig):
     checks = []
     for a in weights:
         for b in weights:
-            check = identity.conjugacy_square_check(spec, a, b, config.k)
-            (s1, s2), (l1, l2) = check.square_sums, check.linear_sums
-            both = check.squares_equal and check.linear_equal
+            (s1, s2), (l1, l2) = identity.conjugacy_square_check(spec, a, b, config.k)
+            both = s1 == s2 and l1 == l2
             checks.append((f"a={a},b={b}", s1, s2, both, abs(s1 - s2) + abs(l1 - l2)))
     yield integer_report(f"conjugacy-squares:{spec}:k={config.k}", checks), None, None
 
@@ -336,6 +335,8 @@ def _cmd_weights(args, config: RunConfig) -> int:
 
 
 def _cmd_fuse(args, config: RunConfig) -> int:
+    if args.oracle and config.k is None:  # checked before the decomposition
+        raise ValueError("--oracle needs a finite level")
     spec = config.spec
     mu = _parse_weight(args.mu, spec.rank)
     nu = _parse_weight(args.nu, spec.rank)
@@ -353,8 +354,6 @@ def _cmd_fuse(args, config: RunConfig) -> int:
     exit_code = EXIT_OK
     footer = []
     if args.oracle:
-        if config.k is None:
-            raise ValueError("--oracle needs a finite level")
         oracle = verlinde_table(spec, mu, nu, config.k)
         record["oracle_matches"] = oracle == table
         if not record["oracle_matches"]:
@@ -391,9 +390,7 @@ def _cmd_theta(args, config: RunConfig) -> int:
     if config.k is None:
         raise ValueError("theta evaluation needs a finite level")
     tau = _parse_tau(args.tau)
-    u = tuple(float(part) for part in args.u.split(","))
-    if len(u) != spec.rank:
-        raise ValueError(f"u has {len(u)} components, expected {spec.rank}")
+    u = tuple(float(part) for part in args.u.split(","))  # ThetaContext checks its length
     if args.char:
         mu = _parse_weight(args.mu, spec.rank)
         level = config.k + spec.dual_coxeter

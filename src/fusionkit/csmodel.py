@@ -14,10 +14,11 @@ plain axis rolls that way.  For A1 the radical is trivial and the model is
 literally Z_L with L = 2(k+2); at k=2 the clock eigenvalues are the 8th
 roots of unity.
 
-Operators are applied lazily as sums of phase/shift monomials with integer
-phase exponents mod L, read from the shared table characters.roots_of_unity,
-so operator identities hold to rounding error.  Only the Fourier kernel is
-dense, and only below a hard size cap.
+The coroot labels are algebra's.  Operators are applied lazily as sums of
+phase/shift monomials with integer phase exponents mod L, read from the
+shared table characters.roots_of_unity, so operator identities hold to
+rounding error.  Only the Fourier kernel is dense, and only below a hard
+size cap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -35,16 +35,21 @@ import numpy as np
 from .algebra import (
     AlgebraSpec,
     Weight,
+    _coroot_labels,
     _gauss_jordan,
     cartan_inverse,
     signed_orbit,
 )
 from .characters import VarietyPoint, eval_D, roots_of_unity
 from .errors import CapExceeded, InvariantViolation, OracleMismatchError, check_cap
-from .fusion import is_integrable, level_k_weights
+from .fusion import level_k_weights, require_integrable
 from .weights import weight_system
 
 _DENSE_FOURIER_CAP = 1024
+
+#: basis states sampled by check_clock_commutator and check_s_conjugation
+_COMMUTATOR_SAMPLE = 64
+_CONJUGATION_SAMPLE = 32
 
 #: bytes of read-only primary states kept per model
 _STATE_CACHE_BYTES = 1 << 26
@@ -79,20 +84,6 @@ class GaussianModel:
         """Dimension of the faithful state space: the index of K Q-vee in the
         weight lattice (for the simply-laced series, K^rank det C)."""
         return self.cover_size // len(self.radical)
-
-
-def _coroot_labels(spec: AlgebraSpec):
-    """Dynkin labels of the simple coroots, rows of diag(1/d) C."""
-    rank = spec.rank
-    halfnorms = [sum(spec.quad_form[i][j] * spec.cartan[i][j] for j in range(rank))
-                 for i in range(rank)]
-    rows = []
-    for j in range(rank):
-        row = [Fraction(spec.cartan[j][i]) / halfnorms[j] for i in range(rank)]
-        if any(x.denominator != 1 for x in row):
-            raise InvariantViolation(f"coroot {j} of {spec} has non-integral labels {row}")
-        rows.append(tuple(int(x) for x in row))
-    return tuple(rows)
 
 
 def build_model(spec: AlgebraSpec, k: int) -> GaussianModel:
@@ -272,12 +263,12 @@ def _sample_indices(model: GaussianModel, count: int):
     return [tuple(int(x) for x in np.unravel_index(i, model.shape)) for i in picks]
 
 
-def check_clock_commutator(model: GaussianModel, sample: int = 64) -> float:
+def check_clock_commutator(model: GaussianModel) -> float:
     """Max residual of a_m b_j a_m^-1 b_j^-1 = exp(2 pi i (C^-1)_{mj}/K)
     over all operator pairs, applied to a basis sample."""
     rank = model.spec.rank
     inv = cartan_inverse(model.spec)
-    indices = _sample_indices(model, sample)
+    indices = _sample_indices(model, _COMMUTATOR_SAMPLE)
     worst = 0.0
     for m in range(1, rank + 1):
         for j in range(1, rank + 1):
@@ -315,8 +306,7 @@ def _primary_state_view(model: GaussianModel, r: Weight) -> np.ndarray:
     if r in cache:
         return cache[r]
     spec = model.spec
-    if not is_integrable(spec, r, model.k):
-        raise ValueError(f"{r} is not integrable at level {model.k}")
+    require_integrable(spec, model.k, r)
     amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
     images, signs, _ = signed_orbit(spec, tuple(x + 1 for x in r))
     state = _class_state(model, images, [sign * amplitude for sign in signs])
@@ -380,7 +370,7 @@ def s_operator(model: GaussianModel) -> FourierOperator:
     return FourierOperator(model)
 
 
-def check_s_conjugation(model: GaussianModel, sample: int = 32) -> float:
+def check_s_conjugation(model: GaussianModel) -> float:
     """Residual of S^-1 b_j S = a_j on a physical basis sample.
 
     The intertwining form S^-1 b_j = a_j S^-1 is checked always; the literal
@@ -392,7 +382,7 @@ def check_s_conjugation(model: GaussianModel, sample: int = 32) -> float:
     worst = 0.0
     for j in range(1, model.spec.rank + 1):
         b, a = shift_op(model, j), clock_op(model, j)
-        for v in _sample_indices(model, sample):
+        for v in _sample_indices(model, _CONJUGATION_SAMPLE):
             state = basis_state(model, v)
             intertwined = s.apply_inverse(b.apply(state)) - a.apply(s.apply_inverse(state))
             worst = max(worst, float(np.abs(intertwined).max()))
@@ -432,9 +422,7 @@ def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:
     per integrable weight."""
     spec = model.spec
     nus = [tuple(nu) for nu in nus]
-    for lam in (tuple(mu), *nus):
-        if not is_integrable(spec, lam, model.k):
-            raise ValueError(f"{lam} is not integrable at level {model.k}")
+    require_integrable(spec, model.k, mu, *nus)
     weights = level_k_weights(spec, model.k)
     sources = np.stack([_primary_state_view(model, nu) for nu in nus])
     images = wilson_operator(model, tuple(mu)).apply(sources).reshape(len(nus), -1)

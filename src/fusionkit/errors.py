@@ -80,11 +80,11 @@ def use_caps(caps: Caps):
 ENV_CAPS_VAR = "FUSIONKIT_CAPS"
 
 
-def caps_from_env(base: Caps = DEFAULT_CAPS, env: str | None = None) -> Caps:
+def caps_from_env() -> Caps:
     """Parse ``FUSIONKIT_CAPS`` (e.g. ``"dim=200000,hilbert=10000"``) on top
-    of ``base``.  Unknown keys are rejected."""
-    raw = os.environ.get(ENV_CAPS_VAR, "") if env is None else env
-    caps = base
+    of DEFAULT_CAPS.  Unknown keys are rejected."""
+    raw = os.environ.get(ENV_CAPS_VAR, "")
+    caps = DEFAULT_CAPS
     for field in filter(None, (part.strip() for part in raw.split(","))):
         key, _, value = field.partition("=")
         if key not in ("weyl_order", "dim", "hilbert") or not value:

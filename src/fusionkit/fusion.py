@@ -9,9 +9,10 @@ alcove, alternating finite reflections (negative labels) with the affine
 reflection about (beta, theta) = k + c; anything landing on a wall is
 discarded.  The fold depends on beta alone, so it is memoised per (spec, K)
 and shared by every pair at the level.  All of that is exact integer
-arithmetic.  The independent oracle builds the S matrix numerically from
-alternating Weyl sums and evaluates the standard ratio; a rounding guard
-turns silent drift into a loud error.
+arithmetic, and require_integrable is the one guard on level-k input.  The
+independent oracle builds the S matrix numerically from alternating Weyl
+sums and evaluates the standard ratio; a rounding guard turns silent drift
+into a loud error.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from itertools import product
 from .algebra import (
     AlgebraSpec,
     Weight,
-    _theta_row,
     comarks,
     reflect_to_dominant,
+    require_rank,
     signed_orbit,
 )
 from .characters import phase_kernel, phase_sums
@@ -38,19 +39,20 @@ _FOLD_MEMO_ENTRIES = 1 << 14
 
 
 def level_pairing(spec: AlgebraSpec, lam: Weight) -> int:
-    """(lam, theta): the level at which lam first becomes integrable."""
-    if len(lam) != spec.rank:
-        raise ValueError(f"weight length does not match rank {spec.rank}")
-    d, row = _theta_row(spec)
-    numerator = sum(l * t for l, t in zip(lam, row))
-    value, remainder = divmod(numerator, d)
-    if remainder:
-        raise InvariantViolation(f"(lam, theta) = {numerator}/{d} is not an integer for {lam}")
-    return value
+    """(lam, theta) over the comarks: the level where lam becomes integrable."""
+    require_rank(spec, lam)
+    return sum(l * a for l, a in zip(lam, comarks(spec)))
 
 
 def is_integrable(spec: AlgebraSpec, lam: Weight, k: int) -> bool:
     return all(label >= 0 for label in lam) and level_pairing(spec, lam) <= k
+
+
+def require_integrable(spec: AlgebraSpec, k: int, *weights) -> None:
+    """Raise ValueError unless every weight is integrable at level k."""
+    for lam in weights:
+        if not is_integrable(spec, lam, k):
+            raise ValueError(f"{tuple(lam)} is not integrable at level {k}")
 
 
 def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight) -> dict:
@@ -60,6 +62,7 @@ def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight) -> dict:
     must come out nonnegative; a negative count raises InvariantViolation.
     """
     mu, nu = tuple(mu), tuple(nu)
+    require_rank(spec, mu, nu)
     ws = weight_system(spec, mu)
     counts: dict[Weight, int] = {}
     for mu_prime, mult in ws.entries.items():
@@ -105,9 +108,7 @@ def fuse_level_k(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
     """Level-k fusion coefficients: fold every rho-shifted weight nu + mu' + rho
     of mu (x) nu into the level-(k+c) alcove and accumulate the signs."""
     mu, nu = tuple(mu), tuple(nu)
-    for lam in (mu, nu):
-        if not is_integrable(spec, lam, k):
-            raise ValueError(f"{lam} is not integrable at level {k}")
+    require_integrable(spec, k, mu, nu)
     check_cap("dim", weyl_dimension(spec, mu), mu)  # the cached fold holds V(mu)
     return dict(_fuse_cached(spec, mu, nu, k))
 
@@ -206,9 +207,7 @@ def verlinde_table(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
     integrable lam, by the S-matrix ratio
     sum_sigma S_{mu sigma} S_{nu sigma} S*_{lam sigma} / S_{0 sigma}."""
     weights = level_k_weights(spec, k)
-    for w in (mu, nu):
-        if not is_integrable(spec, w, k):
-            raise ValueError(f"{tuple(w)} is not integrable at level {k}")
+    require_integrable(spec, k, mu, nu)
     check_cap("weyl_order", spec.weyl_order, spec)  # the cached S matrix sums signed orbits
     _, rows = _s_matrix(spec, k)
     vacuum, row_mu, row_nu = (rows[weights.index(tuple(w))] for w in ((0,) * spec.rank, mu, nu))

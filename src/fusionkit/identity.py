@@ -25,7 +25,7 @@ from itertools import product
 from .algebra import AlgebraSpec, Weight
 from .characters import alternating_sums
 from .errors import InvariantViolation, check_cap
-from .fusion import fuse_level_k, is_integrable
+from .fusion import fuse_level_k, require_integrable
 from .weights import conjugate, square_sum, weight_system, weyl_dimension
 
 
@@ -161,9 +161,7 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     ``coefficients`` overrides the fusion table (used by negative controls).
     """
     mu, nu = tuple(mu), tuple(nu)
-    for lam in (mu, nu):
-        if not is_integrable(spec, lam, k):
-            raise ValueError(f"{lam} is not integrable at level {k}")
+    require_integrable(spec, k, mu, nu)
     level_shifted = k + spec.dual_coxeter
     table = fuse_level_k(spec, mu, nu, k) if coefficients is None else coefficients
     gammas = [tuple(int(g) for g in gamma) for gamma in gammas]
@@ -204,28 +202,12 @@ def dim_bound(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
     return total, bound, total <= bound
 
 
-@dataclass(frozen=True)
-class ConjugacyCheck:
-    """sum_l (N_{ab}^l)^2 and sum_l N_{ab}^l, each for b and for its conjugate."""
-
-    square_sums: tuple
-    linear_sums: tuple
-
-    @property
-    def squares_equal(self) -> bool:
-        return self.square_sums[0] == self.square_sums[1]
-
-    @property
-    def linear_equal(self) -> bool:
-        return self.linear_sums[0] == self.linear_sums[1]
-
-
 _COMPLEX_SERIES = {"A", "D", "E"}
 
 
-def conjugacy_square_check(spec: AlgebraSpec, a: Weight, b: Weight, k: int) -> ConjugacyCheck:
-    """Compare sum_l (N_{ab}^l)^2 against the same with b conjugated, and the
-    linear sums alongside.  Meaningful for algebras with complex
+def conjugacy_square_check(spec: AlgebraSpec, a: Weight, b: Weight, k: int):
+    """((sum_l (N_{ab}^l)^2 for b, for b*), (sum_l N_{ab}^l for b, for b*)),
+    b* the conjugate of b.  Meaningful for algebras with complex
     representations (A_n, D_n, E6); elsewhere conjugation is trivial."""
     if spec.series not in _COMPLEX_SERIES or (spec.series == "E" and spec.rank != 6):
         warnings.warn(
@@ -234,7 +216,5 @@ def conjugacy_square_check(spec: AlgebraSpec, a: Weight, b: Weight, k: int) -> C
         )
     table_b = fuse_level_k(spec, tuple(a), tuple(b), k)
     table_conj = fuse_level_k(spec, tuple(a), conjugate(spec, tuple(b)), k)
-    return ConjugacyCheck(
-        square_sums=tuple(sum(n * n for n in t.values()) for t in (table_b, table_conj)),
-        linear_sums=tuple(sum(t.values()) for t in (table_b, table_conj)),
-    )
+    return (tuple(sum(n * n for n in t.values()) for t in (table_b, table_conj)),
+            tuple(sum(t.values()) for t in (table_b, table_conj)))

@@ -11,8 +11,8 @@ The basic object is
 with Im(tau) > 0 for absolute convergence.  It depends on gamma only through
 the coset gamma + kQ, so every sum starts from the shortest representative
 of that coset.  The sum is truncated at a radius derived from a Gaussian
-tail bound (smallest eigenvalue of the root-lattice Gram matrix), so every
-reported value is within the context epsilon of the full sum.  The points
+tail bound (smallest eigenvalue of the root-lattice Gram matrix C), so every
+reported value is within TRUNCATION_EPSILON of the full sum.  The points
 inside that radius are enumerated by a Fincke-Pohst walk and kept by an exact
 integer norm test; their terms are summed with math.fsum, so a value is
 correctly rounded and does not depend on the order of enumeration.  The
@@ -25,14 +25,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .algebra import (AlgebraSpec, Weight, cartan_inverse, integer_gram, pairing_numerator,
-                       signed_orbit)
-from .characters import TWO_PI
+                       require_rank, signed_orbit)
+from .characters import TWO_PI, _generic_pairing_vector
 from .errors import CapExceeded, SingularPointError
 from .fusion import fuse_level_k
 from .identity import VerificationReport, check_identity
@@ -40,6 +40,9 @@ from .identity import VerificationReport, check_identity
 _RADIUS_CAP = 60.0
 _POINT_CAP = 1 << 23    # lattice points per enumeration
 _SLACK = 1e-9           # relative widening of the float enumeration bounds
+
+#: every theta sum is within this of the full lattice sum
+TRUNCATION_EPSILON = 1e-12
 
 
 def _require_simply_laced(spec: AlgebraSpec):
@@ -54,8 +57,7 @@ def _require_finite(name: str, *values):
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Evaluation context: algebra, theta level, modular parameter tau,
-    vector u, and target truncation error.
+    """Evaluation context: algebra, theta level, modular parameter tau, vector u.
 
     ``level`` is the k of Theta_{gamma,k}; character-level callers pass
     k + c.
@@ -65,7 +67,6 @@ class ThetaContext:
     level: int
     tau: complex
     u: tuple
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         _require_simply_laced(self.spec)
@@ -82,18 +83,7 @@ class ThetaContext:
 
 
 @lru_cache(maxsize=None)
-def _gram_float(spec: AlgebraSpec) -> tuple:
-    return tuple(tuple(float(x) for x in row) for row in spec.quad_form)
-
-
-@lru_cache(maxsize=None)
-def _root_gram(spec: AlgebraSpec):
-    """Gram matrix (alpha_i, alpha_j) of the simple roots and its smallest
-    eigenvalue.  On ADE the Gram matrix is the Cartan matrix (G = C^-1)."""
-    return spec.cartan, _smallest_eigenvalue(spec.cartan)
-
-
-def _smallest_eigenvalue(matrix) -> float:
+def _smallest_eigenvalue(matrix: tuple) -> float:
     """Smallest eigenvalue of a symmetric matrix by cyclic Jacobi sweeps, run
     until every off-diagonal entry is zero.  Each rotation zeroes a_pq and
     moves t a_pq between a_pp and a_qq, so a 2 x 2 block of small integers
@@ -120,8 +110,8 @@ def _smallest_eigenvalue(matrix) -> float:
 @lru_cache(maxsize=None)
 def _root_cholesky(spec: AlgebraSpec):
     """(d, m) with x A x^T = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 for the
-    root Gram matrix A: its exact LDL^T factors, as floats."""
-    a = [[Fraction(x) for x in row] for row in _root_gram(spec)[0]]
+    root Gram matrix A = C: its exact LDL^T factors, as floats."""
+    a = [[Fraction(x) for x in row] for row in spec.cartan]
     d, m = [], []
     for i, row in enumerate(a):
         d.append(float(row[i]))
@@ -223,21 +213,20 @@ class Truncation(NamedTuple):
 
 def truncation(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> Truncation:
     """The truncation of theta_sum at gamma: the smallest radius whose tail
-    is provably below epsilon.  Term magnitudes at norm r are bounded by
+    is provably below TRUNCATION_EPSILON.  Term magnitudes at norm r are bounded by
     exp(-pi k t r^2 + 2 pi k b r), t = Im(tau), b = |Im u| + margin (for
     callers that move u); shell populations by a box count through the
     smallest Gram eigenvalue."""
     spec, level = ctx.spec, ctx.level
     gamma = tuple(int(x) for x in gamma)
-    if len(gamma) != spec.rank:
-        raise ValueError(f"gamma has length {len(gamma)}, expected rank {spec.rank}")
+    require_rank(spec, gamma)
     shift = _representative(spec, gamma, level)
     d, _ = integer_gram(spec)
     shift_norm = max(1.0, math.ceil(math.sqrt(
         pairing_numerator(spec, shift, shift) / (d * level * level))))
     im_u = [x.imag for x in ctx.u]
-    im_u_norm = math.sqrt(math.fsum(map(mul, im_u, _matvec(_gram_float(spec), im_u))))
-    sqrt_eig = math.sqrt(_root_gram(spec)[1])
+    im_u_norm = math.sqrt(math.fsum(map(mul, im_u, _generic_pairing_vector(spec, im_u))))
+    sqrt_eig = math.sqrt(_smallest_eigenvalue(spec.cartan))
     kt = math.pi * level * ctx.tau.imag
     kb = TWO_PI * level * (im_u_norm + margin)
 
@@ -248,16 +237,16 @@ def truncation(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> Truncat
             box = 2 * math.ceil((r + 1.0 + shift_norm) / sqrt_eig) + 1
             term = box**spec.rank * math.exp(-kt * r * r + kb * r)
             total += term
-            if term < ctx.epsilon * 1e-9 or total > 1e30:
+            if term < TRUNCATION_EPSILON * 1e-9 or total > 1e30:
                 return total
             r += 1.0
 
     radius = max(1.0, shift_norm + 1.0, kb / (2 * kt) + 1.0)
-    while (bound := tail(radius)) >= ctx.epsilon:
+    while (bound := tail(radius)) >= TRUNCATION_EPSILON:
         radius += 1.0
         if radius > _RADIUS_CAP:
             raise CapExceeded(f"Im(tau) = {ctx.tau.imag} too small to reach epsilon = "
-                              f"{ctx.epsilon} within radius {_RADIUS_CAP}")
+                              f"{TRUNCATION_EPSILON} within radius {_RADIUS_CAP}")
     points = len(_lattice_shifts(spec, shift, level, radius)[0])
     return Truncation(shift, radius, points, bound)
 
@@ -269,7 +258,7 @@ def _theta_raw(spec: AlgebraSpec, level: int, tau: complex, u, gamma: Weight,
     imaginary parts; the real and imaginary parts of the terms are each
     summed with math.fsum, correctly rounded and in no particular order."""
     norms, columns = _lattice_shifts(spec, tuple(gamma), level, radius)
-    gu = [reduce(add, map(mul, row, u), 0j) for row in _gram_float(spec)]
+    gu = _generic_pairing_vector(spec, u)
 
     def scaled_pairing(parts, scale):
         total = repeat(0.0)
@@ -385,17 +374,15 @@ def check_heat_equation(ctx: ThetaContext, gamma: Weight, h: float = 1e-3) -> fl
     return abs(laplacian - 2j * TWO_PI * level * d_tau)
 
 
-def antisymmetric_theta_sums(spec: AlgebraSpec, level: int, terms, points,
-                             epsilon: float = 1e-12) -> list:
+def antisymmetric_theta_sums(spec: AlgebraSpec, level: int, terms, points) -> list:
     """sum over (lam, c) in terms of c Theta^-_{lam, level} at every (tau, u)
     point.  Wall weights need no normalization: their images cancel exactly."""
-    contexts = (ThetaContext(spec, level, tau, u, epsilon) for tau, u in points)
+    contexts = (ThetaContext(spec, level, tau, u) for tau, u in points)
     return [sum((c * theta_weyl(ctx, lam, -1) for lam, c in terms), 0j) for ctx in contexts]
 
 
 def verify_kw_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
-                       points, tolerance: float = 1e-9,
-                       epsilon: float = 1e-12) -> VerificationReport:
+                       points, tolerance: float = 1e-9) -> VerificationReport:
     """Finite-tau numerator identity over a grid of (tau, u) points:
 
         sum_{mu' in Omega_mu} m Theta^-_{mu'+nu+rho, k+c}
@@ -409,6 +396,6 @@ def verify_kw_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     return check_identity(
         f"kw-identity:{spec}:k={k}:mu={mu}:nu={nu}", spec, mu, nu,
         fuse_level_k(spec, mu, nu, k), [(tau, tuple(u)) for tau, u in points],
-        lambda terms, pts: antisymmetric_theta_sums(spec, level_shifted, terms, pts, epsilon),
+        lambda terms, pts: antisymmetric_theta_sums(spec, level_shifted, terms, pts),
         tolerance,
     )

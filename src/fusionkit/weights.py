@@ -15,10 +15,12 @@ from functools import lru_cache
 from .algebra import (
     AlgebraSpec,
     Weight,
+    _reduce,
     dominant_conjugate,
     integer_gram,
     pairing_numerator,
     positive_roots,
+    require_rank,
 )
 from .errors import InvariantViolation, check_cap
 
@@ -44,6 +46,7 @@ def weyl_dimension(spec: AlgebraSpec, mu: Weight) -> int:
     """Dimension of the irreducible representation mu by the Weyl product
     formula over positive roots; exact."""
     mu = tuple(mu)
+    require_rank(spec, mu)
     if any(label < 0 for label in mu):
         raise ValueError(f"{mu} is not dominant")
     return _weyl_dimension_cached(spec, mu)
@@ -77,8 +80,6 @@ def weight_system(spec: AlgebraSpec, mu: Weight) -> WeightSystem:
     work) when the representation is larger than the dim cap in force.
     """
     mu = tuple(mu)
-    if len(mu) != spec.rank:
-        raise ValueError(f"weight length does not match rank {spec.rank}")
     check_cap("dim", weyl_dimension(spec, mu), mu)
     return WeightSystem(spec=spec, highest=mu, entries=dict(_weight_system_cached(spec, mu)))
 
@@ -102,7 +103,7 @@ def _weight_system_cached(spec: AlgebraSpec, mu: Weight):
     dimension when built."""
     members = _weight_set(spec, mu)
     mults = _dominant_multiplicities(spec, mu, members)
-    entries = tuple((w, mults[dominant_conjugate(spec, w)]) for w in sorted(members))
+    entries = tuple((w, mults[_reduce(spec, w)[0]]) for w in sorted(members))
     total, dim = sum(m for _, m in entries), weyl_dimension(spec, mu)
     if total != dim:
         raise InvariantViolation(f"multiplicities of {mu} add up to {total}, "
@@ -170,7 +171,7 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
             j = 1
             shifted = tuple(l + j * a for l, a in zip(lam, alpha))
             while shifted in members:
-                acc += mults[dominant_conjugate(spec, shifted)] * (base + j * step)
+                acc += mults[_reduce(spec, shifted)[0]] * (base + j * step)
                 j += 1
                 shifted = tuple(l + j * a for l, a in zip(lam, alpha))
         value, remainder = divmod(2 * acc, denominator)

@@ -10,12 +10,11 @@ from itertools import product
 
 import pytest
 
-from fusionkit.algebra import build_algebra
+from fusionkit.algebra import build_algebra, reflect_to_dominant
 from fusionkit.characters import (
     GenericPoint,
     eval_char,
     eval_D,
-    virtual_normalize,
 )
 from fusionkit.csmodel import (
     build_model,
@@ -81,11 +80,11 @@ def test_criterion_01_su2_character_table():
 
 def test_criterion_02_virtual_character_law():
     for m in range(1, 7):
-        sign, dom = virtual_normalize(A1, (-m,))
+        shifted, sign = reflect_to_dominant(A1, (1 - m,))  # -m + rho
         if m == 1:
-            assert (sign, dom) == (0, None)          # chi_{-1} = 0
+            assert (shifted, sign) == (None, 0)        # chi_{-1} = 0
         else:
-            assert (sign, dom) == (-1, (m - 2,))     # chi_{-m} = -chi_{m-2}
+            assert (shifted, sign) == ((m - 1,), -1)   # chi_{-m} = -chi_{m-2}
     _report(2, "virtual law chi_{-m} = -chi_{m-2}, m = 1..6")
 
 
@@ -179,8 +178,8 @@ def test_criterion_08_conjugacy_symmetry():
         weights = level_k_weights(A2, k)
         for a in weights:
             for b in weights:
-                check = conjugacy_square_check(A2, a, b, k)
-                assert check.squares_equal and check.linear_equal, (k, a, b)
+                (s1, s2), (l1, l2) = conjugacy_square_check(A2, a, b, k)
+                assert s1 == s2 and l1 == l2, (k, a, b)
                 checked += 1
     _report(8, f"conjugacy symmetry of linear and squared sums over {checked} pairs")
 

@@ -1,4 +1,4 @@
-"""Character evaluation: Weyl ratios, trace sums, virtual normal forms, and
+"""Character evaluation: Weyl ratios, trace sums, virtual characters, and
 the su(2) closed forms they must reproduce."""
 
 import math
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionkit import characters
-from fusionkit.algebra import build_algebra
+from fusionkit.algebra import build_algebra, reflect_to_dominant
 from fusionkit.characters import (
     GenericPoint,
     VarietyPoint,
     eval_char,
     eval_D,
-    virtual_normalize,
     weyl_ratio_sums,
 )
 from fusionkit.errors import CapExceeded, Caps, SingularPointError, use_caps
@@ -140,24 +139,26 @@ def test_trace_form_on_variety_points():
             assert abs(eval_char(A1, (n,), p) - eval_char_trace(A1, (n,), p)) < 1e-12
 
 
-def test_virtual_normalize_su2_laws():
-    assert virtual_normalize(A1, (-1,)) == (0, None)
-    assert virtual_normalize(A1, (-2,)) == (-1, (0,))
+def test_virtual_character_su2_laws():
+    """chi_lam = sign * chi_dominant, (dominant + rho, sign) the reduction of
+    lam + rho: chi_{-1} = 0 and chi_{-m} = -chi_{m-2}."""
+    assert reflect_to_dominant(A1, (0,)) == (None, 0)
+    assert reflect_to_dominant(A1, (-1,)) == ((1,), -1)
     for m in range(2, 7):
-        assert virtual_normalize(A1, (-m,)) == (-1, (m - 2,))
+        assert reflect_to_dominant(A1, (1 - m,)) == ((m - 1,), -1)
 
 
-def test_virtual_normalize_consistency_with_D_ratio():
+def test_virtual_character_consistency_with_D_ratio():
     """sign * chi_dominant = D_{lam+rho}/D_rho for arbitrary lattice weights."""
     rng = random.Random(6)
     for spec in (A1, A2):
         for _ in range(40):
             lam = tuple(rng.randint(-4, 4) for _ in range(spec.rank))
             p = random_regular_point(spec, rng)
-            sign, dom = virtual_normalize(spec, lam)
+            shifted, sign = reflect_to_dominant(spec, tuple(x + 1 for x in lam))
             direct = (eval_D(spec, tuple(x + 1 for x in lam), p)
                       / eval_D(spec, spec.rho, p))
-            value = sign * eval_char(spec, dom, p) if sign else 0j
+            value = sign * eval_char(spec, tuple(x - 1 for x in shifted), p) if sign else 0j
             assert abs(value - direct) < 1e-9
 
 

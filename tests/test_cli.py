@@ -327,6 +327,15 @@ def test_infinite_level_rejected_before_the_first_case(capsys):
     assert err == "error: the lemma suite needs a finite level\n"
 
 
+def test_fuse_oracle_needs_a_finite_level_before_any_work(capsys):
+    """fuse --oracle at k = inf is a usage error found before the tensor
+    decomposition, which here (dim 252252) would pass the dim cap."""
+    code, out, err = run_with_stderr(capsys, "fuse", "E6", "--k", "inf", "--mu", "1,1,0,0,0,1",
+                                     "--nu", "1,0,0,0,1,1", "--oracle")
+    assert code == 2 and out == ""
+    assert err == "error: --oracle needs a finite level\n"
+
+
 def test_theta_command(capsys):
     code, out = run(capsys, "theta", "A1", "--k", "2", "--gamma", "1",
                     "--tau", "0+1i", "--u", "0.05")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fusionkit import csmodel
-from fusionkit.algebra import build_algebra
+from fusionkit.algebra import _coroot_labels, build_algebra
 from fusionkit.csmodel import (
     FourierOperator,
     basis_state,
@@ -36,7 +36,7 @@ def bfs_radical(model):
     """Reference radical: breadth-first closure of K Q-vee's generators mod L."""
     rank, period = model.spec.rank, model.period
     generators = [tuple(model.level_shifted * c % period for c in row)
-                  for row in csmodel._coroot_labels(model.spec)]
+                  for row in _coroot_labels(model.spec)]
     seen = {(0,) * rank}
     frontier = [(0,) * rank]
     while frontier:

@@ -180,13 +180,11 @@ def test_bound_helpers_check_the_dim_cap_on_both_weights(helper):
 
 
 def test_conjugacy_check():
-    check = conjugacy_square_check(A2, (1, 0), (1, 0), 2)
-    s1, s2 = check.square_sums
-    assert s1 == s2 and check.squares_equal
-    assert check.linear_equal
+    (s1, s2), (l1, l2) = conjugacy_square_check(A2, (1, 0), (1, 0), 2)
+    assert s1 == s2 and l1 == l2
     # self-conjugate b: trivially equal
-    check = conjugacy_square_check(A2, (1, 0), (1, 1), 3)
-    assert check.squares_equal and check.linear_equal
+    (s1, s2), (l1, l2) = conjugacy_square_check(A2, (1, 0), (1, 1), 3)
+    assert s1 == s2 and l1 == l2
     with pytest.warns(UserWarning):
         conjugacy_square_check(build_algebra("B", 2), (1, 0), (0, 1), 2)
 

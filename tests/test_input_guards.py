@@ -1,0 +1,69 @@
+"""The input guards of the library, each with one home: the rank check in
+algebra and the integrability check in fusion.  Each entry point that takes
+a weight runs the guard, and each guard's message occurs once in the
+package, so a copied guard shows up here."""
+
+from pathlib import Path
+
+import pytest
+
+import fusionkit
+from fusionkit.algebra import build_algebra, dominant_conjugate, pairing_numerator, signed_orbit
+from fusionkit.characters import GenericPoint, VarietyPoint, eval_char, eval_D
+from fusionkit.csmodel import build_model, operator_fusion_rows, primary_state
+from fusionkit.fusion import fuse_level_k, level_pairing, tensor_decompose, verlinde_table
+from fusionkit.identity import verify_numerator_identity
+from fusionkit.weights import conjugate, weight_system, weyl_dimension
+
+PACKAGE = Path(fusionkit.__file__).resolve().parent
+
+A2 = build_algebra("A", 2)
+
+#: public entry points of A2, each called with one weight of the wrong length
+WRONG_LENGTH_CALLS = {
+    "conjugate": lambda lam: conjugate(A2, lam),
+    "dominant_conjugate": lambda lam: dominant_conjugate(A2, lam),
+    "eval_D_generic": lambda lam: eval_D(A2, lam, GenericPoint((0.3j, 0.7j))),
+    "eval_D_variety": lambda lam: eval_D(A2, lam, VarietyPoint((1, 2), 4)),
+    "eval_char": lambda lam: eval_char(A2, lam, GenericPoint((0.3j, 0.7j))),
+    "level_pairing": lambda lam: level_pairing(A2, lam),
+    "pairing_numerator": lambda lam: pairing_numerator(A2, (1, 0), lam),
+    "signed_orbit": lambda lam: signed_orbit(A2, lam),
+    "tensor_decompose": lambda lam: tensor_decompose(A2, (1, 0), lam),
+    "weight_system": lambda lam: weight_system(A2, lam),
+    "weyl_dimension": lambda lam: weyl_dimension(A2, lam),
+}
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 2, 3)])
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTH_CALLS))
+def test_wrong_length_weight_is_rejected(name, lam):
+    """A weight of the wrong length is a usage error, never a silent answer
+    (an empty orbit, dimension 0 or a character 0j)."""
+    with pytest.raises(ValueError, match="weight length does not match rank 2"):
+        WRONG_LENGTH_CALLS[name](lam)
+
+
+#: every level-k entry point, called at k = 1 with the non-integrable (2, 0)
+NON_INTEGRABLE_CALLS = {
+    "fuse_level_k": lambda lam: fuse_level_k(A2, (1, 0), lam, 1),
+    "verlinde_table": lambda lam: verlinde_table(A2, lam, (1, 0), 1),
+    "verify_numerator_identity":
+        lambda lam: verify_numerator_identity(A2, lam, (0, 0), 1, [(0, 0)]),
+    "operator_fusion_rows": lambda lam: operator_fusion_rows(build_model(A2, 1), (0, 0), [lam]),
+    "primary_state": lambda lam: primary_state(build_model(A2, 1), lam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRABLE_CALLS))
+def test_non_integrable_weight_is_rejected(name):
+    with pytest.raises(ValueError, match=r"\(2, 0\) is not integrable at level 1"):
+        NON_INTEGRABLE_CALLS[name]((2, 0))
+
+
+@pytest.mark.parametrize("message", ["is not integrable at level",
+                                     "weight length does not match rank"])
+def test_guard_message_has_one_home(message):
+    counts = {path.name: path.read_text().count(message)
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(counts.values()) == 1, {name: n for name, n in counts.items() if n}

@@ -87,7 +87,7 @@ def test_package_exports_numeric_names_lazily():
 PUBLIC_NAMES = [
     "AlgebraSpec", "CapExceeded", "Caps", "DEFAULT_CAPS", "FourierOperator", "FusionkitError",
     "GaussianModel", "GenericPoint", "LatticeOperator", "OracleMismatchError", "SignedDominant",
-    "SingularPointError", "ThetaContext", "VarietyPoint", "VerificationReport", "VirtualChar",
+    "SingularPointError", "ThetaContext", "VarietyPoint", "VerificationReport",
     "WeightSystem", "algebra", "build_algebra", "build_model", "caps_from_env", "cartan_inverse",
     "character_as_inner_product", "characters", "check_T_transform", "check_clock_commutator",
     "check_heat_equation", "check_s_conjugation", "clock_op", "comarks",
@@ -98,7 +98,7 @@ PUBLIC_NAMES = [
     "reflect_to_dominant", "s_operator", "shift_op", "signed_orbit", "tensor_decompose",
     "theta", "theta_sum", "theta_weyl", "use_caps", "verify_kw_identity",
     "verify_lemma_weightsum", "verify_numerator_identity", "verlinde_table",
-    "virtual_normalize", "weight_system", "weights", "weyl_dimension", "wilson_operator",
+    "weight_system", "weights", "weyl_dimension", "wilson_operator",
 ]
 
 
@@ -111,4 +111,4 @@ def test_public_names_are_pinned():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 66

@@ -188,14 +188,14 @@ sys.exit(1)
 
 
 def test_level_pairing_guard_under_optimize():
-    """(lam, theta) against a forged non-integral theta row raises, also
-    when asserts are stripped."""
+    """(lam, theta) against a forged theta with non-integral comarks raises,
+    also when asserts are stripped."""
     call = ("import dataclasses; from fusionkit import algebra, fusion; "
             "spec = dataclasses.replace(algebra.build_algebra('A', 2), highest_root=(1, 0)); "
             "fusion.level_pairing(spec, (1, 0))")
     finished = _run_optimized(_EXPECT_VIOLATION.format(call=call))
     assert finished.returncode == 0, finished.stderr
-    assert "is not an integer" in finished.stdout
+    assert "comark 2/3 of A2 is not a positive integer" in finished.stdout
 
 
 def test_weyl_dimension_guard_under_optimize():

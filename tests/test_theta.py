@@ -14,10 +14,9 @@ from fusionkit.characters import GenericPoint, eval_char
 from fusionkit.errors import CapExceeded, SingularPointError
 from fusionkit.fusion import level_k_weights
 from fusionkit.theta import (
+    TRUNCATION_EPSILON,
     ThetaContext,
-    _gram_float,
     _lattice_shifts,
-    _root_gram,
     _signed_orbit_counts,
     _smallest_eigenvalue,
     _theta_raw,
@@ -85,12 +84,12 @@ def test_projective_periodicity_under_tau_shifts():
 
 
 def test_truncation_soundness():
-    ctx = ThetaContext(A2, 3, 0.6j, (0.04, 0.09), epsilon=1e-12)
+    ctx = ThetaContext(A2, 3, 0.6j, (0.04, 0.09))
     gamma = (2, 1)
     radius = truncation(ctx, gamma).radius
     value = _theta_raw(A2, 3, ctx.tau, ctx.u, gamma, radius)
     doubled = _theta_raw(A2, 3, ctx.tau, ctx.u, gamma, 2 * radius)
-    assert abs(value - doubled) < ctx.epsilon
+    assert abs(value - doubled) < TRUNCATION_EPSILON
 
 
 def test_weyl_antisymmetrization():
@@ -275,7 +274,7 @@ def box_scan_shifts(spec, gamma, level, radius):
     candidate whose float norm is below radius^2 + 1e-6 gets the exact
     Fraction test."""
     rank = spec.rank
-    gram, eig_min = _root_gram(spec)
+    gram, eig_min = spec.cartan, _smallest_eigenvalue(spec.cartan)
     shift = [Fraction(g, level) for g in gamma]
     shift_norm = math.sqrt(float(_fraction_norm_sq(spec, shift)))
     bound = math.ceil((radius + shift_norm) / math.sqrt(eig_min))
@@ -293,7 +292,7 @@ def box_scan_shifts(spec, gamma, level, radius):
 
 
 def box_scan_theta(spec, level, tau, u, gamma, radius):
-    gu = _gram_float(spec) @ np.array(u, dtype=complex)
+    gu = np.array(spec.quad_form, dtype=float) @ np.array(u, dtype=complex)
     return sum(
         cmath.exp(1j * math.pi * level * tau * norm_sq
                   + 1j * 2 * math.pi * level * complex(np.array(v) @ gu))
@@ -371,7 +370,7 @@ def test_enumeration_bounded_memory():
     cut = truncation(ctx, gamma)
     assert cut.shift == (0, 0, 0, 0)
     assert (cut.radius, cut.lattice_points) == (4.0, 625)
-    assert cut.tail_bound < ctx.epsilon
+    assert cut.tail_bound < TRUNCATION_EPSILON
     value = theta_sum(ctx, gamma)
     assert value == theta_sum(ctx, cut.shift)
     # the same points, enumerated around the unreduced centre
@@ -452,8 +451,8 @@ def test_theta_constant_on_cosets(spec, level):
 
 
 def test_smallest_eigenvalue_exact_on_a1_a2():
-    assert _root_gram(A1)[1] == 2.0
-    assert _root_gram(A2)[1] == 1.0
+    assert _smallest_eigenvalue(A1.cartan) == 2.0
+    assert _smallest_eigenvalue(A2.cartan) == 1.0
 
 
 @pytest.mark.parametrize("series,rank", [("A", r) for r in range(1, 9)]
