@@ -134,26 +134,31 @@ def _coroot_labels(spec: AlgebraSpec) -> tuple:
 
 def _gauss_jordan(rows):
     """Exact Gauss-Jordan elimination of a square integer/rational matrix:
-    (det, inverse) as Fractions, with inverse None when det = 0."""
+    (det, inverse, pivots) as Fractions, the last two None when det = 0.
+    pivots holds each pivot d_i with its row divided by d_i, as the forward
+    pass meets them; with no row exchange (none on a Cartan matrix) they
+    are the LDL^T factors of a symmetric matrix."""
     n = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
     det = Fraction(1)
+    pivots = []
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0), None
+            return Fraction(0), None, None
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
             det = -det
         scale = aug[col][col]
         det *= scale
         aug[col] = [x / scale for x in aug[col]]
+        pivots.append((scale, tuple(aug[col][:n])))
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return det, tuple(tuple(row[n:]) for row in aug)
+    return det, tuple(tuple(row[n:]) for row in aug), tuple(pivots)
 
 
 def build_algebra(series: str, rank: int) -> AlgebraSpec:

@@ -106,7 +106,7 @@ def build_model(spec: AlgebraSpec, k: int) -> GaussianModel:
                 f"clock phases of {spec} are not constant on affine translation "
                 f"classes; the Gaussian model construction does not apply"
             )
-    coroot_det, coroot_inv = _gauss_jordan(coroots)
+    coroot_det, coroot_inv, _ = _gauss_jordan(coroots)
     q = math.lcm(*(entry.denominator for row in coroot_inv for entry in row))
     if any((q * entry).denominator != 1 for row in inv for entry in row):
         raise InvariantViolation(f"q = {q} does not clear the denominators of C^-1 of {spec}")
@@ -152,10 +152,6 @@ def basis_state(model: GaussianModel, v) -> np.ndarray:
     """The normalized physical state |v>: the radical-averaged class of the
     array index v."""
     return _class_state(model, [tuple(int(x) for x in v)], [1.0 / math.sqrt(len(model.radical))])
-
-
-def inner(bra: np.ndarray, ket: np.ndarray) -> complex:
-    return complex(np.vdot(bra, ket))
 
 
 def _phase_array(model: GaussianModel, power) -> np.ndarray:
@@ -400,8 +396,8 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
 
     evaluated at the matching variety point."""
     spec = model.spec
-    value = inner(basis_state(model, gamma),
-                  s_operator(model).apply_inverse(_primary_state_view(model, tuple(mu))))
+    value = complex(np.vdot(basis_state(model, gamma),
+                            s_operator(model).apply_inverse(_primary_state_view(model, tuple(mu)))))
     point = VarietyPoint(tuple(gamma), model.level_shifted)
     expected = (
         eval_D(spec, tuple(m + 1 for m in mu), point)

@@ -1,12 +1,12 @@
 """Tensor products, level-k fusion by alcove folding, and a Verlinde-style
 S-matrix oracle.
 
-Tensor decomposition is the signed reflection algorithm: shift every weight
-of one factor by the other highest weight plus rho, reduce to the dominant
-chamber with parity, and accumulate.  Level-k fusion (Kac-Walton) folds
-each rho-shifted weight beta = nu + mu' + rho into the level-(k+c) affine
-alcove, alternating finite reflections (negative labels) with the affine
-reflection about (beta, theta) = k + c; anything landing on a wall is
+Tensor decomposition is the signed reflection algorithm: form the rho-shifted
+weights beta = nu + mu' + rho over the weights mu' of V(mu) (_shifted_terms,
+also read by identity), reduce each to the dominant chamber with parity, and
+accumulate.  Level-k fusion (Kac-Walton) folds each beta into the level-(k+c)
+affine alcove, alternating finite reflections (negative labels) with the
+affine reflection about (beta, theta) = k + c; anything landing on a wall is
 discarded.  The fold depends on beta alone, so it is memoised per (spec, K)
 and shared by every pair at the level.  All of that is exact integer
 arithmetic, and require_integrable is the one guard on level-k input.  The
@@ -45,7 +45,7 @@ def level_pairing(spec: AlgebraSpec, lam: Weight) -> int:
 
 
 def is_integrable(spec: AlgebraSpec, lam: Weight, k: int) -> bool:
-    return all(label >= 0 for label in lam) and level_pairing(spec, lam) <= k
+    return level_pairing(spec, lam) <= k and all(label >= 0 for label in lam)
 
 
 def require_integrable(spec: AlgebraSpec, k: int, *weights) -> None:
@@ -53,6 +53,12 @@ def require_integrable(spec: AlgebraSpec, k: int, *weights) -> None:
     for lam in weights:
         if not is_integrable(spec, lam, k):
             raise ValueError(f"{tuple(lam)} is not integrable at level {k}")
+
+
+def _shifted_terms(spec: AlgebraSpec, mu: Weight, nu: Weight) -> list:
+    """(nu + mu' + rho, m) over the weights mu' of V(mu), in weight-system order."""
+    return [(tuple([n + m + 1 for n, m in zip(nu, mu_prime)]), mult)
+            for mu_prime, mult in weight_system(spec, tuple(mu)).entries.items()]
 
 
 def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight) -> dict:
@@ -63,10 +69,8 @@ def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight) -> dict:
     """
     mu, nu = tuple(mu), tuple(nu)
     require_rank(spec, mu, nu)
-    ws = weight_system(spec, mu)
     counts: dict[Weight, int] = {}
-    for mu_prime, mult in ws.entries.items():
-        shifted = tuple(n + m + 1 for n, m in zip(nu, mu_prime))
+    for shifted, mult in _shifted_terms(spec, mu, nu):
         reduced, sign = reflect_to_dominant(spec, shifted)
         if sign == 0:
             continue
@@ -118,8 +122,7 @@ def _fuse_cached(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
     memo = _fold_memo(spec, k + spec.dual_coxeter)
     finite: dict[Weight, int] = {}
     counts: dict[Weight, int] = {}
-    for mu_prime, mult in weight_system(spec, mu).entries.items():
-        beta = tuple([n + m + 1 for n, m in zip(nu, mu_prime)])
+    for beta, mult in _shifted_terms(spec, mu, nu):
         entry = memo.get(beta)
         if entry is None:
             entry = _fold_entry(spec, beta, k, memo)

@@ -6,13 +6,13 @@ The central identity
     sum_{mu' in Omega_mu} chi_{mu'+nu} = sum_iota N_{mu nu}^iota chi_iota
 
 is checked by one routine, check_identity, parameterised by its kernel.  It
-builds the rho-shifted terms of both sides once per (mu, nu) and evaluates
-each side with kernel(terms, points).  The kernels are the alternating sums
-D_lam at variety points (walls included, both sides stay finite), the Weyl
-ratio at generic regular points, and the antisymmetrised theta sums at
-finite tau (theta.verify_kw_identity).  The inequality checks (Parseval-style
-bound, dimension bound, conjugacy symmetry) are exact integer comparisons
-end to end.
+takes the rho-shifted terms of the left side from fusion._shifted_terms,
+those of the right from the table, and evaluates each with kernel(terms,
+points).  The kernels are the alternating sums D_lam at variety points (walls
+included, both sides stay finite), the Weyl ratio at generic regular points,
+and the antisymmetrised theta sums at finite tau (theta.verify_kw_identity).
+The inequality checks (Parseval-style bound, dimension bound, conjugacy
+symmetry) are exact integer comparisons end to end.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from itertools import product
 from .algebra import AlgebraSpec, Weight
 from .characters import alternating_sums
 from .errors import InvariantViolation, check_cap
-from .fusion import fuse_level_k, require_integrable
-from .weights import conjugate, square_sum, weight_system, weyl_dimension
+from .fusion import _shifted_terms, fuse_level_k, require_integrable
+from .weights import conjugate, square_sum, weyl_dimension
 
 
 @dataclass
@@ -58,8 +58,8 @@ class VerificationReport:
             "case_id": self.case_id,
             "points_checked": self.points_checked,
             "max_abs_residual": self.max_abs_residual,
-            "passed": self.passed,
             "tolerance": self.tolerance,
+            "passed": self.passed,
             "witnesses": [
                 {"point": repr(point), "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}
                 for point, lhs, rhs in self.witnesses
@@ -117,13 +117,6 @@ def integer_report(case_id: str, checks) -> VerificationReport:
     )
 
 
-def _lhs_terms(spec: AlgebraSpec, mu: Weight, nu: Weight) -> list:
-    """(mu' + nu + rho, m) over the weight system of mu."""
-    ws = weight_system(spec, tuple(mu))
-    return [(tuple(m + n + 1 for m, n in zip(mu_prime, nu)), mult)
-            for mu_prime, mult in ws.entries.items()]
-
-
 def _rhs_terms(table: dict) -> list:
     """(iota + rho, N) over a fusion table."""
     return [(tuple(i + 1 for i in iota), n) for iota, n in table.items()]
@@ -136,7 +129,7 @@ def check_identity(case_id: str, spec: AlgebraSpec, mu: Weight, nu: Weight, tabl
     ``kernel(terms, points)`` on their rho-shifted (weight, coefficient)
     terms."""
     points = list(points)
-    lhs = kernel(_lhs_terms(spec, mu, nu), points)
+    lhs = kernel(_shifted_terms(spec, mu, nu), points)
     rhs = kernel(_rhs_terms(table), points)
     return make_report(case_id, tolerance, zip(points, map(complex, lhs), map(complex, rhs)))
 

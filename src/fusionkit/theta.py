@@ -1,5 +1,5 @@
 """Lattice theta sums at finite modular parameter, their Weyl
-(anti)symmetrizations, and the finite-tau characters built from them.
+antisymmetrizations, and the finite-tau characters built from them.
 Simply-laced algebras only: the construction leans on the even root lattice
 ((alpha, alpha) in 2Z) through both functional equations.
 
@@ -13,10 +13,11 @@ the coset gamma + kQ, so every sum starts from the shortest representative
 of that coset.  The sum is truncated at a radius derived from a Gaussian
 tail bound (smallest eigenvalue of the root-lattice Gram matrix C), so every
 reported value is within TRUNCATION_EPSILON of the full sum.  The points
-inside that radius are enumerated by a Fincke-Pohst walk and kept by an exact
-integer norm test; their terms are summed with math.fsum, so a value is
-correctly rounded and does not depend on the order of enumeration.  The
-layer is plain Python and does not import numpy.
+inside that radius are enumerated by a Fincke-Pohst walk on the pivots of
+algebra's exact elimination of C and kept by an exact integer norm test;
+their terms are summed with math.fsum, so a value is correctly rounded and
+independent of the order of enumeration.  The layer is plain Python and does
+not import numpy.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
-from .algebra import (AlgebraSpec, Weight, cartan_inverse, integer_gram, pairing_numerator,
-                       require_rank, signed_orbit)
+from .algebra import (AlgebraSpec, Weight, _gauss_jordan, cartan_inverse, integer_gram,
+                       pairing_numerator, require_rank, signed_orbit)
 from .characters import TWO_PI, _generic_pairing_vector
 from .errors import CapExceeded, SingularPointError
 from .fusion import fuse_level_k
@@ -110,15 +110,9 @@ def _smallest_eigenvalue(matrix: tuple) -> float:
 @lru_cache(maxsize=None)
 def _root_cholesky(spec: AlgebraSpec):
     """(d, m) with x A x^T = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 for the
-    root Gram matrix A = C: its exact LDL^T factors, as floats."""
-    a = [[Fraction(x) for x in row] for row in spec.cartan]
-    d, m = [], []
-    for i, row in enumerate(a):
-        d.append(float(row[i]))
-        m.append([float(x / row[i]) for x in row])  # only j > i is read
-        for j in range(i + 1, len(a)):
-            a[j] = [x - row[j] * y / row[i] for x, y in zip(a[j], row)]
-    return d, m
+    root Gram matrix A = C: the exact pivots of its elimination, as floats."""
+    pivots = _gauss_jordan(spec.cartan)[2]
+    return [float(d) for d, _ in pivots], [list(map(float, row)) for _, row in pivots]
 
 
 def _matvec(matrix, vector) -> list:
@@ -283,29 +277,23 @@ def theta_sum(ctx: ThetaContext, gamma: Weight) -> complex:
     return _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, cut.shift, cut.radius)
 
 
-def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight, parity: int):
-    """Net (+-1)^w counts of each Weyl image of gamma, sorted by image.
+def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight):
+    """Net (-1)^w counts of each Weyl image of gamma, sorted by image.
 
-    Read off the cached signed orbit: for parity +1 every image is reached
-    by stabiliser-many group elements; for parity -1 a gamma on a wall
-    cancels exactly, before any float work, and otherwise each image
-    carries its sign."""
+    Read off the cached signed orbit: a gamma on a wall cancels exactly,
+    before any float work, and otherwise each image carries its sign."""
     images, signs, stabiliser = signed_orbit(spec, gamma)
-    if parity > 0:
-        return sorted((image, stabiliser) for image in images)
     if stabiliser > 1:
         return []
     return sorted(zip(images, signs))
 
 
-def theta_weyl(ctx: ThetaContext, gamma: Weight, parity: int) -> complex:
-    """Weyl-symmetrized (parity +1) or antisymmetrized (parity -1) theta sum
-    over the full group action on gamma."""
-    if parity not in (1, -1):
-        raise ValueError("parity must be +1 or -1")
+def theta_weyl(ctx: ThetaContext, gamma: Weight) -> complex:
+    """Weyl-antisymmetrized theta sum sum_w (-1)^w Theta_{w gamma} over the
+    full group action on gamma."""
     gamma = tuple(int(x) for x in gamma)
     total = 0j
-    for image, count in _signed_orbit_counts(ctx.spec, gamma, parity):
+    for image, count in _signed_orbit_counts(ctx.spec, gamma):
         total += count * theta_sum(ctx, image)
     return total
 
@@ -317,11 +305,11 @@ def kac_weyl_char(ctx: ThetaContext, mu: Weight) -> complex:
     The context level must already be k + c.  mu may be any weight (virtual
     extensions are legal and may evaluate to zero or to signed characters).
     """
-    denominator = theta_weyl(ctx, ctx.spec.rho, -1)
+    numerator = theta_weyl(ctx, tuple(m + 1 for m in mu))  # checks the length of mu first
+    denominator = theta_weyl(ctx, ctx.spec.rho)
     if abs(denominator) < 1e-13:
         raise SingularPointError(f"(tau, u) = ({ctx.tau}, {ctx.u}) is a zero of the "
                                  f"theta denominator")
-    numerator = theta_weyl(ctx, tuple(m + 1 for m in mu), -1)
     return numerator / denominator
 
 
@@ -378,7 +366,7 @@ def antisymmetric_theta_sums(spec: AlgebraSpec, level: int, terms, points) -> li
     """sum over (lam, c) in terms of c Theta^-_{lam, level} at every (tau, u)
     point.  Wall weights need no normalization: their images cancel exactly."""
     contexts = (ThetaContext(spec, level, tau, u) for tau, u in points)
-    return [sum((c * theta_weyl(ctx, lam, -1) for lam, c in terms), 0j) for ctx in contexts]
+    return [sum((c * theta_weyl(ctx, lam) for lam, c in terms), 0j) for ctx in contexts]
 
 
 def verify_kw_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,

@@ -21,8 +21,8 @@ from fusionkit.characters import (
     phase_sums,
     weyl_ratio_sums,
 )
-from fusionkit.fusion import fuse_level_k, tensor_decompose
-from fusionkit.identity import _lhs_terms, _rhs_terms
+from fusionkit.fusion import _shifted_terms, fuse_level_k, tensor_decompose
+from fusionkit.identity import _rhs_terms
 from fusionkit.weights import weight_system
 
 
@@ -45,7 +45,7 @@ def eval_char_trace(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
 def lhs_char_sum(spec: AlgebraSpec, mu: Weight, nu: Weight, p: EvalPoint) -> complex:
     """sum over Omega_mu (with multiplicity) of the virtual character of
     mu' + nu at p."""
-    return weyl_ratio_sums(spec, _lhs_terms(spec, mu, nu), [p])[0]
+    return weyl_ratio_sums(spec, _shifted_terms(spec, mu, nu), [p])[0]
 
 
 def rhs_fusion_sum(spec: AlgebraSpec, mu: Weight, nu: Weight, p: EvalPoint,

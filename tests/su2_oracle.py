@@ -28,7 +28,7 @@ def su2_numerator_closed(j: int, k: int, tau: complex, u: complex,
         sum_{a in Z}  e^{2 pi i tau K (a + m/2K)^2 + 2 pi i K (a + m/2K) u}
                     - e^{2 pi i tau K (a - m/2K)^2 + 2 pi i K (a - m/2K) u}
 
-    with m = j+1 and K = k+2.  Agrees with theta_weyl(-1) on A1 at
+    with m = j+1 and K = k+2.  Agrees with theta_weyl on A1 at
     gamma = (j+1,), and vanishes identically at j = k+1; for j+m > k+1 the
     reflection chi_{j+m} = -chi_{2(k+1)-j-m} follows by an index shift.
     """

@@ -90,7 +90,7 @@ _LATTICE_INDEX = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
 @pytest.mark.parametrize("series,rank", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])
 def test_gauss_jordan_det_and_inverse(series, rank):
     spec = build_algebra(series, rank)
-    det, inverse = _gauss_jordan(spec.cartan)
+    det, inverse, _ = _gauss_jordan(spec.cartan)
     assert det == cartan_determinant(spec) == _LATTICE_INDEX[series](rank)
     identity = [[sum(spec.cartan[i][m] * inverse[m][j] for m in range(rank))
                  for j in range(rank)] for i in range(rank)]
@@ -98,9 +98,29 @@ def test_gauss_jordan_det_and_inverse(series, rank):
 
 
 def test_gauss_jordan_pivoting_and_singular():
-    assert _gauss_jordan([[0, 1], [1, 0]]) == (-1, ((0, 1), (1, 0)))
-    assert _gauss_jordan([[1, 2], [2, 4]]) == (0, None)
+    assert _gauss_jordan([[0, 1], [1, 0]])[:2] == (-1, ((0, 1), (1, 0)))
+    assert _gauss_jordan([[1, 2], [2, 4]]) == (0, None, None)
     assert _gauss_jordan([[Fraction(1, 2), 0], [0, 3]])[0] == Fraction(3, 2)
+
+
+ADE = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+       + [("E", 6), ("E", 7), ("E", 8)])
+
+
+@pytest.mark.parametrize("series,rank", ADE)
+def test_gauss_jordan_pivots_factor_the_cartan_form(series, rank):
+    """The forward pivots d_i and normalised rows m_i of C are its LDL^T
+    factors: sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 = x^T C x, exactly."""
+    spec = build_algebra(series, rank)
+    pivots = _gauss_jordan(spec.cartan)[2]
+    assert all(row[:i + 1] == (0,) * i + (1,) for i, (_, row) in enumerate(pivots))
+    rng = random.Random(rank)
+    for _ in range(25):
+        x = [rng.randint(-9, 9) for _ in range(rank)]
+        form = sum(x[i] * c * x[j] for i, row in enumerate(spec.cartan) for j, c in enumerate(row))
+        squares = sum(d * sum(m * xj for m, xj in zip(row[i:], x[i:])) ** 2
+                      for i, (d, row) in enumerate(pivots))
+        assert isinstance(squares, Fraction) and squares == form, x
 
 
 @pytest.mark.parametrize("series,rank", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])

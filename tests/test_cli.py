@@ -59,7 +59,16 @@ def test_weights_trivial_and_text(capsys):
 
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "weights", "Q3", "--mu", "1")[0] == 2
-    assert run(capsys, "weights", "A2", "--mu", "1")[0] == 2       # wrong length
+    for argv in (["weights", "A2", "--mu", "1"],
+                 ["fuse", "A2", "--k", "1", "--mu", "-1", "--nu", "0,1"],
+                 ["fuse", "A2", "--mu", "1,0", "--nu", "0,1,0"],
+                 ["theta", "A2", "--k", "1", "--gamma", "1", "--tau", "0+1i", "--u", "0.1,0.2"],
+                 ["theta", "A2", "--k", "1", "--gamma", "1,0,0", "--antisym", "--tau", "0+1i",
+                  "--u", "0.1,0.2"],
+                 ["theta", "A2", "--k", "1", "--char", "--mu", "1", "--tau", "0+1i",
+                  "--u", "0.1,0.2"]):
+        code, out, err = run_with_stderr(capsys, *argv)
+        assert (code, out) == (2, "") and "weight length does not match rank 2" in err, argv
     assert run(capsys, "weights", "A1")[0] == 2                    # argparse error
     assert run(capsys, "fuse", "A1", "--k", "-3", "--mu", "1", "--nu", "1")[0] == 2
     assert run(capsys, "fuse", "A1", "--k", "2", "--mu", "3", "--nu", "0")[0] == 2
@@ -325,6 +334,28 @@ def test_infinite_level_rejected_before_the_first_case(capsys):
     code, out, err = run_with_stderr(capsys, "verify", "A2")
     assert code == 2 and out == ""
     assert err == "error: the lemma suite needs a finite level\n"
+
+
+@pytest.mark.parametrize("algebra", ["G2", "B2"])
+def test_verify_all_refuses_a_non_ade_algebra_before_any_case(capsys, algebra):
+    """theta sums need a simply-laced algebra, and --suite all checks the
+    series before its first case: a usage error with nothing written."""
+    code, out, err = run_with_stderr(capsys, "verify", algebra, "--k", "2", "--suite", "all")
+    assert code == 2 and out == ""
+    assert err == f"error: theta sums are defined for the ADE series, not {algebra}\n"
+
+
+def test_cap_error_keeps_the_lines_of_finished_cases(capsys):
+    """Each report line is written as its case finishes: on A3 the csmodel
+    suite stops at the dense Fourier cap (exit 1) after its first two cases,
+    and the 27 lines of the cases before stay."""
+    code, out, err = run_with_stderr(capsys, "verify", "A3", "--k", "1", "--suite", "all")
+    assert code == 1 and err.startswith("resource cap exceeded: Fourier kernel")
+    records = [json.loads(line) for line in out.splitlines()]
+    suites = [record["case_id"].split(":")[0] for record in records]
+    assert len(records) == 27 and all(record["passed"] for record in records)
+    assert suites[:16] == ["numerator-identity"] * 16
+    assert suites[-2:] == ["clock-commutator", "primary-orthonormality"]
 
 
 def test_fuse_oracle_needs_a_finite_level_before_any_work(capsys):

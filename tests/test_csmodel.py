@@ -16,7 +16,6 @@ from fusionkit.csmodel import (
     check_clock_commutator,
     check_s_conjugation,
     clock_op,
-    inner,
     operator_fusion_rows,
     primary_state,
     s_operator,
@@ -151,7 +150,7 @@ def test_primary_orthonormality(spec, kmax):
         states = {r: primary_state(model, r) for r in weights}
         for r in weights:
             for s in weights:
-                value = inner(states[r], states[s])
+                value = complex(np.vdot(states[r], states[s]))
                 assert abs(value - (1.0 if r == s else 0.0)) < 1e-12
 
 
@@ -402,7 +401,7 @@ def test_non_simply_laced_models(series, rank, k):
     weights = level_k_weights(spec, k)
     for r in weights:
         for s in weights:
-            value = inner(primary_state(model, r), primary_state(model, s))
+            value = complex(np.vdot(primary_state(model, r), primary_state(model, s)))
             assert abs(value - (1.0 if r == s else 0.0)) < 1e-12
     for mu in weights:
         for nu in weights:

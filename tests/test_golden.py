@@ -84,17 +84,6 @@ def test_command_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_g2_all_keeps_suites_before_theta(capsys):
-    """theta sums need a simply-laced algebra: the G2 run is a usage error
-    at the theta suite, and the lines of the four suites before it stay."""
-    with pytest.warns(UserWarning):
-        code = cli.main(["verify", "G2", "--k", "2", "--suite", "all", "--seed", "0"])
-    assert code == cli.EXIT_USAGE
-    finished = ("identity", "lemma", "bounds", "conjugacy")
-    expected = b"".join((GOLDEN / f"G2_k2_{suite}.jsonl").read_bytes() for suite in finished)
-    assert capsys.readouterr().out.encode() == expected
-
-
 if __name__ == "__main__":
     import warnings
 

@@ -1,7 +1,7 @@
 """The input guards of the library, each with one home: the rank check in
-algebra and the integrability check in fusion.  Each entry point that takes
-a weight runs the guard, and each guard's message occurs once in the
-package, so a copied guard shows up here."""
+algebra, the integrability check in fusion and the series check in theta.
+Each entry point that takes a weight runs the guard, and each guard's
+message occurs once in the package, so a copied guard shows up here."""
 
 from pathlib import Path
 
@@ -62,7 +62,8 @@ def test_non_integrable_weight_is_rejected(name):
 
 
 @pytest.mark.parametrize("message", ["is not integrable at level",
-                                     "weight length does not match rank"])
+                                     "weight length does not match rank",
+                                     "theta sums are defined for the ADE series"])
 def test_guard_message_has_one_home(message):
     counts = {path.name: path.read_text().count(message)
               for path in sorted(PACKAGE.glob("*.py"))}

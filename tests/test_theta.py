@@ -95,11 +95,9 @@ def test_truncation_soundness():
 def test_weyl_antisymmetrization():
     ctx = ThetaContext(A2, 4, 1j, (0.06, 0.13))
     # wall gamma: exact zero by cancellation before summation
-    assert theta_weyl(ctx, (0, 2), -1) == 0
+    assert theta_weyl(ctx, (0, 2)) == 0
     # antisymmetry under a simple reflection: s_1(2,1) = (-2, 3)
-    assert theta_weyl(ctx, (-2, 3), -1) == -theta_weyl(ctx, (2, 1), -1)
-    # symmetric sum is Weyl invariant
-    assert theta_weyl(ctx, (-2, 3), 1) == theta_weyl(ctx, (2, 1), 1)
+    assert theta_weyl(ctx, (-2, 3)) == -theta_weyl(ctx, (2, 1))
 
 
 @pytest.mark.parametrize("spec,levels,gammas", [
@@ -203,7 +201,7 @@ def test_su2_closed_form_against_theta_weyl():
     for (j, k, tau, u) in [(1, 2, 1j, 0.05), (0, 1, 0.7j, 0.13), (2, 3, 0.5j, 0.21)]:
         ctx = ThetaContext(A1, k + 2, tau, (u,))
         lhs = su2_numerator_closed(j, k, tau, u)
-        rhs = theta_weyl(ctx, (j + 1,), -1)
+        rhs = theta_weyl(ctx, (j + 1,))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -468,11 +466,11 @@ def test_smallest_eigenvalue_box_counts_match_eigvalsh(series, rank):
             assert math.ceil((r + 1.0 + s) / ours) == math.ceil((r + 1.0 + s) / lapack), (r, s)
 
 
-def word_orbit_counts(spec, gamma, parity):
+def word_orbit_counts(spec, gamma):
     counts = {}
     for word in weyl_elements(spec):
         image = apply_word(spec, word, gamma)
-        counts[image] = counts.get(image, 0) + (word_sign(word) if parity < 0 else 1)
+        counts[image] = counts.get(image, 0) + word_sign(word)
     return sorted((image, c) for image, c in counts.items() if c != 0)
 
 
@@ -483,6 +481,4 @@ def test_signed_orbit_counts_match_weyl_words(spec):
     walls = [(0,) * rank, (1,) + (0,) * (rank - 1), tuple(i % 2 for i in range(rank))]
     shifted = tuple(-1 if i == 0 else 2 for i in range(rank))
     for gamma in [regular, shifted] + walls:
-        for parity in (1, -1):
-            assert _signed_orbit_counts(spec, gamma, parity) == \
-                word_orbit_counts(spec, gamma, parity), (gamma, parity)
+        assert _signed_orbit_counts(spec, gamma) == word_orbit_counts(spec, gamma), gamma

@@ -28,7 +28,7 @@ def simple_reflection(spec: AlgebraSpec, i: int, lam: Weight) -> Weight:
 def cartan_determinant(spec: AlgebraSpec) -> int:
     """det C, exactly; equals the index of the root lattice in the weight
     lattice."""
-    det, _ = _gauss_jordan(spec.cartan)
+    det, _, _ = _gauss_jordan(spec.cartan)
     if det.denominator != 1:
         raise InvariantViolation(f"det C = {det} of {spec} is not an integer")
     return int(det)
