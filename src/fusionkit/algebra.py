@@ -251,8 +251,15 @@ def reflect_to_dominant(spec: AlgebraSpec, beta: Weight) -> SignedDominant:
     """Reduce beta to the dominant chamber, tracking the reflection parity.
 
     beta lies on a wall (is fixed by a reflection) exactly when its dominant
-    conjugate has a zero label; the result is then (None, 0).
+    conjugate has a zero label; the result is then (None, 0).  Memoised per
+    (spec, beta): a term that tensor_decompose reduced is not walked again
+    when the identity's left side reduces it.
     """
+    return _signed_dominant(spec, tuple(beta))
+
+
+@lru_cache(maxsize=1 << 15)
+def _signed_dominant(spec: AlgebraSpec, beta: Weight) -> SignedDominant:
     dominant, parity = _reduce(spec, beta)
     if 0 in dominant:
         return SignedDominant(None, 0)

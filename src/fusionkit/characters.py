@@ -91,6 +91,13 @@ def _generic_pairing_vector(spec: AlgebraSpec, u):
     )
 
 
+@lru_cache(maxsize=1 << 10)
+def _point_pairing_vector(spec: AlgebraSpec, p: GenericPoint) -> tuple:
+    """G u of the generic point p, formed once per (spec, p) for every
+    D_lam evaluated there."""
+    return _generic_pairing_vector(spec, p.u)
+
+
 @lru_cache(maxsize=256)
 def roots_of_unity(period: int) -> np.ndarray:
     """exp(2 pi i e / L) for e = 0 .. L-1, read-only and built once per L:
@@ -231,7 +238,7 @@ def _eval_D_cached(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
         images, signs, stabiliser = signed_orbit(spec, lam)
         if stabiliser > 1:
             return 0j
-        gu = _generic_pairing_vector(spec, p.u)
+        gu = _point_pairing_vector(spec, p)
         total = 0.0 + 0.0j
         for w_lam, sign in zip(images, signs):
             pairing = sum(li * gi for li, gi in zip(w_lam, gu))
@@ -251,46 +258,65 @@ def eval_char(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
     if any(label < 0 for label in mu):
         raise ValueError(f"{mu} is not dominant; reduce mu + rho with reflect_to_dominant")
     lam = tuple(m + 1 for m in mu)
-    return _weyl_ratios(spec, [lam], p)[lam]
+    return _weyl_ratios(spec, [lam], (p,))[lam][0]
 
 
-@lru_cache(maxsize=1 << 10)
-def _ratio_table(spec: AlgebraSpec, p: EvalPoint) -> dict:
-    """The per-point table rho-shifted dominant lam -> D_lam(p) / D_rho(p),
-    filled by _weyl_ratios; it holds entries only once D_rho(p) passed
-    the floor."""
+#: ratios kept per point set; past it new columns are computed but not kept
+_RATIO_STORE_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=1 << 6)
+def _ratio_columns(spec: AlgebraSpec, points: tuple) -> dict:
+    """The store behind _weyl_ratios for one tuple of points:
+    rho-shifted dominant lam -> (D_lam(p) / D_rho(p) for p in points), with
+    columns only once every D_rho(p) passed the floor, up to
+    _RATIO_STORE_ENTRIES ratios."""
     return {}
 
 
-def _weyl_ratios(spec: AlgebraSpec, shifted, p: EvalPoint) -> dict:
-    """The ratio table at p, with an entry for every rho-shifted dominant
-    weight in ``shifted``.  Callers check the Weyl-order cap first."""
-    table = _ratio_table(spec, p)
-    missing = [lam for lam in shifted if lam not in table]
-    if missing:
-        denominator = _eval_D_cached(spec, spec.rho, p)
-        if abs(denominator) < DENOMINATOR_FLOOR:
-            raise SingularPointError(
-                f"point {p} lies on a wall of {spec}: |D_rho| = {abs(denominator):.3e}"
-            )
-        for lam in missing:
-            table[lam] = _eval_D_cached(spec, lam, p) / denominator
-    return table
+def _weyl_ratios(spec: AlgebraSpec, shifted, points: tuple) -> dict:
+    """The ratio columns over ``points`` of every rho-shifted dominant weight
+    in ``shifted``, each ratio divided once.  Callers check the Weyl-order
+    cap first."""
+    store = _ratio_columns(spec, points)
+    columns = {}
+    denominators = None
+    for lam in shifted:
+        column = store.get(lam)
+        if column is None:
+            if denominators is None:
+                denominators = [_denominator(spec, p) for p in points]
+            column = tuple([_eval_D_cached(spec, lam, p) / denominator
+                            for p, denominator in zip(points, denominators)])
+            if (len(store) + 1) * len(points) <= _RATIO_STORE_ENTRIES:
+                store[lam] = column
+        columns[lam] = column
+    return columns
+
+
+def _denominator(spec: AlgebraSpec, p: EvalPoint) -> complex:
+    """D_rho(p), which SingularPointError refuses below DENOMINATOR_FLOOR."""
+    denominator = _eval_D_cached(spec, spec.rho, p)
+    if abs(denominator) < DENOMINATOR_FLOOR:
+        raise SingularPointError(
+            f"point {p} lies on a wall of {spec}: |D_rho| = {abs(denominator):.3e}"
+        )
+    return denominator
 
 
 def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
     """sum over (lam, c) in terms of c D_lam(p) / D_rho(p) at every point p.
 
     Each rho-shifted lam is reflected to the dominant chamber first, so
-    c sign(w) chi_{w(lam) - rho} enters; lam on a wall drops out.  The
-    ratios are read from one table per point, each divided once."""
+    c sign(w) chi_{w(lam) - rho} enters; lam on a wall drops out.  Terms are
+    walked once, each adding c times its ratio column to every point, so a
+    point's value is 0j + c_1 r_1 + c_2 r_2 + ... in term order."""
     check_cap("weyl_order", spec.weyl_order, spec)
+    points = tuple(points)
     reduced = [(reflect_to_dominant(spec, lam), c) for lam, c in terms]
     reduced = [(dom, c * sign) for (dom, sign), c in reduced if sign]
-    shifted = [lam for lam, _ in reduced]
-    values = []
-    for p in points:
-        table = _weyl_ratios(spec, shifted, p)
-        values.append(sum([c * table[lam] for lam, c in reduced], 0j))
+    columns = _weyl_ratios(spec, [lam for lam, _ in reduced], points)
+    values = [0j] * len(points)
+    for lam, c in reduced:
+        values = [value + c * ratio for value, ratio in zip(values, columns[lam])]
     return values
-

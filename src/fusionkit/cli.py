@@ -33,6 +33,7 @@ from .errors import (
     InvariantViolation,
     OracleMismatchError,
     caps_from_env,
+    check_cap,
     use_caps,
 )
 from .fusion import (
@@ -152,8 +153,10 @@ def _random_regular_points(spec, count: int, seed: int):
 
 def _suite_identity(spec, config: RunConfig):
     if config.k is None:
-        points = _random_regular_points(spec, 25, config.seed)
         labels = [w for w in product(range(4), repeat=spec.rank)]
+        for mu in labels:  # every V(mu) is built by some case: check them before the first
+            check_cap("dim", weyl_dimension(spec, mu), mu)
+        points = _random_regular_points(spec, 25, config.seed)
         for mu in labels:
             for nu in labels:
                 report = identity.check_identity(

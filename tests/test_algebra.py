@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fusionkit import algebra
 from fusionkit.algebra import (
     _gauss_jordan,
     build_algebra,
@@ -178,13 +179,19 @@ def test_reflect_to_dominant_examples():
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("A", 3)])
 def test_reflect_to_dominant_consistent_over_orbit(series, rank):
+    """Every orbit image reduces to beta with the orbit's sign, and the
+    memoised reduction equals a fresh walk after its cache is cleared."""
     spec = build_algebra(series, rank)
     rng = random.Random(3)
     for _ in range(10):
         beta = tuple(rng.randint(1, 4) for _ in range(rank))  # strictly dominant
         images, signs, _ = signed_orbit(spec, beta)
-        for image, sign in zip(images, signs):
-            reduced, image_sign = reflect_to_dominant(spec, image)
+        algebra._signed_dominant.cache_clear()
+        fresh = [reflect_to_dominant(spec, image) for image in images]
+        memoised = [reflect_to_dominant(spec, image) for image in images]
+        assert algebra._signed_dominant.cache_info().hits == len(images)
+        assert memoised == fresh
+        for sign, (reduced, image_sign) in zip(signs, memoised):
             assert reduced == beta
             assert image_sign == sign
 

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionkit import characters
+from fusionkit import algebra, characters
 from fusionkit.algebra import build_algebra, reflect_to_dominant
 from fusionkit.characters import (
     GenericPoint,
@@ -17,6 +17,7 @@ from fusionkit.characters import (
     weyl_ratio_sums,
 )
 from fusionkit.errors import CapExceeded, Caps, SingularPointError, use_caps
+from fusionkit.fusion import _shifted_terms
 from fusionkit.weights import weyl_dimension
 
 from character_oracle import eval_char_trace
@@ -53,14 +54,23 @@ def _ratio_sums_21(p):
     return weyl_ratio_sums(A2, [((2, 1), 1)], [p])
 
 
+def _ratio_sums_columns(p):
+    """A left side with repeated terms over three points: warm ratio
+    columns, pairing vectors and memoised reductions."""
+    points = [p, GenericPoint((0.5j, 1.1j)), GenericPoint((1.3j, 0.2j))]
+    return weyl_ratio_sums(A2, _shifted_terms(A2, (1, 1), (1, 0)), points)
+
+
 @pytest.mark.parametrize("warm,evaluate", [
     (_eval_D_21, _eval_D_21),
     (_eval_char_10, _eval_char_10),
     (_ratio_sums_21, _ratio_sums_21),
     (_ratio_sums_21, _eval_char_10),
-], ids=["eval_D", "eval_char", "weyl_ratio_sums", "eval_char_after_weyl_ratio_sums"])
+    (_ratio_sums_columns, _ratio_sums_columns),
+], ids=["eval_D", "eval_char", "weyl_ratio_sums", "eval_char_after_weyl_ratio_sums",
+        "weyl_ratio_sums_columns"])
 def test_weyl_cap_checked_on_cache_hit(warm, evaluate):
-    """The D_lam cache and the ratio table sit behind each entry point's
+    """The D_lam cache and the ratio columns sit behind each entry point's
     Weyl-order check."""
     point = GenericPoint((0.3j, 0.7j))
     warm(point)
@@ -201,11 +211,11 @@ def test_point_validation():
 
 
 # ---------------------------------------------------------------------------
-# the per-point ratio table behind weyl_ratio_sums and eval_char
+# the ratio columns behind weyl_ratio_sums and eval_char
 
 
 def reference_ratio_sum(spec, terms, p):
-    """The term-by-term formula the ratio table replaces."""
+    """The term-by-term formula the ratio columns replace."""
     return sum((c * (eval_D(spec, lam, p) / eval_D(spec, spec.rho, p)) for lam, c in terms), 0j)
 
 
@@ -227,9 +237,11 @@ def test_weyl_ratio_sums_equal_term_formula(spec, variety):
     for _ in range(8):
         terms = random_terms(spec, rng)
         expected = [reference_ratio_sum(spec, terms, p) for p in points]
-        characters._ratio_table.cache_clear()
-        assert weyl_ratio_sums(spec, terms, points) == expected  # cold table
-        assert weyl_ratio_sums(spec, terms, points) == expected  # warm table
+        for store in (characters._ratio_columns, characters._eval_D_cached,
+                      characters._point_pairing_vector, algebra._signed_dominant):
+            store.cache_clear()
+        assert weyl_ratio_sums(spec, terms, points) == expected  # cold stores
+        assert weyl_ratio_sums(spec, terms, points) == expected  # warm stores
         assert weyl_ratio_sums(spec, terms[::-1], points[::-1]) == [
             reference_ratio_sum(spec, terms[::-1], p) for p in points[::-1]]
 

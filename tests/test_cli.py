@@ -358,6 +358,15 @@ def test_cap_error_keeps_the_lines_of_finished_cases(capsys):
     assert suites[-2:] == ["clock-commutator", "primary-orthonormality"]
 
 
+def test_generic_identity_checks_the_dim_cap_before_the_first_case(capsys):
+    """verify --k inf --suite identity builds V(mu) for every label in
+    range(4)^rank; on B3, V(2, 3, 3) is above the default dim cap, so the run
+    stops before its first case (before, after 3,008 lines and 25 s)."""
+    code, out, err = run_with_stderr(capsys, "verify", "B3", "--k", "inf", "--suite", "identity")
+    assert code == 1 and out == ""
+    assert err == "resource cap exceeded: (2, 3, 3) needs dim = 133056, above the cap 100000\n"
+
+
 def test_fuse_oracle_needs_a_finite_level_before_any_work(capsys):
     """fuse --oracle at k = inf is a usage error found before the tensor
     decomposition, which here (dim 252252) would pass the dim cap."""

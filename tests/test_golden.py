@@ -6,7 +6,10 @@ output format.
 
 Re-record (only after a deliberate change of output) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+where a NAME is a CASES stem or a COMMAND_CASES file name; with no NAME every
+file is re-recorded.
 """
 
 import sys
@@ -31,8 +34,9 @@ CASES = {
     "A2_k5_csmodel": (["A2", "--k", "5", "--suite", "csmodel"], 0),
     "A1_kinf_identity": (["A1", "--k", "inf", "--suite", "identity"], 0),
     "A2_kinf_identity": (["A2", "--k", "inf", "--suite", "identity"], 0),
-    # a quadratic form with thirds: the one non-simply-laced generic case
+    # quadratic forms with thirds and with halves: the non-simply-laced generic cases
     "G2_kinf_identity": (["G2", "--k", "inf", "--suite", "identity"], 0),
+    "B2_kinf_identity": (["B2", "--k", "inf", "--suite", "identity"], 0),
     # 192-image orbits with wall terms: the largest orbits of the set
     "D4_k1_lemma": (["D4", "--k", "1", "--suite", "lemma"], 0),
 }
@@ -84,16 +88,33 @@ def test_command_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_record_refuses_an_unknown_name_before_writing(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    with pytest.raises(SystemExit, match="unknown golden case: A2_kinf_identit$"):
+        record(["B2_kinf_identity", "A2_kinf_identit"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def record(names) -> None:
+    """Re-record the named golden files, CASES by stem and COMMAND_CASES by
+    file name; every file when no name is given."""
+    files = {f"{stem}.jsonl": (["verify", *args, "--seed", "0"], code)
+             for stem, (args, code) in CASES.items()}
+    files.update(COMMAND_CASES)
+    chosen = [f"{name}.jsonl" if name in CASES else name for name in names] or sorted(files)
+    unknown = [name for name in chosen if name not in files]
+    if unknown:
+        sys.exit(f"unknown golden case: {', '.join(unknown)}")
+    GOLDEN.mkdir(exist_ok=True)
+    for name in chosen:
+        argv, expected_code = files[name]
+        code = run_cli(argv, GOLDEN / name)
+        if code != expected_code:
+            sys.exit(f"{name}: exit {code}, expected {expected_code}")
+
+
 if __name__ == "__main__":
     import warnings
 
     warnings.simplefilter("ignore")
-    GOLDEN.mkdir(exist_ok=True)
-    for name, (args, expected_code) in sorted(CASES.items()):
-        code = run_verify(args, GOLDEN / f"{name}.jsonl")
-        if code != expected_code:
-            sys.exit(f"{name}: exit {code}, expected {expected_code}")
-    for name, (argv, expected_code) in sorted(COMMAND_CASES.items()):
-        code = run_cli(argv, GOLDEN / name)
-        if code != expected_code:
-            sys.exit(f"{name}: exit {code}, expected {expected_code}")
+    record(sys.argv[1:])
