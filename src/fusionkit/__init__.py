@@ -57,8 +57,9 @@ from .weights import (
 __version__ = "0.1.0"
 
 # The numeric layers load on first access (PEP 562): csmodel imports numpy,
-# and theta is plain Python needed only for theta sums.  Importing fusionkit
-# for exact work loads neither.
+# the only module that does, and theta is plain Python needed only for theta
+# sums.  Importing fusionkit, for exact work or for characters at any point,
+# loads neither.
 _LAZY_MODULES = {
     "csmodel": (
         "FourierOperator", "GaussianModel", "LatticeOperator", "build_model",

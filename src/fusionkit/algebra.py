@@ -18,7 +18,7 @@ wall detection (a zero label of the dominant conjugate) has to be exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -81,10 +81,15 @@ class AlgebraSpec:
     dual_coxeter: int
     highest_root: tuple
     weyl_order: int
+    # every other field is a function of (series, rank); hashed once, since
+    # every cache of the package is keyed on the spec
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.series, self.rank)))
 
     def __hash__(self) -> int:
-        # every other field is a function of (series, rank)
-        return hash((self.series, self.rank))
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"

@@ -13,18 +13,27 @@ product of those counts with a table of L-th roots of unity.  Root-of-unity
 coincidences (e.g. chi_4 = -chi_2 on the 8th roots of unity) therefore cancel
 exactly, and D_{w lam} = (-1)^w D_lam holds bit for bit.
 
-Only that kernel (roots_of_unity, phase_kernel, phase_sums) uses numpy, and
-it imports numpy on first call: generic points, Weyl ratios and the exact
-layers below run in processes that never load it.
+The kernel is plain Python, and nothing in this module loads numpy: it
+merges the terms into residue rows, counts them per point by walking a trie
+of the points one coordinate at a time (histograms packed into one int
+each), and adds count times root in numpy's pairwise order.  Its values are
+therefore those of np.sum over the count and root arrays, bit for bit, so
+outputs recorded from such sums keep their bytes; tests/character_oracle.py
+keeps that numpy kernel as the reference.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add, itemgetter, mod, mul, rshift
 from typing import NamedTuple, Union
 
 from .algebra import (
@@ -44,10 +53,6 @@ TWO_PI = 2.0 * cmath.pi
 
 #: largest period L = qK for which a table of L-th roots of unity is built
 PHASE_TABLE_CAP = 1 << 20
-
-#: entries of one exponent or count array; points are processed in chunks
-#: so that neither array grows past this
-_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -99,22 +104,16 @@ def _point_pairing_vector(spec: AlgebraSpec, p: GenericPoint) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def roots_of_unity(period: int) -> np.ndarray:
-    """exp(2 pi i e / L) for e = 0 .. L-1, read-only and built once per L:
-    the one table every exact phase of the package is read from.  Callers
-    bound L (PHASE_TABLE_CAP, or the Hilbert cap for the Gaussian model).
+def roots_of_unity(period: int) -> tuple:
+    """exp(2 pi i e / L) for e = 0 .. L-1, built once per L: the one table
+    every exact phase of the package is read from.  Callers bound L
+    (PHASE_TABLE_CAP, or the Hilbert cap for the Gaussian model).
 
     Entry e is exp(i y) at y = (2 pi e)(1/L), the angle numpy forms in
     np.exp(2j * np.pi * np.arange(L) / L); the table equals that array bit
-    for bit (tests pin it), but is built with cmath.  Like the rest of the
-    phase kernel it imports numpy on its first call, so a process that
-    builds no array never loads numpy."""
-    import numpy as np
-
+    for bit (tests pin it)."""
     step = 1 / period
-    roots = np.array([cmath.exp(1j * (TWO_PI * e * step)) for e in range(period)])
-    roots.flags.writeable = False
-    return roots
+    return tuple([cmath.exp(1j * (TWO_PI * e * step)) for e in range(period)])
 
 
 class PhaseKernel(NamedTuple):
@@ -122,9 +121,9 @@ class PhaseKernel(NamedTuple):
     under a rational matrix M: with q the least common denominator of M,
     B = qM and L = qK, the phase is roots[r^T B gamma mod L]."""
 
-    matrix: np.ndarray   # B mod L, int64
+    matrix: tuple        # B mod L, rows of ints
     period: int          # L
-    roots: np.ndarray    # roots_of_unity(L)
+    roots: tuple         # roots_of_unity(L)
 
 
 @lru_cache(maxsize=256)
@@ -132,90 +131,280 @@ def phase_kernel(matrix: tuple, level_shifted: int) -> PhaseKernel:
     """The kernel of the rational matrix M (rows of ints or Fractions) at
     shifted level K, built once per (M, K).
 
-    Raises CapExceeded when the root table would pass PHASE_TABLE_CAP or
-    int64 exponent arithmetic could overflow; it never wraps silently."""
+    Raises CapExceeded when the root table would pass PHASE_TABLE_CAP."""
     q = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
     period = q * level_shifted
-    rank = len(matrix)
-    # Both factors of every integer product are reduced into [0, L) first,
-    # so a row-times-column sum stays below rank * L * L.
-    if period > PHASE_TABLE_CAP or rank * period * period >= 1 << 63:
+    if period > PHASE_TABLE_CAP:
         raise CapExceeded(
             f"phase kernel at K = {level_shifted} needs a table of {period} roots "
             f"of unity (cap {PHASE_TABLE_CAP})",
             required=period,
         )
-    import numpy as np
-
-    matrix_mod = np.array(
-        [[int(q * Fraction(x)) % period for x in row] for row in matrix], dtype=np.int64
-    )
-    matrix_mod.flags.writeable = False
+    matrix_mod = tuple(tuple(int(q * Fraction(x)) % period for x in row) for row in matrix)
     return PhaseKernel(matrix_mod, period, roots_of_unity(period))
 
 
-def _lattice_array(rows, rank: int) -> np.ndarray:
-    """Integer vectors as an (n, rank) array: int64 when every entry fits,
-    Python ints otherwise (reduced mod L before any int64 arithmetic)."""
-    import numpy as np
-
-    if not isinstance(rows, np.ndarray):
-        rows = [tuple(row) for row in rows]
-        try:
-            rows = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            rows = np.array(rows, dtype=object)
-    if rows.size == 0:
-        return np.zeros((0, rank), dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != rank:
-        raise ValueError(f"integer vectors must have length {rank}")
-    return rows
+def _point_tuple(points, rank: int) -> tuple:
+    """Integer vectors of length rank as a tuple of tuples.  A tuple of
+    tuples is returned as it is, so a grid shared by many sums is neither
+    copied nor re-keyed."""
+    if not (isinstance(points, tuple) and set(map(type, points)) <= {tuple}):
+        points = tuple(tuple(int(x) for x in p) for p in points)
+    _require_lengths(points, rank)
+    return points
 
 
-def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> np.ndarray:
-    """sum_r c_r exp(2 pi i r^T M gamma / K) at every point gamma.
-
-    Exponents are exact int64 residues mod L; the coefficients are summed per
-    (point, residue) as integers (float64 holds them exactly below 2^53), and
-    the one floating-point step is the dot product of those counts with the
-    root table."""
-    import numpy as np
-
-    period = kernel.period
-    rank = kernel.matrix.shape[0]
-    weights = _lattice_array(weights, rank)
-    coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1)
-    if len(coeffs) != len(weights):
-        raise ValueError("one coefficient per weight is required")
-    # Every per-residue partial sum is bounded by n * max|c|, in Python ints.
-    if len(coeffs) and max(int(coeffs.max()), -int(coeffs.min())) * len(coeffs) >= 1 << 53:
+def _require_exact_counts(largest: int, terms: int):
+    """Every count per residue is at most terms * largest in size; float64
+    holds it exactly below 2^53."""
+    if largest * terms >= 1 << 53:
         raise CapExceeded("signed coefficients too large to count exactly in float64")
-    gammas = (_lattice_array(points, rank) % period).astype(np.int64)
-    reduced = (weights % period).astype(np.int64) @ kernel.matrix % period
-    chunk = max(1, _CHUNK_ENTRIES // max(len(weights), period))
-    offsets = np.arange(chunk, dtype=np.int64) * period
-    values = np.empty(len(gammas), dtype=complex)
-    for start in range(0, len(gammas), chunk):
-        block = gammas[start:start + chunk]
-        width = len(block)
-        exponents = reduced @ block.T % period + offsets[:width]
-        counts = np.bincount(
-            exponents.ravel(), weights=np.repeat(coeffs, width), minlength=width * period
-        ).reshape(width, period)
-        values[start:start + width] = (counts * kernel.roots).sum(axis=1)
+
+
+def _require_lengths(vectors, rank: int):
+    if not set(map(len, vectors)) <= {rank}:
+        raise ValueError(f"integer vectors must have length {rank}")
+
+
+def _pairings(kernel: PhaseKernel, vectors: list, us: list) -> list:
+    """For each u in ``us`` (entries in [0, L)), vector . u mod L of every
+    vector, as a lazy iterator.  Each coordinate column of the vectors is
+    reduced mod L and packed into one int, a field per vector wide enough
+    for a sum of rank products of residues, so pairing with u is rank
+    products of big ints, read back as an array of fields."""
+    period, rank = kernel.period, len(kernel.matrix)
+    _require_lengths(vectors, rank)
+    bits = (rank * period * period).bit_length()
+    code = next(code for code in "BHIQ" if 8 * array(code).itemsize >= bits)
+    columns = [int.from_bytes(array(code, map(mod, map(itemgetter(i), vectors),
+                                              repeat(period))).tobytes(), sys.byteorder)
+               for i in range(rank)]
+    size = array(code).itemsize * len(vectors)
+    return [map(mod, array(code, sum(map(mul, u, columns)).to_bytes(size, sys.byteorder)),
+                repeat(period)) for u in us]
+
+
+def _residue_rows(kernel: PhaseKernel, weights: list, coeffs: list) -> dict:
+    """r^T B mod L -> the net coefficient of the weights r with that row,
+    zeros dropped: the phase of r at every point depends on its row alone."""
+    rows = zip(*_pairings(kernel, weights, list(zip(*kernel.matrix))))
+    netted = {}
+    for (row, c), n in Counter(zip(rows, coeffs)).items():
+        netted[row] = netted.get(row, 0) + c * n
+    return {row: c for row, c in netted.items() if c}
+
+
+def _field_width(offset: int) -> int:
+    """Bits per residue of a packed count histogram whose counts are at most
+    ``offset`` in size: room for a bias of ``offset``, rounded up to a
+    multiple of 8 so that the widths of most sums agree."""
+    return ((2 * offset).bit_length() | 7) + 1
+
+
+def _direct_sums(kernel: PhaseKernel, vectors: list, coeffs: list, pairs: list) -> list:
+    """sum c exp(2 pi i vector . u / L) for every u in ``pairs``, counting
+    each vector's residue directly."""
+    width = _field_width(sum(map(abs, coeffs)))
+    values = []
+    for residues in _pairings(kernel, vectors, pairs):
+        packed = 0
+        for (e, c), n in Counter(zip(residues, coeffs)).items():
+            packed += c * n << e * width
+        values.append(_phase_value(kernel, width, packed))
     return values
 
 
-def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> np.ndarray:
+def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> list:
+    """sum_r c_r exp(2 pi i r^T M gamma / K) at every point gamma.
+
+    The coefficients are summed per (point, residue) as exact integers, and
+    the one floating-point step is the dot product of those counts with the
+    root table (_phase_value).  At no more points than coordinates each
+    label r is paired with B gamma directly; past that the weights are
+    merged into residue rows first (_row_sums)."""
+    rank, period = len(kernel.matrix), kernel.period
+    weights, coeffs = list(weights), list(map(int, coeffs))
+    points = _point_tuple(points, rank)
+    if len(coeffs) != len(weights):
+        raise ValueError("one coefficient per weight is required")
+    _require_exact_counts(max(map(abs, coeffs), default=0), len(coeffs))
+    if len(points) > rank:
+        return _row_sums(kernel, _residue_rows(kernel, weights, coeffs), points)
+    return _direct_sums(kernel, weights, coeffs, [
+        [sum(b * int(g) for b, g in zip(row, gamma)) % period for row in kernel.matrix]
+        for gamma in points
+    ])
+
+
+#: residue rows of the signed orbits kept per (spec, K, lam)
+_ORBIT_ROW_ENTRIES = 1 << 10
+
+#: count vectors whose root-table dot product is kept
+_DOT_MEMO_ENTRIES = 1 << 16
+
+#: points kept over all stored point tries; past it a trie is built but not kept
+_TRIE_STORE_ENTRIES = 1 << 18
+
+_dot_memo: dict = {}
+_trie_store: dict = {}
+
+
+def _phase_value(kernel: PhaseKernel, width: int, packed: int) -> complex:
+    """sum_e count_e roots_e for the counts packed in signed ``width``-bit
+    fields of ``packed``, memoised per (L, width, packed) up to
+    _DOT_MEMO_ENTRIES.
+
+    The terms are added in numpy's pairwise order, so every value is the
+    one np.sum gives for the product of the count and root arrays, bit for
+    bit.  A zero count adds a signed zero there, which changes no sum that
+    starts from 0j, so it enters as 0j."""
+    key = (kernel.period, width, packed)
+    value = _dot_memo.get(key)
+    if value is None:
+        field = (1 << width) - 1
+        half = 1 << (width - 1)
+        biased = packed + half * ((1 << width * kernel.period) - 1) // field
+        terms = []
+        for root in kernel.roots:
+            c = (biased & field) - half
+            terms.append(c * root if c else 0j)
+            biased >>= width
+        value = 0j + _pairwise(terms, 0, len(terms))
+        if len(_dot_memo) < _DOT_MEMO_ENTRIES:
+            _dot_memo[key] = value
+    return value
+
+
+def _pairwise(terms: list, start: int, n: int) -> complex:
+    """terms[start:start + n] summed as numpy sums a contiguous complex
+    array: in order below 4 terms, with 4 interleaved accumulators up to 64,
+    and above that as two halves split at a multiple of 4."""
+    if n < 4:
+        return reduce(add, terms[start:start + n], 0j)
+    if n <= 64:
+        stop = start + n - n % 4
+        a, b, c, d = (reduce(add, terms[lane + 4:stop:4], terms[lane])
+                      for lane in range(start, start + 4))
+        return reduce(add, terms[stop:start + n], (a + b) + (c + d))
+    half = (n - n % 8) // 2
+    return _pairwise(terms, start, half) + _pairwise(terms, start + half, n - half)
+
+
+def _point_trie(points: tuple, period: int) -> dict:
+    """The points as a trie on their residues mod L, one level per
+    coordinate, whose leaves list point indices; kept per (L, points) while
+    _TRIE_STORE_ENTRIES has room."""
+    key = (period, points)
+    trie = _trie_store.get(key)
+    if trie is None:
+        trie = {}
+        for index, gamma in enumerate(points):
+            node = trie
+            for g in gamma[:-1]:
+                node = node.setdefault(int(g) % period, {})
+            node.setdefault(int(gamma[-1]) % period, []).append(index)
+        if sum(len(p) for _, p in _trie_store) + len(points) <= _TRIE_STORE_ENTRIES:
+            _trie_store[key] = trie
+    return trie
+
+
+def _row_sums(kernel: PhaseKernel, rows: dict, points) -> list:
+    """sum over residue rows of c exp(2 pi i row . gamma / L) at every point.
+
+    At no more points than coordinates each row is paired with gamma
+    directly, and no trie is built or kept for them.
+    Otherwise the rows are walked down the point trie one coordinate at a
+    time.  The state at depth d is one histogram over partial exponents
+    mod L per distinct row suffix row[d:], packed into one int with a
+    field of ``width`` bits per residue, each field biased so that none goes
+    negative.  Stepping to coordinate value g rotates a suffix's histogram
+    by row[d] * g fields and adds it into the histogram of row[d+1:]; the
+    histograms are kept doubled, h + (h << span), so that a rotation is one
+    shift and the sum of a tail's rotations one mask.  Each leaf histogram
+    minus its bias is a point's counts."""
+    period, rank = kernel.period, len(kernel.matrix)
+    points = _point_tuple(points, rank)
+    if len(points) <= rank:
+        return _direct_sums(kernel, list(rows), list(rows.values()),
+                            [[int(g) % period for g in gamma] for gamma in points])
+    trie = _point_trie(points, period)
+    values = [0j] * len(points)
+    if not rows:
+        return values
+    offset = sum(map(abs, rows.values()))
+    width = _field_width(offset)
+    span = period * width
+    mask = (1 << span) - 1
+    ones = mask // ((1 << width) - 1)
+    # Sorted by the reversed row, the suffixes row[d:] that share a tail
+    # row[d+1:] are contiguous at every depth d: groups[d] holds the
+    # (start, stop) of each tail's run and firsts[d] each suffix's row[d].
+    suffixes = sorted(rows, key=lambda row: row[::-1])
+    coeffs = [rows[row] for row in suffixes]
+    firsts, groups = [], []
+    for _ in range(rank):
+        firsts.append([suffix[0] for suffix in suffixes])
+        starts = [i for i in range(len(suffixes))
+                  if i == 0 or suffixes[i][1:] != suffixes[i - 1][1:]]
+        groups.append(list(zip(starts, starts[1:] + [len(suffixes)])))
+        suffixes = [suffixes[i][1:] for i in starts]
+    base = offset * ones                 # the bias the leaf histogram carries
+    double = mask + 2                    # h * double = h + (h << span)
+    shift_lists = [{} for _ in range(rank)]
+
+    def walk(node, depth, state):
+        group, shift_list, last = groups[depth], shift_lists[depth], depth + 1 == rank
+        for g, child in node.items():
+            shifts = shift_list.get(g)
+            if shifts is None:
+                shifts = shift_list[g] = [span - a * g % period * width for a in firsts[depth]]
+            # shifted right by span - s, a doubled histogram holds h rotated
+            # by s fields below bit span, and nothing but h's top above it
+            parts = map(rshift, state, shifts)
+            if last:
+                value = _phase_value(kernel, width, (sum(parts) & mask) - base)
+                for index in child:
+                    values[index] = value
+            else:
+                parts = list(parts)
+                walk(child, depth + 1, [(sum(parts[start:stop]) & mask) * double
+                                        for start, stop in group])
+
+    # depth 0: one histogram per row, its count c in field 0 over a bias of |c|
+    walk(trie, 0, [(abs(c) * ones + c) * double for c in coeffs])
+    return values
+
+
+@lru_cache(maxsize=_ORBIT_ROW_ENTRIES)
+def _orbit_rows(spec: AlgebraSpec, level_shifted: int, lam: Weight) -> tuple:
+    """(rows, images): the residue rows of the signed orbit of lam with
+    netted signs, as (row, sign) pairs, and its image count; ((), 0) on a
+    wall, where the alternating sum vanishes."""
+    images, signs, stabiliser = signed_orbit(spec, lam)
+    if stabiliser > 1:
+        return (), 0
+    kernel = phase_kernel(cartan_inverse(spec), level_shifted)
+    return tuple(_residue_rows(kernel, images, signs).items()), len(images)
+
+
+def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> list:
     """sum over (lam, c) in terms of c D_lam(gamma), at every variety point
     gamma of shifted level K, as one exact count per residue.  Terms on a
-    wall (stabiliser > 1) are dropped: their alternating sum is zero."""
+    wall (stabiliser > 1) are dropped: their alternating sum is zero.  Each
+    orbit's residue rows are kept per (spec, K, lam) and netted across the
+    terms."""
+    check_cap("weyl_order", spec.weyl_order, spec)
     kernel = phase_kernel(cartan_inverse(spec), level_shifted)
-    orbits = [(signed_orbit(spec, lam), c) for lam, c in terms]
-    orbits = [(orbit, c) for orbit, c in orbits if orbit.stabiliser == 1]
-    images = [image for orbit, _ in orbits for image in orbit.images]
-    coeffs = [c * sign for orbit, c in orbits for sign in orbit.signs]
-    return phase_sums(kernel, images, coeffs, gammas)
+    rows = {}
+    largest = images = 0
+    for lam, c in terms:
+        orbit_rows, size = _orbit_rows(spec, level_shifted, tuple(lam))
+        if size:
+            largest, images = max(largest, abs(c)), images + size
+        for row, sign in orbit_rows:
+            rows[row] = rows.get(row, 0) + c * sign
+    _require_exact_counts(largest, images)
+    return _row_sums(kernel, {row: c for row, c in rows.items() if c}, gammas)
 
 
 def eval_D(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
@@ -244,7 +433,7 @@ def _eval_D_cached(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
             pairing = sum(li * gi for li, gi in zip(w_lam, gu))
             total += sign * cmath.exp(pairing)
         return total
-    return complex(alternating_sums(spec, [(lam, 1)], [p.gamma], p.level_shifted)[0])
+    return alternating_sums(spec, [(lam, 1)], [p.gamma], p.level_shifted)[0]
 
 
 eval_D.cache_info = _eval_D_cached.cache_info

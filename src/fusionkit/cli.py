@@ -6,9 +6,9 @@ error, 3 verification failure or oracle mismatch.  Suite output is JSON
 lines, one report object per case, in a deterministic case order.
 
 The theta and csmodel layers are imported by the commands that use them.
-numpy is loaded only by the variety-point suites, the csmodel suite and
-``fuse --oracle``; ``weights``, plain ``fuse``, the exact suites and every
-theta evaluation (the layer is plain Python) run without it.
+numpy is loaded only by the csmodel suite; every other command, the
+variety-point suites and ``fuse --oracle`` included, runs without it (the
+phase kernel and the theta layer are plain Python).
 """
 
 from __future__ import annotations

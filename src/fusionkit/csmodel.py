@@ -154,6 +154,14 @@ def basis_state(model: GaussianModel, v) -> np.ndarray:
     return _class_state(model, [tuple(int(x) for x in v)], [1.0 / math.sqrt(len(model.radical))])
 
 
+@lru_cache(maxsize=16)
+def _root_array(period: int) -> np.ndarray:
+    """characters.roots_of_unity(L) as a read-only array, built once per L."""
+    roots = np.array(roots_of_unity(period))
+    roots.flags.writeable = False
+    return roots
+
+
 def _phase_array(model: GaussianModel, power) -> np.ndarray:
     """exp(2 pi i (power^T C^-1 v)/K) over all v, as the product of per-axis
     root-table lookups at integer residues mod L; separable because the
@@ -161,7 +169,7 @@ def _phase_array(model: GaussianModel, power) -> np.ndarray:
     L = model.period
     rank = model.spec.rank
     b = model.phase_matrix
-    roots = roots_of_unity(L)
+    roots = _root_array(L)
     coeffs = [sum(power[i] * b[i][j] for i in range(rank)) % L for j in range(rank)]
     result = np.ones((), dtype=complex)
     for axis, c in enumerate(coeffs):
@@ -211,7 +219,7 @@ class LatticeOperator:
         exponent = sum(
             power[i] * b[i][j] * shift[j] for i in range(rank) for j in range(rank)
         ) % L
-        return complex(roots_of_unity(L)[exponent])
+        return roots_of_unity(L)[exponent]
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         merged = []
@@ -346,7 +354,7 @@ class FourierOperator:
         b = np.array(model.phase_matrix, dtype=np.int64)
         # rows are bras: the phase of a clock word w evaluated at the state v
         exponents = (indices @ b.T @ indices.T) % model.period
-        self._kernel_inv = kernel = roots_of_unity(model.period)[exponents]
+        self._kernel_inv = kernel = _root_array(model.period)[exponents]
         kernel /= math.sqrt(model.size) * len(model.radical)
         kernel.flags.writeable = False
 

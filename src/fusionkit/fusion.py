@@ -17,6 +17,7 @@ into a loud error.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -30,7 +31,7 @@ from .algebra import (
 )
 from .characters import phase_kernel, phase_sums
 from .errors import InvariantViolation, OracleMismatchError, check_cap
-from .weights import weight_system, weyl_dimension
+from .weights import _weight_system_cached, weyl_dimension
 
 _FOLD_LIMIT = 10_000
 
@@ -56,9 +57,12 @@ def require_integrable(spec: AlgebraSpec, k: int, *weights) -> None:
 
 
 def _shifted_terms(spec: AlgebraSpec, mu: Weight, nu: Weight) -> list:
-    """(nu + mu' + rho, m) over the weights mu' of V(mu), in weight-system order."""
+    """(nu + mu' + rho, m) over the weights mu' of V(mu), in weight-system
+    order, read from the cached weight system under weight_system's dim cap."""
+    mu = tuple(mu)
+    check_cap("dim", weyl_dimension(spec, mu), mu)
     return [(tuple([n + m + 1 for n, m in zip(nu, mu_prime)]), mult)
-            for mu_prime, mult in weight_system(spec, tuple(mu)).entries.items()]
+            for mu_prime, mult in _weight_system_cached(spec, mu)]
 
 
 def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight) -> dict:
@@ -191,8 +195,6 @@ def _s_matrix(spec: AlgebraSpec, k: int):
     drops out of the Verlinde ratio, so rows are normalized numerically
     instead of carrying the closed-form lattice-volume prefactor.
     """
-    import numpy as np
-
     weights = level_k_weights(spec, k)
     kernel = phase_kernel(spec.quad_form, k + spec.dual_coxeter)
     points = [tuple(-b - 1 for b in beta) for beta in weights]
@@ -200,8 +202,8 @@ def _s_matrix(spec: AlgebraSpec, k: int):
     for alpha in weights:
         images, signs, _ = signed_orbit(spec, tuple(a + 1 for a in alpha))
         row = phase_sums(kernel, images, signs, points)
-        row /= np.linalg.norm(row)
-        rows.append(tuple(complex(x) for x in row))
+        norm = math.hypot(*(part for x in row for part in (x.real, x.imag)))
+        rows.append(tuple(x / norm for x in row))
     return tuple(weights), tuple(rows)
 
 

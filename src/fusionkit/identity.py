@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import AlgebraSpec, Weight
-from .characters import alternating_sums
+from .characters import _point_tuple, alternating_sums
 from .errors import InvariantViolation, check_cap
 from .fusion import _shifted_terms, fuse_level_k, require_integrable
 from .weights import conjugate, square_sum, weyl_dimension
@@ -128,20 +128,21 @@ def check_identity(case_id: str, spec: AlgebraSpec, mu: Weight, nu: Weight, tabl
     with N from ``table`` and both sides evaluated by
     ``kernel(terms, points)`` on their rho-shifted (weight, coefficient)
     terms."""
-    points = list(points)
+    points = tuple(points)
     lhs = kernel(_shifted_terms(spec, mu, nu), points)
     rhs = kernel(_rhs_terms(table), points)
     return make_report(case_id, tolerance, zip(points, map(complex, lhs), map(complex, rhs)))
 
 
-def _full_residue_gammas(spec: AlgebraSpec, k: int) -> list:
-    """Every variety point gamma mod K of the level-k scan (2K on A1), built
-    only after the Weyl-order check of the signed orbits the scan sums."""
+def _full_residue_gammas(spec: AlgebraSpec, k: int) -> tuple:
+    """Every variety point gamma mod K of the level-k scan (2K on A1), as
+    one tuple that every case of the scan shares, built only after the
+    Weyl-order check of the signed orbits the scan sums."""
     check_cap("weyl_order", spec.weyl_order, spec)
     level_shifted = k + spec.dual_coxeter
     if spec.rank == 1:
-        return [(g,) for g in range(2 * level_shifted)]
-    return list(product(range(level_shifted), repeat=spec.rank))
+        return tuple((g,) for g in range(2 * level_shifted))
+    return tuple(product(range(level_shifted), repeat=spec.rank))
 
 
 def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
@@ -157,7 +158,7 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     require_integrable(spec, k, mu, nu)
     level_shifted = k + spec.dual_coxeter
     table = fuse_level_k(spec, mu, nu, k) if coefficients is None else coefficients
-    gammas = [tuple(int(g) for g in gamma) for gamma in gammas]
+    gammas = _point_tuple(gammas, spec.rank)
     return check_identity(
         case_id or f"numerator-identity:{spec}:k={k}:mu={mu}:nu={nu}", spec, mu, nu, table,
         gammas, lambda terms, points: alternating_sums(spec, terms, points, level_shifted),

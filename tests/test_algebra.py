@@ -55,6 +55,18 @@ def test_a2_tables():
     assert pairing(a2, a2.rho, a2.rho) == 2
 
 
+@pytest.mark.parametrize("series,rank", ALL_SMALL + [("E", 6)])
+def test_specs_built_twice_compare_and_hash_equal(series, rank):
+    """The hash is computed once at construction, from (series, rank) alone,
+    and stays out of comparison and repr."""
+    first, second = build_algebra(series, rank), build_algebra(series, rank)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second) == hash((series, rank))
+    assert "_hash" not in repr(first)
+    assert first != build_algebra("A", 1 if rank > 1 else 2)
+
+
 @pytest.mark.parametrize("series,rank", [("A", 0), ("B", 1), ("C", 2), ("D", 3),
                                          ("E", 5), ("E", 9), ("F", 3), ("G", 4),
                                          ("H", 2)])

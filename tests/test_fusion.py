@@ -6,15 +6,16 @@ import pytest
 
 from fusionkit import fusion
 from fusionkit.algebra import build_algebra
-from fusionkit.errors import InvariantViolation
+from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
 from fusionkit.fusion import (
+    _shifted_terms,
     fuse_level_k,
     is_integrable,
     level_k_weights,
     tensor_decompose,
     verlinde_table,
 )
-from fusionkit.weights import WeightSystem, conjugate, weyl_dimension
+from fusionkit.weights import WeightSystem, conjugate, weight_system, weyl_dimension
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -24,6 +25,17 @@ def test_tensor_su2_examples():
     assert tensor_decompose(A1, (1,), (1,)) == {(0,): 1, (2,): 1}
     assert tensor_decompose(A1, (2,), (1,)) == {(1,): 1, (3,): 1}
     assert tensor_decompose(A1, (0,), (5,)) == {(5,): 1}
+
+
+@pytest.mark.parametrize("mu,nu", [((1, 0), (0, 2)), ((2, 1), (1, 1)), ((3, 0), (0, 0))])
+def test_shifted_terms_follow_the_weight_system(mu, nu):
+    """nu + mu' + rho with the multiplicity of mu', in weight-system order,
+    under the dim cap that weight_system enforces."""
+    expected = [(tuple(n + m + 1 for n, m in zip(nu, mu_prime)), mult)
+                for mu_prime, mult in weight_system(A2, mu).entries.items()]
+    assert _shifted_terms(A2, mu, nu) == expected
+    with use_caps(Caps(dim=weyl_dimension(A2, mu) - 1)), pytest.raises(CapExceeded):
+        _shifted_terms(A2, mu, nu)
 
 
 def test_tensor_symmetry():
@@ -224,7 +236,8 @@ def test_fold_memo_is_bounded(cold_folds, monkeypatch):
 def test_finite_accumulation_negative_raises(cold_folds, monkeypatch):
     # an extra weight -4 shifts to beta = -2, which reflects to 2 with sign -1
     broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (-4,): 1})
-    monkeypatch.setattr(fusion, "weight_system", lambda spec, mu: broken)
+    monkeypatch.setattr(fusion, "_weight_system_cached",
+                        lambda spec, mu: tuple(broken.entries.items()))
     with pytest.raises(InvariantViolation, match="signed tensor accumulation .* went negative"):
         fuse_level_k(A1, (1,), (1,), 3)
 

@@ -1,5 +1,5 @@
-"""The exact commands and the theta layer run without numpy: numpy, theta
-and csmodel load on first use, and the package exports its numeric names
+"""Every command but the csmodel suite runs without numpy: numpy, theta and
+csmodel load on first use, and the package exports its numeric names
 lazily."""
 
 import importlib
@@ -21,6 +21,9 @@ NUMPY_FREE_COMMANDS = [
     ["verify", "A2", "--k", "inf", "--suite", "identity"],
     ["verify", "A2", "--k", "3", "--suite", "bounds"],
     ["verify", "A2", "--k", "3", "--suite", "conjugacy"],
+    ["verify", "A2", "--k", "2", "--suite", "identity"],
+    ["verify", "A2", "--k", "2", "--suite", "lemma"],
+    ["fuse", "A2", "--k", "2", "--mu", "1,0", "--nu", "1,1", "--oracle"],
 ]
 
 # Runs cli.main on argv in a fresh interpreter; prints the exit code and
@@ -47,9 +50,10 @@ def test_exact_commands_do_not_load_numpy(argv):
     assert probe(argv) == ["0"]
 
 
-def test_variety_identity_loads_numpy():
+def test_csmodel_suite_loads_numpy():
     """The probe sees numpy when a command does build arrays."""
-    assert probe(["verify", "A2", "--k", "2", "--suite", "identity"]) == ["0", "numpy"]
+    assert probe(["verify", "A2", "--k", "2", "--suite", "csmodel"]) == [
+        "0", "numpy", "fusionkit.csmodel"]
 
 
 def test_theta_command_loads_theta():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fusionkit import characters
 from fusionkit.algebra import build_algebra, cartan_inverse, signed_orbit
 from fusionkit.characters import (
     PHASE_TABLE_CAP,
@@ -16,13 +17,15 @@ from fusionkit.characters import (
     alternating_sums,
     eval_D,
     phase_kernel,
+    phase_sums,
     roots_of_unity,
 )
 from fusionkit.errors import CapExceeded, Caps, use_caps
-from fusionkit.fusion import _s_matrix, level_k_weights
+from fusionkit.fusion import _s_matrix, _shifted_terms, fuse_level_k, level_k_weights
+from fusionkit.identity import _full_residue_gammas, _rhs_terms, verify_numerator_identity
 from fusionkit.weights import weight_system
 
-from character_oracle import eval_char_trace
+from character_oracle import eval_char_trace, numpy_phase_kernel, numpy_phase_sums
 from weyl_oracle import apply_word, weyl_elements, weyl_orbit, word_sign
 
 KERNEL_ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4),
@@ -141,8 +144,8 @@ def test_sign_law_is_exact(series, rank):
     for word in weyl_elements(spec):
         image = apply_word(spec, word, lam)
         sign = word_sign(word)
-        assert np.array_equal(alternating_sums(spec, [(image, 1)], gammas, level_shifted),
-                              sign * base)
+        assert alternating_sums(spec, [(image, 1)], gammas, level_shifted) == \
+            [sign * v for v in base]
         assert eval_D(spec, image, point) == sign * single
 
 
@@ -175,7 +178,7 @@ def test_kernel_reads_the_shared_root_table(series, rank, level_shifted):
     kernel = phase_kernel(cartan_inverse(build_algebra(series, rank)), level_shifted)
     roots = roots_of_unity(kernel.period)
     assert kernel.roots is roots
-    assert not roots.flags.writeable
+    assert isinstance(roots, tuple)
 
 
 def test_root_table_equals_numpy_exp():
@@ -184,4 +187,128 @@ def test_root_table_equals_numpy_exp():
     on them."""
     for period in [*range(1, 200), 210, 576, 1009, 4096]:
         expected = np.exp(2j * np.pi * np.arange(period) / period)
-        assert roots_of_unity(period).tobytes() == expected.tobytes(), period
+        assert np.array(roots_of_unity(period)).tobytes() == expected.tobytes(), period
+
+
+def random_matrix(rng, rank, q):
+    """A rank x rank rational matrix whose denominators divide q."""
+    return tuple(tuple(Fraction(rng.randrange(-9, 10), rng.choice([1, q])) for _ in range(rank))
+                 for _ in range(rank))
+
+
+def random_terms(rng, rank, label_size, count):
+    """Weights and nonzero coefficients of both signs, then a third of the
+    weights again with negated coefficients (rows that net to zero) and two
+    repeated with the same coefficient."""
+    weights = [tuple(rng.randrange(-label_size, label_size + 1) for _ in range(rank))
+               for _ in range(count)]
+    coeffs = [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in weights]
+    cancelled = len(weights) // 3
+    return (weights + weights[:cancelled] + weights[:2],
+            coeffs + [-c for c in coeffs[:cancelled]] + coeffs[:2])
+
+
+def assert_same_bits(matrix, level_shifted, weights, coeffs, points):
+    """phase_sums equals the numpy reference bit for bit: repr tells 0.0
+    from -0.0 and shows every digit."""
+    values = phase_sums(phase_kernel(matrix, level_shifted), weights, coeffs, points)
+    expected = numpy_phase_sums(numpy_phase_kernel(matrix, level_shifted), weights, coeffs,
+                                points)
+    assert isinstance(values, list)
+    assert [repr(v) for v in values] == [repr(complex(v)) for v in expected]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_kernel_matches_numpy_reference_bit_for_bit(seed):
+    """Random rational matrices with q in 1..4 on grids with duplicate
+    points, on fewer points than the rank, and on no weights at all."""
+    rng = random.Random(seed)
+    rank = 1 + seed % 4
+    matrix = random_matrix(rng, rank, 1 + seed // 4)
+    level_shifted = rng.randrange(1, 30)
+    weights, coeffs = random_terms(rng, rank, 12, rng.randrange(1, 40))
+    grid = [tuple(rng.randrange(-40, 40) for _ in range(rank)) for _ in range(rank + 30)]
+    grid += grid[:5]
+    for points in (grid, grid[:rank], grid[:rank - 1], grid[:1], []):
+        assert_same_bits(matrix, level_shifted, weights, coeffs, points)
+    assert_same_bits(matrix, level_shifted, [], [], grid)
+    assert_same_bits(matrix, level_shifted, [], [], grid[:1])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_kernel_matches_numpy_reference_past_one_block(rank):
+    """L above 128: numpy halves such sums, and so must the kernel."""
+    rng = random.Random(rank)
+    matrix = random_matrix(rng, rank, 3)
+    weights, coeffs = random_terms(rng, rank, 200, 300)
+    grid = [tuple(rng.randrange(0, 400) for _ in range(rank)) for _ in range(40)]
+    for level_shifted in (43, 64, 67, 129, 300):
+        assert_same_bits(matrix, level_shifted, weights, coeffs, grid)
+        assert_same_bits(matrix, level_shifted, weights, coeffs, grid[:1])
+
+
+@pytest.mark.parametrize("size", [10**19, 3 * 10**25])
+def test_kernel_matches_numpy_reference_on_huge_labels(size):
+    rng = random.Random(size)
+    matrix = random_matrix(rng, 3, 4)
+    weights, coeffs = random_terms(rng, 3, size, 30)
+    grid = [tuple(rng.randrange(-size, size) for _ in range(3)) for _ in range(20)]
+    for points in (grid, grid[:2]):
+        assert_same_bits(matrix, 7, weights, coeffs, points)
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 3, 1), ("G", 2, 2), ("B", 3, 1), ("A", 2, 5)])
+def test_alternating_sums_match_numpy_reference_on_the_scan(series, rank, k):
+    """Signed orbits over the full residue scan, both sides of each identity."""
+    spec = build_algebra(series, rank)
+    level_shifted = k + spec.dual_coxeter
+    gammas = _full_residue_gammas(spec, k)
+    reference = numpy_phase_kernel(cartan_inverse(spec), level_shifted)
+    weights = level_k_weights(spec, k)
+    for mu, nu in [(weights[-1], weights[-1]), (weights[1], weights[0])]:
+        table = fuse_level_k(spec, mu, nu, k)
+        for terms in (_shifted_terms(spec, mu, nu), _rhs_terms(table)):
+            orbits = [(signed_orbit(spec, lam), c) for lam, c in terms]
+            orbits = [(orbit, c) for orbit, c in orbits if orbit.stabiliser == 1]
+            images = [image for orbit, _ in orbits for image in orbit.images]
+            coeffs = [c * sign for orbit, c in orbits for sign in orbit.signs]
+            values = alternating_sums(spec, terms, gammas, level_shifted)
+            expected = numpy_phase_sums(reference, images, coeffs, gammas)
+            assert [repr(v) for v in values] == [repr(complex(v)) for v in expected]
+
+
+def test_exact_count_guard_raises():
+    """float(count) must be exact: 2^53 and up is refused on every path."""
+    spec = build_algebra("A", 2)
+    kernel = phase_kernel(cartan_inverse(spec), 5)
+    grid = [(0, 0), (1, 2), (3, 4)]
+    for points in (grid, grid[:1]):
+        with pytest.raises(CapExceeded):
+            phase_sums(kernel, [(1, 0), (0, 1)], [1 << 52, 1], points)
+        phase_sums(kernel, [(1, 0), (0, 1)], [(1 << 52) - 1, 1], points)
+    with pytest.raises(CapExceeded):
+        alternating_sums(spec, [((1, 1), 1 << 51)], grid, 5)
+
+
+def test_long_scan_keeps_memo_and_trie_store_within_bounds(monkeypatch):
+    """Past their bounds the memo and the trie store stop growing, and the
+    values stay the same."""
+    spec = build_algebra("A", 2)
+    grids = [tuple((g1 + shift, g2) for g1 in range(5) for g2 in range(5))
+             for shift in range(6)]
+    pairs = [(mu, nu) for mu in level_k_weights(spec, 2) for nu in level_k_weights(spec, 2)]
+    unbounded = [verify_numerator_identity(spec, mu, nu, 2, grid).to_dict()
+                 for grid in grids for mu, nu in pairs]
+    monkeypatch.setattr(characters, "_dot_memo", {})
+    monkeypatch.setattr(characters, "_trie_store", {})
+    monkeypatch.setattr(characters, "_DOT_MEMO_ENTRIES", 7)
+    monkeypatch.setattr(characters, "_TRIE_STORE_ENTRIES", 60)
+    bounded = []
+    for grid in grids:
+        for mu, nu in pairs:
+            bounded.append(verify_numerator_identity(spec, mu, nu, 2, grid).to_dict())
+            assert len(characters._dot_memo) <= 7
+            assert sum(len(points) for _, points in characters._trie_store) <= 60
+    assert len(characters._dot_memo) == 7
+    assert len(characters._trie_store) == 2
+    assert bounded == unbounded
