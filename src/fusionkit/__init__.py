@@ -1,66 +1,35 @@
 """fusionkit: characters, weight systems and level-k fusion rings of simple
 Lie algebras, with machine verification of the character identities that tie
-them together."""
+them together.
+
+Importing fusionkit loads no submodule: each submodule and exported name
+loads on first access (PEP 562), with only what its own module imports.
+csmodel imports numpy, the only module that does.
+"""
 
 import importlib
 
-from .algebra import (
-    AlgebraSpec,
-    SignedDominant,
-    build_algebra,
-    cartan_inverse,
-    comarks,
-    dominant_conjugate,
-    positive_roots,
-    reflect_to_dominant,
-    signed_orbit,
-)
-from .characters import (
-    GenericPoint,
-    VarietyPoint,
-    eval_char,
-    eval_D,
-)
-from .errors import (
-    CapExceeded,
-    Caps,
-    DEFAULT_CAPS,
-    FusionkitError,
-    OracleMismatchError,
-    SingularPointError,
-    caps_from_env,
-    use_caps,
-)
-from .fusion import (
-    fuse_level_k,
-    is_integrable,
-    level_k_weights,
-    level_pairing,
-    tensor_decompose,
-    verlinde_table,
-)
-from .identity import (
-    VerificationReport,
-    conjugacy_square_check,
-    dim_bound,
-    parseval_bound,
-    verify_lemma_weightsum,
-    verify_numerator_identity,
-)
-from .weights import (
-    WeightSystem,
-    conjugate,
-    weight_system,
-    weyl_dimension,
-)
-
 __version__ = "0.1.0"
 
-# The numeric layers load on first access (PEP 562): csmodel imports numpy,
-# the only module that does, and theta is plain Python needed only for theta
-# sums.  Importing fusionkit, for exact work or for characters at any point,
-# loads neither.
 _LAZY_MODULES = {
+    "algebra": (
+        "AlgebraSpec", "SignedDominant", "build_algebra", "cartan_inverse", "comarks",
+        "dominant_conjugate", "positive_roots", "reflect_to_dominant", "signed_orbit",
+    ),
+    "characters": ("GenericPoint", "VarietyPoint", "eval_char", "eval_D"),
+    "errors": (
+        "CapExceeded", "Caps", "DEFAULT_CAPS", "FusionkitError", "OracleMismatchError",
+        "SingularPointError", "caps_from_env", "use_caps",
+    ),
+    "fusion": (
+        "fuse_level_k", "is_integrable", "level_k_weights", "level_pairing",
+        "tensor_decompose", "verlinde_table",
+    ),
+    "identity": (
+        "VerificationReport", "conjugacy_square_check", "dim_bound", "parseval_bound",
+        "verify_lemma_weightsum", "verify_numerator_identity",
+    ),
+    "weights": ("WeightSystem", "conjugate", "weight_system", "weyl_dimension"),
     "csmodel": (
         "FourierOperator", "GaussianModel", "LatticeOperator", "build_model",
         "character_as_inner_product", "check_clock_commutator", "check_s_conjugation",

@@ -18,7 +18,6 @@ wall detection (a zero label of the dominant conjugate) has to be exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -58,7 +57,10 @@ _VALID_RANKS = {
 }
 
 
-@dataclass(frozen=True)
+_SPEC_FIELDS = ("series", "rank", "cartan", "quad_form", "rho", "dual_coxeter",
+                "highest_root", "weyl_order")
+
+
 class AlgebraSpec:
     """Immutable description of a simple Lie algebra.
 
@@ -71,25 +73,39 @@ class AlgebraSpec:
     dual_coxeter : the level shift c appearing in k + c.
     highest_root : Dynkin labels of the highest root theta.
     weyl_order : |W| from the standard closed forms.
+
+    Equal specs agree in every field; the hash reads (series, rank), which
+    fix every other field, once, since every cache of the package is keyed
+    on the spec.  _replace returns a copy with some fields changed.
     """
 
-    series: str
-    rank: int
-    cartan: tuple
-    quad_form: tuple
-    rho: tuple
-    dual_coxeter: int
-    highest_root: tuple
-    weyl_order: int
-    # every other field is a function of (series, rank); hashed once, since
-    # every cache of the package is keyed on the spec
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = _SPEC_FIELDS + ("_hash",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.series, self.rank)))
+    def __init__(self, series, rank, cartan, quad_form, rho, dual_coxeter, highest_root,
+                 weyl_order):
+        values = (series, rank, cartan, quad_form, rho, dual_coxeter, highest_root, weyl_order)
+        for name, value in zip(self.__slots__, values + (hash((series, rank)),)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlgebraSpec is immutable; cannot set {name}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in _SPEC_FIELDS)
+
+    def _replace(self, **changes) -> AlgebraSpec:
+        return AlgebraSpec(**{**dict(zip(_SPEC_FIELDS, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraSpec:
+            return NotImplemented
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"AlgebraSpec({', '.join(f'{n}={getattr(self, n)!r}' for n in _SPEC_FIELDS)})"
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"

@@ -29,7 +29,6 @@ import math
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -44,7 +43,7 @@ from .algebra import (
     require_rank,
     signed_orbit,
 )
-from .errors import CapExceeded, SingularPointError, check_cap
+from .errors import CapExceeded, CheckedTuple, SingularPointError, check_cap
 
 #: below this magnitude the Weyl denominator counts as a wall, not a value
 DENOMINATOR_FLOOR = 1e-9
@@ -55,28 +54,27 @@ TWO_PI = 2.0 * cmath.pi
 PHASE_TABLE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class GenericPoint:
+class GenericPoint(CheckedTuple, NamedTuple("GenericPoint", [("u", tuple)])):
     """Evaluation point with phase e^{(r,u)}, u a complex weight-space vector."""
 
-    u: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(complex(x) for x in self.u))
+    def __new__(cls, u):
+        return super().__new__(cls, tuple(complex(x) for x in u))
 
 
-@dataclass(frozen=True)
-class VarietyPoint:
+class VarietyPoint(CheckedTuple, NamedTuple("VarietyPoint", [("gamma", tuple),
+                                                             ("level_shifted", int)])):
     """Root-of-unity evaluation point: phase exp(2 pi i gamma^T C^-1 r / K)
     with K = k + c the shifted level."""
 
-    gamma: tuple
-    level_shifted: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(int(g) for g in self.gamma))
-        if self.level_shifted <= 0:
+    def __new__(cls, gamma, level_shifted: int):
+        gamma = tuple(int(g) for g in gamma)
+        if level_shifted <= 0:
             raise ValueError("shifted level K = k + c must be positive")
+        return super().__new__(cls, gamma, level_shifted)
 
 
 EvalPoint = Union[GenericPoint, VarietyPoint]

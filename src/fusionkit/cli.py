@@ -5,10 +5,12 @@ Exit codes are a stable contract: 0 pass, 1 resource cap exceeded, 2 usage
 error, 3 verification failure or oracle mismatch.  Suite output is JSON
 lines, one report object per case, in a deterministic case order.
 
-The theta and csmodel layers are imported by the commands that use them.
-numpy is loaded only by the csmodel suite; every other command, the
-variety-point suites and ``fuse --oracle`` included, runs without it (the
-phase kernel and the theta layer are plain Python).
+Importing this module loads only the algebra and errors layers, and each
+command imports the layers it runs when it runs: weights loads weights; fuse
+loads fusion and weights (and characters with --oracle); verify loads
+identity, fusion and weights, plus characters for every suite but bounds and
+conjugacy, theta for the theta suite and csmodel and numpy for the csmodel
+suite; theta loads theta and characters.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
+from typing import NamedTuple
 
-from . import identity
 from .algebra import AlgebraSpec, build_algebra
-from .characters import GenericPoint, eval_D, weyl_ratio_sums
 from .errors import (
     CapExceeded,
     Caps,
@@ -36,14 +35,6 @@ from .errors import (
     check_cap,
     use_caps,
 )
-from .fusion import (
-    fuse_level_k,
-    level_k_weights,
-    tensor_decompose,
-    verlinde_table,
-)
-from .identity import VerificationReport, integer_report
-from .weights import square_sum, weight_system, weyl_dimension
 
 EXIT_OK = 0
 EXIT_CAP = 1
@@ -51,8 +42,7 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     spec: AlgebraSpec
     k: int | None           # None means the algebra level (k = infinity)
     tolerance: float
@@ -124,7 +114,7 @@ def _emit_table(record: dict, table: dict, column: str, title: str, config: RunC
     _emit(lines, config)
 
 
-def _report_line(report: VerificationReport, config: RunConfig, mu=None, nu=None) -> str:
+def _report_line(report, config: RunConfig, mu=None, nu=None) -> str:
     record = {
         "case_id": report.case_id,
         "algebra": str(config.spec),
@@ -137,6 +127,10 @@ def _report_line(report: VerificationReport, config: RunConfig, mu=None, nu=None
 
 
 def _random_regular_points(spec, count: int, seed: int):
+    import random
+
+    from .characters import GenericPoint, eval_D
+
     rng = random.Random(seed)
     points = []
     while len(points) < count:
@@ -152,7 +146,12 @@ def _random_regular_points(spec, count: int, seed: int):
 
 
 def _suite_identity(spec, config: RunConfig):
+    from . import fusion, identity
+
     if config.k is None:
+        from .characters import weyl_ratio_sums
+        from .weights import weyl_dimension
+
         labels = [w for w in product(range(4), repeat=spec.rank)]
         for mu in labels:  # every V(mu) is built by some case: check them before the first
             check_cap("dim", weyl_dimension(spec, mu), mu)
@@ -161,13 +160,13 @@ def _suite_identity(spec, config: RunConfig):
             for nu in labels:
                 report = identity.check_identity(
                     f"char-sum-identity:{spec}:k=inf:mu={mu}:nu={nu}", spec, mu, nu,
-                    tensor_decompose(spec, mu, nu), points,
+                    fusion.tensor_decompose(spec, mu, nu), points,
                     partial(weyl_ratio_sums, spec), config.tolerance,
                 )
                 yield report, mu, nu
         return
     gammas = identity._full_residue_gammas(spec, config.k)
-    weights = level_k_weights(spec, config.k)
+    weights = fusion.level_k_weights(spec, config.k)
     for mu in weights:
         for nu in weights:
             report = identity.verify_numerator_identity(
@@ -177,8 +176,10 @@ def _suite_identity(spec, config: RunConfig):
 
 
 def _suite_lemma(spec, config: RunConfig):
+    from . import fusion, identity
+
     gammas = identity._full_residue_gammas(spec, config.k)
-    for mu in level_k_weights(spec, config.k):
+    for mu in fusion.level_k_weights(spec, config.k):
         report = identity.verify_lemma_weightsum(
             spec, mu, config.k, gammas, tolerance=config.tolerance
         )
@@ -186,7 +187,9 @@ def _suite_lemma(spec, config: RunConfig):
 
 
 def _suite_bounds(spec, config: RunConfig):
-    weights = level_k_weights(spec, config.k)
+    from . import fusion, identity
+
+    weights = fusion.level_k_weights(spec, config.k)
     parseval_checks = []
     dim_checks = []
     for mu in weights:
@@ -195,23 +198,28 @@ def _suite_bounds(spec, config: RunConfig):
             parseval_checks.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
             total, bound, ok = identity.dim_bound(spec, mu, sigma, config.k)
             dim_checks.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
-    yield integer_report(f"parseval-bound:{spec}:k={config.k}", parseval_checks), None, None
-    yield integer_report(f"dimension-bound:{spec}:k={config.k}", dim_checks), None, None
+    yield identity.integer_report(f"parseval-bound:{spec}:k={config.k}",
+                                  parseval_checks), None, None
+    yield identity.integer_report(f"dimension-bound:{spec}:k={config.k}",
+                                  dim_checks), None, None
 
 
 def _suite_conjugacy(spec, config: RunConfig):
-    weights = level_k_weights(spec, config.k)
+    from . import fusion, identity
+
+    weights = fusion.level_k_weights(spec, config.k)
     checks = []
     for a in weights:
         for b in weights:
             (s1, s2), (l1, l2) = identity.conjugacy_square_check(spec, a, b, config.k)
             both = s1 == s2 and l1 == l2
             checks.append((f"a={a},b={b}", s1, s2, both, abs(s1 - s2) + abs(l1 - l2)))
-    yield integer_report(f"conjugacy-squares:{spec}:k={config.k}", checks), None, None
+    yield identity.integer_report(f"conjugacy-squares:{spec}:k={config.k}",
+                                  checks), None, None
 
 
 def _suite_theta(spec, config: RunConfig):
-    from . import theta
+    from . import identity, theta
 
     k = config.k
     taus = [0.5j, 1j, 0.3 + 2j]
@@ -240,11 +248,14 @@ def _suite_theta(spec, config: RunConfig):
 
 
 def _suite_csmodel(spec, config: RunConfig):
+    # the plain-Python layers load before csmodel, which imports numpy: the
+    # other way round (numpy first) raises this suite's peak RSS by 1 MB
+    from . import characters, fusion, identity  # noqa: F401 (characters: load order)
     from . import csmodel
-    import numpy as np  # after csmodel: imported first, it raised this suite's peak RSS 1 MB
+    import numpy as np
 
     model = csmodel.build_model(spec, config.k)
-    weights = level_k_weights(spec, config.k)
+    weights = fusion.level_k_weights(spec, config.k)
 
     yield identity.make_report(
         f"clock-commutator:{spec}:k={config.k}", 1e-12,
@@ -268,6 +279,8 @@ def _suite_csmodel(spec, config: RunConfig):
     ), None, None
 
     def char_residuals():
+        import random
+
         rng = random.Random(config.seed)
         gammas = [tuple(rng.randrange(model.period) for _ in range(spec.rank))
                   for _ in range(8)]
@@ -287,14 +300,14 @@ def _suite_csmodel(spec, config: RunConfig):
     for mu in weights:
         operator_rows = csmodel.operator_fusion_rows(model, mu, weights)
         for nu, operator_table in zip(weights, operator_rows):
-            folded = fuse_level_k(spec, mu, nu, config.k)
-            oracle = verlinde_table(spec, mu, nu, config.k)
+            folded = fusion.fuse_level_k(spec, mu, nu, config.k)
+            oracle = fusion.verlinde_table(spec, mu, nu, config.k)
             agree = operator_table == folded == oracle
             mismatch_checks.append(
                 (f"mu={mu},nu={nu}", len(operator_table), len(folded), agree,
                  0 if agree else 1)
             )
-    yield integer_report(
+    yield identity.integer_report(
         f"three-way-fusion:{spec}:k={config.k}", mismatch_checks
     ), None, None
 
@@ -314,6 +327,8 @@ _SUITES = {
 
 
 def _cmd_weights(args, config: RunConfig) -> int:
+    from .weights import square_sum, weight_system, weyl_dimension
+
     spec = config.spec
     mu = _parse_weight(args.mu)
     ws = weight_system(spec, mu)
@@ -334,6 +349,8 @@ def _cmd_weights(args, config: RunConfig) -> int:
 def _cmd_fuse(args, config: RunConfig) -> int:
     if args.oracle and config.k is None:  # checked before the decomposition
         raise ValueError("--oracle needs a finite level")
+    from .fusion import fuse_level_k, tensor_decompose, verlinde_table
+
     spec = config.spec
     mu = _parse_weight(args.mu)
     nu = _parse_weight(args.nu)
@@ -474,7 +491,7 @@ def _config_from(args) -> RunConfig:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {args.tolerance}")
     flags = {name: getattr(args, f"cap_{name}") for name in ("weyl_order", "dim", "hilbert")}
-    caps = replace(caps_from_env(), **{name: v for name, v in flags.items() if v is not None})
+    caps = caps_from_env()._replace(**{name: v for name, v in flags.items() if v is not None})
     return RunConfig(
         spec=build_algebra(*_parse_algebra(args.algebra)),
         k=_parse_level(args.k),

@@ -26,9 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ _CONJUGATION_SAMPLE = 32
 _STATE_CACHE_BYTES = 1 << 26
 
 
-@dataclass(frozen=True)
-class GaussianModel:
+class GaussianModel(NamedTuple):
     """Finite-dimensional level-k realization of the clock/shift algebra."""
 
     spec: AlgebraSpec
@@ -64,8 +63,8 @@ class GaussianModel:
     level_shifted: int          # K = k + c
     denominator_clear: int      # q: smallest positive integer with q Z^rank inside Q-vee
     period: int                 # L = q K, the covering array side
-    phase_matrix: tuple = field(repr=False)   # q C^-1, exact integers
-    radical: tuple = field(repr=False)        # K Q-vee mod L, as index tuples
+    phase_matrix: tuple         # q C^-1, exact integers
+    radical: tuple              # K Q-vee mod L, as index tuples
 
     def __hash__(self) -> int:
         # every other field is a function of (spec, k)

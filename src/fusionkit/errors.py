@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
 class FusionkitError(Exception):
@@ -36,20 +36,32 @@ class InvariantViolation(FusionkitError):
     explicitly, so the check survives ``python -O``."""
 
 
-@dataclass(frozen=True)
-class Caps:
+class CheckedTuple:
+    """First base of a NamedTuple record whose __new__ checks its fields:
+    _replace builds the copy through __new__ as well, where the namedtuple
+    _replace would skip the checks."""
+
+    __slots__ = ()
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class Caps(CheckedTuple, NamedTuple("Caps", [("weyl_order", int), ("dim", int),
+                                              ("hilbert", int)])):
     """Resource limits.  Configuration, not constants: the E-series blows up
     quickly and the library must fail loudly instead of hanging.  A cap
-    below 1 is rejected with ValueError."""
+    below 1 is rejected with ValueError, by the constructor and by
+    _replace alike."""
 
-    weyl_order: int = 10**6
-    dim: int = 10**5
-    hilbert: int = 10**6
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __new__(cls, weyl_order: int = 10**6, dim: int = 10**5, hilbert: int = 10**6):
+        caps = super().__new__(cls, weyl_order, dim, hilbert)
+        for name, value in zip(caps._fields, caps):
             if value < 1:
                 raise ValueError(f"cap {name} must be at least 1, got {value}")
+        return caps
 
 
 DEFAULT_CAPS = Caps()
@@ -89,5 +101,5 @@ def caps_from_env() -> Caps:
         key, _, value = field.partition("=")
         if key not in ("weyl_order", "dim", "hilbert") or not value:
             raise ValueError(f"bad cap override {field!r} in {ENV_CAPS_VAR}")
-        caps = replace(caps, **{key: int(value)})
+        caps = caps._replace(**{key: int(value)})
     return caps

@@ -29,7 +29,6 @@ from .algebra import (
     require_rank,
     signed_orbit,
 )
-from .characters import phase_kernel, phase_sums
 from .errors import InvariantViolation, OracleMismatchError, check_cap
 from .weights import _weight_system_cached, weyl_dimension
 
@@ -195,6 +194,8 @@ def _s_matrix(spec: AlgebraSpec, k: int):
     drops out of the Verlinde ratio, so rows are normalized numerically
     instead of carrying the closed-form lattice-volume prefactor.
     """
+    from .characters import phase_kernel, phase_sums
+
     weights = level_k_weights(spec, k)
     kernel = phase_kernel(spec.quad_form, k + spec.dual_coxeter)
     points = [tuple(-b - 1 for b in beta) for beta in weights]

@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Weight
-from .characters import _point_tuple, alternating_sums
-from .errors import InvariantViolation, check_cap
+from .errors import CheckedTuple, InvariantViolation, check_cap
 from .fusion import _shifted_terms, fuse_level_k, require_integrable
 from .weights import conjugate, square_sum, weyl_dimension
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(CheckedTuple, NamedTuple("VerificationReport", [
+        ("case_id", str), ("points_checked", int), ("max_abs_residual", float),
+        ("passed", bool), ("tolerance", float), ("witnesses", list)])):
     """Outcome of one verification case.
 
     ``witnesses`` holds (point, lhs, rhs) for every failing point, so it is
@@ -38,20 +38,18 @@ class VerificationReport:
     raises InvariantViolation.
     """
 
-    case_id: str
-    points_checked: int
-    max_abs_residual: float
-    passed: bool
-    tolerance: float
-    witnesses: list = field(default_factory=list)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.passed != (self.max_abs_residual <= self.tolerance):
-            raise InvariantViolation(f"{self.case_id}: passed = {self.passed} with residual "
-                                     f"{self.max_abs_residual} at tolerance {self.tolerance}")
-        if bool(self.witnesses) == self.passed:
-            raise InvariantViolation(f"{self.case_id}: passed = {self.passed} with "
-                                     f"{len(self.witnesses)} witnesses")
+    def __new__(cls, case_id: str, points_checked: int, max_abs_residual: float,
+                passed: bool, tolerance: float, witnesses=()):
+        if passed != (max_abs_residual <= tolerance):
+            raise InvariantViolation(f"{case_id}: passed = {passed} with residual "
+                                     f"{max_abs_residual} at tolerance {tolerance}")
+        if bool(witnesses) == passed:
+            raise InvariantViolation(f"{case_id}: passed = {passed} with "
+                                     f"{len(witnesses)} witnesses")
+        return super().__new__(cls, case_id, points_checked, max_abs_residual, passed,
+                               tolerance, witnesses)
 
     def to_dict(self) -> dict:
         return {
@@ -154,6 +152,8 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
 
     ``coefficients`` overrides the fusion table (used by negative controls).
     """
+    from .characters import _point_tuple, alternating_sums
+
     mu, nu = tuple(mu), tuple(nu)
     require_integrable(spec, k, mu, nu)
     level_shifted = k + spec.dual_coxeter

@@ -17,14 +17,14 @@ inside that radius are enumerated by a Fincke-Pohst walk on the pivots of
 algebra's exact elimination of C and kept by an exact integer norm test;
 their terms are summed with math.fsum, so a value is correctly rounded and
 independent of the order of enumeration.  The layer is plain Python and does
-not import numpy.
+not import numpy; it loads fusion and identity only when verify_kw_identity
+runs, so theta sums and finite-tau characters need neither.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub, truediv
@@ -33,9 +33,7 @@ from typing import NamedTuple
 from .algebra import (AlgebraSpec, Weight, _gauss_jordan, cartan_inverse, integer_gram,
                        pairing_numerator, require_rank, signed_orbit)
 from .characters import TWO_PI, _generic_pairing_vector
-from .errors import CapExceeded, SingularPointError
-from .fusion import fuse_level_k
-from .identity import VerificationReport, check_identity
+from .errors import CapExceeded, CheckedTuple, SingularPointError
 
 _RADIUS_CAP = 60.0
 _POINT_CAP = 1 << 23    # lattice points per enumeration
@@ -55,31 +53,29 @@ def _require_finite(name: str, *values):
         raise ValueError(f"{name} must be finite, got {', '.join(map(str, values))}")
 
 
-@dataclass(frozen=True)
-class ThetaContext:
+class ThetaContext(CheckedTuple, NamedTuple("ThetaContext", [
+        ("spec", AlgebraSpec), ("level", int), ("tau", complex), ("u", tuple)])):
     """Evaluation context: algebra, theta level, modular parameter tau, vector u.
 
     ``level`` is the k of Theta_{gamma,k}; character-level callers pass
     k + c.
     """
 
-    spec: AlgebraSpec
-    level: int
-    tau: complex
-    u: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_simply_laced(self.spec)
-        if self.level <= 0:
+    def __new__(cls, spec: AlgebraSpec, level: int, tau, u):
+        _require_simply_laced(spec)
+        if level <= 0:
             raise ValueError("theta level must be a positive integer")
-        object.__setattr__(self, "tau", complex(self.tau))
-        _require_finite("tau", self.tau)
-        if self.tau.imag <= 0:
-            raise ValueError(f"Im(tau) = {self.tau.imag} must be positive")
-        object.__setattr__(self, "u", tuple(complex(x) for x in self.u))
-        _require_finite("u", *self.u)
-        if len(self.u) != self.spec.rank:
-            raise ValueError(f"u has length {len(self.u)}, expected rank {self.spec.rank}")
+        tau = complex(tau)
+        _require_finite("tau", tau)
+        if tau.imag <= 0:
+            raise ValueError(f"Im(tau) = {tau.imag} must be positive")
+        u = tuple(complex(x) for x in u)
+        _require_finite("u", *u)
+        if len(u) != spec.rank:
+            raise ValueError(f"u has length {len(u)}, expected rank {spec.rank}")
+        return super().__new__(cls, spec, level, tau, u)
 
 
 @lru_cache(maxsize=None)
@@ -370,14 +366,18 @@ def antisymmetric_theta_sums(spec: AlgebraSpec, level: int, terms, points) -> li
 
 
 def verify_kw_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
-                       points, tolerance: float = 1e-9) -> VerificationReport:
+                       points, tolerance: float = 1e-9):
     """Finite-tau numerator identity over a grid of (tau, u) points:
 
         sum_{mu' in Omega_mu} m Theta^-_{mu'+nu+rho, k+c}
             = sum_iota N_{mu nu}^iota Theta^-_{iota+rho, k+c}
 
-    checked by identity.check_identity with the antisymmetrised theta kernel.
+    checked by identity.check_identity with the antisymmetrised theta kernel;
+    returns its VerificationReport.
     """
+    from .fusion import fuse_level_k
+    from .identity import check_identity
+
     _require_simply_laced(spec)
     mu, nu = tuple(mu), tuple(nu)
     level_shifted = k + spec.dual_coxeter

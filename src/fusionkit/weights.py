@@ -9,8 +9,8 @@ denominator D of the quadratic form; each formula divides once, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraSpec,
@@ -22,24 +22,23 @@ from .algebra import (
     positive_roots,
     require_rank,
 )
-from .errors import InvariantViolation, check_cap
+from .errors import CheckedTuple, InvariantViolation, check_cap
 
 
-@dataclass
-class WeightSystem:
+class WeightSystem(CheckedTuple, NamedTuple("WeightSystem", [
+        ("spec", AlgebraSpec), ("highest", Weight), ("entries", dict)])):
     """Weights of one irreducible representation with multiplicities.
 
     ``entries`` maps each weight (Dynkin labels) to its positive integer
     multiplicity; the highest weight always carries multiplicity 1.
     """
 
-    spec: AlgebraSpec
-    highest: Weight
-    entries: dict = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.entries.get(self.highest) != 1:
-            raise InvariantViolation(f"highest weight {self.highest} does not have multiplicity 1")
+    def __new__(cls, spec: AlgebraSpec, highest: Weight, entries: dict):
+        if entries.get(highest) != 1:
+            raise InvariantViolation(f"highest weight {highest} does not have multiplicity 1")
+        return super().__new__(cls, spec, highest, entries)
 
 
 def weyl_dimension(spec: AlgebraSpec, mu: Weight) -> int:

@@ -67,6 +67,20 @@ def test_specs_built_twice_compare_and_hash_equal(series, rank):
     assert first != build_algebra("A", 1 if rank > 1 else 2)
 
 
+def test_forged_spec_compares_unequal_and_specs_are_immutable():
+    """_replace forges a copy: it hashes like the original, since the hash
+    reads (series, rank) only, but compares unequal; the original keeps its
+    fields, and no field can be set in place."""
+    spec = build_algebra("A", 2)
+    forged = spec._replace(highest_root=(1, 0))
+    assert forged.highest_root == (1, 0) and spec.highest_root == (1, 1)
+    assert hash(forged) == hash(spec) and forged != spec
+    assert spec._replace() == spec
+    with pytest.raises(AttributeError):
+        spec.rank = 3
+    assert str(spec) == "A2" and repr(spec).startswith("AlgebraSpec(series='A', rank=2, ")
+
+
 @pytest.mark.parametrize("series,rank", [("A", 0), ("B", 1), ("C", 2), ("D", 3),
                                          ("E", 5), ("E", 9), ("F", 3), ("G", 4),
                                          ("H", 2)])

@@ -18,6 +18,7 @@ from fusionkit.characters import (
 )
 from fusionkit.errors import CapExceeded, Caps, SingularPointError, use_caps
 from fusionkit.fusion import _shifted_terms
+from fusionkit.identity import make_report
 from fusionkit.weights import weyl_dimension
 
 from character_oracle import eval_char_trace
@@ -208,6 +209,22 @@ def test_point_validation():
         eval_char(A1, (-1,), VarietyPoint((1,), 4))
     with pytest.raises(ValueError):
         VarietyPoint((1,), 0)
+
+
+def test_point_constructors_coerce():
+    """VarietyPoint keeps integer labels and a positive level, GenericPoint
+    complex coordinates; the repr of a generic point is what witness JSON
+    records."""
+    variety = VarietyPoint((1.0, True), 4)
+    assert variety.gamma == (1, 1) and {type(g) for g in variety.gamma} == {int}
+    assert variety._replace(gamma=(2.0, 3)).gamma == (2, 3)  # _replace runs the checks too
+    with pytest.raises(ValueError, match="must be positive"):
+        variety._replace(level_shifted=0)
+    generic = GenericPoint((1, 0.5j))
+    assert generic.u == (1 + 0j, 0.5j) and {type(x) for x in generic.u} == {complex}
+    assert repr(GenericPoint((0.5j, 2))) == "GenericPoint(u=(0.5j, (2+0j)))"
+    report = make_report("witness", 0.0, [(generic, 1j, 0j)])
+    assert report.to_dict()["witnesses"][0]["point"] == "GenericPoint(u=((1+0j), 0.5j))"
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,8 @@ def test_fuse_examples(capsys):
 
 
 def test_fuse_oracle_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "fuse_level_k", lambda *a, **k: {(0,): 2})
+    # the fuse command imports fuse_level_k from fusion when it runs
+    monkeypatch.setattr(fusion, "fuse_level_k", lambda *a, **k: {(0,): 2})
     code, _ = run(capsys, "fuse", "A1", "--k", "2", "--mu", "2", "--nu", "2", "--oracle")
     assert code == 3
 

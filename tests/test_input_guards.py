@@ -11,6 +11,7 @@ import fusionkit
 from fusionkit.algebra import build_algebra, dominant_conjugate, pairing_numerator, signed_orbit
 from fusionkit.characters import GenericPoint, VarietyPoint, eval_char, eval_D
 from fusionkit.csmodel import build_model, operator_fusion_rows, primary_state
+from fusionkit.errors import DEFAULT_CAPS, Caps, caps_from_env
 from fusionkit.fusion import fuse_level_k, level_pairing, tensor_decompose, verlinde_table
 from fusionkit.identity import verify_numerator_identity
 from fusionkit.weights import conjugate, weight_system, weyl_dimension
@@ -68,3 +69,18 @@ def test_guard_message_has_one_home(message):
     counts = {path.name: path.read_text().count(message)
               for path in sorted(PACKAGE.glob("*.py"))}
     assert sum(counts.values()) == 1, {name: n for name, n in counts.items() if n}
+
+
+@pytest.mark.parametrize("field,value", [("dim", 0), ("weyl_order", -1), ("hilbert", 0)])
+def test_cap_below_one_is_rejected(field, value, monkeypatch):
+    """Every way to a Caps checks it: the constructor, _replace and the
+    FUSIONKIT_CAPS parser."""
+    message = f"cap {field} must be at least 1, got {value}"
+    with pytest.raises(ValueError, match=message):
+        Caps(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        DEFAULT_CAPS._replace(**{field: value})
+    monkeypatch.setenv("FUSIONKIT_CAPS", f"{field}={value}")
+    with pytest.raises(ValueError, match=message):
+        caps_from_env()
+    assert DEFAULT_CAPS._replace(**{field: 7}) == Caps(**{field: 7})

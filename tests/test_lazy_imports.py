@@ -1,6 +1,6 @@
-"""Every command but the csmodel suite runs without numpy: numpy, theta and
-csmodel load on first use, and the package exports its numeric names
-lazily."""
+"""Cold start: importing fusionkit loads no submodule, the CLI loads only
+the layers a command runs, nothing loads dataclasses, and every command but
+the csmodel suite runs without numpy."""
 
 import importlib
 import os
@@ -26,50 +26,96 @@ NUMPY_FREE_COMMANDS = [
     ["fuse", "A2", "--k", "2", "--mu", "1,0", "--nu", "1,1", "--oracle"],
 ]
 
-# Runs cli.main on argv in a fresh interpreter; prints the exit code and
-# which of the lazily loaded modules ended up in sys.modules.
+#: exact integer commands: no character is evaluated, so none is loaded
+CHARACTER_FREE_COMMANDS = [
+    ["weights", "A2", "--mu", "1,1"],
+    ["fuse", "A2", "--k", "3", "--mu", "1,0", "--nu", "1,1"],
+    ["fuse", "A2", "--mu", "1,0", "--nu", "1,1"],
+    ["verify", "A2", "--k", "3", "--suite", "bounds"],
+    ["verify", "A2", "--k", "3", "--suite", "conjugacy"],
+]
+
+CSMODEL_SUITE = ["verify", "A2", "--k", "2", "--suite", "csmodel"]
+THETA_SUITE = ["verify", "A3", "--k", "1", "--suite", "theta"]
+THETA_CHAR = ["theta", "A3", "--k", "1", "--char", "--mu", "1,0,0", "--tau", "0+1i",
+              "--u", "0.05,0.02,0.01"]
+
+# Runs cli.main on argv in a fresh interpreter (with no argv, only imports
+# the CLI) and prints the exit code, then every loaded fusionkit module and
+# numpy or dataclasses if loaded.
 PROBE = """\
 import sys
 from fusionkit import cli
-code = cli.main(sys.argv[1:])
-loaded = [m for m in ("numpy", "fusionkit.theta", "fusionkit.csmodel") if m in sys.modules]
-print(code, *loaded)
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(m for m in sys.modules
+                    if m in ("numpy", "dataclasses") or m.split(".")[0] == "fusionkit"))
 """
 
 
-def probe(argv):
+def probe(argv=()):
+    """(exit code, set of loaded modules) of one probe run."""
+    args = [*argv, "--output", os.devnull] if argv else []
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv, "--output", os.devnull],
+    proc = subprocess.run([sys.executable, "-c", PROBE, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded)
+
+
+def test_cli_import_loads_only_algebra_and_errors():
+    assert probe() == (0, {"fusionkit", "fusionkit.cli", "fusionkit.algebra",
+                           "fusionkit.errors"})
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
 def test_exact_commands_do_not_load_numpy(argv):
-    assert probe(argv) == ["0"]
+    code, loaded = probe(argv)
+    assert code == 0
+    assert not loaded & {"numpy", "fusionkit.theta", "fusionkit.csmodel"}
+
+
+@pytest.mark.parametrize("argv", CHARACTER_FREE_COMMANDS, ids=" ".join)
+def test_integer_commands_do_not_load_characters(argv):
+    code, loaded = probe(argv)
+    assert code == 0 and "fusionkit.characters" not in loaded
 
 
 def test_csmodel_suite_loads_numpy():
     """The probe sees numpy when a command does build arrays."""
-    assert probe(["verify", "A2", "--k", "2", "--suite", "csmodel"]) == [
-        "0", "numpy", "fusionkit.csmodel"]
+    code, loaded = probe(CSMODEL_SUITE)
+    assert code == 0 and {"numpy", "fusionkit.csmodel"} <= loaded
 
 
 def test_theta_command_loads_theta():
-    assert probe(["theta", "A1", "--k", "2", "--gamma", "1", "--tau", "0+1i",
-                  "--u", "0.05"]) == ["0", "fusionkit.theta"]
+    code, loaded = probe(["theta", "A1", "--k", "2", "--gamma", "1", "--tau", "0+1i",
+                          "--u", "0.05"])
+    assert code == 0 and "fusionkit.theta" in loaded
+    assert not loaded & {"numpy", "fusionkit.csmodel"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "A3", "--k", "1", "--suite", "theta"],
-    ["theta", "A3", "--k", "1", "--char", "--mu", "1,0,0", "--tau", "0+1i",
-     "--u", "0.05,0.02,0.01"],
-], ids=" ".join)
+@pytest.mark.parametrize("argv", [THETA_SUITE, THETA_CHAR], ids=" ".join)
 def test_theta_runs_without_numpy(argv):
     """The theta layer is plain Python: its suite and characters load it and
     nothing that imports numpy."""
-    assert probe(argv) == ["0", "fusionkit.theta"]
+    code, loaded = probe(argv)
+    assert code == 0 and "fusionkit.theta" in loaded
+    assert not loaded & {"numpy", "fusionkit.csmodel"}
+
+
+def test_theta_characters_skip_the_fusion_layers():
+    """A finite-tau character needs theta sums only: no fusion table, weight
+    system or identity check is loaded."""
+    code, loaded = probe(THETA_CHAR)
+    assert code == 0
+    assert not loaded & {"fusionkit.fusion", "fusionkit.identity", "fusionkit.weights"}
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS + [CSMODEL_SUITE, THETA_SUITE, THETA_CHAR],
+                         ids=" ".join)
+def test_no_command_loads_dataclasses(argv):
+    code, loaded = probe(argv)
+    assert code == 0 and "dataclasses" not in loaded
 
 
 def test_package_exports_numeric_names_lazily():

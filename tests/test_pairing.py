@@ -2,7 +2,6 @@
 against the Fraction formulas it replaced, spec hashing, and the integrality
 guards under python -O."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -164,7 +163,7 @@ def test_equal_specs_hash_equal():
     assert integer_gram(second) is integer_gram(first)
     assert integer_gram.cache_info().hits == 2
     # hashing looks at (series, rank) only; equality still compares every field
-    forged = dataclasses.replace(first, highest_root=(1,) + (0,) * 5)
+    forged = first._replace(highest_root=(1,) + (0,) * 5)
     assert hash(forged) == hash(first) and forged != first
     assert build_algebra("A", 2) != build_algebra("A", 3)
 
@@ -190,8 +189,8 @@ sys.exit(1)
 def test_level_pairing_guard_under_optimize():
     """(lam, theta) against a forged theta with non-integral comarks raises,
     also when asserts are stripped."""
-    call = ("import dataclasses; from fusionkit import algebra, fusion; "
-            "spec = dataclasses.replace(algebra.build_algebra('A', 2), highest_root=(1, 0)); "
+    call = ("from fusionkit import algebra, fusion; "
+            "spec = algebra.build_algebra('A', 2)._replace(highest_root=(1, 0)); "
             "fusion.level_pairing(spec, (1, 0))")
     finished = _run_optimized(_EXPECT_VIOLATION.format(call=call))
     assert finished.returncode == 0, finished.stderr
@@ -210,7 +209,7 @@ def test_weyl_dimension_guard_under_optimize():
 
 
 def test_comarks_guard():
-    spec = dataclasses.replace(build_algebra("A", 2), highest_root=(1, 0))
+    spec = build_algebra("A", 2)._replace(highest_root=(1, 0))
     with pytest.raises(InvariantViolation):
         comarks(spec)
 

@@ -9,6 +9,7 @@ from fusionkit import weights
 from fusionkit.algebra import build_algebra
 from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
 from fusionkit.weights import (
+    WeightSystem,
     conjugate,
     square_sum,
     weight_system,
@@ -117,6 +118,12 @@ def test_rejects_bad_input():
     with pytest.raises(CapExceeded):
         with use_caps(Caps(dim=100)):
             weight_system(A2, (9, 9))
+
+
+@pytest.mark.parametrize("entries", [{(1, 0): 2, (0, 0): 1}, {(0, 0): 1}])
+def test_highest_weight_multiplicity_must_be_one(entries):
+    with pytest.raises(InvariantViolation, match=r"highest weight \(1, 0\)"):
+        WeightSystem(A2, (1, 0), entries)
 
 
 def test_weyl_dimension_checked_when_the_system_is_built(monkeypatch):
