@@ -43,6 +43,11 @@ _LAZY_MODULES = {
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
+# from fusionkit import * binds the exact layers and their names; csmodel
+# (numpy) and theta load on first access only.
+__all__ = sorted(name for module, names in _LAZY_MODULES.items()
+                 if module not in ("csmodel", "theta") for name in (module, *names))
+
 
 def __getattr__(name):
     if name in _LAZY_MODULES:

@@ -76,7 +76,8 @@ class AlgebraSpec:
 
     Equal specs agree in every field; the hash reads (series, rank), which
     fix every other field, once, since every cache of the package is keyed
-    on the spec.  _replace returns a copy with some fields changed.
+    on the spec.  _replace returns a copy with some fields changed; pickle
+    and copy rebuild a spec through the constructor, which hashes afresh.
     """
 
     __slots__ = _SPEC_FIELDS + ("_hash",)
@@ -89,6 +90,12 @@ class AlgebraSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AlgebraSpec is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AlgebraSpec is immutable; cannot delete {name}")
+
+    def __reduce__(self):
+        return AlgebraSpec, self._values()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in _SPEC_FIELDS)

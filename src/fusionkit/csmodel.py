@@ -70,6 +70,11 @@ class GaussianModel(NamedTuple):
         # every other field is a function of (spec, k)
         return hash((self.spec, self.k))
 
+    def __repr__(self) -> str:
+        # phase_matrix and radical (K^rank index tuples) are left out
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:5], self))
+        return f"GaussianModel({fields})"
+
     @property
     def shape(self):
         return (self.period,) * self.spec.rank

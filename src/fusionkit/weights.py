@@ -40,6 +40,10 @@ class WeightSystem(CheckedTuple, NamedTuple("WeightSystem", [
             raise InvariantViolation(f"highest weight {highest} does not have multiplicity 1")
         return super().__new__(cls, spec, highest, entries)
 
+    def __repr__(self) -> str:
+        # entries, one per weight, is left out
+        return f"WeightSystem(spec={self.spec!r}, highest={self.highest!r})"
+
 
 def weyl_dimension(spec: AlgebraSpec, mu: Weight) -> int:
     """Dimension of the irreducible representation mu by the Weyl product

@@ -1,5 +1,7 @@
 """Cartan data, reflections, and Weyl orbit machinery."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -78,7 +80,21 @@ def test_forged_spec_compares_unequal_and_specs_are_immutable():
     assert spec._replace() == spec
     with pytest.raises(AttributeError):
         spec.rank = 3
+    with pytest.raises(AttributeError):
+        del spec.rank
+    assert spec.rank == 2
     assert str(spec) == "A2" and repr(spec).startswith("AlgebraSpec(series='A', rank=2, ")
+
+
+@pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_spec_survives_pickle_and_copy(clone):
+    """A spec round-trips through pickle and copy equal, with the same hash,
+    forged fields included."""
+    for spec in (build_algebra("G", 2), build_algebra("A", 2)._replace(highest_root=(1, 0))):
+        twin = clone(spec)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert twin.highest_root == spec.highest_root
 
 
 @pytest.mark.parametrize("series,rank", [("A", 0), ("B", 1), ("C", 2), ("D", 3),

@@ -93,6 +93,8 @@ def test_model_sizes():
     m2 = build_model(A2, 1)
     assert (m2.denominator_clear, m2.period) == (3, 12)
     assert m2.size == 4 * 4 * 3  # K^rank det C, the faithful quotient
+    assert repr(m2) == (f"GaussianModel(spec={A2!r}, k=1, level_shifted=4, "
+                        "denominator_clear=3, period=12)")
     with pytest.raises(CapExceeded):
         with use_caps(Caps(hilbert=100)):
             build_model(A2, 1)

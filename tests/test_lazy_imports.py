@@ -85,6 +85,7 @@ def test_csmodel_suite_loads_numpy():
     """The probe sees numpy when a command does build arrays."""
     code, loaded = probe(CSMODEL_SUITE)
     assert code == 0 and {"numpy", "fusionkit.csmodel"} <= loaded
+    assert "fusionkit.theta" not in loaded
 
 
 def test_theta_command_loads_theta():
@@ -131,6 +132,19 @@ def test_package_exports_numeric_names_lazily():
     with pytest.raises(AttributeError, match="no_such_name"):
         fusionkit.no_such_name
 
+
+
+def test_star_import_binds_the_exact_layers():
+    """from fusionkit import * binds the exact layers and their names through
+    the lazy table, as it did when they loaded eagerly; csmodel and theta
+    names stay on first access."""
+    namespace = {}
+    exec("from fusionkit import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
+    assert bound == set(fusionkit.__all__)
+    assert {"build_algebra", "weight_system", "fuse_level_k", "Caps", "identity"} <= bound
+    assert not bound & {"csmodel", "theta", *fusionkit._LAZY_MODULES["csmodel"],
+                        *fusionkit._LAZY_MODULES["theta"]}
 
 
 #: the public names of the package, lazy ones included

@@ -126,6 +126,11 @@ def test_highest_weight_multiplicity_must_be_one(entries):
         WeightSystem(A2, (1, 0), entries)
 
 
+def test_weight_system_repr_leaves_out_entries():
+    system = weight_system(A2, (2, 2))
+    assert repr(system) == f"WeightSystem(spec={A2!r}, highest=(2, 2))"
+
+
 def test_weyl_dimension_checked_when_the_system_is_built(monkeypatch):
     """The multiplicity sum is checked once, in the cached build; a cold
     build with a wrong multiplicity still raises, every time."""
