@@ -4,7 +4,7 @@ them together.
 
 Importing fusionkit loads no submodule: each submodule and exported name
 loads on first access (PEP 562), with only what its own module imports.
-csmodel imports numpy, the only module that does.
+No module imports numpy.
 """
 
 import importlib
@@ -44,7 +44,7 @@ _LAZY_MODULES = {
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 # from fusionkit import * binds the exact layers and their names; csmodel
-# (numpy) and theta load on first access only.
+# and theta load on first access only.
 __all__ = sorted(name for module, names in _LAZY_MODULES.items()
                  if module not in ("csmodel", "theta") for name in (module, *names))
 

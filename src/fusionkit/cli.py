@@ -9,8 +9,8 @@ Importing this module loads only the algebra and errors layers, and each
 command imports the layers it runs when it runs: weights loads weights; fuse
 loads fusion and weights (and characters with --oracle); verify loads
 identity, fusion and weights, plus characters for every suite but bounds and
-conjugacy, theta for the theta suite and csmodel and numpy for the csmodel
-suite; theta loads theta and characters.
+conjugacy, theta for the theta suite and csmodel for the csmodel suite;
+theta loads theta and characters.  No command loads numpy.
 """
 
 from __future__ import annotations
@@ -248,11 +248,7 @@ def _suite_theta(spec, config: RunConfig):
 
 
 def _suite_csmodel(spec, config: RunConfig):
-    # the plain-Python layers load before csmodel, which imports numpy: the
-    # other way round (numpy first) raises this suite's peak RSS by 1 MB
-    from . import characters, fusion, identity  # noqa: F401 (characters: load order)
-    from . import csmodel
-    import numpy as np
+    from . import csmodel, fusion, identity
 
     model = csmodel.build_model(spec, config.k)
     weights = fusion.level_k_weights(spec, config.k)
@@ -263,10 +259,10 @@ def _suite_csmodel(spec, config: RunConfig):
     ), None, None
 
     def ortho_residuals():
-        for r in weights:
-            psi_r = csmodel.primary_state(model, r)
-            for s in weights:
-                value = complex(np.vdot(psi_r, csmodel.primary_state(model, s)))
+        states = [csmodel.primary_state(model, r) for r in weights]
+        for r, psi_r in zip(weights, states):
+            for s, psi_s in zip(weights, states):
+                value = csmodel.inner_product(psi_r, psi_s)
                 yield (r, s), value, complex(1.0 if r == s else 0.0)
 
     yield identity.make_report(

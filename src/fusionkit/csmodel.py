@@ -1,6 +1,6 @@
 """Finite Gaussian model on the torus: clock and shift operators, Weyl-odd
 primary states, the discrete Fourier (S) operator, and the operator-level
-fusion expansion.
+fusion expansion, in plain Python.
 
 The state space is the weight lattice modulo K times the coroot lattice
 (K = k + c), the affine Weyl translations; that identification is what
@@ -10,15 +10,18 @@ phases exp(2 pi i (C^-1 v)_j / K) separate states.  Concretely, states are
 stored on a covering array (Z_L)^rank with L = qK (q the smallest integer
 with q Z^rank inside the coroot lattice), restricted to functions invariant
 under the finite radical R = (K coroot lattice) / L Z^rank; shifts stay
-plain axis rolls that way.  For A1 the radical is trivial and the model is
-literally Z_L with L = 2(k+2); at k=2 the clock eigenvalues are the 8th
-roots of unity.
+plain index permutations that way.  For A1 the radical is trivial and the
+model is literally Z_L with L = 2(k+2); at k=2 the clock eigenvalues are the
+8th roots of unity.
 
-The coroot labels are algebra's.  Operators are applied lazily as sums of
-phase/shift monomials with integer phase exponents mod L, read from the
-shared table characters.roots_of_unity, so operator identities hold to
-rounding error.  Only the Fourier kernel is dense, and only below a hard
-size cap.
+A state is a flat row-major tuple of the L^rank complex amplitudes of the
+array; operators take one state or a list of states.  The coroot labels are
+algebra's.  Operators are applied lazily as sums of phase/shift monomials
+with integer phase exponents mod L, read from the shared table
+characters.roots_of_unity, so operator identities hold to rounding error;
+they, the inner products and the primary states touch only nonzero
+amplitudes.  The Fourier operator is a separable discrete Fourier transform
+over the rank axes followed by a gather at B v mod L, below a hard size cap.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import deque
 from functools import lru_cache
-from itertools import product
+from itertools import chain, compress, product
+from operator import add, attrgetter, mul, sub
 from typing import NamedTuple
-
-import numpy as np
 
 from .algebra import (
     AlgebraSpec,
@@ -51,8 +54,11 @@ _DENSE_FOURIER_CAP = 1024
 _COMMUTATOR_SAMPLE = 64
 _CONJUGATION_SAMPLE = 32
 
-#: bytes of read-only primary states kept per model
-_STATE_CACHE_BYTES = 1 << 26
+#: nonzero amplitudes of read-only states kept per model
+_STATE_CACHE_ENTRIES = 1 << 18
+
+_REAL = attrgetter("real")
+_IMAG = attrgetter("imag")
 
 
 class GaussianModel(NamedTuple):
@@ -141,47 +147,102 @@ def _radical_subgroup(coroots, level_shifted: int, period: int):
     }))
 
 
-def _class_state(model: GaussianModel, points, values) -> np.ndarray:
+def _flat(model: GaussianModel, v) -> int:
+    """Row-major position in a state of the array index v, taken mod L."""
+    period = model.period
+    position = 0
+    for x in v:
+        position = position * period + int(x) % period
+    return position
+
+
+def _array_index(model: GaussianModel, position: int) -> tuple:
+    """The array index at a row-major position: _flat inverted."""
+    digits = []
+    for _ in range(model.spec.rank):
+        position, digit = divmod(position, model.period)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _dense(model: GaussianModel, entries: dict) -> tuple:
+    """The state whose nonzero amplitudes are ``entries`` (position -> value)."""
+    state = [0j] * model.cover_size
+    for position, value in entries.items():
+        state[position] = value
+    return tuple(state)
+
+
+def _entries(state) -> dict:
+    """The nonzero amplitudes of a state, position -> value."""
+    positions = list(compress(range(len(state)), state))
+    return dict(zip(positions, map(state.__getitem__, positions)))
+
+
+def _bra(entries: dict) -> tuple:
+    """<x| of the state with these nonzero amplitudes: (positions, complex
+    conjugates of the amplitudes)."""
+    return list(entries), [value.conjugate() for value in entries.values()]
+
+
+def _inner(bra: tuple, ket) -> complex:
+    """<bra|ket>, with the real and imaginary parts of the products each
+    summed by math.fsum."""
+    positions, conjugates = bra
+    products = list(map(mul, conjugates, map(ket.__getitem__, positions)))
+    return complex(math.fsum(map(_REAL, products)), math.fsum(map(_IMAG, products)))
+
+
+def inner_product(bra, ket) -> complex:
+    """<bra|ket> of two states, over the nonzero amplitudes of bra."""
+    return _inner(_bra(_entries(bra)), ket)
+
+
+def _class_entries(model: GaussianModel, points, values) -> dict:
     """sum_i values[i] sum_t |points[i] + t> over the radical t, added point
-    by point in radical order."""
-    rank = model.spec.rank
-    offsets = np.array(model.radical, dtype=np.int64)
-    indices = (np.array(points, dtype=np.int64).reshape(-1, 1, rank) + offsets) % model.period
-    state = np.zeros(model.shape, dtype=complex)
-    np.add.at(state, tuple(indices.reshape(-1, rank).T), np.repeat(values, len(offsets)))
-    return state
+    by point in radical order, as position -> amplitude."""
+    entries = {}
+    for point, value in zip(points, values):
+        for offset in model.radical:
+            position = _flat(model, [x + t for x, t in zip(point, offset)])
+            entries[position] = entries.get(position, 0j) + value
+    return entries
 
 
-def basis_state(model: GaussianModel, v) -> np.ndarray:
+def _basis_entries(model: GaussianModel, v) -> dict:
+    return _class_entries(model, [tuple(int(x) for x in v)], [1.0 / math.sqrt(len(model.radical))])
+
+
+def basis_state(model: GaussianModel, v) -> tuple:
     """The normalized physical state |v>: the radical-averaged class of the
     array index v."""
-    return _class_state(model, [tuple(int(x) for x in v)], [1.0 / math.sqrt(len(model.radical))])
+    return _dense(model, _basis_entries(model, v))
 
 
-@lru_cache(maxsize=16)
-def _root_array(period: int) -> np.ndarray:
-    """characters.roots_of_unity(L) as a read-only array, built once per L."""
-    roots = np.array(roots_of_unity(period))
-    roots.flags.writeable = False
-    return roots
+@lru_cache(maxsize=4)
+def _positions(size: int) -> tuple:
+    """0 .. size-1, the int objects every position map shares."""
+    return tuple(range(size))
 
 
-def _phase_array(model: GaussianModel, power) -> np.ndarray:
-    """exp(2 pi i (power^T C^-1 v)/K) over all v, as the product of per-axis
-    root-table lookups at integer residues mod L; separable because the
-    exponent is linear in v."""
-    L = model.period
-    rank = model.spec.rank
-    b = model.phase_matrix
-    roots = _root_array(L)
-    coeffs = [sum(power[i] * b[i][j] for i in range(rank)) % L for j in range(rank)]
-    result = np.ones((), dtype=complex)
-    for axis, c in enumerate(coeffs):
-        arr = roots[c * np.arange(L) % L]
-        shape = [1] * rank
-        shape[axis] = L
-        result = result * arr.reshape(shape)
-    return np.broadcast_to(result, model.shape)
+@lru_cache(maxsize=256)
+def _shift_map(period: int, shift: tuple) -> tuple:
+    """The position of v + shift for every position v of (Z_L)^rank: a
+    permutation."""
+    rank = len(shift)
+    axes = [[(x + s) % period * period ** (rank - 1 - axis) for x in range(period)]
+            for axis, s in enumerate(shift)]
+    return tuple(map(_positions(period**rank).__getitem__, map(sum, product(*axes))))
+
+
+@lru_cache(maxsize=256)
+def _phase_map(period: int, phase_matrix: tuple, power: tuple) -> tuple:
+    """exp(2 pi i (power^T C^-1 v)/K) for every position v: the root-table
+    entry at the integer exponent power^T B v mod L."""
+    coeffs = [sum(map(mul, power, column)) % period for column in zip(*phase_matrix)]
+    roots = roots_of_unity(period)
+    axes = [[c * x % period for x in range(period)] for c in coeffs]
+    return tuple([roots[e % period] for e in map(sum, product(*axes))])
 
 
 class LatticeOperator:
@@ -190,30 +251,75 @@ class LatticeOperator:
     A monomial (coeff, shift, power) acts as
         |v>  ->  coeff * exp(2 pi i (power^T C^-1 v)/K) |v + shift>.
     Clock operators are pure powers, shift operators pure shifts; products
-    stay in this family up to exact root-of-unity scalars.  apply acts on the
-    trailing rank axes, so it takes one state or a stack of them.
+    stay in this family up to exact root-of-unity scalars.  apply takes one
+    state or a list of them.
     """
 
     def __init__(self, model: GaussianModel, terms):
         self.model = model
+        period = model.period
         self.terms = tuple(
-            (complex(c), tuple(int(x) for x in s), tuple(int(x) for x in p))
+            (complex(c), tuple(int(x) % period for x in s), tuple(int(x) % period for x in p))
             for c, s, p in terms
         )
+        self._term_maps = None
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(state)
-        for coeff, shift, power in self.terms:
-            piece = state
-            if any(power):
-                piece = piece * _phase_array(self.model, power)
-            if any(shift):
-                piece = np.roll(piece, shift, axis=tuple(range(-self.model.spec.rank, 0)))
-            if piece is state:
-                piece = coeff * piece
-            else:  # a fresh array: scale it in place, one temporary less
-                piece *= coeff
-            out += piece
+    def apply(self, states):
+        if isinstance(states, list):
+            return [self.apply(state) for state in states]
+        entries = _entries(states)
+        if 4 * len(entries) > len(states):
+            return tuple(self._dense_image(states))
+        return tuple(self._image(entries))
+
+    def _image(self, entries: dict) -> list:
+        """The image of the state with these nonzero amplitudes, as a list,
+        accumulated term by term."""
+        out = [0j] * self.model.cover_size
+        positions = list(entries)
+        amplitudes = list(entries.values())
+        for n, (coeff, _, shifts, phases) in enumerate(self._maps()):
+            values = amplitudes
+            if phases is not None:
+                values = map(mul, values, map(phases.__getitem__, positions))
+            if coeff != 1:
+                values = map(coeff.__mul__, values)
+            targets = positions if shifts is None else map(shifts.__getitem__, positions)
+            if n == 0:  # a permutation of positions: the first term is written
+                deque(map(out.__setitem__, targets, values), maxlen=0)
+            else:
+                for target, value in zip(targets, values):
+                    out[target] += value
+        return out
+
+    def _maps(self) -> list:
+        """(coeff, shift, shift map or None, phase map or None) per term,
+        formed on the first application."""
+        if self._term_maps is None:
+            model = self.model
+            self._term_maps = [
+                (coeff, shift, _shift_map(model.period, shift) if any(shift) else None,
+                 _phase_map(model.period, model.phase_matrix, power) if any(power) else None)
+                for coeff, shift, power in self.terms]
+        return self._term_maps
+
+    def _dense_image(self, state) -> list:
+        """The image of a state with many nonzero amplitudes: each term read
+        back from the positions v - shift, term by term."""
+        out = None
+        period = self.model.period
+        for coeff, shift, shifts, phases in self._maps():
+            values = state
+            if shifts is not None:
+                back = _shift_map(period, tuple(-x % period for x in shift))
+                values = map(state.__getitem__, back)
+                if phases is not None:
+                    phases = map(phases.__getitem__, back)
+            if phases is not None:
+                values = map(mul, values, phases)
+            if coeff != 1:
+                values = map(coeff.__mul__, values)
+            out = list(values) if out is None else list(map(add, out, values))
         return out
 
     def _commutation_scalar(self, power, shift) -> complex:
@@ -265,10 +371,15 @@ def shift_op(model: GaussianModel, j: int) -> LatticeOperator:
 def _sample_indices(model: GaussianModel, count: int):
     """Deterministic sample of array indices; everything if the model is small."""
     if model.cover_size <= count:
-        return list(np.ndindex(model.shape))
+        return list(product(range(model.period), repeat=model.spec.rank))
     rng = random.Random(20259)
     picks = sorted(rng.sample(range(model.cover_size), count))
-    return [tuple(int(x) for x in np.unravel_index(i, model.shape)) for i in picks]
+    return [_array_index(model, i) for i in picks]
+
+
+def _max_gap(x, y) -> float:
+    """max_i |x_i - y_i| of two states."""
+    return max(map(abs, map(sub, x, y)))
 
 
 def check_clock_commutator(model: GaussianModel) -> float:
@@ -276,7 +387,7 @@ def check_clock_commutator(model: GaussianModel) -> float:
     over all operator pairs, applied to a basis sample."""
     rank = model.spec.rank
     inv = cartan_inverse(model.spec)
-    indices = _sample_indices(model, _COMMUTATOR_SAMPLE)
+    bases = [_basis_entries(model, v) for v in _sample_indices(model, _COMMUTATOR_SAMPLE)]
     worst = 0.0
     for m in range(1, rank + 1):
         for j in range(1, rank + 1):
@@ -285,21 +396,23 @@ def check_clock_commutator(model: GaussianModel) -> float:
             phase = cmath.exp(
                 2j * cmath.pi * float((inv[m - 1][j - 1] / model.level_shifted) % 1)
             )
-            for v in indices:
-                state = basis_state(model, v)
-                residual = np.abs(commutator.apply(state) - phase * state).max()
-                worst = max(worst, float(residual))
+            for basis in bases:
+                image = commutator._image(basis)
+                # off the support of the basis state and its image both sides are 0
+                support = set(basis).union(compress(range(len(image)), image))
+                residual = max(abs(image[i] - phase * basis.get(i, 0j)) for i in support)
+                worst = max(worst, residual)
     return worst
 
 
-def primary_state(model: GaussianModel, r: Weight) -> np.ndarray:
+def primary_state(model: GaussianModel, r: Weight) -> tuple:
     """Weyl-antisymmetrized shift of the vacuum:
     psi_r = |W|^{-1/2} sum_w (-1)^w prod_j b_j^{w(r+rho)_j} |0>.
 
     Integrable r give an orthonormal family; r + rho on an affine wall
     collapses to the zero vector.
     """
-    return _primary_state_view(model, tuple(r)).copy()
+    return _dense(model, _primary_entries(model, tuple(r)))
 
 
 @lru_cache(maxsize=2)
@@ -307,21 +420,30 @@ def _state_cache(model: GaussianModel) -> dict:
     return {}
 
 
-def _primary_state_view(model: GaussianModel, r: Weight) -> np.ndarray:
-    """psi_r as a read-only array, kept per (model, r) within _STATE_CACHE_BYTES."""
-    check_cap("weyl_order", model.spec.weyl_order, model.spec)  # the cache skips signed_orbit
+def _kept(model: GaussianModel, key, build):
+    """build() kept per (model, key), read-only, while the model's kept
+    states hold at most _STATE_CACHE_ENTRIES amplitudes."""
     cache = _state_cache(model)
-    if r in cache:
-        return cache[r]
-    spec = model.spec
-    require_integrable(spec, model.k, r)
-    amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
-    images, signs, _ = signed_orbit(spec, tuple(x + 1 for x in r))
-    state = _class_state(model, images, [sign * amplitude for sign in signs])
-    state.flags.writeable = False
-    if (len(cache) + 1) * state.nbytes <= _STATE_CACHE_BYTES:
-        cache[r] = state
+    state = cache.get(key)
+    if state is None:
+        state = build()
+        if sum(map(len, cache.values())) + len(state) <= _STATE_CACHE_ENTRIES:
+            cache[key] = state
     return state
+
+
+def _primary_entries(model: GaussianModel, r: Weight) -> dict:
+    """The nonzero amplitudes of psi_r, as position -> amplitude."""
+    check_cap("weyl_order", model.spec.weyl_order, model.spec)  # the cache skips signed_orbit
+
+    def build():
+        spec = model.spec
+        require_integrable(spec, model.k, r)
+        amplitude = 1.0 / math.sqrt(spec.weyl_order * len(model.radical))
+        images, signs, _ = signed_orbit(spec, tuple(x + 1 for x in r))
+        return _class_entries(model, images, [sign * amplitude for sign in signs])
+
+    return _kept(model, ("primary", r), build)
 
 
 def wilson_operator(model: GaussianModel, mu: Weight) -> LatticeOperator:
@@ -331,6 +453,86 @@ def wilson_operator(model: GaussianModel, mu: Weight) -> LatticeOperator:
     zero = (0,) * model.spec.rank
     terms = [(float(mult), v, zero) for v, mult in sorted(ws.entries.items())]
     return LatticeOperator(model, terms)
+
+
+def _diagonal_form(matrix) -> tuple:
+    """(P, d, Q) with matrix = P diag(d) Q for unimodular integer P and Q:
+    the smallest nonzero entry of the trailing block is moved to the pivot
+    and its row and column are reduced by it until both are clear."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        while True:
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n)
+                          if a[i][j])
+            a[t], a[i] = a[i], a[t]
+            for row in p:  # P <- P E^-1 for each row operation E
+                row[t], row[i] = row[i], row[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            q[t], q[j] = q[j], q[t]  # Q <- F^-1 Q for each column operation F
+            for i in range(t + 1, n):
+                c = a[i][t] // a[t][t]
+                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
+                for row in p:
+                    row[t] += c * row[i]
+            for j in range(t + 1, n):
+                c = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] -= c * row[t]
+                q[t] = [x + c * y for x, y in zip(q[t], q[j])]
+            if not any(a[i][t] for i in range(t + 1, n)) and not any(a[t][t + 1:]):
+                break
+    return p, [a[t][t] for t in range(n)], q
+
+
+def _line_transform(line: list, rows) -> list:
+    """sum_w row[w] line[w] for each row of the symmetric root table
+    ``rows``.  A line with few nonzero amplitudes is summed column by column
+    over its nonzero w, in the order a row adds them."""
+    nonzero = list(compress(range(len(line)), line))
+    if 2 * len(nonzero) > len(line):
+        return [sum(map(mul, row, line)) for row in rows]
+    first, *rest = nonzero
+    out = list(map(complex(line[first]).__mul__, rows[first]))
+    for w in rest:
+        out = list(map(add, out, map(complex(line[w]).__mul__, rows[w])))
+    return out
+
+
+class _Plan(NamedTuple):
+    """One direction of the Fourier operator in relabelled coordinates,
+    where the frequencies read on axis i are the multiples of a step g_i:
+    the relabelling as a gather; per axis, last axis first, its step and the
+    root table of Z_(L/g_i); and per output position its value's index."""
+
+    source: tuple
+    axes: tuple
+    gather: tuple
+
+
+def _plan(model: GaussianModel, relabel, steps, read, roots) -> _Plan:
+    """The plan that relabels w as ``relabel`` w, keeps the multiples of
+    ``steps[i]`` on axis i and reads at ``read`` v for every v."""
+    period, rank = model.period, model.spec.rank
+    indices = list(product(range(period), repeat=rank))
+    source = [0] * model.cover_size
+    for position, w in enumerate(indices):
+        source[_flat(model, [sum(map(mul, row, w)) for row in relabel])] = position
+    axes = []
+    for step in reversed(steps):
+        size = period // step
+        axes.append((step, tuple(tuple(roots[step * u * w % period] for w in range(size))
+                                 for u in range(size))))
+    gather = []
+    for v in indices:
+        position = 0
+        for row, step in zip(read, steps):
+            position = position * (period // step) + sum(map(mul, row, v)) % period // step
+        gather.append(position)
+    return _Plan(tuple(source), tuple(axes), tuple(gather))
 
 
 class FourierOperator:
@@ -344,6 +546,15 @@ class FourierOperator:
     is unitary there (annihilating the non-invariant part of the cover);
     beyond ADE it is a partial isometry and only the intertwining relation
     survives.
+
+    With B = q C^-1 the exponent of <v|S^-1|w> is (B v) . w mod L, so S^-1 x
+    is the discrete Fourier transform X(u) = sum_w exp(2 pi i u . w / L) x_w
+    read at u = B v; S is its adjoint, the conjugate transform read at
+    u = B^T w.  Writing B = P D Q with P, Q unimodular and D diagonal,
+    (B v) . w = (D Q v) . (P^T w): after relabelling w by P^T the frequencies
+    read are multiples of gcd(d_i, L) on axis i, so each axis is transformed
+    only at those, one line at a time, skipping all-zero lines; no N x N
+    kernel is formed.
     """
 
     def __init__(self, model: GaussianModel):
@@ -354,22 +565,52 @@ class FourierOperator:
                 required=model.cover_size,
             )
         self.model = model
-        indices = np.stack([idx.ravel() for idx in np.indices(model.shape)], axis=1)
-        b = np.array(model.phase_matrix, dtype=np.int64)
-        # rows are bras: the phase of a clock word w evaluated at the state v
-        exponents = (indices @ b.T @ indices.T) % model.period
-        self._kernel_inv = kernel = _root_array(model.period)[exponents]
-        kernel /= math.sqrt(model.size) * len(model.radical)
-        kernel.flags.writeable = False
+        period = model.period
+        p, d, q = _diagonal_form(model.phase_matrix)
+        # the most restricted axis last, so it is transformed first
+        order = sorted(range(len(d)), key=lambda i: math.gcd(d[i], period))
+        pt = [[row[i] for row in p] for i in order]
+        q = [q[i] for i in order]
+        steps = [math.gcd(d[i], period) for i in order]
+        dq = [[d[i] * x for x in row] for i, row in zip(order, q)]
+        dpt = [[d[i] * x for x in row] for i, row in zip(order, pt)]
+        roots = roots_of_unity(period)
+        self._inverse = _plan(model, pt, steps, dq, roots)
+        self._adjoint = _plan(model, q, steps, dpt, tuple(x.conjugate() for x in roots))
+        self._norm = math.sqrt(model.size) * len(model.radical)
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        # S is the adjoint of the S^-1 kernel: S x = conj(K^T conj(x))
-        flat = np.conj(self._kernel_inv.T @ np.conj(state.ravel()))
-        return flat.reshape(self.model.shape)
+    def _transform(self, state, plan: _Plan) -> tuple:
+        """The relabelled state transformed axis by axis, last axis first:
+        each pass folds the lines of the last axis to period L/g (the
+        frequencies read are multiples of g), transforms them and moves that
+        axis to the front."""
+        data = list(map(state.__getitem__, plan.source))
+        period = self.model.period
+        for step, rows in plan.axes:
+            size = period // step
+            zeros = [0j] * size
+            lines = []
+            for start in range(0, len(data), period):
+                segment = data[start:start + period]
+                line = segment[:size]
+                if any(segment):
+                    for offset in range(size, period, size):
+                        line = list(map(add, line, segment[offset:offset + size]))
+                lines.append(_line_transform(line, rows) if any(line) else zeros)
+            data = list(chain.from_iterable(zip(*lines)))
+        norm = self._norm
+        values = [value / norm for value in data]
+        return tuple(map(values.__getitem__, plan.gather))
 
-    def apply_inverse(self, state: np.ndarray) -> np.ndarray:
-        flat = self._kernel_inv @ state.ravel()
-        return flat.reshape(self.model.shape)
+    def apply(self, states):
+        if isinstance(states, list):
+            return [self.apply(state) for state in states]
+        return self._transform(states, self._adjoint)
+
+    def apply_inverse(self, states):
+        if isinstance(states, list):
+            return [self.apply_inverse(state) for state in states]
+        return self._transform(states, self._inverse)
 
 
 @lru_cache(maxsize=2)
@@ -387,17 +628,18 @@ def check_s_conjugation(model: GaussianModel) -> float:
     on the affine quotient and S is only a partial isometry)."""
     s = s_operator(model)
     unitary = model.spec.series in ("A", "D", "E")
+    pairs = [(shift_op(model, j), clock_op(model, j)) for j in range(1, model.spec.rank + 1)]
     worst = 0.0
-    for j in range(1, model.spec.rank + 1):
-        b, a = shift_op(model, j), clock_op(model, j)
-        for v in _sample_indices(model, _CONJUGATION_SAMPLE):
-            state = basis_state(model, v)
-            intertwined = s.apply_inverse(b.apply(state)) - a.apply(s.apply_inverse(state))
-            worst = max(worst, float(np.abs(intertwined).max()))
+    for v in _sample_indices(model, _CONJUGATION_SAMPLE):
+        state = basis_state(model, v)
+        inverse = s.apply_inverse(state)
+        if unitary:
+            image = s.apply(state)
+            worst = max(worst, abs(math.sqrt(inner_product(image, image).real) - 1.0))
+        for b, a in pairs:
+            worst = max(worst, _max_gap(s.apply_inverse(b.apply(state)), a.apply(inverse)))
             if unitary:
-                conjugated = s.apply_inverse(b.apply(s.apply(state)))
-                worst = max(worst, float(np.abs(conjugated - a.apply(state)).max()))
-                worst = max(worst, abs(np.linalg.norm(s.apply(state)) - 1.0))
+                worst = max(worst, _max_gap(s.apply_inverse(b.apply(image)), a.apply(state)))
     return worst
 
 
@@ -408,8 +650,11 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
 
     evaluated at the matching variety point."""
     spec = model.spec
-    value = complex(np.vdot(basis_state(model, gamma),
-                            s_operator(model).apply_inverse(_primary_state_view(model, tuple(mu)))))
+    mu = tuple(mu)
+    psi = _primary_entries(model, mu)  # checks the caps, also when the image is kept
+    image = _kept(model, ("S^-1 primary", mu),
+                  lambda: s_operator(model).apply_inverse(_dense(model, psi)))
+    value = _inner(_bra(_basis_entries(model, gamma)), image)
     point = VarietyPoint(tuple(gamma), model.level_shifted)
     expected = (
         eval_D(spec, tuple(m + 1 for m in mu), point)
@@ -417,31 +662,30 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
     )
     if abs(value - expected) > 1e-10:
         raise OracleMismatchError(
-            f"inner-product character at gamma={tuple(gamma)}, mu={tuple(mu)} "
+            f"inner-product character at gamma={tuple(gamma)}, mu={mu} "
             f"differs from the alternating sum by {abs(value - expected):.3e}"
         )
     return value
 
 
 def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:
-    """One fusion table per nu in nus: apply O_mu(b) once to the stacked
-    primaries psi_nu and expand each image over the orthonormal primaries,
-    guarding integrality.  Memory is the stack of len(nus) states, not one
-    per integrable weight."""
+    """One fusion table per nu in nus: apply O_mu to each primary psi_nu and
+    expand the image over the orthonormal primaries, guarding integrality.
+    Memory is one image at a time, not one per integrable weight."""
     spec = model.spec
     nus = [tuple(nu) for nu in nus]
     require_integrable(spec, model.k, mu, *nus)
     weights = level_k_weights(spec, model.k)
-    sources = np.stack([_primary_state_view(model, nu) for nu in nus])
-    images = wilson_operator(model, tuple(mu)).apply(sources).reshape(len(nus), -1)
-    # coefficients[n, i] = <psi_iota_i | O_mu psi_nu_n>
-    coefficients = np.empty((len(nus), len(weights)), dtype=complex)
-    for i, iota in enumerate(weights):
-        coefficients[:, i] = images @ _primary_state_view(model, iota).ravel().conj()
+    operator = wilson_operator(model, tuple(mu))
+    sources = [_primary_entries(model, nu) for nu in nus]
+    bras = [_bra(_primary_entries(model, iota)) for iota in weights]
     tables = []
-    for row in coefficients:
+    for source in sources:
+        image = operator._image(source)
         table = {}
-        for iota, coefficient in zip(weights, row):
+        for iota, bra in zip(weights, bras):
+            # the coefficient <psi_iota | O_mu psi_nu>
+            coefficient = _inner(bra, image)
             nearest = round(coefficient.real)
             if abs(coefficient - nearest) > 1e-8:
                 raise OracleMismatchError(

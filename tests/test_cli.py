@@ -348,7 +348,7 @@ def test_verify_all_refuses_a_non_ade_algebra_before_any_case(capsys, algebra):
 
 def test_cap_error_keeps_the_lines_of_finished_cases(capsys):
     """Each report line is written as its case finishes: on A3 the csmodel
-    suite stops at the dense Fourier cap (exit 1) after its first two cases,
+    suite stops at the Fourier cap (exit 1) after its first two cases,
     and the 27 lines of the cases before stay."""
     code, out, err = run_with_stderr(capsys, "verify", "A3", "--k", "1", "--suite", "all")
     assert code == 1 and err.startswith("resource cap exceeded: Fourier kernel")

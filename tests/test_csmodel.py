@@ -1,13 +1,16 @@
 """Clock/shift operators, primary states, the S operator, and operator fusion."""
 
 import cmath
+import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from fusionkit import csmodel
+from fusionkit import cli, csmodel
 from fusionkit.algebra import _coroot_labels, build_algebra
+from fusionkit.characters import roots_of_unity
 from fusionkit.csmodel import (
     FourierOperator,
     basis_state,
@@ -16,6 +19,7 @@ from fusionkit.csmodel import (
     check_clock_commutator,
     check_s_conjugation,
     clock_op,
+    inner_product,
     operator_fusion_rows,
     primary_state,
     s_operator,
@@ -25,10 +29,23 @@ from fusionkit.csmodel import (
 from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.fusion import fuse_level_k, level_k_weights, verlinde_table
 
+import csmodel_oracle as oracle
 from weyl_oracle import apply_word, weyl_elements, word_sign
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
+
+
+def random_state(model, rng):
+    return tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(model.cover_size))
+
+
+def norm(state) -> float:
+    return float(np.linalg.norm(np.array(state)))
+
+
+def max_gap(x, y) -> float:
+    return float(np.abs(np.array(x) - np.array(y)).max())
 
 
 def bfs_radical(model):
@@ -72,7 +89,8 @@ def test_primary_state_matches_word_sum(series, rank, k):
     for regular weights both walks visit the images in the same order."""
     model = build_model(build_algebra(series, rank), k)
     for r in level_k_weights(model.spec, k):
-        assert np.array_equal(primary_state(model, r), word_primary_state(model, r))
+        assert np.array_equal(oracle.to_array(model, primary_state(model, r)),
+                              word_primary_state(model, r))
 
 
 #: every (series, rank, k) the csmodel tests and golden cases build a model of
@@ -102,6 +120,15 @@ def test_model_sizes():
         build_model(A1, -1)
 
 
+def test_states_are_flat_row_major_tuples():
+    model = build_model(A2, 1)
+    state = basis_state(model, (1, 2))
+    assert isinstance(state, tuple) and len(state) == model.cover_size == 144
+    support = {(i // model.period, i % model.period) for i, x in enumerate(state) if x}
+    assert support == {((1 + t0) % 12, (2 + t1) % 12) for t0, t1 in model.radical}
+    assert isinstance(primary_state(model, (1, 0)), tuple)
+
+
 def test_a1_level2_clock_eigenvalues_are_eighth_roots():
     m = build_model(A1, 2)
     a = clock_op(m, 1)
@@ -109,7 +136,7 @@ def test_a1_level2_clock_eigenvalues_are_eighth_roots():
     for v in range(8):
         state = basis_state(m, (v,))
         image = a.apply(state)
-        eigenvalues.add(complex(image[(v,)] / state[(v,)]).conjugate().conjugate())
+        eigenvalues.add(complex(image[v] / state[v]).conjugate().conjugate())
     roots = {cmath.exp(2j * cmath.pi * n / 8) for n in range(8)}
     assert all(min(abs(e - r) for r in roots) < 1e-12 for e in eigenvalues)
     assert len({round(cmath.phase(e), 9) for e in eigenvalues}) == 8
@@ -117,15 +144,14 @@ def test_a1_level2_clock_eigenvalues_are_eighth_roots():
 
 def test_clock_shift_unitary_and_idempotent():
     m = build_model(A1, 2)
-    rng = np.random.default_rng(3)
-    psi = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    psi = random_state(m, random.Random(3))
     for op in (clock_op(m, 1), shift_op(m, 1)):
-        assert abs(np.linalg.norm(op.apply(psi)) - np.linalg.norm(psi)) < 1e-12
+        assert abs(norm(op.apply(psi)) - norm(psi)) < 1e-12
         # order divides L: applying L times is the identity
         state = psi
         for _ in range(m.period):
             state = op.apply(state)
-        assert np.abs(state - psi).max() < 1e-10
+        assert max_gap(state, psi) < 1e-10
 
 
 def test_clock_commutator_phase():
@@ -134,7 +160,7 @@ def test_clock_commutator_phase():
     a, b = clock_op(m, 1), shift_op(m, 1)
     group = a @ b @ a.dagger() @ b.dagger()
     psi = basis_state(m, (0,))
-    ratio = group.apply(psi)[(0,)] / psi[(0,)]
+    ratio = group.apply(psi)[0] / psi[0]
     assert abs(ratio - cmath.exp(1j * cmath.pi / 4)) < 1e-14
 
 
@@ -152,14 +178,36 @@ def test_primary_orthonormality(spec, kmax):
         states = {r: primary_state(model, r) for r in weights}
         for r in weights:
             for s in weights:
-                value = complex(np.vdot(states[r], states[s]))
+                value = inner_product(states[r], states[s])
                 assert abs(value - (1.0 if r == s else 0.0)) < 1e-12
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 6), ("A", 2, 5), ("B", 2, 2),
+                                           ("C", 3, 1), ("G", 2, 2)])
+def test_primary_norms_within_one_rounding(series, rank, k):
+    """inner_product sums its real and imaginary parts with math.fsum, so
+    <psi|psi> is 1 to within one rounding of the products (2.22e-16), where
+    a sequential sum drifts further, and it equals np.vdot to rounding."""
+    model = build_model(build_algebra(series, rank), k)
+    for r in level_k_weights(model.spec, k):
+        psi = primary_state(model, r)
+        assert abs(inner_product(psi, psi) - 1.0) <= 2.220446049250313e-16
+        assert abs(inner_product(psi, psi) - np.vdot(psi, psi)) < 1e-15
+
+
+def test_inner_product_is_antilinear_in_the_bra():
+    model = build_model(A2, 2)
+    rng = random.Random(8)
+    x, y = random_state(model, rng), random_state(model, rng)
+    value = inner_product(x, y)
+    assert abs(value - np.vdot(x, y)) < 1e-12
+    assert abs(inner_product(y, x) - value.conjugate()) < 1e-12
+    assert abs(inner_product(tuple(2j * z for z in x), y) - (-2j) * value) < 1e-12
 
 
 def test_primary_count_a1_level2():
     m = build_model(A1, 2)
-    nonzero = [r for r in level_k_weights(A1, 2)
-               if np.linalg.norm(primary_state(m, r)) > 1e-12]
+    nonzero = [r for r in level_k_weights(A1, 2) if norm(primary_state(m, r)) > 1e-12]
     assert len(nonzero) == 3
 
 
@@ -179,14 +227,13 @@ def test_wall_state_vanishes():
 def test_wilson_identity_and_shift_structure():
     m = build_model(A1, 2)
     identity_op = wilson_operator(m, (0,))
-    rng = np.random.default_rng(7)
-    psi = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
-    assert np.abs(identity_op.apply(psi) - psi).max() == 0
+    psi = random_state(m, random.Random(7))
+    assert identity_op.apply(psi) == psi
     # Omega_1 = {-1, +1}: shift up plus shift down
     op = wilson_operator(m, (1,))
     b = shift_op(m, 1)
-    expected = b.apply(psi) + b.dagger().apply(psi)
-    assert np.abs(op.apply(psi) - expected).max() < 1e-12
+    expected = np.array(b.apply(psi)) + np.array(b.dagger().apply(psi))
+    assert max_gap(op.apply(psi), expected) < 1e-12
 
 
 @pytest.mark.parametrize("spec,k", [(A1, 2), (A1, 4), (A2, 1), (A2, 2)])
@@ -195,7 +242,7 @@ def test_state_operator_correspondence(spec, k):
     psi0 = primary_state(model, (0,) * spec.rank)
     for mu in level_k_weights(spec, k):
         image = wilson_operator(model, mu).apply(psi0)
-        assert np.abs(image - primary_state(model, mu)).max() < 1e-12
+        assert max_gap(image, primary_state(model, mu)) < 1e-12
 
 
 def test_s_vacuum_is_uniform():
@@ -205,18 +252,18 @@ def test_s_vacuum_is_uniform():
     m2 = build_model(A2, 1)
     state2 = s_operator(m2).apply_inverse(basis_state(m2, (0, 0)))
     # uniform over the 48 physical states = constant on the covering array
-    assert np.allclose(state2, state2[(0, 0)])
-    assert abs(np.linalg.norm(state2) - 1.0) < 1e-12
+    assert np.allclose(state2, state2[0])
+    assert abs(norm(state2) - 1.0) < 1e-12
 
 
 def test_s_unitary_on_a1():
     m = build_model(A1, 2)
     s = s_operator(m)
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(10):
-        psi = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
-        assert abs(np.linalg.norm(s.apply(psi)) - np.linalg.norm(psi)) < 1e-12
-        assert np.abs(s.apply(s.apply_inverse(psi)) - psi).max() < 1e-12
+        psi = random_state(m, rng)
+        assert abs(norm(s.apply(psi)) - norm(psi)) < 1e-12
+        assert max_gap(s.apply(s.apply_inverse(psi)), psi) < 1e-12
 
 
 @pytest.mark.parametrize("spec,kmax", [(A1, 4), (A2, 2)])
@@ -237,6 +284,13 @@ def test_weyl_cap_checked_on_cached_primary_state():
     primary_state(model, (1, 0))
     with use_caps(Caps(weyl_order=1)), pytest.raises(CapExceeded):
         primary_state(model, (1, 0))
+
+
+def test_weyl_cap_checked_on_kept_fourier_image():
+    model = build_model(A2, 2)
+    character_as_inner_product(model, (1, 1), (1, 0))
+    with use_caps(Caps(weyl_order=1)), pytest.raises(CapExceeded):
+        character_as_inner_product(model, (1, 1), (1, 0))
 
 
 def test_character_inner_product_values():
@@ -261,54 +315,61 @@ def test_s_operator_built_once_and_read_only():
     s = s_operator(model)
     assert s_operator(model) is s
     assert s_operator(build_model(A2, 2)) is s  # an equal model hits the cache
-    assert not s._kernel_inv.flags.writeable
-    with pytest.raises(ValueError):
-        s._kernel_inv[0, 0] = 0.0
+    step, rows = s._inverse.axes[0]
+    assert isinstance(rows, tuple) and isinstance(rows[0], tuple)
+    # B = 3 C^-1 = P diag(1, 3) Q: one axis is read at multiples of 3 only
+    # and is transformed first, folded to period L / 3 = 5
+    assert [step for step, _ in s._inverse.axes] == [3, 1] and len(rows) == 5
+    with pytest.raises(TypeError):
+        rows[0][0] = 0.0
     fresh = FourierOperator(model)
     for v in [(0, 0), (1, 2), (5, 3)]:
         state = basis_state(model, v)
-        assert np.array_equal(s.apply(state), fresh.apply(state))
-        assert np.array_equal(s.apply_inverse(state), fresh.apply_inverse(state))
+        assert s.apply(state) == fresh.apply(state)
+        assert s.apply_inverse(state) == fresh.apply_inverse(state)
 
 
 @pytest.mark.parametrize("series,rank,k", [("A", 1, 2), ("A", 2, 2), ("G", 2, 2)])
 def test_s_apply_is_the_adjoint_kernel(series, rank, k):
-    """S x = conj(K^T conj(x)) equals the product with the explicit adjoint
-    of the stored S^-1 kernel K, bit for bit."""
+    """S x equals the product with the explicit adjoint of the S^-1 kernel K,
+    whose columns are S^-1 of the unit vectors of the cover, to rounding."""
     model = build_model(build_algebra(series, rank), k)
     s = s_operator(model)
-    adjoint = s._kernel_inv.conj().T
-    rng = np.random.default_rng(5)
+    size = model.cover_size
+    units = [tuple(1.0 if i == j else 0j for i in range(size)) for j in range(size)]
+    adjoint = np.array(s.apply_inverse(units)).conj()  # row w: conj of column w of K
+    rng = random.Random(5)
     states = [basis_state(model, v) for v in csmodel._sample_indices(model, 8)]
-    states += [rng.normal(size=model.shape) + 1j * rng.normal(size=model.shape)
-               for _ in range(4)]
+    states += [random_state(model, rng) for _ in range(4)]
     for state in states:
-        expected = (adjoint @ state.ravel()).reshape(model.shape)
-        assert np.array_equal(s.apply(state), expected)
+        assert max_gap(s.apply(state), adjoint @ np.array(state)) < 1e-14
 
 
 def test_primary_state_copies_are_independent():
     model = build_model(A2, 2)
     first = primary_state(model, (1, 0))
-    reference = first.copy()
-    assert first.flags.writeable
-    first[...] = 7.0
+    reference = tuple(first)
+    with pytest.raises(TypeError):
+        first[0] = 7.0
     again = primary_state(model, (1, 0))
-    assert again is not first and np.array_equal(again, reference)
+    assert again == reference
     with pytest.raises(ValueError):
         primary_state(model, (3, 0))
 
 
-def test_primary_state_cache_respects_byte_budget(monkeypatch):
+def test_primary_state_cache_respects_entry_budget(monkeypatch):
     model = build_model(A2, 2)
     csmodel._state_cache.cache_clear()
-    monkeypatch.setattr(csmodel, "_STATE_CACHE_BYTES", 2 * model.cover_size * 16)
+    per_state = sum(1 for x in primary_state(model, (0, 1)) if x)
+    csmodel._state_cache.cache_clear()
+    monkeypatch.setattr(csmodel, "_STATE_CACHE_ENTRIES", 2 * per_state)
     weights = level_k_weights(A2, 2)
     table = operator_fusion_rows(model, (1, 0), [(0, 1)])[0]
     assert len(csmodel._state_cache(model)) == 2
     assert table == fuse_level_k(A2, (1, 0), (0, 1), 2)
     for r in weights:
-        assert np.array_equal(primary_state(model, r), word_primary_state(model, r))
+        assert np.array_equal(oracle.to_array(model, primary_state(model, r)),
+                              word_primary_state(model, r))
 
 
 def _cold(fn, model, *args):
@@ -364,12 +425,15 @@ def test_operator_rows_equal_verlinde_rows(series, rank, k):
 
 
 def test_operator_applies_to_a_stack_of_states():
+    """A list of states maps to the list of their images, each equal to the
+    image of the state alone."""
     model = build_model(A2, 2)
     op = wilson_operator(model, (1, 1)) @ clock_op(model, 1)
     states = [primary_state(model, r) for r in level_k_weights(A2, 2)]
-    stacked = op.apply(np.stack(states))
+    stacked = op.apply(states)
+    assert isinstance(stacked, list) and len(stacked) == len(states)
     for state, image in zip(states, stacked):
-        assert np.array_equal(op.apply(state), image)
+        assert op.apply(state) == image
 
 
 def test_weyl_evenness_of_wilson_operators():
@@ -380,8 +444,8 @@ def test_weyl_evenness_of_wilson_operators():
     for nu in level_k_weights(A2, 2):
         image = op.apply(primary_state(m, nu))
         table = fuse_level_k(A2, (1, 0), nu, 2)
-        rebuilt = sum(c * primary_state(m, w) for w, c in table.items())
-        assert np.abs(image - rebuilt).max() < 1e-12
+        rebuilt = sum(c * np.array(primary_state(m, w)) for w, c in table.items())
+        assert max_gap(image, rebuilt) < 1e-12
 
 
 def test_non_integrable_rejected():
@@ -403,7 +467,7 @@ def test_non_simply_laced_models(series, rank, k):
     weights = level_k_weights(spec, k)
     for r in weights:
         for s in weights:
-            value = complex(np.vdot(primary_state(model, r), primary_state(model, s)))
+            value = inner_product(primary_state(model, r), primary_state(model, s))
             assert abs(value - (1.0 if r == s else 0.0)) < 1e-12
     for mu in weights:
         for nu in weights:
@@ -414,3 +478,165 @@ def test_non_simply_laced_models(series, rank, k):
 def test_clock_incompatible_algebra_rejected():
     with pytest.raises(ValueError, match="affine translation"):
         build_model(build_algebra("B", 3), 1)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the numpy model of tests/csmodel_oracle.py
+
+#: the golden and benchmark models: L = 16, 21, 24 and a non-symmetric C^-1
+ORACLE_MODELS = [("A", 1, 6), ("A", 2, 4), ("A", 2, 5), ("G", 2, 2)]
+
+
+def oracle_states(model):
+    """Random dense states, random states on an eighth of the cover (lines
+    with a few nonzero amplitudes) and sampled basis states."""
+    rng = random.Random(model.period)
+    states = [random_state(model, rng) for _ in range(3)]
+    for _ in range(3):
+        support = set(rng.sample(range(model.cover_size), model.cover_size // 8))
+        states.append(tuple(x if i in support else 0j
+                            for i, x in enumerate(random_state(model, rng))))
+    return states + [basis_state(model, v) for v in oracle.sample_indices(model, 3)]
+
+
+@pytest.mark.parametrize("series,rank,k", ORACLE_MODELS)
+def test_fourier_operator_matches_the_dense_kernel(series, rank, k):
+    model = build_model(build_algebra(series, rank), k)
+    s, kernel = FourierOperator(model), oracle.FourierKernel(model)
+    states = oracle_states(model)
+    for state in states:
+        array = oracle.to_array(model, state)
+        assert max_gap(s.apply(state), kernel.apply(array).ravel()) < 1e-13
+        assert max_gap(s.apply_inverse(state), kernel.apply_inverse(array).ravel()) < 1e-13
+    for images, single in ((s.apply(states), s.apply), (s.apply_inverse(states), s.apply_inverse)):
+        assert images == [single(state) for state in states]
+
+
+@pytest.mark.parametrize("series,rank,k", ORACLE_MODELS)
+def test_lattice_operators_match_the_array_model(series, rank, k):
+    model = build_model(build_algebra(series, rank), k)
+    weights = level_k_weights(model.spec, k)
+    operators = [clock_op(model, j) for j in range(1, rank + 1)]
+    operators += [shift_op(model, j) for j in range(1, rank + 1)]
+    operators += [shift_op(model, 1).dagger() @ clock_op(model, rank)]
+    operators += [wilson_operator(model, mu) for mu in (weights[1], weights[-1])]
+    operators += [wilson_operator(model, weights[1]) @ clock_op(model, 1)]
+    states = oracle_states(model)
+    states += [primary_state(model, r) for r in weights[:3]]
+    stack = np.stack([oracle.to_array(model, state) for state in states])
+    for op in operators:
+        images = op.apply(states)
+        reference = oracle.apply(op, stack)
+        for image, expected in zip(images, reference):
+            assert max_gap(image, expected.ravel()) < 1e-13
+
+
+@pytest.mark.parametrize("series,rank,k", ORACLE_MODELS + [("A", 1, 1), ("A", 3, 1)])
+def test_basis_and_primary_states_equal_the_array_model(series, rank, k):
+    model = build_model(build_algebra(series, rank), k)
+    for v in oracle.sample_indices(model, 8):
+        assert np.array_equal(oracle.to_array(model, basis_state(model, v)),
+                              oracle.basis_state(model, v))
+    for r in level_k_weights(model.spec, k):
+        assert np.array_equal(oracle.to_array(model, primary_state(model, r)),
+                              oracle.primary_state(model, r))
+
+
+@pytest.mark.parametrize("series,rank,k", ORACLE_MODELS + [("A", 1, 1), ("A", 3, 1)])
+def test_sample_indices_equal_the_array_model(series, rank, k):
+    model = build_model(build_algebra(series, rank), k)
+    for count in (csmodel._COMMUTATOR_SAMPLE, csmodel._CONJUGATION_SAMPLE, 7):
+        assert csmodel._sample_indices(model, count) == oracle.sample_indices(model, count)
+
+
+def _matrix_product(a, b):
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)] for row in a]
+
+
+def _determinant(matrix) -> int:
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum((-1) ** j * matrix[0][j] * _determinant([row[:j] + row[j + 1:]
+                                                         for row in matrix[1:]])
+               for j in range(len(matrix)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_diagonal_form_factors_integer_matrices(seed):
+    """matrix = P diag(d) Q with unimodular P and Q, for the phase matrices
+    B = q C^-1 of the models and for random nonsingular integer matrices."""
+    rng = random.Random(seed)
+    matrices = [build_model(build_algebra(*case[:2]), case[2]).phase_matrix
+                for case in MODELS[seed::6]]
+    while len(matrices) < len(MODELS[seed::6]) + 4:
+        size = rng.randint(1, 4)
+        matrix = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        if _determinant(matrix):
+            matrices.append(matrix)
+    for matrix in matrices:
+        p, d, q = csmodel._diagonal_form(matrix)
+        diagonal = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+        assert _matrix_product(_matrix_product(p, diagonal), q) == [list(row) for row in matrix]
+        assert abs(_determinant(p)) == abs(_determinant(q)) == 1
+
+
+# ---------------------------------------------------------------------------
+# mutants of the model must fail a case of `verify A2 --k 4 --suite csmodel`
+
+@pytest.fixture
+def cold_caches():
+    csmodel.s_operator.cache_clear()
+    csmodel._state_cache.cache_clear()
+    yield
+    csmodel.s_operator.cache_clear()
+    csmodel._state_cache.cache_clear()
+
+
+def csmodel_suite(tmp_path):
+    """(exit code, {case id prefix: passed}) of verify A2 --k 4 --suite csmodel."""
+    path = tmp_path / "out.jsonl"
+    code = cli.main(["verify", "A2", "--k", "4", "--suite", "csmodel", "--output", str(path)])
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return code, {record["case_id"].split(":")[0]: record["passed"] for record in records}
+
+
+def test_csmodel_suite_passes_unmutated(tmp_path, cold_caches):
+    code, passed = csmodel_suite(tmp_path)
+    assert code == 0 and len(passed) == 5 and all(passed.values())
+
+
+def test_transposed_fourier_kernel_fails_the_suite(tmp_path, cold_caches, monkeypatch):
+    """S formed from the transpose of the S^-1 kernel instead of its adjoint
+    (the root table left unconjugated)."""
+    plan = csmodel._plan
+
+    def transposed(model, relabel, steps, read, roots):
+        return plan(model, relabel, steps, read, roots_of_unity(model.period))
+
+    monkeypatch.setattr(csmodel, "_plan", transposed)
+    code, passed = csmodel_suite(tmp_path)
+    assert code == 3 and not passed["s-conjugation"]
+
+
+def test_shift_by_two_fails_the_suite(tmp_path, cold_caches, monkeypatch):
+    def shift_by_two(model, j):
+        rank = model.spec.rank
+        shift = tuple(2 * (i == j - 1) for i in range(rank))
+        return csmodel.LatticeOperator(model, [(1.0, shift, (0,) * rank)])
+
+    monkeypatch.setattr(csmodel, "shift_op", shift_by_two)
+    code, passed = csmodel_suite(tmp_path)
+    assert code == 3 and not passed["clock-commutator"] and not passed["s-conjugation"]
+
+
+def test_dropped_radical_offset_fails_the_suite(tmp_path, cold_caches, monkeypatch):
+    """basis_state without its last radical translate."""
+
+    def dropped(model, v):
+        amplitude = 1.0 / math.sqrt(len(model.radical))
+        return csmodel._class_entries(model._replace(radical=model.radical[:-1]),
+                                      [tuple(v)], [amplitude])
+
+    monkeypatch.setattr(csmodel, "_basis_entries", dropped)
+    code, passed = csmodel_suite(tmp_path)
+    assert code == 3 and not passed["s-conjugation"]

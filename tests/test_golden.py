@@ -30,7 +30,7 @@ CASES = {
     "G2_k2_bounds": (["G2", "--k", "2", "--suite", "bounds"], 0),
     "G2_k2_conjugacy": (["G2", "--k", "2", "--suite", "conjugacy"], 0),
     "G2_k2_csmodel": (["G2", "--k", "2", "--suite", "csmodel"], 0),
-    # L = 24 with a radical of 3: the largest dense Fourier kernel of the set
+    # L = 24 with a radical of 3: the largest Fourier transform of the set
     "A2_k5_csmodel": (["A2", "--k", "5", "--suite", "csmodel"], 0),
     "A1_kinf_identity": (["A1", "--k", "inf", "--suite", "identity"], 0),
     "A2_kinf_identity": (["A2", "--k", "inf", "--suite", "identity"], 0),

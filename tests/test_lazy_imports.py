@@ -1,7 +1,7 @@
 """Cold start: importing fusionkit loads no submodule, the CLI loads only
-the layers a command runs, nothing loads dataclasses, and every command but
-the csmodel suite runs without numpy."""
+the layers a command runs, and no command loads dataclasses or numpy."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -14,7 +14,8 @@ import fusionkit
 
 SRC = str(Path(fusionkit.__file__).resolve().parent.parent)
 
-NUMPY_FREE_COMMANDS = [
+#: commands that need neither theta sums nor the clock/shift model
+EXACT_COMMANDS = [
     ["weights", "A2", "--mu", "1,1"],
     ["fuse", "A2", "--k", "3", "--mu", "1,0", "--nu", "1,1"],
     ["fuse", "A2", "--mu", "1,0", "--nu", "1,1"],
@@ -36,9 +37,12 @@ CHARACTER_FREE_COMMANDS = [
 ]
 
 CSMODEL_SUITE = ["verify", "A2", "--k", "2", "--suite", "csmodel"]
+ALL_SUITES = ["verify", "A2", "--k", "2", "--suite", "all"]
 THETA_SUITE = ["verify", "A3", "--k", "1", "--suite", "theta"]
 THETA_CHAR = ["theta", "A3", "--k", "1", "--char", "--mu", "1,0,0", "--tau", "0+1i",
               "--u", "0.05,0.02,0.01"]
+
+NUMPY_FREE_COMMANDS = EXACT_COMMANDS + [CSMODEL_SUITE, ALL_SUITES, THETA_SUITE, THETA_CHAR]
 
 # Runs cli.main on argv in a fresh interpreter (with no argv, only imports
 # the CLI) and prints the exit code, then every loaded fusionkit module and
@@ -52,11 +56,12 @@ print(code, *sorted(m for m in sys.modules
 """
 
 
-def probe(argv=()):
-    """(exit code, set of loaded modules) of one probe run."""
+def probe(argv=(), preamble=""):
+    """(exit code, set of loaded modules) of one probe run, with the code
+    ``preamble`` run first."""
     args = [*argv, "--output", os.devnull] if argv else []
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", PROBE, *args],
+    proc = subprocess.run([sys.executable, "-c", preamble + PROBE, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
@@ -68,7 +73,7 @@ def test_cli_import_loads_only_algebra_and_errors():
                            "fusionkit.errors"})
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
 def test_exact_commands_do_not_load_numpy(argv):
     code, loaded = probe(argv)
     assert code == 0
@@ -81,11 +86,38 @@ def test_integer_commands_do_not_load_characters(argv):
     assert code == 0 and "fusionkit.characters" not in loaded
 
 
-def test_csmodel_suite_loads_numpy():
-    """The probe sees numpy when a command does build arrays."""
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_no_command_loads_numpy(argv):
+    code, loaded = probe(argv)
+    assert code == 0 and "numpy" not in loaded
+
+
+def test_csmodel_suite_loads_csmodel_and_no_theta():
     code, loaded = probe(CSMODEL_SUITE)
+    assert code == 0 and "fusionkit.csmodel" in loaded
+    assert not loaded & {"numpy", "fusionkit.theta"}
+
+
+def test_probe_reports_numpy_when_something_imports_it():
+    """Positive control: the probe does see numpy once it is imported, so
+    the numpy-free results above are not vacuous."""
+    code, loaded = probe(CSMODEL_SUITE, preamble="import numpy\n")
     assert code == 0 and {"numpy", "fusionkit.csmodel"} <= loaded
-    assert "fusionkit.theta" not in loaded
+
+
+def test_no_package_module_imports_numpy():
+    """No file under src/fusionkit imports numpy, at module level or in a
+    function."""
+    package = Path(fusionkit.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), path.name
 
 
 def test_theta_command_loads_theta():
@@ -112,7 +144,7 @@ def test_theta_characters_skip_the_fusion_layers():
     assert not loaded & {"fusionkit.fusion", "fusionkit.identity", "fusionkit.weights"}
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS + [CSMODEL_SUITE, THETA_SUITE, THETA_CHAR],
+@pytest.mark.parametrize("argv", EXACT_COMMANDS + [CSMODEL_SUITE, THETA_SUITE, THETA_CHAR],
                          ids=" ".join)
 def test_no_command_loads_dataclasses(argv):
     code, loaded = probe(argv)
