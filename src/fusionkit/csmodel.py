@@ -54,7 +54,8 @@ _DENSE_FOURIER_CAP = 1024
 _COMMUTATOR_SAMPLE = 64
 _CONJUGATION_SAMPLE = 32
 
-#: nonzero amplitudes of read-only states kept per model
+#: entries kept per model: nonzero amplitudes of read-only states and
+#: positions of shift and phase maps
 _STATE_CACHE_ENTRIES = 1 << 18
 
 _REAL = attrgetter("real")
@@ -219,30 +220,29 @@ def basis_state(model: GaussianModel, v) -> tuple:
     return _dense(model, _basis_entries(model, v))
 
 
-@lru_cache(maxsize=4)
-def _positions(size: int) -> tuple:
-    """0 .. size-1, the int objects every position map shares."""
-    return tuple(range(size))
-
-
-@lru_cache(maxsize=256)
-def _shift_map(period: int, shift: tuple) -> tuple:
+def _shift_map(model: GaussianModel, shift: tuple) -> tuple:
     """The position of v + shift for every position v of (Z_L)^rank: a
-    permutation."""
-    rank = len(shift)
-    axes = [[(x + s) % period * period ** (rank - 1 - axis) for x in range(period)]
-            for axis, s in enumerate(shift)]
-    return tuple(map(_positions(period**rank).__getitem__, map(sum, product(*axes))))
+    permutation, kept per model."""
+    def build():
+        period, rank = model.period, model.spec.rank
+        axes = [[(x + s) % period * period ** (rank - 1 - axis) for x in range(period)]
+                for axis, s in enumerate(shift)]
+        return tuple(map(sum, product(*axes)))
+
+    return _kept(model, ("shift", shift), build)
 
 
-@lru_cache(maxsize=256)
-def _phase_map(period: int, phase_matrix: tuple, power: tuple) -> tuple:
+def _phase_map(model: GaussianModel, power: tuple) -> tuple:
     """exp(2 pi i (power^T C^-1 v)/K) for every position v: the root-table
-    entry at the integer exponent power^T B v mod L."""
-    coeffs = [sum(map(mul, power, column)) % period for column in zip(*phase_matrix)]
-    roots = roots_of_unity(period)
-    axes = [[c * x % period for x in range(period)] for c in coeffs]
-    return tuple([roots[e % period] for e in map(sum, product(*axes))])
+    entry at the integer exponent power^T B v mod L, kept per model."""
+    def build():
+        period = model.period
+        coeffs = [sum(map(mul, power, column)) % period for column in zip(*model.phase_matrix)]
+        roots = roots_of_unity(period)
+        axes = [[c * x % period for x in range(period)] for c in coeffs]
+        return tuple([roots[e % period] for e in map(sum, product(*axes))])
+
+    return _kept(model, ("phase", power), build)
 
 
 class LatticeOperator:
@@ -267,10 +267,7 @@ class LatticeOperator:
     def apply(self, states):
         if isinstance(states, list):
             return [self.apply(state) for state in states]
-        entries = _entries(states)
-        if 4 * len(entries) > len(states):
-            return tuple(self._dense_image(states))
-        return tuple(self._image(entries))
+        return tuple(self._image(_entries(states)))
 
     def _image(self, entries: dict) -> list:
         """The image of the state with these nonzero amplitudes, as a list,
@@ -278,7 +275,7 @@ class LatticeOperator:
         out = [0j] * self.model.cover_size
         positions = list(entries)
         amplitudes = list(entries.values())
-        for n, (coeff, _, shifts, phases) in enumerate(self._maps()):
+        for n, (coeff, shifts, phases) in enumerate(self._maps()):
             values = amplitudes
             if phases is not None:
                 values = map(mul, values, map(phases.__getitem__, positions))
@@ -293,34 +290,15 @@ class LatticeOperator:
         return out
 
     def _maps(self) -> list:
-        """(coeff, shift, shift map or None, phase map or None) per term,
-        formed on the first application."""
+        """(coeff, shift map or None, phase map or None) per term, formed on
+        the first application."""
         if self._term_maps is None:
             model = self.model
             self._term_maps = [
-                (coeff, shift, _shift_map(model.period, shift) if any(shift) else None,
-                 _phase_map(model.period, model.phase_matrix, power) if any(power) else None)
+                (coeff, _shift_map(model, shift) if any(shift) else None,
+                 _phase_map(model, power) if any(power) else None)
                 for coeff, shift, power in self.terms]
         return self._term_maps
-
-    def _dense_image(self, state) -> list:
-        """The image of a state with many nonzero amplitudes: each term read
-        back from the positions v - shift, term by term."""
-        out = None
-        period = self.model.period
-        for coeff, shift, shifts, phases in self._maps():
-            values = state
-            if shifts is not None:
-                back = _shift_map(period, tuple(-x % period for x in shift))
-                values = map(state.__getitem__, back)
-                if phases is not None:
-                    phases = map(phases.__getitem__, back)
-            if phases is not None:
-                values = map(mul, values, phases)
-            if coeff != 1:
-                values = map(coeff.__mul__, values)
-            out = list(values) if out is None else list(map(add, out, values))
-        return out
 
     def _commutation_scalar(self, power, shift) -> complex:
         L = self.model.period
@@ -422,7 +400,7 @@ def _state_cache(model: GaussianModel) -> dict:
 
 def _kept(model: GaussianModel, key, build):
     """build() kept per (model, key), read-only, while the model's kept
-    states hold at most _STATE_CACHE_ENTRIES amplitudes."""
+    states and maps hold at most _STATE_CACHE_ENTRIES entries."""
     cache = _state_cache(model)
     state = cache.get(key)
     if state is None:
@@ -490,8 +468,10 @@ def _diagonal_form(matrix) -> tuple:
 
 def _line_transform(line: list, rows) -> list:
     """sum_w row[w] line[w] for each row of the symmetric root table
-    ``rows``.  A line with few nonzero amplitudes is summed column by column
-    over its nonzero w, in the order a row adds them."""
+    ``rows``, adding the nonzero products in w order either way.  A line at
+    most half nonzero is summed column by column over its nonzero w; a
+    product costs about 1.6 times as much that way as in a row sum, so the
+    two break even near 60 % fill (lines of 7 and 21 amplitudes)."""
     nonzero = list(compress(range(len(line)), line))
     if 2 * len(nonzero) > len(line):
         return [sum(map(mul, row, line)) for row in rows]

@@ -372,6 +372,25 @@ def test_primary_state_cache_respects_entry_budget(monkeypatch):
                               word_primary_state(model, r))
 
 
+def test_operator_maps_share_the_entry_budget(monkeypatch):
+    """Shift and phase maps are kept in the per-model store, under the same
+    entry bound as the states; a map that does not fit is rebuilt, with the
+    same values."""
+    model = build_model(A2, 4)
+    csmodel._state_cache.cache_clear()
+    budget = 3 * model.cover_size
+    monkeypatch.setattr(csmodel, "_STATE_CACHE_ENTRIES", budget)
+    state = primary_state(model, (1, 1))
+    product = wilson_operator(model, (2, 1)) @ clock_op(model, 1)
+    first = product.apply(state)
+    store = csmodel._state_cache(model)
+    assert sum(map(len, store.values())) <= budget
+    assert 0 < sum(key[0] in ("shift", "phase") for key in store) < len(product.terms)
+    assert (wilson_operator(model, (2, 1)) @ clock_op(model, 1)).apply(state) == first
+    assert max_gap(first, oracle.apply(product, oracle.to_array(model, state)).ravel()) < 1e-13
+    csmodel._state_cache.cache_clear()
+
+
 def _cold(fn, model, *args):
     """fn with the per-model caches emptied first."""
     csmodel.s_operator.cache_clear()

@@ -42,7 +42,8 @@ THETA_SUITE = ["verify", "A3", "--k", "1", "--suite", "theta"]
 THETA_CHAR = ["theta", "A3", "--k", "1", "--char", "--mu", "1,0,0", "--tau", "0+1i",
               "--u", "0.05,0.02,0.01"]
 
-NUMPY_FREE_COMMANDS = EXACT_COMMANDS + [CSMODEL_SUITE, ALL_SUITES, THETA_SUITE, THETA_CHAR]
+#: commands beyond EXACT_COMMANDS, whose numpy-free probe is above
+NUMPY_FREE_COMMANDS = [CSMODEL_SUITE, ALL_SUITES, THETA_SUITE, THETA_CHAR]
 
 # Runs cli.main on argv in a fresh interpreter (with no argv, only imports
 # the CLI) and prints the exit code, then every loaded fusionkit module and
