@@ -11,8 +11,11 @@ lam^T (D G) mu / D with D G integral (integer_gram, pairing_numerator).
 
 signed_orbit is the one orbit enumerator: a level-by-level walk from the
 dominant conjugate that returns every image once, its sign (-1)^w and the
-order of the stabiliser.  No floating point is used anywhere in this module:
-wall detection (a zero label of the dominant conjugate) has to be exact.
+order of the stabiliser.  No float enters any exact decision: wall
+detection (a zero label of the dominant conjugate) has to be exact.  The one
+float pairing, G u against integer labels (_generic_pairing_vector), lives
+here too, so that characters and theta sums share it without loading each
+other.
 """
 
 from __future__ import annotations
@@ -251,6 +254,17 @@ def pairing_numerator(spec: AlgebraSpec, lam: Weight, mu: Weight) -> int:
     require_rank(spec, lam, mu)
     _, dg = integer_gram(spec)
     return sum(li * sum(g * mj for g, mj in zip(row, mu)) for li, row in zip(lam, dg) if li)
+
+
+TWO_PI = 2.0 * math.pi
+
+
+def _generic_pairing_vector(spec: AlgebraSpec, u):
+    """G u, so that (r, u) is a plain dot product against integer labels."""
+    g = spec.quad_form
+    return tuple(
+        sum(float(g[i][j]) * u[j] for j in range(spec.rank)) for i in range(spec.rank)
+    )
 
 
 class SignedDominant(NamedTuple):

@@ -2,8 +2,8 @@
 
 Two kinds of evaluation point are supported.  A Generic point carries a
 complex vector u and pairs weights through the quadratic form, (r, u) = r^T G u,
-with G u from _generic_pairing_vector (theta uses it too); callers who want
-bounded trigonometric characters pass purely imaginary u.
+with G u from algebra._generic_pairing_vector (theta uses it too); callers
+who want bounded trigonometric characters pass purely imaginary u.
 A Variety point carries an integer vector gamma and a shifted level K = k + c,
 and pairs through exp(2 pi i gamma^T C^-1 r / K).  Variety phases go through
 one exact integer kernel: with q clearing the denominators of C^-1 and
@@ -36,8 +36,10 @@ from operator import add, itemgetter, mod, mul, rshift
 from typing import NamedTuple, Union
 
 from .algebra import (
+    TWO_PI,
     AlgebraSpec,
     Weight,
+    _generic_pairing_vector,
     cartan_inverse,
     reflect_to_dominant,
     require_rank,
@@ -47,8 +49,6 @@ from .errors import CapExceeded, CheckedTuple, SingularPointError, check_cap
 
 #: below this magnitude the Weyl denominator counts as a wall, not a value
 DENOMINATOR_FLOOR = 1e-9
-
-TWO_PI = 2.0 * cmath.pi
 
 #: largest period L = qK for which a table of L-th roots of unity is built
 PHASE_TABLE_CAP = 1 << 20
@@ -84,14 +84,6 @@ def _check_point(spec: AlgebraSpec, p: EvalPoint):
     n = len(p.u) if isinstance(p, GenericPoint) else len(p.gamma)
     if n != spec.rank:
         raise ValueError(f"evaluation point has length {n}, expected rank {spec.rank}")
-
-
-def _generic_pairing_vector(spec: AlgebraSpec, u):
-    """G u, so that (r, u) is a plain dot product against integer labels."""
-    g = spec.quad_form
-    return tuple(
-        sum(float(g[i][j]) * u[j] for j in range(spec.rank)) for i in range(spec.rank)
-    )
 
 
 @lru_cache(maxsize=1 << 10)

@@ -8,9 +8,10 @@ lines, one report object per case, in a deterministic case order.
 Importing this module loads only the algebra and errors layers, and each
 command imports the layers it runs when it runs: weights loads weights; fuse
 loads fusion and weights (and characters with --oracle); verify loads
-identity, fusion and weights, plus characters for every suite but bounds and
-conjugacy, theta for the theta suite and csmodel for the csmodel suite;
-theta loads theta and characters.  No command loads numpy.
+identity, plus fusion and weights for every suite but theta, characters for
+every suite but bounds, conjugacy and theta, theta for the theta suite and
+csmodel for the csmodel suite; theta loads theta only.  No command loads
+numpy.
 """
 
 from __future__ import annotations

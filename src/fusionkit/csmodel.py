@@ -48,7 +48,8 @@ from .errors import CapExceeded, InvariantViolation, OracleMismatchError, check_
 from .fusion import level_k_weights, require_integrable
 from .weights import weight_system
 
-_DENSE_FOURIER_CAP = 1024
+#: largest cover, in states, that FourierOperator transforms
+_FOURIER_STATES_CAP = 1024
 
 #: basis states sampled by check_clock_commutator and check_s_conjugation
 _COMMUTATOR_SAMPLE = 64
@@ -538,10 +539,10 @@ class FourierOperator:
     """
 
     def __init__(self, model: GaussianModel):
-        if model.cover_size > _DENSE_FOURIER_CAP:
+        if model.cover_size > _FOURIER_STATES_CAP:
             raise CapExceeded(
-                f"Fourier kernel needs {model.cover_size}^2 entries "
-                f"(cap {_DENSE_FOURIER_CAP}^2)",
+                f"Fourier transform over {model.cover_size} states "
+                f"(cap {_FOURIER_STATES_CAP})",
                 required=model.cover_size,
             )
         self.model = model

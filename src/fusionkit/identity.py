@@ -12,7 +12,9 @@ points).  The kernels are the alternating sums D_lam at variety points (walls
 included, both sides stay finite), the Weyl ratio at generic regular points,
 and the antisymmetrised theta sums at finite tau (theta.verify_kw_identity).
 The inequality checks (Parseval-style bound, dimension bound, conjugacy
-symmetry) are exact integer comparisons end to end.
+symmetry) are exact integer comparisons end to end.  fusion and weights are
+imported by the checks that use them, so a suite that only assembles
+reports (the theta suite) loads neither.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Weight
 from .errors import CheckedTuple, InvariantViolation, check_cap
-from .fusion import _shifted_terms, fuse_level_k, require_integrable
-from .weights import conjugate, square_sum, weyl_dimension
 
 
 class VerificationReport(CheckedTuple, NamedTuple("VerificationReport", [
@@ -126,6 +126,8 @@ def check_identity(case_id: str, spec: AlgebraSpec, mu: Weight, nu: Weight, tabl
     with N from ``table`` and both sides evaluated by
     ``kernel(terms, points)`` on their rho-shifted (weight, coefficient)
     terms."""
+    from .fusion import _shifted_terms
+
     points = tuple(points)
     lhs = kernel(_shifted_terms(spec, mu, nu), points)
     rhs = kernel(_rhs_terms(table), points)
@@ -153,6 +155,7 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     ``coefficients`` overrides the fusion table (used by negative controls).
     """
     from .characters import _point_tuple, alternating_sums
+    from .fusion import fuse_level_k, require_integrable
 
     mu, nu = tuple(mu), tuple(nu)
     require_integrable(spec, k, mu, nu)
@@ -179,6 +182,9 @@ def verify_lemma_weightsum(spec: AlgebraSpec, mu: Weight, k: int, gammas,
 def parseval_bound(spec: AlgebraSpec, mu: Weight, sigma: Weight, k: int):
     """Exact check of sum_l N_{sigma mu}^l squared <= min of the two
     multiplicity square sums.  Returns (lhs, rhs, passed)."""
+    from .fusion import fuse_level_k
+    from .weights import square_sum
+
     table = fuse_level_k(spec, tuple(sigma), tuple(mu), k)
     lhs = sum(n * n for n in table.values())
     rhs = min(square_sum(spec, mu), square_sum(spec, sigma))
@@ -187,6 +193,9 @@ def parseval_bound(spec: AlgebraSpec, mu: Weight, sigma: Weight, k: int):
 
 def dim_bound(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
     """Exact check of sum_l N_{mu nu}^l <= min(dim mu, dim nu)."""
+    from .fusion import fuse_level_k
+    from .weights import weyl_dimension
+
     table = fuse_level_k(spec, tuple(mu), tuple(nu), k)
     total = sum(table.values())
     dims = [weyl_dimension(spec, lam) for lam in (mu, nu)]
@@ -203,6 +212,9 @@ def conjugacy_square_check(spec: AlgebraSpec, a: Weight, b: Weight, k: int):
     """((sum_l (N_{ab}^l)^2 for b, for b*), (sum_l N_{ab}^l for b, for b*)),
     b* the conjugate of b.  Meaningful for algebras with complex
     representations (A_n, D_n, E6); elsewhere conjugation is trivial."""
+    from .fusion import fuse_level_k
+    from .weights import conjugate
+
     if spec.series not in _COMPLEX_SERIES or (spec.series == "E" and spec.rank != 6):
         warnings.warn(
             f"{spec} admits no complex representations; conjugacy check is trivial",

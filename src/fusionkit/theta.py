@@ -16,9 +16,13 @@ reported value is within TRUNCATION_EPSILON of the full sum.  The points
 inside that radius are enumerated by a Fincke-Pohst walk on the pivots of
 algebra's exact elimination of C and kept by an exact integer norm test;
 their terms are summed with math.fsum, so a value is correctly rounded and
-independent of the order of enumeration.  The layer is plain Python and does
-not import numpy; it loads fusion and identity only when verify_kw_identity
-runs, so theta sums and finite-tau characters need neither.
+independent of the order of enumeration.  A Weyl-antisymmetrized sum walks
+the lattice once per orbit, at its dominant image, and maps those points to
+every other image by exact reflections of their integer labels.  Point sets
+are kept in a store bounded by the points it holds.  The layer is plain
+Python and imports only algebra and errors; it loads fusion and identity only
+when verify_kw_identity runs, so theta sums and finite-tau characters need
+neither.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from itertools import repeat
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
-from .algebra import (AlgebraSpec, Weight, _gauss_jordan, cartan_inverse, integer_gram,
-                       pairing_numerator, require_rank, signed_orbit)
-from .characters import TWO_PI, _generic_pairing_vector
+from .algebra import (TWO_PI, AlgebraSpec, Weight, _gauss_jordan, _generic_pairing_vector,
+                       cartan_inverse, integer_gram, pairing_numerator, require_rank,
+                       signed_orbit)
 from .errors import CapExceeded, CheckedTuple, SingularPointError
 
 _RADIUS_CAP = 60.0
@@ -141,9 +145,7 @@ def _ellipsoid(spec: AlgebraSpec, gamma: Weight, level: int, radius_sq: float):
             half = math.sqrt(max(budget, 0.0) / di)
             pad = _SLACK * (1.0 + abs(mid) + half)
             spans.append((range(math.ceil(mid - half - pad), math.floor(mid + half + pad) + 1), mid))
-        if (total := sum(len(span) for span, _ in spans)) > _POINT_CAP:
-            raise CapExceeded(f"theta sum over {spec} needs more than {_POINT_CAP} lattice "
-                              f"points", required=total)
+        _check_points(spec, sum(len(span) for span, _ in spans))
         if i == 0:
             break
         partials = [(budget - di * (n - mid) ** 2, (n - ci,) + xs,
@@ -161,18 +163,73 @@ def _ellipsoid(spec: AlgebraSpec, gamma: Weight, level: int, radius_sq: float):
             w = tuple(map(add, w, step))
 
 
-@lru_cache(maxsize=4096)
-def _lattice_shifts(spec: AlgebraSpec, gamma: Weight, level: int, radius: float):
-    """|v|^2 per point and one column per coordinate of v, as tuples of
-    floats, for v = alpha + gamma/level over the root lattice with
-    float(|v|^2) <= radius^2; each float is its rational correctly rounded."""
-    d, _ = integer_gram(spec)
-    denominator = d * level * level
-    limit = radius * radius
-    kept = [(norm, w) for numerator, w in _ellipsoid(spec, gamma, level, limit)
-            if (norm := numerator / denominator) <= limit]
-    norms, labels = zip(*kept) if kept else ((), ())
-    return norms, tuple(tuple(map(truediv, column, repeat(level))) for column in zip(*labels))
+#: lattice points kept over all stored point sets; past it a set is built but not kept
+_POINT_STORE_ENTRIES = 1 << 17
+
+
+class _PointStore(dict):
+    """Point sets by (spec, level, radius, coset key), and the points they hold."""
+
+    points = 0
+
+    def keep(self, key, points):
+        if self.points + len(points[0]) <= _POINT_STORE_ENTRIES:
+            self[key] = points
+            self.points += len(points[0])
+
+    def clear(self):
+        super().clear()
+        self.points = 0
+
+
+_point_store = _PointStore()
+
+
+def _check_points(spec: AlgebraSpec, count: int):
+    if count > _POINT_CAP:
+        raise CapExceeded(f"theta sum over {spec} needs more than {_POINT_CAP} lattice "
+                          f"points", required=count)
+
+
+def _lattice_points(spec: AlgebraSpec, gamma: Weight, level: int, radius: float,
+                    parents=None):
+    """(norms, shifts, labels) for the points w of gamma + level Q with
+    float(|v|^2) <= radius^2, v = w / level: |v|^2 per point, and one column
+    per coordinate of v (floats, each its rational correctly rounded) and of
+    w (ints).  Read from the store, or else reflected from ``parents`` (the
+    orbit level below gamma, by image) or enumerated, and kept if it fits."""
+    d, dg = integer_gram(spec)
+    # D G = D C^-1 on ADE, so gamma (D G) mod D level names the coset exactly
+    key = (spec, level, radius, tuple(sum(map(mul, gamma, row)) % (d * level) for row in dg))
+    points = _point_store.get(key)
+    if points is None:
+        if parents:
+            points = _reflect_points(spec, gamma, parents, level)
+        else:
+            limit, denominator = radius * radius, d * level * level
+            kept = [(norm, w) for numerator, w in _ellipsoid(spec, gamma, level, limit)
+                    if (norm := numerator / denominator) <= limit]
+            norms, labels = zip(*kept) if kept else ((), ())
+            labels = tuple(zip(*labels)) or ((),) * spec.rank
+            points = norms, tuple(tuple(map(truediv, c, repeat(level))) for c in labels), labels
+        _point_store.keep(key, points)
+    return points
+
+
+def _reflect_points(spec: AlgebraSpec, image: Weight, parents: dict, level: int):
+    """The points of image x: its parent's, s_i x with i the first negative
+    label of x, under w -> w - w_i alpha_i, norms unchanged (W is an isometry
+    of the root lattice).  Each changed column of v is divided afresh."""
+    i = next(j for j, x in enumerate(image) if x < 0)
+    root = spec.cartan[i]
+    norms, shifts, labels = parents[tuple(map(sub, image, map(mul, root, repeat(image[i]))))]
+    _check_points(spec, len(norms))
+    shifts, labels, pivot = list(shifts), list(labels), labels[i]
+    for j, a in enumerate(root):
+        if a:
+            labels[j] = tuple(map(sub, labels[j], map(mul, pivot, repeat(a))))
+            shifts[j] = tuple(map(truediv, labels[j], repeat(level)))
+    return norms, tuple(shifts), tuple(labels)
 
 
 @lru_cache(maxsize=4096)
@@ -201,12 +258,9 @@ class Truncation(NamedTuple):
     tail_bound: float
 
 
-def truncation(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> Truncation:
-    """The truncation of theta_sum at gamma: the smallest radius whose tail
-    is provably below TRUNCATION_EPSILON.  Term magnitudes at norm r are bounded by
-    exp(-pi k t r^2 + 2 pi k b r), t = Im(tau), b = |Im u| + margin (for
-    callers that move u); shell populations by a box count through the
-    smallest Gram eigenvalue."""
+def _cut(ctx: ThetaContext, gamma: Weight, margin: float = 0.0):
+    """(shift, radius, tail bound) of truncation(ctx, gamma, margin), with
+    no point enumerated."""
     spec, level = ctx.spec, ctx.level
     gamma = tuple(int(x) for x in gamma)
     require_rank(spec, gamma)
@@ -237,18 +291,27 @@ def truncation(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> Truncat
         if radius > _RADIUS_CAP:
             raise CapExceeded(f"Im(tau) = {ctx.tau.imag} too small to reach epsilon = "
                               f"{TRUNCATION_EPSILON} within radius {_RADIUS_CAP}")
-    points = len(_lattice_shifts(spec, shift, level, radius)[0])
+    return shift, radius, bound
+
+
+def truncation(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> Truncation:
+    """The truncation of theta_sum at gamma: the smallest radius whose tail
+    is provably below TRUNCATION_EPSILON.  Term magnitudes at norm r are bounded by
+    exp(-pi k t r^2 + 2 pi k b r), t = Im(tau), b = |Im u| + margin (for
+    callers that move u); shell populations by a box count through the
+    smallest Gram eigenvalue."""
+    shift, radius, bound = _cut(ctx, gamma, margin)
+    points = len(_lattice_points(ctx.spec, shift, ctx.level, radius)[0])
     return Truncation(shift, radius, points, bound)
 
 
-def _theta_raw(spec: AlgebraSpec, level: int, tau: complex, u, gamma: Weight,
-               radius: float) -> complex:
-    """Truncated lattice sum; radius chosen by the caller.  G u and each
-    (v, G u) are formed left to right, the latter in separate real and
-    imaginary parts; the real and imaginary parts of the terms are each
-    summed with math.fsum, correctly rounded and in no particular order."""
-    norms, columns = _lattice_shifts(spec, tuple(gamma), level, radius)
-    gu = _generic_pairing_vector(spec, u)
+def _point_sum(level: int, tau: complex, gu: tuple, points) -> complex:
+    """The lattice sum over a point set of _lattice_points at gu = G u.
+    Each (v, G u) is formed left to right, in separate real and imaginary
+    parts; the real and imaginary parts of the terms are each summed with
+    math.fsum, so the value is correctly rounded, and each term's floats
+    depend on its own norm and labels only."""
+    norms, columns, _ = points
 
     def scaled_pairing(parts, scale):
         total = repeat(0.0)
@@ -267,10 +330,17 @@ def _theta_raw(spec: AlgebraSpec, level: int, tau: complex, u, gamma: Weight,
                    math.fsum(map(mul, size, map(math.sin, angle))))
 
 
+def _theta_raw(spec: AlgebraSpec, level: int, tau: complex, u, gamma: Weight,
+               radius: float) -> complex:
+    """Truncated lattice sum over the coset of gamma; radius chosen by the caller."""
+    return _point_sum(level, tau, _generic_pairing_vector(spec, u),
+                      _lattice_points(spec, tuple(gamma), level, radius))
+
+
 def theta_sum(ctx: ThetaContext, gamma: Weight) -> complex:
     """Theta_{gamma, level} at the context's (tau, u)."""
-    cut = truncation(ctx, gamma)
-    return _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, cut.shift, cut.radius)
+    shift, radius, _ = _cut(ctx, gamma)
+    return _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, shift, radius)
 
 
 def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight):
@@ -286,11 +356,27 @@ def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight):
 
 def theta_weyl(ctx: ThetaContext, gamma: Weight) -> complex:
     """Weyl-antisymmetrized theta sum sum_w (-1)^w Theta_{w gamma} over the
-    full group action on gamma."""
+    sorted images of gamma, each valued as theta_sum values it, bit for bit.
+    Only the dominant image is enumerated: the signed orbit lists the images
+    level by level, its sign flipping at each, and each image reflects its
+    parent's points at the dominant radius (W is an isometry)."""
+    spec, level = ctx.spec, ctx.level
     gamma = tuple(int(x) for x in gamma)
+    counts = _signed_orbit_counts(spec, gamma)
+    if not counts:
+        return 0j
+    images, signs, _ = signed_orbit(spec, gamma)
+    radius = _cut(ctx, images[0])[1]
+    gu = _generic_pairing_vector(spec, ctx.u)
+    values, parents, points = {}, {}, {}
+    for image, sign, previous in zip(images, signs, (0,) + signs):
+        if sign != previous:  # the walk enters its next level
+            parents, points = points, {}
+        points[image] = _lattice_points(spec, image, level, radius, parents)
+        values[image] = _point_sum(level, ctx.tau, gu, points[image])
     total = 0j
-    for image, count in _signed_orbit_counts(ctx.spec, gamma):
-        total += count * theta_sum(ctx, image)
+    for image, count in counts:
+        total += count * values[image]
     return total
 
 
@@ -314,13 +400,16 @@ def check_T_transform(ctx: ThetaContext, gamma: Weight) -> float:
 
     The phase exponent is reduced mod 2 exactly before exponentiation; it is
     the same for every gamma of one coset gamma + kQ."""
-    cut = truncation(ctx, gamma)
-    lhs = _theta_raw(ctx.spec, ctx.level, ctx.tau + 1.0, ctx.u, cut.shift, cut.radius)
-    d, _ = integer_gram(ctx.spec)
-    period = d * ctx.level  # (gamma, gamma)/level = N / period
-    norm = pairing_numerator(ctx.spec, cut.shift, cut.shift)
+    spec, level = ctx.spec, ctx.level
+    shift, radius, _ = _cut(ctx, gamma)
+    points = _lattice_points(spec, shift, level, radius)
+    gu = _generic_pairing_vector(spec, ctx.u)
+    lhs = _point_sum(level, ctx.tau + 1.0, gu, points)
+    d, _ = integer_gram(spec)
+    period = d * level  # (gamma, gamma)/level = N / period
+    norm = pairing_numerator(spec, shift, shift)
     phase = cmath.exp(1j * math.pi * ((norm % (2 * period)) / period))
-    rhs = phase * _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, cut.shift, cut.radius)
+    rhs = phase * _point_sum(level, ctx.tau, gu, points)
     return abs(lhs - rhs)
 
 
@@ -333,13 +422,14 @@ def check_heat_equation(ctx: ThetaContext, gamma: Weight, h: float = 1e-3) -> fl
     coordinates pair through G, so contraction needs G^-1, the Cartan
     matrix on ADE).  Expected to scale as h^2 on top of truncation noise."""
     spec, level = ctx.spec, ctx.level
-    cut = truncation(ctx, gamma, margin=2.0 * h)
+    shift, radius, _ = _cut(ctx, gamma, margin=2.0 * h)
+    points = _lattice_points(spec, shift, level, radius)
 
     def value(tau, *moves):
         u = list(ctx.u)
         for axis, sign in moves:
             u[axis] += sign * h
-        return _theta_raw(spec, level, tau, u, cut.shift, cut.radius)
+        return _point_sum(level, tau, _generic_pairing_vector(spec, u), points)
 
     tau, g_inv = ctx.tau, spec.cartan
     center = value(tau)

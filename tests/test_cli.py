@@ -288,9 +288,10 @@ def test_verify_identity_at_algebra_level(capsys):
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    from fusionkit import identity
+    from fusionkit import fusion
 
-    monkeypatch.setattr(identity, "fuse_level_k", lambda *a, **k: {(0,): 2})
+    # identity imports fuse_level_k from fusion when a check runs
+    monkeypatch.setattr(fusion, "fuse_level_k", lambda *a, **k: {(0,): 2})
     code, out = run(capsys, "verify", "A1", "--k", "2", "--suite", "identity")
     assert code == 3
     records = [json.loads(line) for line in out.strip().splitlines()]
@@ -351,7 +352,7 @@ def test_cap_error_keeps_the_lines_of_finished_cases(capsys):
     suite stops at the Fourier cap (exit 1) after its first two cases,
     and the 27 lines of the cases before stay."""
     code, out, err = run_with_stderr(capsys, "verify", "A3", "--k", "1", "--suite", "all")
-    assert code == 1 and err.startswith("resource cap exceeded: Fourier kernel")
+    assert code == 1 and err.startswith("resource cap exceeded: Fourier transform over 8000 states (cap 1024)")
     records = [json.loads(line) for line in out.splitlines()]
     suites = [record["case_id"].split(":")[0] for record in records]
     assert len(records) == 27 and all(record["passed"] for record in records)

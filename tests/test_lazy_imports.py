@@ -27,20 +27,29 @@ EXACT_COMMANDS = [
     ["fuse", "A2", "--k", "2", "--mu", "1,0", "--nu", "1,1", "--oracle"],
 ]
 
-#: exact integer commands: no character is evaluated, so none is loaded
+CSMODEL_SUITE = ["verify", "A2", "--k", "2", "--suite", "csmodel"]
+ALL_SUITES = ["verify", "A2", "--k", "2", "--suite", "all"]
+THETA_SUITE = ["verify", "A3", "--k", "1", "--suite", "theta"]
+THETA_CHAR = ["theta", "A3", "--k", "1", "--char", "--mu", "1,0,0", "--tau", "0+1i",
+              "--u", "0.05,0.02,0.01"]
+THETA_GAMMA = ["theta", "A1", "--k", "2", "--gamma", "1", "--tau", "0+1i", "--u", "0.05"]
+
+#: exact integer commands and the theta commands: no Weyl character is
+#: evaluated at a generic or variety point, so characters is not loaded
 CHARACTER_FREE_COMMANDS = [
     ["weights", "A2", "--mu", "1,1"],
     ["fuse", "A2", "--k", "3", "--mu", "1,0", "--nu", "1,1"],
     ["fuse", "A2", "--mu", "1,0", "--nu", "1,1"],
     ["verify", "A2", "--k", "3", "--suite", "bounds"],
     ["verify", "A2", "--k", "3", "--suite", "conjugacy"],
+    THETA_SUITE,
+    THETA_CHAR,
 ]
 
-CSMODEL_SUITE = ["verify", "A2", "--k", "2", "--suite", "csmodel"]
-ALL_SUITES = ["verify", "A2", "--k", "2", "--suite", "all"]
-THETA_SUITE = ["verify", "A3", "--k", "1", "--suite", "theta"]
-THETA_CHAR = ["theta", "A3", "--k", "1", "--char", "--mu", "1,0,0", "--tau", "0+1i",
-              "--u", "0.05,0.02,0.01"]
+#: the modules a theta command loads: the theta layer, and identity for the
+#: suite's reports
+THETA_LAYER = {"fusionkit", "fusionkit.cli", "fusionkit.algebra", "fusionkit.errors",
+               "fusionkit.theta"}
 
 #: commands beyond EXACT_COMMANDS, whose numpy-free probe is above
 NUMPY_FREE_COMMANDS = [CSMODEL_SUITE, ALL_SUITES, THETA_SUITE, THETA_CHAR]
@@ -135,6 +144,15 @@ def test_theta_runs_without_numpy(argv):
     code, loaded = probe(argv)
     assert code == 0 and "fusionkit.theta" in loaded
     assert not loaded & {"numpy", "fusionkit.csmodel"}
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (THETA_SUITE, THETA_LAYER | {"fusionkit.identity"}),
+    (THETA_CHAR, THETA_LAYER),
+    (THETA_GAMMA, THETA_LAYER),
+], ids=[" ".join(THETA_SUITE), " ".join(THETA_CHAR), " ".join(THETA_GAMMA)])
+def test_theta_commands_load_only_the_theta_layer(argv, modules):
+    assert probe(argv) == (0, modules)
 
 
 def test_theta_characters_skip_the_fusion_layers():

@@ -16,7 +16,7 @@ from fusionkit.fusion import level_k_weights
 from fusionkit.theta import (
     TRUNCATION_EPSILON,
     ThetaContext,
-    _lattice_shifts,
+    _lattice_points,
     _signed_orbit_counts,
     _smallest_eigenvalue,
     _theta_raw,
@@ -299,7 +299,7 @@ def box_scan_theta(spec, level, tau, u, gamma, radius):
 
 
 def enumerated(spec, gamma, level, radius):
-    norms, columns = _lattice_shifts(spec, tuple(gamma), level, radius)
+    norms, columns, _ = _lattice_points(spec, tuple(gamma), level, radius)
     found = set(zip(norms, zip(*columns)))
     assert len(found) == len(norms)  # no point twice
     return found
@@ -388,7 +388,7 @@ def test_point_cap_checked_by_both_walks(monkeypatch):
         truncation(ctx, (123, -45))
     monkeypatch.setattr(theta, "_POINT_CAP", 1 << 23)
     cut = truncation(ctx, (123, -45))
-    theta._lattice_shifts.cache_clear()
+    theta._point_store.clear()
     monkeypatch.setattr(theta, "_POINT_CAP", cut.lattice_points - 1)
     with pytest.raises(CapExceeded):
         theta_sum(ctx, (123, -45))
