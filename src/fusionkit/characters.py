@@ -14,7 +14,9 @@ coincidences (e.g. chi_4 = -chi_2 on the 8th roots of unity) therefore cancel
 exactly, and D_{w lam} = (-1)^w D_lam holds bit for bit.
 
 The kernel is plain Python, and nothing in this module loads numpy: it
-merges the terms into residue rows, counts them per point by walking a trie
+merges the terms into residue rows (_netted_rows, which identity also
+reads to settle a case whose two sides net to the same rows without a
+walk), counts them per point by walking a trie
 of the points one coordinate at a time (histograms packed into one int
 each), and adds count times root in numpy's pairwise order.  Its values are
 therefore those of np.sum over the count and root arrays, bit for bit, so
@@ -377,12 +379,13 @@ def _orbit_rows(spec: AlgebraSpec, level_shifted: int, lam: Weight) -> tuple:
     return tuple(_residue_rows(kernel, images, signs).items()), len(images)
 
 
-def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> list:
-    """sum over (lam, c) in terms of c D_lam(gamma), at every variety point
-    gamma of shifted level K, as one exact count per residue.  Terms on a
-    wall (stabiliser > 1) are dropped: their alternating sum is zero.  Each
-    orbit's residue rows are kept per (spec, K, lam) and netted across the
-    terms."""
+def _netted_rows(spec: AlgebraSpec, terms, level_shifted: int) -> tuple:
+    """(kernel, rows): the phase kernel at shifted level K and the residue
+    rows of sum over (lam, c) in terms of c D_lam, netted across the terms
+    with zeros dropped.  Terms on a wall (stabiliser > 1) are dropped: their
+    alternating sum is zero.  Each orbit's residue rows are kept per
+    (spec, K, lam).  The Weyl-order cap is checked first, and every count
+    is checked to stay exact in float64."""
     check_cap("weyl_order", spec.weyl_order, spec)
     kernel = phase_kernel(cartan_inverse(spec), level_shifted)
     rows = {}
@@ -394,7 +397,14 @@ def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> li
         for row, sign in orbit_rows:
             rows[row] = rows.get(row, 0) + c * sign
     _require_exact_counts(largest, images)
-    return _row_sums(kernel, {row: c for row, c in rows.items() if c}, gammas)
+    return kernel, {row: c for row, c in rows.items() if c}
+
+
+def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> list:
+    """sum over (lam, c) in terms of c D_lam(gamma), at every variety point
+    gamma of shifted level K, as one exact count per residue of the netted
+    rows (_netted_rows)."""
+    return _row_sums(*_netted_rows(spec, terms, level_shifted), gammas)
 
 
 def eval_D(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:

@@ -166,7 +166,7 @@ def _suite_identity(spec, config: RunConfig):
                 )
                 yield report, mu, nu
         return
-    gammas = identity._full_residue_gammas(spec, config.k)
+    gammas = identity._ResidueGrid(spec, config.k)
     weights = fusion.level_k_weights(spec, config.k)
     for mu in weights:
         for nu in weights:
@@ -179,7 +179,7 @@ def _suite_identity(spec, config: RunConfig):
 def _suite_lemma(spec, config: RunConfig):
     from . import fusion, identity
 
-    gammas = identity._full_residue_gammas(spec, config.k)
+    gammas = identity._ResidueGrid(spec, config.k)
     for mu in fusion.level_k_weights(spec, config.k):
         report = identity.verify_lemma_weightsum(
             spec, mu, config.k, gammas, tolerance=config.tolerance

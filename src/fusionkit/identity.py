@@ -11,6 +11,12 @@ those of the right from the table, and evaluates each with kernel(terms,
 points).  The kernels are the alternating sums D_lam at variety points (walls
 included, both sides stay finite), the Weyl ratio at generic regular points,
 and the antisymmetrised theta sums at finite tau (theta.verify_kw_identity).
+
+At variety points verify_numerator_identity nets both sides into residue
+rows first; equal rows settle the case without summing a point, and the
+K^rank grid of the identity and lemma suites (_ResidueGrid) is built only
+for the first case that is walked.
+
 The inequality checks (Parseval-style bound, dimension bound, conjugacy
 symmetry) are exact integer comparisons end to end.  fusion and weights are
 imported by the checks that use them, so a suite that only assembles
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -128,10 +135,15 @@ def check_identity(case_id: str, spec: AlgebraSpec, mu: Weight, nu: Weight, tabl
     terms."""
     from .fusion import _shifted_terms
 
-    points = tuple(points)
-    lhs = kernel(_shifted_terms(spec, mu, nu), points)
-    rhs = kernel(_rhs_terms(table), points)
-    return make_report(case_id, tolerance, zip(points, map(complex, lhs), map(complex, rhs)))
+    return _scan(case_id, tuple(points), kernel, _shifted_terms(spec, mu, nu),
+                 _rhs_terms(table), tolerance)
+
+
+def _scan(case_id: str, points: tuple, kernel, lhs, rhs, tolerance: float) -> VerificationReport:
+    """The two-sided scan: kernel(side, points) for each side, compared at
+    every point."""
+    return make_report(case_id, tolerance, zip(points, map(complex, kernel(lhs, points)),
+                                               map(complex, kernel(rhs, points))))
 
 
 def _full_residue_gammas(spec: AlgebraSpec, k: int) -> tuple:
@@ -145,6 +157,28 @@ def _full_residue_gammas(spec: AlgebraSpec, k: int) -> tuple:
     return tuple(product(range(level_shifted), repeat=spec.rank))
 
 
+class _ResidueGrid:
+    """The points of _full_residue_gammas(spec, k), counted at once and
+    built on the first call of points(), then shared by every case that
+    walks them: a suite whose cases all net to zero builds none.  The
+    Weyl-order cap is checked here, before the first case."""
+
+    __slots__ = ("spec", "k", "_points")
+
+    def __init__(self, spec: AlgebraSpec, k: int):
+        check_cap("weyl_order", spec.weyl_order, spec)
+        self.spec, self.k, self._points = spec, k, None
+
+    def __len__(self) -> int:
+        level_shifted = self.k + self.spec.dual_coxeter
+        return 2 * level_shifted if self.spec.rank == 1 else level_shifted ** self.spec.rank
+
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = _full_residue_gammas(self.spec, self.k)
+        return self._points
+
+
 def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
                               gammas, tolerance: float = 1e-9,
                               coefficients: dict | None = None,
@@ -152,21 +186,32 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     """Check the denominator-free identity at each variety point gamma with
     K = k + c.  Walls are legal here: both sides are plain finite sums.
 
+    Each side is first netted into its residue rows.  The value of a side
+    at any point is a function of its rows alone, so when the two sides'
+    rows are equal every point's lhs and rhs are the same float: the report
+    is the scan's (every point checked, residual 0.0, no witnesses) and no
+    point is walked.  Otherwise both sides are summed at every point.
+    ``gammas`` is a sequence of points or a _ResidueGrid, whose points are
+    built only if the case is walked.
+
     ``coefficients`` overrides the fusion table (used by negative controls).
     """
-    from .characters import _point_tuple, alternating_sums
-    from .fusion import fuse_level_k, require_integrable
+    from .characters import _netted_rows, _point_tuple, _row_sums
+    from .fusion import _shifted_terms, fuse_level_k, require_integrable
 
     mu, nu = tuple(mu), tuple(nu)
     require_integrable(spec, k, mu, nu)
     level_shifted = k + spec.dual_coxeter
     table = fuse_level_k(spec, mu, nu, k) if coefficients is None else coefficients
-    gammas = _point_tuple(gammas, spec.rank)
-    return check_identity(
-        case_id or f"numerator-identity:{spec}:k={k}:mu={mu}:nu={nu}", spec, mu, nu, table,
-        gammas, lambda terms, points: alternating_sums(spec, terms, points, level_shifted),
-        tolerance,
-    )
+    if not isinstance(gammas, _ResidueGrid):
+        gammas = _point_tuple(gammas, spec.rank)
+    case_id = case_id or f"numerator-identity:{spec}:k={k}:mu={mu}:nu={nu}"
+    kernel, lhs = _netted_rows(spec, _shifted_terms(spec, mu, nu), level_shifted)
+    _, rhs = _netted_rows(spec, _rhs_terms(table), level_shifted)
+    if lhs == rhs and 0.0 <= tolerance and len(gammas):
+        return VerificationReport(case_id, len(gammas), 0.0, True, tolerance, [])
+    points = gammas.points() if isinstance(gammas, _ResidueGrid) else gammas
+    return _scan(case_id, points, partial(_row_sums, kernel), lhs, rhs, tolerance)
 
 
 def verify_lemma_weightsum(spec: AlgebraSpec, mu: Weight, k: int, gammas,

@@ -142,22 +142,35 @@ def test_cap_dim_reaches_finite_level_runs(capsys):
                "--cap-dim", "2")[0] == 1
 
 
+def run_limited(argv, timeout):
+    """Run the CLI in a child under a 2 GiB address-space limit, so a scan
+    that outgrows it fails alone instead of filling the machine."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run([sys.executable, "-m", "fusionkit.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=timeout,
+                          preexec_fn=limit_memory)
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "E7", "--k", "1", "--suite", "identity"),
     ("verify", "E8", "--k", "1", "--suite", "lemma"),
 ], ids=lambda argv: " ".join(argv[1:6:4]))
 def test_e_series_scans_fail_fast(argv):
-    """|W| of E7 and E8 is above the default cap: the residue scan stops
-    before it builds its K^rank points.  Run in a child with a memory limit
-    (one BLAS thread keeps its address space small), so a scan that does
-    start fails alone instead of filling the machine."""
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    """|W| of E7 and E8 is above the default cap: the suite stops before its
+    first case."""
+    assert run_limited(argv, timeout=5).returncode == 1
 
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "fusionkit.cli", *argv], capture_output=True,
-                          env=env, timeout=5, preexec_fn=limit_memory)
-    assert proc.returncode == 1
+
+def test_e6_lemma_nets_without_a_grid():
+    """Every E6 k1 lemma case nets to zero, so none builds the 13^6-point
+    grid, and the run fits in 2 GiB."""
+    proc = run_limited(("verify", "E6", "--k", "1", "--suite", "lemma"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 3
+    assert all(r["passed"] and r["points_checked"] == 13 ** 6 == 4826809 for r in records)
 
 
 def test_e_series_runs_without_orbits_pass(capsys):

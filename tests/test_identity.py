@@ -13,10 +13,11 @@ import pytest
 import fusionkit
 from fusionkit.algebra import build_algebra
 from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
-from fusionkit.characters import GenericPoint, eval_char, eval_D
+from fusionkit.characters import GenericPoint, alternating_sums, eval_char, eval_D
 from fusionkit.fusion import fuse_level_k, level_k_weights, tensor_decompose
 from fusionkit.identity import (
     VerificationReport,
+    check_identity,
     conjugacy_square_check,
     dim_bound,
     parseval_bound,
@@ -231,3 +232,45 @@ def test_empty_residual_stream_is_an_error():
         make_report("empty", 1e-9, [])
     with pytest.raises(ValueError):
         verify_numerator_identity(A1, (1,), (1,), 2, [])
+
+
+def scan_report(spec, mu, nu, k, gammas, tolerance):
+    """The two-sided scan of the true table, with no netting."""
+    level_shifted = k + spec.dual_coxeter
+    return check_identity(
+        f"numerator-identity:{spec}:k={k}:mu={mu}:nu={nu}", spec, mu, nu,
+        fuse_level_k(spec, mu, nu, k), gammas,
+        lambda terms, points: alternating_sums(spec, terms, points, level_shifted), tolerance)
+
+
+@pytest.mark.parametrize("gammas", [[], (), iter([])])
+def test_netted_case_without_points_is_an_error(gammas):
+    """The rows of a true table net to zero, yet a case with no points to
+    check still raises."""
+    with pytest.raises(ValueError, match="no points to check"):
+        verify_numerator_identity(A2, (1, 0), (0, 1), 2, gammas)
+
+
+@pytest.mark.parametrize("gammas", [[(0, 0, 0)], [(0, 0), (1,)], [(1, 2), (0, 1, 2)]])
+def test_netted_case_rejects_points_of_the_wrong_length(gammas):
+    with pytest.raises(ValueError, match="length 2"):
+        verify_numerator_identity(A2, (1, 0), (0, 1), 2, gammas)
+
+
+def test_negative_tolerance_falls_back_to_the_scan():
+    """No residual is at most a negative tolerance: every point is walked
+    and is a witness, as in the two-sided scan."""
+    gammas = list(product(range(5), repeat=2))
+    report = verify_numerator_identity(A2, (1, 0), (0, 1), 2, gammas, tolerance=-1.0)
+    assert not report.passed and len(report.witnesses) == len(gammas) == 25
+    assert report.to_dict() == scan_report(A2, (1, 0), (0, 1), 2, gammas, -1.0).to_dict()
+
+
+def test_nan_tolerance_falls_back_to_the_scan():
+    """A NaN tolerance breaks the report's invariants on the scan, and so it
+    does on a case whose rows net to zero."""
+    gammas = list(product(range(5), repeat=2))
+    with pytest.raises(InvariantViolation):
+        scan_report(A2, (1, 0), (0, 1), 2, gammas, math.nan)
+    with pytest.raises(InvariantViolation):
+        verify_numerator_identity(A2, (1, 0), (0, 1), 2, gammas, tolerance=math.nan)

@@ -292,21 +292,25 @@ def test_exact_count_guard_raises():
 
 def test_long_scan_keeps_memo_and_trie_store_within_bounds(monkeypatch):
     """Past their bounds the memo and the trie store stop growing, and the
-    values stay the same."""
+    values stay the same.  Every table is raised by one, so no case nets to
+    zero and each one walks its grid."""
     spec = build_algebra("A", 2)
     grids = [tuple((g1 + shift, g2) for g1 in range(5) for g2 in range(5))
              for shift in range(6)]
-    pairs = [(mu, nu) for mu in level_k_weights(spec, 2) for nu in level_k_weights(spec, 2)]
-    unbounded = [verify_numerator_identity(spec, mu, nu, 2, grid).to_dict()
-                 for grid in grids for mu, nu in pairs]
+    cases = [(mu, nu, {w: n + 1 for w, n in fuse_level_k(spec, mu, nu, 2).items()})
+             for mu in level_k_weights(spec, 2) for nu in level_k_weights(spec, 2)]
+    unbounded = [verify_numerator_identity(spec, mu, nu, 2, grid, coefficients=table).to_dict()
+                 for grid in grids for mu, nu, table in cases]
+    assert not any(report["passed"] for report in unbounded)
     monkeypatch.setattr(characters, "_dot_memo", {})
     monkeypatch.setattr(characters, "_trie_store", {})
     monkeypatch.setattr(characters, "_DOT_MEMO_ENTRIES", 7)
     monkeypatch.setattr(characters, "_TRIE_STORE_ENTRIES", 60)
     bounded = []
     for grid in grids:
-        for mu, nu in pairs:
-            bounded.append(verify_numerator_identity(spec, mu, nu, 2, grid).to_dict())
+        for mu, nu, table in cases:
+            bounded.append(verify_numerator_identity(spec, mu, nu, 2, grid,
+                                                     coefficients=table).to_dict())
             assert len(characters._dot_memo) <= 7
             assert sum(len(points) for _, points in characters._trie_store) <= 60
     assert len(characters._dot_memo) == 7
