@@ -8,20 +8,18 @@ A Variety point carries an integer vector gamma and a shifted level K = k + c,
 and pairs through exp(2 pi i gamma^T C^-1 r / K).  Variety phases go through
 one exact integer kernel: with q clearing the denominators of C^-1 and
 L = qK, each phase is an integer exponent mod L, the signed terms are summed
-as integer counts per residue, and floating point enters only in one dot
-product of those counts with a table of L-th roots of unity.  Root-of-unity
-coincidences (e.g. chi_4 = -chi_2 on the 8th roots of unity) therefore cancel
-exactly, and D_{w lam} = (-1)^w D_lam holds bit for bit.
+as integer counts per residue, and floating point enters only in one
+math.fsum of count times root per real and imaginary part, correctly
+rounded and independent of term order.  Root-of-unity coincidences (e.g.
+chi_4 = -chi_2 on the 8th roots of unity) therefore cancel exactly, and
+D_{w lam} = (-1)^w D_lam holds bit for bit.
 
 The kernel is plain Python, and nothing in this module loads numpy: it
 merges the terms into residue rows (_netted_rows, which identity also
 reads to settle a case whose two sides net to the same rows without a
-walk), counts them per point by walking a trie
-of the points one coordinate at a time (histograms packed into one int
-each), and adds count times root in numpy's pairwise order.  Its values are
-therefore those of np.sum over the count and root arrays, bit for bit, so
-outputs recorded from such sums keep their bytes; tests/character_oracle.py
-keeps that numpy kernel as the reference.
+walk) and pairs every row with every point (_direct_sums).
+tests/character_oracle.py keeps an independent numpy counting of the same
+sums as the reference.
 """
 
 from __future__ import annotations
@@ -32,10 +30,10 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
-from operator import add, itemgetter, mod, mul, rshift
-from typing import NamedTuple, Union
+from operator import itemgetter, mod, mul
+from typing import Iterator, NamedTuple, Union
 
 from .algebra import (
     TWO_PI,
@@ -138,8 +136,8 @@ def phase_kernel(matrix: tuple, level_shifted: int) -> PhaseKernel:
 
 def _point_tuple(points, rank: int) -> tuple:
     """Integer vectors of length rank as a tuple of tuples.  A tuple of
-    tuples is returned as it is, so a grid shared by many sums is neither
-    copied nor re-keyed."""
+    tuples is returned as it is, so a grid shared by many sums is not
+    copied."""
     if not (isinstance(points, tuple) and set(map(type, points)) <= {tuple}):
         points = tuple(tuple(int(x) for x in p) for p in points)
     _require_lengths(points, rank)
@@ -158,9 +156,9 @@ def _require_lengths(vectors, rank: int):
         raise ValueError(f"integer vectors must have length {rank}")
 
 
-def _pairings(kernel: PhaseKernel, vectors: list, us: list) -> list:
+def _pairings(kernel: PhaseKernel, vectors: list, us) -> Iterator:
     """For each u in ``us`` (entries in [0, L)), vector . u mod L of every
-    vector, as a lazy iterator.  Each coordinate column of the vectors is
+    vector, one u at a time.  Each coordinate column of the vectors is
     reduced mod L and packed into one int, a field per vector wide enough
     for a sum of rank products of residues, so pairing with u is rank
     products of big ints, read back as an array of fields."""
@@ -172,8 +170,8 @@ def _pairings(kernel: PhaseKernel, vectors: list, us: list) -> list:
                                               repeat(period))).tobytes(), sys.byteorder)
                for i in range(rank)]
     size = array(code).itemsize * len(vectors)
-    return [map(mod, array(code, sum(map(mul, u, columns)).to_bytes(size, sys.byteorder)),
-                repeat(period)) for u in us]
+    return (map(mod, array(code, sum(map(mul, u, columns)).to_bytes(size, sys.byteorder)),
+                repeat(period)) for u in us)
 
 
 def _residue_rows(kernel: PhaseKernel, weights: list, coeffs: list) -> dict:
@@ -186,32 +184,43 @@ def _residue_rows(kernel: PhaseKernel, weights: list, coeffs: list) -> dict:
     return {row: c for row, c in netted.items() if c}
 
 
-def _field_width(offset: int) -> int:
-    """Bits per residue of a packed count histogram whose counts are at most
-    ``offset`` in size: room for a bias of ``offset``, rounded up to a
-    multiple of 8 so that the widths of most sums agree."""
-    return ((2 * offset).bit_length() | 7) + 1
-
-
-def _direct_sums(kernel: PhaseKernel, vectors: list, coeffs: list, pairs: list) -> list:
-    """sum c exp(2 pi i vector . u / L) for every u in ``pairs``, counting
-    each vector's residue directly."""
-    width = _field_width(sum(map(abs, coeffs)))
+def _direct_sums(kernel: PhaseKernel, vectors: list, coeffs: list, pairs) -> list:
+    """sum c exp(2 pi i vector . u / L) for every u in ``pairs``.  The
+    coefficients are summed per residue as exact integers; the value is one
+    math.fsum each of the real and the imaginary parts of the nonzero
+    products count * root, so it is correctly rounded and does not depend on
+    the order of the terms."""
+    roots = kernel.roots
     values = []
     for residues in _pairings(kernel, vectors, pairs):
-        packed = 0
-        for (e, c), n in Counter(zip(residues, coeffs)).items():
-            packed += c * n << e * width
-        values.append(_phase_value(kernel, width, packed))
+        counts = {}
+        for e, c in zip(residues, coeffs):
+            counts[e] = counts.get(e, 0) + c
+        real, imag = [], []
+        for e, c in counts.items():
+            if c:
+                real.append(c * roots[e].real)
+                imag.append(c * roots[e].imag)
+        values.append(complex(math.fsum(real), math.fsum(imag)))
     return values
+
+
+def _row_sums(kernel: PhaseKernel, rows: dict, points) -> list:
+    """sum over residue rows of c exp(2 pi i row . gamma / L) at every point
+    gamma: each point is reduced mod L and paired with every row
+    (_direct_sums), so the cost is rows x points."""
+    period = kernel.period
+    points = _point_tuple(points, len(kernel.matrix))
+    return _direct_sums(kernel, list(rows), list(rows.values()),
+                        ([g % period for g in gamma] for gamma in points))
 
 
 def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> list:
     """sum_r c_r exp(2 pi i r^T M gamma / K) at every point gamma.
 
     The coefficients are summed per (point, residue) as exact integers, and
-    the one floating-point step is the dot product of those counts with the
-    root table (_phase_value).  At no more points than coordinates each
+    the one floating-point step is one math.fsum of count * root per part
+    (_direct_sums).  At no more points than coordinates each
     label r is paired with B gamma directly; past that the weights are
     merged into residue rows first (_row_sums)."""
     rank, period = len(kernel.matrix), kernel.period
@@ -230,141 +239,6 @@ def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> list:
 
 #: residue rows of the signed orbits kept per (spec, K, lam)
 _ORBIT_ROW_ENTRIES = 1 << 10
-
-#: count vectors whose root-table dot product is kept
-_DOT_MEMO_ENTRIES = 1 << 16
-
-#: points kept over all stored point tries; past it a trie is built but not kept
-_TRIE_STORE_ENTRIES = 1 << 18
-
-_dot_memo: dict = {}
-_trie_store: dict = {}
-
-
-def _phase_value(kernel: PhaseKernel, width: int, packed: int) -> complex:
-    """sum_e count_e roots_e for the counts packed in signed ``width``-bit
-    fields of ``packed``, memoised per (L, width, packed) up to
-    _DOT_MEMO_ENTRIES.
-
-    The terms are added in numpy's pairwise order, so every value is the
-    one np.sum gives for the product of the count and root arrays, bit for
-    bit.  A zero count adds a signed zero there, which changes no sum that
-    starts from 0j, so it enters as 0j."""
-    key = (kernel.period, width, packed)
-    value = _dot_memo.get(key)
-    if value is None:
-        field = (1 << width) - 1
-        half = 1 << (width - 1)
-        biased = packed + half * ((1 << width * kernel.period) - 1) // field
-        terms = []
-        for root in kernel.roots:
-            c = (biased & field) - half
-            terms.append(c * root if c else 0j)
-            biased >>= width
-        value = 0j + _pairwise(terms, 0, len(terms))
-        if len(_dot_memo) < _DOT_MEMO_ENTRIES:
-            _dot_memo[key] = value
-    return value
-
-
-def _pairwise(terms: list, start: int, n: int) -> complex:
-    """terms[start:start + n] summed as numpy sums a contiguous complex
-    array: in order below 4 terms, with 4 interleaved accumulators up to 64,
-    and above that as two halves split at a multiple of 4."""
-    if n < 4:
-        return reduce(add, terms[start:start + n], 0j)
-    if n <= 64:
-        stop = start + n - n % 4
-        a, b, c, d = (reduce(add, terms[lane + 4:stop:4], terms[lane])
-                      for lane in range(start, start + 4))
-        return reduce(add, terms[stop:start + n], (a + b) + (c + d))
-    half = (n - n % 8) // 2
-    return _pairwise(terms, start, half) + _pairwise(terms, start + half, n - half)
-
-
-def _point_trie(points: tuple, period: int) -> dict:
-    """The points as a trie on their residues mod L, one level per
-    coordinate, whose leaves list point indices; kept per (L, points) while
-    _TRIE_STORE_ENTRIES has room."""
-    key = (period, points)
-    trie = _trie_store.get(key)
-    if trie is None:
-        trie = {}
-        for index, gamma in enumerate(points):
-            node = trie
-            for g in gamma[:-1]:
-                node = node.setdefault(int(g) % period, {})
-            node.setdefault(int(gamma[-1]) % period, []).append(index)
-        if sum(len(p) for _, p in _trie_store) + len(points) <= _TRIE_STORE_ENTRIES:
-            _trie_store[key] = trie
-    return trie
-
-
-def _row_sums(kernel: PhaseKernel, rows: dict, points) -> list:
-    """sum over residue rows of c exp(2 pi i row . gamma / L) at every point.
-
-    At no more points than coordinates each row is paired with gamma
-    directly, and no trie is built or kept for them.
-    Otherwise the rows are walked down the point trie one coordinate at a
-    time.  The state at depth d is one histogram over partial exponents
-    mod L per distinct row suffix row[d:], packed into one int with a
-    field of ``width`` bits per residue, each field biased so that none goes
-    negative.  Stepping to coordinate value g rotates a suffix's histogram
-    by row[d] * g fields and adds it into the histogram of row[d+1:]; the
-    histograms are kept doubled, h + (h << span), so that a rotation is one
-    shift and the sum of a tail's rotations one mask.  Each leaf histogram
-    minus its bias is a point's counts."""
-    period, rank = kernel.period, len(kernel.matrix)
-    points = _point_tuple(points, rank)
-    if len(points) <= rank:
-        return _direct_sums(kernel, list(rows), list(rows.values()),
-                            [[int(g) % period for g in gamma] for gamma in points])
-    trie = _point_trie(points, period)
-    values = [0j] * len(points)
-    if not rows:
-        return values
-    offset = sum(map(abs, rows.values()))
-    width = _field_width(offset)
-    span = period * width
-    mask = (1 << span) - 1
-    ones = mask // ((1 << width) - 1)
-    # Sorted by the reversed row, the suffixes row[d:] that share a tail
-    # row[d+1:] are contiguous at every depth d: groups[d] holds the
-    # (start, stop) of each tail's run and firsts[d] each suffix's row[d].
-    suffixes = sorted(rows, key=lambda row: row[::-1])
-    coeffs = [rows[row] for row in suffixes]
-    firsts, groups = [], []
-    for _ in range(rank):
-        firsts.append([suffix[0] for suffix in suffixes])
-        starts = [i for i in range(len(suffixes))
-                  if i == 0 or suffixes[i][1:] != suffixes[i - 1][1:]]
-        groups.append(list(zip(starts, starts[1:] + [len(suffixes)])))
-        suffixes = [suffixes[i][1:] for i in starts]
-    base = offset * ones                 # the bias the leaf histogram carries
-    double = mask + 2                    # h * double = h + (h << span)
-    shift_lists = [{} for _ in range(rank)]
-
-    def walk(node, depth, state):
-        group, shift_list, last = groups[depth], shift_lists[depth], depth + 1 == rank
-        for g, child in node.items():
-            shifts = shift_list.get(g)
-            if shifts is None:
-                shifts = shift_list[g] = [span - a * g % period * width for a in firsts[depth]]
-            # shifted right by span - s, a doubled histogram holds h rotated
-            # by s fields below bit span, and nothing but h's top above it
-            parts = map(rshift, state, shifts)
-            if last:
-                value = _phase_value(kernel, width, (sum(parts) & mask) - base)
-                for index in child:
-                    values[index] = value
-            else:
-                parts = list(parts)
-                walk(child, depth + 1, [(sum(parts[start:stop]) & mask) * double
-                                        for start, stop in group])
-
-    # depth 0: one histogram per row, its count c in field 0 over a bias of |c|
-    walk(trie, 0, [(abs(c) * ones + c) * double for c in coeffs])
-    return values
 
 
 @lru_cache(maxsize=_ORBIT_ROW_ENTRIES)

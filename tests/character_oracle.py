@@ -4,9 +4,10 @@ of the Weyl-ratio code path, and the two sides of
 
     sum_{mu' in Omega_mu} chi_{mu'+nu} = sum_iota N_{mu nu}^iota chi_iota
 
-at one point, each through characters.weyl_ratio_sums.  It also keeps the
-numpy phase kernel that characters.phase_sums replaced, as the reference
-that kernel must match bit for bit.  Test modules import
+at one point, each through characters.weyl_ratio_sums.  It also keeps an
+independent numpy counting of the phase sums (matmul mod L and bincount),
+whose values characters.phase_sums must match bit for bit: both round each
+sum once, with math.fsum.  Test modules import
 this file as a plain module (``from character_oracle import ...``); pytest
 puts the tests directory on sys.path.
 """
@@ -111,7 +112,8 @@ _CHUNK_ENTRIES = 1 << 18
 def numpy_phase_sums(kernel: NumpyPhaseKernel, weights, coeffs, points) -> np.ndarray:
     """sum_r c_r exp(2 pi i r^T M gamma / K) at every point gamma: int64
     exponents mod L, counts per (point, residue) from np.bincount, and one
-    np.sum of counts times roots per point."""
+    math.fsum per part of counts times roots per point, so each value is
+    correctly rounded."""
     period = kernel.period
     rank = kernel.matrix.shape[0]
     weights = _lattice_array(weights, rank)
@@ -132,5 +134,6 @@ def numpy_phase_sums(kernel: NumpyPhaseKernel, weights, coeffs, points) -> np.nd
         counts = np.bincount(
             exponents.ravel(), weights=np.repeat(coeffs, width), minlength=width * period
         ).reshape(width, period)
-        values[start:start + width] = (counts * kernel.roots).sum(axis=1)
+        values[start:start + width] = [complex(math.fsum(row.real), math.fsum(row.imag))
+                                       for row in counts * kernel.roots]
     return values

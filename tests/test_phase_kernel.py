@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import characters
 from fusionkit.algebra import build_algebra, cartan_inverse, signed_orbit
 from fusionkit.characters import (
     PHASE_TABLE_CAP,
@@ -22,7 +21,7 @@ from fusionkit.characters import (
 )
 from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.fusion import _s_matrix, _shifted_terms, fuse_level_k, level_k_weights
-from fusionkit.identity import _full_residue_gammas, _rhs_terms, verify_numerator_identity
+from fusionkit.identity import _full_residue_gammas, _rhs_terms
 from fusionkit.weights import weight_system
 
 from character_oracle import eval_char_trace, numpy_phase_kernel, numpy_phase_sums
@@ -218,26 +217,56 @@ def assert_same_bits(matrix, level_shifted, weights, coeffs, points):
     assert [repr(v) for v in values] == [repr(complex(v)) for v in expected]
 
 
-@pytest.mark.parametrize("seed", range(16))
-def test_kernel_matches_numpy_reference_bit_for_bit(seed):
-    """Random rational matrices with q in 1..4 on grids with duplicate
-    points, on fewer points than the rank, and on no weights at all."""
+def seeded_kernel_case(seed):
+    """(matrix, K, weights, coeffs, grid): a random rational matrix with q in
+    1..4 and rank 1..4, and a grid of rank + 30 points plus 5 duplicates."""
     rng = random.Random(seed)
     rank = 1 + seed % 4
     matrix = random_matrix(rng, rank, 1 + seed // 4)
     level_shifted = rng.randrange(1, 30)
     weights, coeffs = random_terms(rng, rank, 12, rng.randrange(1, 40))
     grid = [tuple(rng.randrange(-40, 40) for _ in range(rank)) for _ in range(rank + 30)]
-    grid += grid[:5]
+    return matrix, level_shifted, weights, coeffs, grid + grid[:5]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_kernel_matches_numpy_reference_bit_for_bit(seed):
+    """Random rational matrices on grids with duplicate points, on fewer
+    points than the rank, and on no weights at all."""
+    matrix, level_shifted, weights, coeffs, grid = seeded_kernel_case(seed)
+    rank = len(matrix)
     for points in (grid, grid[:rank], grid[:rank - 1], grid[:1], []):
         assert_same_bits(matrix, level_shifted, weights, coeffs, points)
     assert_same_bits(matrix, level_shifted, [], [], grid)
     assert_same_bits(matrix, level_shifted, [], [], grid[:1])
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_kernel_values_are_correctly_rounded(seed):
+    """Each value is the exact sum of its float products count * root,
+    rounded once: counts per residue are taken here from the rational
+    phases r^T M gamma / K, and the products summed as Fractions."""
+    matrix, level_shifted, weights, coeffs, grid = seeded_kernel_case(seed)
+    kernel = phase_kernel(matrix, level_shifted)
+    period = kernel.period
+    for points in (grid, grid[:len(matrix)]):
+        values = phase_sums(kernel, weights, coeffs, points)
+        for gamma, value in zip(points, values):
+            counts = {}
+            for r, c in zip(weights, coeffs):
+                phase = sum(ri * Fraction(m) * g for ri, row in zip(r, matrix)
+                            for m, g in zip(row, gamma)) / level_shifted
+                e = int(phase * period) % period
+                counts[e] = counts.get(e, 0) + c
+            roots = [(c, kernel.roots[e]) for e, c in counts.items()]
+            assert value.real == float(sum(Fraction(c * root.real) for c, root in roots))
+            assert value.imag == float(sum(Fraction(c * root.imag) for c, root in roots))
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_kernel_matches_numpy_reference_past_one_block(rank):
-    """L above 128: numpy halves such sums, and so must the kernel."""
+    """L above 128, past numpy's 128-element pairwise block: the sums stay
+    correctly rounded however many roots the table holds."""
     rng = random.Random(rank)
     matrix = random_matrix(rng, rank, 3)
     weights, coeffs = random_terms(rng, rank, 200, 300)
@@ -288,31 +317,3 @@ def test_exact_count_guard_raises():
         phase_sums(kernel, [(1, 0), (0, 1)], [(1 << 52) - 1, 1], points)
     with pytest.raises(CapExceeded):
         alternating_sums(spec, [((1, 1), 1 << 51)], grid, 5)
-
-
-def test_long_scan_keeps_memo_and_trie_store_within_bounds(monkeypatch):
-    """Past their bounds the memo and the trie store stop growing, and the
-    values stay the same.  Every table is raised by one, so no case nets to
-    zero and each one walks its grid."""
-    spec = build_algebra("A", 2)
-    grids = [tuple((g1 + shift, g2) for g1 in range(5) for g2 in range(5))
-             for shift in range(6)]
-    cases = [(mu, nu, {w: n + 1 for w, n in fuse_level_k(spec, mu, nu, 2).items()})
-             for mu in level_k_weights(spec, 2) for nu in level_k_weights(spec, 2)]
-    unbounded = [verify_numerator_identity(spec, mu, nu, 2, grid, coefficients=table).to_dict()
-                 for grid in grids for mu, nu, table in cases]
-    assert not any(report["passed"] for report in unbounded)
-    monkeypatch.setattr(characters, "_dot_memo", {})
-    monkeypatch.setattr(characters, "_trie_store", {})
-    monkeypatch.setattr(characters, "_DOT_MEMO_ENTRIES", 7)
-    monkeypatch.setattr(characters, "_TRIE_STORE_ENTRIES", 60)
-    bounded = []
-    for grid in grids:
-        for mu, nu, table in cases:
-            bounded.append(verify_numerator_identity(spec, mu, nu, 2, grid,
-                                                     coefficients=table).to_dict())
-            assert len(characters._dot_memo) <= 7
-            assert sum(len(points) for _, points in characters._trie_store) <= 60
-    assert len(characters._dot_memo) == 7
-    assert len(characters._trie_store) == 2
-    assert bounded == unbounded
