@@ -14,10 +14,13 @@ rounded and independent of term order.  Root-of-unity coincidences (e.g.
 chi_4 = -chi_2 on the 8th roots of unity) therefore cancel exactly, and
 D_{w lam} = (-1)^w D_lam holds bit for bit.
 
-The kernel is plain Python, and nothing in this module loads numpy: it
-merges the terms into residue rows (_netted_rows, which identity also
-reads to settle a case whose two sides net to the same rows without a
-walk) and pairs every row with every point (_direct_sums).
+The kernel is plain Python, and nothing in this module loads numpy.  Points
+from outside enter it one way: _point_tuple copies them and checks their
+lengths once.  alternating_sums merges the signed orbits into residue rows
+(_netted_rows, which identity also reads to settle a case whose two sides
+net to the same rows without a walk) and pairs every row with every point;
+phase_sums pairs every weight with B gamma.  Both walk the points through
+_direct_sums, which yields one value per point, so a walk streams.
 tests/character_oracle.py keeps an independent numpy counting of the same
 sums as the reference.
 """
@@ -135,11 +138,9 @@ def phase_kernel(matrix: tuple, level_shifted: int) -> PhaseKernel:
 
 
 def _point_tuple(points, rank: int) -> tuple:
-    """Integer vectors of length rank as a tuple of tuples.  A tuple of
-    tuples is returned as it is, so a grid shared by many sums is not
-    copied."""
-    if not (isinstance(points, tuple) and set(map(type, points)) <= {tuple}):
-        points = tuple(tuple(int(x) for x in p) for p in points)
+    """Integer vectors of length rank, copied into a tuple of tuples and
+    checked once: the one way points from outside enter the kernel."""
+    points = tuple(tuple(int(x) for x in p) for p in points)
     _require_lengths(points, rank)
     return points
 
@@ -184,14 +185,13 @@ def _residue_rows(kernel: PhaseKernel, weights: list, coeffs: list) -> dict:
     return {row: c for row, c in netted.items() if c}
 
 
-def _direct_sums(kernel: PhaseKernel, vectors: list, coeffs: list, pairs) -> list:
-    """sum c exp(2 pi i vector . u / L) for every u in ``pairs``.  The
-    coefficients are summed per residue as exact integers; the value is one
-    math.fsum each of the real and the imaginary parts of the nonzero
-    products count * root, so it is correctly rounded and does not depend on
-    the order of the terms."""
+def _direct_sums(kernel: PhaseKernel, vectors: list, coeffs: list, pairs) -> Iterator:
+    """sum c exp(2 pi i vector . u / L) for every u in ``pairs``, yielded one
+    u at a time.  The coefficients are summed per residue as exact integers;
+    the value is one math.fsum each of the real and the imaginary parts of
+    the nonzero products count * root, so it is correctly rounded and does
+    not depend on the order of the terms."""
     roots = kernel.roots
-    values = []
     for residues in _pairings(kernel, vectors, pairs):
         counts = {}
         for e, c in zip(residues, coeffs):
@@ -201,16 +201,15 @@ def _direct_sums(kernel: PhaseKernel, vectors: list, coeffs: list, pairs) -> lis
             if c:
                 real.append(c * roots[e].real)
                 imag.append(c * roots[e].imag)
-        values.append(complex(math.fsum(real), math.fsum(imag)))
-    return values
+        yield complex(math.fsum(real), math.fsum(imag))
 
 
-def _row_sums(kernel: PhaseKernel, rows: dict, points) -> list:
+def _row_sums(kernel: PhaseKernel, rows: dict, points) -> Iterator:
     """sum over residue rows of c exp(2 pi i row . gamma / L) at every point
-    gamma: each point is reduced mod L and paired with every row
+    gamma of ``points`` (integer vectors of length rank, checked by the
+    caller): each point is reduced mod L and paired with every row
     (_direct_sums), so the cost is rows x points."""
     period = kernel.period
-    points = _point_tuple(points, len(kernel.matrix))
     return _direct_sums(kernel, list(rows), list(rows.values()),
                         ([g % period for g in gamma] for gamma in points))
 
@@ -218,23 +217,18 @@ def _row_sums(kernel: PhaseKernel, rows: dict, points) -> list:
 def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> list:
     """sum_r c_r exp(2 pi i r^T M gamma / K) at every point gamma.
 
-    The coefficients are summed per (point, residue) as exact integers, and
-    the one floating-point step is one math.fsum of count * root per part
-    (_direct_sums).  At no more points than coordinates each
-    label r is paired with B gamma directly; past that the weights are
-    merged into residue rows first (_row_sums)."""
+    Each label r is paired with B gamma, and the coefficients are summed per
+    (point, residue) as exact integers; the one floating-point step is one
+    math.fsum of count * root per part (_direct_sums)."""
     rank, period = len(kernel.matrix), kernel.period
     weights, coeffs = list(weights), list(map(int, coeffs))
     points = _point_tuple(points, rank)
     if len(coeffs) != len(weights):
         raise ValueError("one coefficient per weight is required")
     _require_exact_counts(max(map(abs, coeffs), default=0), len(coeffs))
-    if len(points) > rank:
-        return _row_sums(kernel, _residue_rows(kernel, weights, coeffs), points)
-    return _direct_sums(kernel, weights, coeffs, [
-        [sum(b * int(g) for b, g in zip(row, gamma)) % period for row in kernel.matrix]
-        for gamma in points
-    ])
+    return list(_direct_sums(kernel, weights, coeffs, [
+        [sum(map(mul, row, gamma)) % period for row in kernel.matrix] for gamma in points
+    ]))
 
 
 #: residue rows of the signed orbits kept per (spec, K, lam)
@@ -278,7 +272,8 @@ def alternating_sums(spec: AlgebraSpec, terms, gammas, level_shifted: int) -> li
     """sum over (lam, c) in terms of c D_lam(gamma), at every variety point
     gamma of shifted level K, as one exact count per residue of the netted
     rows (_netted_rows)."""
-    return _row_sums(*_netted_rows(spec, terms, level_shifted), gammas)
+    kernel, rows = _netted_rows(spec, terms, level_shifted)
+    return list(_row_sums(kernel, rows, _point_tuple(gammas, spec.rank)))
 
 
 def eval_D(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:

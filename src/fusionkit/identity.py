@@ -13,9 +13,9 @@ included, both sides stay finite), the Weyl ratio at generic regular points,
 and the antisymmetrised theta sums at finite tau (theta.verify_kw_identity).
 
 At variety points verify_numerator_identity nets both sides into residue
-rows first; equal rows settle the case without summing a point, and the
-K^rank grid of the identity and lemma suites (_ResidueGrid) is built only
-for the first case that is walked.
+rows first; equal rows settle the case without summing a point.  The K^rank
+grid of the identity and lemma suites (_ResidueGrid) is counted at once and
+generated afresh for each case that is walked, never stored.
 
 The inequality checks (Parseval-style bound, dimension bound, conjugacy
 symmetry) are exact integer comparisons end to end.  fusion and weights are
@@ -139,44 +139,35 @@ def check_identity(case_id: str, spec: AlgebraSpec, mu: Weight, nu: Weight, tabl
                  _rhs_terms(table), tolerance)
 
 
-def _scan(case_id: str, points: tuple, kernel, lhs, rhs, tolerance: float) -> VerificationReport:
+def _scan(case_id: str, points, kernel, lhs, rhs, tolerance: float) -> VerificationReport:
     """The two-sided scan: kernel(side, points) for each side, compared at
-    every point."""
+    every point.  ``points`` is iterated three times in step (the labels and
+    each side), so a kernel that yields its values streams the walk."""
     return make_report(case_id, tolerance, zip(points, map(complex, kernel(lhs, points)),
                                                map(complex, kernel(rhs, points))))
 
 
-def _full_residue_gammas(spec: AlgebraSpec, k: int) -> tuple:
-    """Every variety point gamma mod K of the level-k scan (2K on A1), as
-    one tuple that every case of the scan shares, built only after the
-    Weyl-order check of the signed orbits the scan sums."""
-    check_cap("weyl_order", spec.weyl_order, spec)
-    level_shifted = k + spec.dual_coxeter
-    if spec.rank == 1:
-        return tuple((g,) for g in range(2 * level_shifted))
-    return tuple(product(range(level_shifted), repeat=spec.rank))
-
-
 class _ResidueGrid:
-    """The points of _full_residue_gammas(spec, k), counted at once and
-    built on the first call of points(), then shared by every case that
-    walks them: a suite whose cases all net to zero builds none.  The
-    Weyl-order cap is checked here, before the first case."""
+    """Every variety point gamma mod K of the level-k scan (gamma in
+    (Z_2K)^1 on A1), the one definition of the scan's points: counted at
+    once, generated by itertools.product on every walk and never stored.
+    The Weyl-order cap is checked here, before the first case."""
 
-    __slots__ = ("spec", "k", "_points")
+    __slots__ = ("spec", "k")
 
     def __init__(self, spec: AlgebraSpec, k: int):
         check_cap("weyl_order", spec.weyl_order, spec)
-        self.spec, self.k, self._points = spec, k, None
+        self.spec, self.k = spec, k
+
+    def _side(self) -> int:
+        level_shifted = self.k + self.spec.dual_coxeter
+        return 2 * level_shifted if self.spec.rank == 1 else level_shifted
 
     def __len__(self) -> int:
-        level_shifted = self.k + self.spec.dual_coxeter
-        return 2 * level_shifted if self.spec.rank == 1 else level_shifted ** self.spec.rank
+        return self._side() ** self.spec.rank
 
-    def points(self) -> tuple:
-        if self._points is None:
-            self._points = _full_residue_gammas(self.spec, self.k)
-        return self._points
+    def __iter__(self):
+        return product(range(self._side()), repeat=self.spec.rank)
 
 
 def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
@@ -191,8 +182,10 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     rows are equal every point's lhs and rhs are the same float: the report
     is the scan's (every point checked, residual 0.0, no witnesses) and no
     point is walked.  Otherwise both sides are summed at every point.
-    ``gammas`` is a sequence of points or a _ResidueGrid, whose points are
-    built only if the case is walked.
+    ``gammas`` is an iterable of points, copied and length-checked once, or
+    the _ResidueGrid of this algebra and level, whose points are generated
+    only if the case is walked; a grid of another algebra or level raises
+    ValueError.
 
     ``coefficients`` overrides the fusion table (used by negative controls).
     """
@@ -205,13 +198,15 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     table = fuse_level_k(spec, mu, nu, k) if coefficients is None else coefficients
     if not isinstance(gammas, _ResidueGrid):
         gammas = _point_tuple(gammas, spec.rank)
+    elif (gammas.spec, gammas.k) != (spec, k):
+        raise ValueError(f"residue grid of {gammas.spec} at k = {gammas.k} "
+                         f"given for {spec} at k = {k}")
     case_id = case_id or f"numerator-identity:{spec}:k={k}:mu={mu}:nu={nu}"
     kernel, lhs = _netted_rows(spec, _shifted_terms(spec, mu, nu), level_shifted)
     _, rhs = _netted_rows(spec, _rhs_terms(table), level_shifted)
     if lhs == rhs and 0.0 <= tolerance and len(gammas):
         return VerificationReport(case_id, len(gammas), 0.0, True, tolerance, [])
-    points = gammas.points() if isinstance(gammas, _ResidueGrid) else gammas
-    return _scan(case_id, points, partial(_row_sums, kernel), lhs, rhs, tolerance)
+    return _scan(case_id, gammas, partial(_row_sums, kernel), lhs, rhs, tolerance)
 
 
 def verify_lemma_weightsum(spec: AlgebraSpec, mu: Weight, k: int, gammas,

@@ -343,17 +343,6 @@ def theta_sum(ctx: ThetaContext, gamma: Weight) -> complex:
     return _theta_raw(ctx.spec, ctx.level, ctx.tau, ctx.u, shift, radius)
 
 
-def _signed_orbit_counts(spec: AlgebraSpec, gamma: Weight):
-    """Net (-1)^w counts of each Weyl image of gamma, sorted by image.
-
-    Read off the cached signed orbit: a gamma on a wall cancels exactly,
-    before any float work, and otherwise each image carries its sign."""
-    images, signs, stabiliser = signed_orbit(spec, gamma)
-    if stabiliser > 1:
-        return []
-    return sorted(zip(images, signs))
-
-
 def theta_weyl(ctx: ThetaContext, gamma: Weight) -> complex:
     """Weyl-antisymmetrized theta sum sum_w (-1)^w Theta_{w gamma} over the
     sorted images of gamma, each valued as theta_sum values it, bit for bit.
@@ -362,10 +351,9 @@ def theta_weyl(ctx: ThetaContext, gamma: Weight) -> complex:
     parent's points at the dominant radius (W is an isometry)."""
     spec, level = ctx.spec, ctx.level
     gamma = tuple(int(x) for x in gamma)
-    counts = _signed_orbit_counts(spec, gamma)
-    if not counts:
+    images, signs, stabiliser = signed_orbit(spec, gamma)
+    if stabiliser > 1:  # a wall cancels exactly, before any float work
         return 0j
-    images, signs, _ = signed_orbit(spec, gamma)
     radius = _cut(ctx, images[0])[1]
     gu = _generic_pairing_vector(spec, ctx.u)
     values, parents, points = {}, {}, {}
@@ -375,8 +363,8 @@ def theta_weyl(ctx: ThetaContext, gamma: Weight) -> complex:
         points[image] = _lattice_points(spec, image, level, radius, parents)
         values[image] = _point_sum(level, ctx.tau, gu, points[image])
     total = 0j
-    for image, count in counts:
-        total += count * values[image]
+    for image, sign in sorted(zip(images, signs)):
+        total += sign * values[image]
     return total
 
 

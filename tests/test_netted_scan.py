@@ -1,12 +1,13 @@
 """The netted variety scan: a case whose two sides net to the same residue
 rows is settled without walking a point, and its report is the one the
-two-sided scan gives.  The suites build their K^rank grid only for a case
-that walks it."""
+two-sided scan gives.  The suites' K^rank grid is generated for each case
+that walks it and never stored, and points enter the scan one way."""
 
 import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from fusionkit import characters, cli, identity
 from fusionkit.algebra import build_algebra
 from fusionkit.characters import alternating_sums
 from fusionkit.fusion import fuse_level_k, level_k_weights
-from fusionkit.identity import _full_residue_gammas, check_identity, verify_numerator_identity
+from fusionkit.identity import _ResidueGrid, check_identity, verify_numerator_identity
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,7 +75,7 @@ def test_netted_report_equals_two_sided_scan(series, rank, k, kind, row_sums_cal
     table on A."""
     spec = build_algebra(series, rank)
     level_shifted = k + spec.dual_coxeter
-    gammas = _full_residue_gammas(spec, k)
+    gammas = tuple(_ResidueGrid(spec, k))
     weights = level_k_weights(spec, k)
     walked = 0
     for mu in weights:
@@ -103,30 +104,31 @@ def run_suite(capsys, *argv):
 
 
 @pytest.fixture
-def grid_builds(monkeypatch):
-    """Counts the calls of identity._full_residue_gammas, the grid builder."""
+def grid_walks(monkeypatch):
+    """Counts the walks of identity._ResidueGrid, the calls of its __iter__."""
     calls = []
-    build = identity._full_residue_gammas
+    walk = identity._ResidueGrid.__iter__
 
-    def spy(spec, k):
-        calls.append((str(spec), k))
-        return build(spec, k)
+    def spy(grid):
+        calls.append((str(grid.spec), grid.k))
+        return walk(grid)
 
-    monkeypatch.setattr(identity, "_full_residue_gammas", spy)
+    monkeypatch.setattr(identity._ResidueGrid, "__iter__", spy)
     return calls
 
 
 @pytest.mark.parametrize("suite,lines", [("identity", 16), ("lemma", 4)])
-def test_passing_suite_builds_no_grid(capsys, grid_builds, suite, lines):
+def test_passing_suite_builds_no_grid(capsys, grid_walks, suite, lines):
     code, records = run_suite(capsys, "verify", "A3", "--k", "1", "--suite", suite)
     assert code == 0 and len(records) == lines
     assert all(r["passed"] and r["points_checked"] == 125 for r in records)
-    assert grid_builds == []
+    assert grid_walks == []
 
 
-def test_failing_cases_build_the_grid_once(capsys, grid_builds, monkeypatch):
+def test_failing_cases_walk_the_grid(capsys, grid_walks, monkeypatch):
     """Positive control for the spy: with every table raised by one, every
-    case walks the grid, and the grid is built for the first of them only."""
+    case walks the grid, three times in step (the point labels and each
+    side), and nothing of it is kept between cases."""
     from fusionkit import fusion
 
     true_table = fusion.fuse_level_k
@@ -135,7 +137,72 @@ def test_failing_cases_build_the_grid_once(capsys, grid_builds, monkeypatch):
     assert code == 3 and len(records) == 16
     assert not any(r["passed"] for r in records)
     assert all(r["points_checked"] == 125 and r["witnesses"] for r in records)
-    assert grid_builds == [("A3", 1)]
+    assert grid_walks == [("A3", 1)] * (3 * 16)
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 4), ("A", 2, 3), ("G", 2, 2), ("A", 3, 1)])
+def test_residue_grid_is_generated_on_every_walk(series, rank, k):
+    """len is the number of points walked, every walk gives the same points
+    (gamma mod 2K on A1, gamma mod K elsewhere), and the grid holds no
+    point: its slots are its algebra and level."""
+    spec = build_algebra(series, rank)
+    grid = _ResidueGrid(spec, k)
+    first, second = tuple(grid), tuple(grid)
+    side = (k + spec.dual_coxeter) * (2 if rank == 1 else 1)
+    assert first == second == tuple(product(range(side), repeat=rank))
+    assert len(grid) == len(first) == side ** rank
+    assert type(grid).__slots__ == ("spec", "k") and not hasattr(grid, "__dict__")
+
+
+A3_CASE = (build_algebra("A", 3), (1, 0, 0), (0, 0, 1), 1)
+
+
+def case_table(kind, spec, mu, nu, k):
+    table = fuse_level_k(spec, mu, nu, k)
+    return table if kind == "true" else plus_one(table, ())
+
+
+@pytest.mark.parametrize("kind", ["true", "plus-one"])
+def test_points_enter_as_list_tuple_generator_or_grid(kind):
+    """The same points give the same report however they are passed; a
+    one-shot generator is copied once, before the walk."""
+    spec, mu, nu, k = A3_CASE
+    table = case_table(kind, spec, mu, nu, k)
+    points = list(_ResidueGrid(spec, k))
+    reports = [verify_numerator_identity(spec, mu, nu, k, given, coefficients=table).to_dict()
+               for given in (points, tuple(points), (p for p in points), _ResidueGrid(spec, k))]
+    assert reports[0]["passed"] == (kind == "true")
+    assert reports[0]["points_checked"] == 125
+    assert all(report == reports[0] for report in reports)
+
+
+@pytest.mark.parametrize("kind", ["true", "plus-one"])
+def test_points_of_the_wrong_length_raise(kind):
+    """Outside points are length-checked before the rows are compared, so a
+    case whose rows net (the true table) refuses them too."""
+    spec, mu, nu, k = A3_CASE
+    table = case_table(kind, spec, mu, nu, k)
+    for points in ([(0, 0)], [(0, 0, 0, 0)], [(0, 0, 0), (1, 2)]):
+        with pytest.raises(ValueError):
+            verify_numerator_identity(spec, mu, nu, k, points, coefficients=table)
+
+
+@pytest.mark.parametrize("kind", ["true", "plus-one"])
+@pytest.mark.parametrize("other", [("A", 2, 1), ("A", 3, 2), ("B", 3, 1)],
+                         ids=["A2-k1", "A3-k2", "B3-k1"])
+def test_grid_of_another_algebra_or_level_raises(kind, other):
+    """A3 k = 1 on the grid of another algebra or level: a shorter grid
+    (A2), a larger one (k = 2) and one of the same size and K (B3 k = 1).
+    The true table nets and the plus-one table walks; both refuse the
+    grid, and both give their verdict on their own grid."""
+    spec, mu, nu, k = A3_CASE
+    table = case_table(kind, spec, mu, nu, k)
+    grid = _ResidueGrid(build_algebra(*other[:2]), other[2])
+    with pytest.raises(ValueError):
+        verify_numerator_identity(spec, mu, nu, k, grid, coefficients=table)
+    report = verify_numerator_identity(spec, mu, nu, k, _ResidueGrid(spec, k),
+                                       coefficients=table)
+    assert report.passed == (kind == "true") and report.points_checked == 125
 
 
 def test_negative_control_still_fails_on_every_point():

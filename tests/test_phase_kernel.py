@@ -21,7 +21,7 @@ from fusionkit.characters import (
 )
 from fusionkit.errors import CapExceeded, Caps, use_caps
 from fusionkit.fusion import _s_matrix, _shifted_terms, fuse_level_k, level_k_weights
-from fusionkit.identity import _full_residue_gammas, _rhs_terms
+from fusionkit.identity import _ResidueGrid, _rhs_terms
 from fusionkit.weights import weight_system
 
 from character_oracle import eval_char_trace, numpy_phase_kernel, numpy_phase_sums
@@ -231,8 +231,8 @@ def seeded_kernel_case(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_kernel_matches_numpy_reference_bit_for_bit(seed):
-    """Random rational matrices on grids with duplicate points, on fewer
-    points than the rank, and on no weights at all."""
+    """Random rational matrices on grids with duplicate points, on a few
+    points, on none, and with no weights at all."""
     matrix, level_shifted, weights, coeffs, grid = seeded_kernel_case(seed)
     rank = len(matrix)
     for points in (grid, grid[:rank], grid[:rank - 1], grid[:1], []):
@@ -291,7 +291,7 @@ def test_alternating_sums_match_numpy_reference_on_the_scan(series, rank, k):
     """Signed orbits over the full residue scan, both sides of each identity."""
     spec = build_algebra(series, rank)
     level_shifted = k + spec.dual_coxeter
-    gammas = _full_residue_gammas(spec, k)
+    gammas = tuple(_ResidueGrid(spec, k))
     reference = numpy_phase_kernel(cartan_inverse(spec), level_shifted)
     weights = level_k_weights(spec, k)
     for mu, nu in [(weights[-1], weights[-1]), (weights[1], weights[0])]:

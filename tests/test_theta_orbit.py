@@ -4,11 +4,10 @@ sum it replaced, mutants of the orbit walk, and the bounded point store."""
 import pytest
 
 from fusionkit import theta
-from fusionkit.algebra import build_algebra
+from fusionkit.algebra import build_algebra, signed_orbit
 from fusionkit.fusion import level_k_weights
 from fusionkit.theta import (
     ThetaContext,
-    _signed_orbit_counts,
     kac_weyl_char,
     theta_sum,
     theta_weyl,
@@ -27,11 +26,13 @@ def contexts(spec, k):
 
 
 def per_image_theta_weyl(ctx, gamma):
-    """The reference: sum over the sorted signed orbit of count *
-    theta_sum(ctx, image), each image truncated and enumerated on its own."""
+    """The reference: sum over the sorted signed orbit of sign *
+    theta_sum(ctx, image), each image truncated and enumerated on its own;
+    a wall gives nothing."""
+    images, signs, stabiliser = signed_orbit(ctx.spec, tuple(gamma))
     total = 0j
-    for image, count in _signed_orbit_counts(ctx.spec, tuple(gamma)):
-        total += count * theta_sum(ctx, image)
+    for image, sign in [] if stabiliser > 1 else sorted(zip(images, signs)):
+        total += sign * theta_sum(ctx, image)
     return total
 
 
