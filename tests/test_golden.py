@@ -30,6 +30,9 @@ CASES = {
     "G2_k2_bounds": (["G2", "--k", "2", "--suite", "bounds"], 0),
     "G2_k2_conjugacy": (["G2", "--k", "2", "--suite", "conjugacy"], 0),
     "G2_k2_csmodel": (["G2", "--k", "2", "--suite", "csmodel"], 0),
+    # 784 ordered pairs: the largest all-pairs integer suites of the set
+    "A2_k6_bounds": (["A2", "--k", "6", "--suite", "bounds"], 0),
+    "A2_k6_conjugacy": (["A2", "--k", "6", "--suite", "conjugacy"], 0),
     # L = 24 with a radical of 3: the largest Fourier transform of the set
     "A2_k5_csmodel": (["A2", "--k", "5", "--suite", "csmodel"], 0),
     "A1_kinf_identity": (["A1", "--k", "inf", "--suite", "identity"], 0),
