@@ -189,15 +189,20 @@ def _suite_lemma(spec, config: RunConfig):
 
 def _suite_bounds(spec, config: RunConfig):
     from . import fusion, identity
+    from .weights import square_sum, weyl_dimension
 
     weights = fusion.level_k_weights(spec, config.k)
+    squares = [square_sum(spec, w) for w in weights]  # checks every dim cap
+    dims = [weyl_dimension(spec, w) for w in weights]
+    # rows[i][j]: (sum N^2, sum N) of the table weights[i] x weights[j]
+    rows = [identity._squares_and_sums(spec, mu, weights, config.k) for mu in weights]
     parseval_checks = []
     dim_checks = []
-    for mu in weights:
-        for sigma in weights:
-            lhs, rhs, ok = identity.parseval_bound(spec, mu, sigma, config.k)
+    for i, mu in enumerate(weights):
+        for j, sigma in enumerate(weights):
+            lhs, rhs, ok = identity._at_most(rows[j][i][0], squares[i], squares[j])
             parseval_checks.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
-            total, bound, ok = identity.dim_bound(spec, mu, sigma, config.k)
+            total, bound, ok = identity._at_most(rows[i][j][1], dims[i], dims[j])
             dim_checks.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
     yield identity.integer_report(f"parseval-bound:{spec}:k={config.k}",
                                   parseval_checks), None, None
@@ -207,12 +212,16 @@ def _suite_bounds(spec, config: RunConfig):
 
 def _suite_conjugacy(spec, config: RunConfig):
     from . import fusion, identity
+    from .weights import conjugate
 
+    identity._warn_if_self_conjugate(spec, stacklevel=1)
     weights = fusion.level_k_weights(spec, config.k)
+    partners = [weights.index(conjugate(spec, b)) for b in weights]
     checks = []
     for a in weights:
-        for b in weights:
-            (s1, s2), (l1, l2) = identity.conjugacy_square_check(spec, a, b, config.k)
+        row = identity._squares_and_sums(spec, a, weights, config.k)
+        for j, b in enumerate(weights):
+            (s1, s2), (l1, l2) = zip(row[j], row[partners[j]])
             both = s1 == s2 and l1 == l2
             checks.append((f"a={a},b={b}", s1, s2, both, abs(s1 - s2) + abs(l1 - l2)))
     yield identity.integer_report(f"conjugacy-squares:{spec}:k={config.k}",
@@ -296,8 +305,8 @@ def _suite_csmodel(spec, config: RunConfig):
     mismatch_checks = []
     for mu in weights:
         operator_rows = csmodel.operator_fusion_rows(model, mu, weights)
-        for nu, operator_table in zip(weights, operator_rows):
-            folded = fusion.fuse_level_k(spec, mu, nu, config.k)
+        folded_rows = fusion.fuse_level_k_rows(spec, mu, weights, config.k)
+        for nu, operator_table, folded in zip(weights, operator_rows, folded_rows):
             oracle = fusion.verlinde_table(spec, mu, nu, config.k)
             agree = operator_table == folded == oracle
             mismatch_checks.append(

@@ -8,8 +8,9 @@ accumulate.  Level-k fusion (Kac-Walton) folds each beta into the level-(k+c)
 affine alcove, alternating finite reflections (negative labels) with the
 affine reflection about (beta, theta) = k + c; anything landing on a wall is
 discarded.  The fold depends on beta alone, so it is memoised per (spec, K)
-and shared by every pair at the level.  All of that is exact integer
-arithmetic, and require_integrable is the one guard on level-k input.  The
+under an integer key, shared by every pair at the level, and read one row of
+nu per mu.  All of that is exact integer arithmetic, and require_integrable
+is the one guard on level-k input.  The
 independent oracle builds the S matrix numerically from alternating Weyl
 sums and evaluates the standard ratio; a rounding guard turns silent drift
 into a loud error.
@@ -112,46 +113,64 @@ def _fold_to_alcove(spec: AlgebraSpec, beta: Weight, level_shifted: int):
 
 
 def fuse_level_k(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
-    """Level-k fusion coefficients: fold every rho-shifted weight nu + mu' + rho
-    of mu (x) nu into the level-(k+c) alcove and accumulate the signs."""
-    mu, nu = tuple(mu), tuple(nu)
-    require_integrable(spec, k, mu, nu)
-    check_cap("dim", weyl_dimension(spec, mu), mu)  # the cached fold holds V(mu)
-    return dict(_fuse_cached(spec, mu, nu, k))
+    """Level-k fusion coefficients of mu (x) nu: fuse_level_k_rows on [nu]."""
+    return fuse_level_k_rows(spec, mu, [nu], k)[0]
 
 
-@lru_cache(maxsize=4096)
-def _fuse_cached(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
-    memo = _fold_memo(spec, k + spec.dual_coxeter)
-    finite: dict[Weight, int] = {}
-    counts: dict[Weight, int] = {}
-    for beta, mult in _shifted_terms(spec, mu, nu):
-        entry = memo.get(beta)
-        if entry is None:
-            entry = _fold_entry(spec, beta, k, memo)
-        summand, sign, target, folded_sign = entry
-        if sign:
-            finite[summand] = finite.get(summand, 0) + mult * sign
-        if folded_sign:
-            counts[target] = counts.get(target, 0) + mult * folded_sign
-    if any(c < 0 for c in finite.values()):
-        raise InvariantViolation(f"signed tensor accumulation of {mu} x {nu} went negative")
-    counts = {w: c for w, c in counts.items() if c != 0}
-    if any(c < 0 for c in counts.values()):
-        raise InvariantViolation(f"folded accumulation of {mu} x {nu} at k={k} went negative")
-    return tuple(sorted(counts.items()))
+def fuse_level_k_rows(spec: AlgebraSpec, mu: Weight, nus, k: int) -> list:
+    """One level-k fusion table per nu in nus: fold every rho-shifted weight
+    nu + mu' + rho of mu (x) nu into the level-(k+c) alcove and accumulate
+    the signs, with the finite (tensor) accumulation as a check.  The guards
+    run once per weight, before the memo; V(mu) is read once, and each term
+    finds its fold entry by its key, nu's code plus that of mu' + rho."""
+    mu, nus = tuple(mu), [tuple(nu) for nu in nus]
+    require_integrable(spec, k, mu, *nus)
+    check_cap("dim", weyl_dimension(spec, mu), mu)  # the fold memo holds V(mu)
+    level_shifted = k + spec.dual_coxeter
+    memo = _fold_memo(spec, level_shifted)
+    # digits label + 4K lie in [0, 8K): integrable nu has labels in [0, k], and
+    # a weight of V(mu) has labels in [-3k, 3k] (|(mu', a^v)| <= 3 (mu, theta))
+    base, offset = 8 * level_shifted, 4 * level_shifted
+    powers = [base ** i for i in range(spec.rank)]
+    terms = []
+    for mu_prime, mult in _weight_system_cached(spec, mu):
+        shift = tuple([m + 1 for m in mu_prime])
+        if min(shift) < -offset or max(shift) + k >= offset:
+            raise InvariantViolation(f"weight {mu_prime} of {mu} lies outside the fold key range")
+        terms.append((sum((s + offset) * p for s, p in zip(shift, powers)), mult, shift))
+    tables = []
+    for nu in nus:
+        code = sum(n * p for n, p in zip(nu, powers))
+        finite, counts = {}, {}  # dominant weight -> signed count, before and after folding
+        for shift_code, mult, shift in terms:
+            entry = memo.get(code + shift_code)
+            if entry is None:
+                beta = tuple([n + s for n, s in zip(nu, shift)])
+                entry = _fold_entry(spec, beta, k, memo, code + shift_code)
+            summand, sign, target, folded_sign = entry
+            if sign:
+                finite[summand] = finite.get(summand, 0) + mult * sign
+            if folded_sign:
+                counts[target] = counts.get(target, 0) + mult * folded_sign
+        if any(c < 0 for c in finite.values()):
+            raise InvariantViolation(f"signed tensor accumulation of {mu} x {nu} went negative")
+        counts = {w: c for w, c in sorted(counts.items()) if c != 0}
+        if any(c < 0 for c in counts.values()):
+            raise InvariantViolation(f"folded accumulation of {mu} x {nu} at k={k} went negative")
+        tables.append(counts)
+    return tables
 
 
 @lru_cache(maxsize=4)
 def _fold_memo(spec: AlgebraSpec, level_shifted: int) -> dict:
-    """beta -> _fold_entry(beta) at K = level_shifted, up to _FOLD_MEMO_ENTRIES."""
+    """key -> _fold_entry(beta) at K = level_shifted, up to _FOLD_MEMO_ENTRIES."""
     return {}
 
 
-def _fold_entry(spec: AlgebraSpec, beta: Weight, k: int, memo: dict) -> tuple:
+def _fold_entry(spec: AlgebraSpec, beta: Weight, k: int, memo: dict, key: int) -> tuple:
     """(tensor summand, its sign, level-k summand, its sign) of one rho-shifted
     weight, signs 0 on a wall: the finite reduction of beta, then the alcove
-    fold of that.  Kept in memo while it has room."""
+    fold of that.  Kept in memo under key while it has room."""
     reduced, sign = reflect_to_dominant(spec, beta)
     if sign == 0:
         entry = (None, 0, None, 0)
@@ -162,7 +181,7 @@ def _fold_entry(spec: AlgebraSpec, beta: Weight, k: int, memo: dict) -> tuple:
             raise InvariantViolation(f"folding {beta} at k={k} left the level-k alcove")
         entry = (tuple(r - 1 for r in reduced), sign, target, sign * affine_sign)
     if len(memo) < _FOLD_MEMO_ENTRIES:
-        memo[beta] = entry
+        memo[key] = entry
     return entry
 
 

@@ -219,48 +219,60 @@ def verify_lemma_weightsum(spec: AlgebraSpec, mu: Weight, k: int, gammas,
     )
 
 
+def _squares_and_sums(spec: AlgebraSpec, mu: Weight, nus, k: int) -> list:
+    """(sum_l (N_{mu nu}^l)^2, sum_l N_{mu nu}^l) for each nu in nus, read
+    from one fold row of mu."""
+    from .fusion import fuse_level_k_rows
+
+    return [(sum(n * n for n in table.values()), sum(table.values()))
+            for table in fuse_level_k_rows(spec, mu, nus, k)]
+
+
+def _at_most(value: int, *bounds: int) -> tuple:
+    """(value, the least bound, passed) of an exact bound check."""
+    bound = min(bounds)
+    return value, bound, value <= bound
+
+
 def parseval_bound(spec: AlgebraSpec, mu: Weight, sigma: Weight, k: int):
     """Exact check of sum_l N_{sigma mu}^l squared <= min of the two
     multiplicity square sums.  Returns (lhs, rhs, passed)."""
-    from .fusion import fuse_level_k
     from .weights import square_sum
 
-    table = fuse_level_k(spec, tuple(sigma), tuple(mu), k)
-    lhs = sum(n * n for n in table.values())
-    rhs = min(square_sum(spec, mu), square_sum(spec, sigma))
-    return lhs, rhs, lhs <= rhs
+    ((lhs, _),) = _squares_and_sums(spec, sigma, [mu], k)
+    return _at_most(lhs, square_sum(spec, mu), square_sum(spec, sigma))
 
 
 def dim_bound(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int):
     """Exact check of sum_l N_{mu nu}^l <= min(dim mu, dim nu)."""
-    from .fusion import fuse_level_k
     from .weights import weyl_dimension
 
-    table = fuse_level_k(spec, tuple(mu), tuple(nu), k)
-    total = sum(table.values())
+    ((_, total),) = _squares_and_sums(spec, mu, [nu], k)
     dims = [weyl_dimension(spec, lam) for lam in (mu, nu)]
     for lam, dim in zip((mu, nu), dims):
         check_cap("dim", dim, tuple(lam))
-    bound = min(dims)
-    return total, bound, total <= bound
+    return _at_most(total, *dims)
 
 
-_COMPLEX_SERIES = {"A", "D", "E"}
+def _warn_if_self_conjugate(spec: AlgebraSpec, stacklevel: int) -> None:
+    """Warn when -w0 fixes every fundamental weight, so that b* = b for every
+    b and a conjugacy check compares each table with itself."""
+    from .weights import conjugate
+
+    fundamental = [tuple(int(i == j) for j in range(spec.rank)) for i in range(spec.rank)]
+    if all(conjugate(spec, omega) == omega for omega in fundamental):
+        warnings.warn(
+            f"{spec} admits no complex representations; conjugacy check is trivial",
+            stacklevel=stacklevel + 1,
+        )
 
 
 def conjugacy_square_check(spec: AlgebraSpec, a: Weight, b: Weight, k: int):
     """((sum_l (N_{ab}^l)^2 for b, for b*), (sum_l N_{ab}^l for b, for b*)),
-    b* the conjugate of b.  Meaningful for algebras with complex
-    representations (A_n, D_n, E6); elsewhere conjugation is trivial."""
-    from .fusion import fuse_level_k
+    b* = -w0(b) the conjugate of b.  Trivial, with a warning, where -w0 fixes
+    every fundamental weight (A1, B, C, D of even rank, E7, E8, F4, G2)."""
     from .weights import conjugate
 
-    if spec.series not in _COMPLEX_SERIES or (spec.series == "E" and spec.rank != 6):
-        warnings.warn(
-            f"{spec} admits no complex representations; conjugacy check is trivial",
-            stacklevel=2,
-        )
-    table_b = fuse_level_k(spec, tuple(a), tuple(b), k)
-    table_conj = fuse_level_k(spec, tuple(a), conjugate(spec, tuple(b)), k)
-    return (tuple(sum(n * n for n in t.values()) for t in (table_b, table_conj)),
-            tuple(sum(t.values()) for t in (table_b, table_conj)))
+    _warn_if_self_conjugate(spec, stacklevel=2)
+    b = tuple(b)
+    return tuple(zip(*_squares_and_sums(spec, a, [b, conjugate(spec, b)], k)))

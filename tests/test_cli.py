@@ -134,12 +134,15 @@ def test_weyl_order_cap_checked_on_warm_caches(capsys, argv):
 
 def test_cap_dim_reaches_finite_level_runs(capsys):
     """--cap-dim bounds the weight system behind every fusion table, also at
-    finite level and on a warm fusion cache."""
+    finite level and on a warm fold memo: the fuse command and every suite
+    that folds level-k tables."""
     argv = ("fuse", "A2", "--k", "2", "--mu", "1,1", "--nu", "1,0")
     assert run(capsys, *argv)[0] == 0
     assert run(capsys, *argv, "--cap-dim", "2")[0] == 1
-    assert run(capsys, "verify", "A2", "--k", "2", "--suite", "identity",
-               "--cap-dim", "2")[0] == 1
+    for suite in ("identity", "bounds", "conjugacy", "csmodel"):
+        argv = ("verify", "A2", "--k", "2", "--suite", suite)
+        assert run(capsys, *argv)[0] == 0, suite
+        assert run(capsys, *argv, "--cap-dim", "2")[0] == 1, suite
 
 
 def run_limited(argv, timeout):
@@ -221,12 +224,10 @@ def test_fuse_oracle_mismatch_exits_3(capsys, monkeypatch):
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(fusion, "_FOLD_LIMIT", 0)
-    fusion._fuse_cached.cache_clear()
     fusion._fold_memo.cache_clear()
     try:
         code, _ = run(capsys, "fuse", "A1", "--k", "2", "--mu", "1", "--nu", "1")
     finally:
-        fusion._fuse_cached.cache_clear()
         fusion._fold_memo.cache_clear()
     assert code == 3
 
@@ -270,6 +271,15 @@ def test_verify_suites_pass(capsys, suite):
         assert record["algebra"] == "A2" and record["k"] == 2
         assert set(record) == {"case_id", "algebra", "k", "mu", "nu", "points_checked",
                                "max_abs_residual", "tolerance", "passed", "witnesses"}
+
+
+@pytest.mark.parametrize("argv", [("A1", "--k", "3"), ("D4", "--k", "1", "--suite", "conjugacy")])
+def test_trivial_conjugacy_suite_warns_once(capsys, argv):
+    """-w0 = id on A1 and D4: the conjugacy suite says its check is trivial,
+    once, and still passes."""
+    with pytest.warns(UserWarning, match="conjugacy check is trivial") as caught:
+        assert run(capsys, "verify", *argv)[0] == 0
+    assert len(caught) == 1
 
 
 def test_verify_theta_and_csmodel(capsys):

@@ -197,17 +197,15 @@ def two_step_fuse(spec, mu, nu, k):
 
 @pytest.fixture
 def cold_folds():
-    """Empty the fold memos and the fusion cache before and after a test, so
-    a patched fold neither meets nor leaves memoised entries."""
+    """Empty the fold memos before and after a test, so a patched fold
+    neither meets nor leaves memoised entries."""
     fusion._fold_memo.cache_clear()
-    fusion._fuse_cached.cache_clear()
     yield
     fusion._fold_memo.cache_clear()
-    fusion._fuse_cached.cache_clear()
 
 
 @pytest.mark.parametrize("name,kmax", [("A1", 4), ("A2", 3), ("A3", 2), ("B2", 2),
-                                       ("C3", 1), ("D4", 1), ("G2", 2)])
+                                       ("C3", 1), ("D4", 1), ("G2", 3), ("F4", 1)])
 def test_memoised_fold_matches_two_step_fold(cold_folds, name, kmax):
     spec = build_algebra(name[0], int(name[1:]))
     entries = []
@@ -240,6 +238,31 @@ def test_finite_accumulation_negative_raises(cold_folds, monkeypatch):
                         lambda spec, mu: tuple(broken.entries.items()))
     with pytest.raises(InvariantViolation, match="signed tensor accumulation .* went negative"):
         fuse_level_k(A1, (1,), (1,), 3)
+
+
+@pytest.mark.parametrize("label", [-100, 100])
+def test_label_outside_the_fold_key_range_raises(cold_folds, monkeypatch, label):
+    """A weight whose beta could share a fold key with another raises
+    instead: at k = 3 (K = 5) the key digits hold labels in [-20, 20)."""
+    broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (label,): 1})
+    monkeypatch.setattr(fusion, "_weight_system_cached",
+                        lambda spec, mu: tuple(broken.entries.items()))
+    with pytest.raises(InvariantViolation, match="outside the fold key range"):
+        fuse_level_k(A1, (1,), (1,), 3)
+    assert fusion._fold_memo(A1, 5) == {}
+
+
+def test_row_is_the_tables_of_its_pairs(cold_folds):
+    """One row of mu gives, in order, the table of each nu, and rows of one
+    level share one fold memo keyed by integers."""
+    k = 3
+    weights = level_k_weights(A2, k)
+    for mu in weights:
+        assert fusion.fuse_level_k_rows(A2, mu, weights, k) == [
+            two_step_fuse(A2, mu, nu, k) for nu in weights]
+    memo = fusion._fold_memo(A2, k + A2.dual_coxeter)
+    assert memo and all(type(key) is int for key in memo)
+    assert fusion.fuse_level_k_rows(A2, (1, 0), [], k) == []
 
 
 def test_folded_accumulation_negative_raises(cold_folds, monkeypatch):

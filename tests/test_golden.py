@@ -74,7 +74,7 @@ def run_verify(args, path):
     return run_cli(["verify", *args, "--seed", "0"], path)
 
 
-@pytest.mark.filterwarnings("ignore:G2 admits no complex representations")
+@pytest.mark.filterwarnings("ignore:(A1|G2) admits no complex representations")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_verify_output_matches_golden(name, tmp_path):
     args, expected_code = CASES[name]

@@ -5,14 +5,16 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 import fusionkit
+from fusionkit import cli, fusion
 from fusionkit.algebra import build_algebra
-from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
+from fusionkit.errors import DEFAULT_CAPS, CapExceeded, Caps, InvariantViolation, use_caps
 from fusionkit.characters import GenericPoint, alternating_sums, eval_char, eval_D
 from fusionkit.fusion import fuse_level_k, level_k_weights, tensor_decompose
 from fusionkit.identity import (
@@ -20,6 +22,7 @@ from fusionkit.identity import (
     check_identity,
     conjugacy_square_check,
     dim_bound,
+    integer_report,
     parseval_bound,
     verify_lemma_weightsum,
     make_report,
@@ -188,6 +191,70 @@ def test_conjugacy_check():
     assert s1 == s2 and l1 == l2
     with pytest.warns(UserWarning):
         conjugacy_square_check(build_algebra("B", 2), (1, 0), (0, 1), 2)
+
+
+@pytest.mark.parametrize("name,trivial", [("A1", True), ("D4", True), ("B2", True),
+                                          ("G2", True), ("A2", False), ("D5", False),
+                                          ("E6", False)])
+def test_conjugacy_check_warns_exactly_when_conjugation_is_trivial(name, trivial):
+    """The warning follows -w0 on the fundamental weights, not the series:
+    A1 and D4 are self-conjugate, D5 and E6 are not."""
+    spec = build_algebra(name[0], int(name[1:]))
+    zero = (0,) * spec.rank
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert conjugacy_square_check(spec, zero, zero, 1) == ((1, 1), (1, 1))
+    expected = f"{spec} admits no complex representations; conjugacy check is trivial"
+    assert [str(w.message) for w in caught] == ([expected] if trivial else [])
+    assert all(w.filename == __file__ for w in caught)  # the caller's line
+
+
+def helper_reports(spec, k):
+    """The bounds and conjugacy reports assembled pair by pair from the
+    public helpers, in the suites' case order."""
+    weights = level_k_weights(spec, k)
+    parseval, dims, conjugacy = [], [], []
+    for mu in weights:
+        for sigma in weights:
+            lhs, rhs, ok = parseval_bound(spec, mu, sigma, k)
+            parseval.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
+            total, bound, ok = dim_bound(spec, mu, sigma, k)
+            dims.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
+            (s1, s2), (l1, l2) = conjugacy_square_check(spec, mu, sigma, k)
+            conjugacy.append((f"a={mu},b={sigma}", s1, s2, s1 == s2 and l1 == l2,
+                              abs(s1 - s2) + abs(l1 - l2)))
+    return [integer_report(f"parseval-bound:{spec}:k={k}", parseval),
+            integer_report(f"dimension-bound:{spec}:k={k}", dims),
+            integer_report(f"conjugacy-squares:{spec}:k={k}", conjugacy)]
+
+
+@pytest.mark.filterwarnings("ignore:.* admits no complex representations")
+@pytest.mark.parametrize("mutant", [False, True], ids=["true", "plus-one"])
+@pytest.mark.parametrize("name,k", [("A2", 3), ("A3", 2), ("B2", 2), ("D5", 1),
+                                    ("G2", 3), ("F4", 1)])
+def test_row_suites_match_the_public_helpers(monkeypatch, name, k, mutant):
+    """The bounds and conjugacy suites read one fold row per weight; their
+    reports equal those of the per-pair helpers, witnesses in the same
+    order, also when the fold adds one to the first channel of every table
+    with mu < nu (asymmetric, so a transposed or mispartnered read shows)."""
+    spec = build_algebra(name[0], int(name[1:]))
+    if mutant:
+        true_rows = fusion.fuse_level_k_rows
+
+        def plus_one_above_the_diagonal(spec, mu, nus, k):
+            rows = true_rows(spec, mu, nus, k)
+            for nu, table in zip(nus, rows):
+                if tuple(mu) < tuple(nu):
+                    table[min(table)] += 1
+            return rows
+
+        monkeypatch.setattr(fusion, "fuse_level_k_rows", plus_one_above_the_diagonal)
+    config = cli.RunConfig(spec, k, 1e-9, DEFAULT_CAPS, 0, None, "json")
+    reports = [report for suite in ("bounds", "conjugacy")
+               for report, _, _ in cli._SUITES[suite](spec, config)]
+    assert reports == helper_reports(spec, k)
+    assert all(r.passed for r in reports) != mutant
+    assert all(bool(r.witnesses) != r.passed for r in reports)
 
 
 def test_report_invariants():
