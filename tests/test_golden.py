@@ -35,6 +35,8 @@ CASES = {
     "A2_k6_conjugacy": (["A2", "--k", "6", "--suite", "conjugacy"], 0),
     # L = 24 with a radical of 3: the largest Fourier transform of the set
     "A2_k5_csmodel": (["A2", "--k", "5", "--suite", "csmodel"], 0),
+    # the csmodel invocation of the rings benchmark, at seed 0
+    "A2_k4_csmodel": (["A2", "--k", "4", "--suite", "csmodel"], 0),
     "A1_kinf_identity": (["A1", "--k", "inf", "--suite", "identity"], 0),
     "A2_kinf_identity": (["A2", "--k", "inf", "--suite", "identity"], 0),
     # quadratic forms with thirds and with halves: the non-simply-laced generic cases
@@ -59,6 +61,9 @@ COMMAND_CASES = {
                                "--oracle", "--format", "text"], 0),
     "B3_k2_fuse_oracle.jsonl": (["fuse", "B3", "--k", "2", "--mu", "1,0,1", "--nu", "0,0,1",
                                  "--oracle", "--format", "json"], 0),
+    # 1,920-image orbits through the Verlinde oracle: the rings benchmark's fuse call
+    "D5_k1_fuse_oracle.jsonl": (["fuse", "D5", "--k", "1", "--mu", "1,0,0,0,0", "--nu",
+                                 "0,0,0,1,0", "--oracle", "--format", "json"], 0),
     "G2_kinf_fuse.txt": (["fuse", "G2", "--k", "inf", "--mu", "1,0", "--nu", "0,1",
                           "--format", "text"], 0),
 }
