@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InvariantViolation, check_cap
@@ -339,17 +340,26 @@ def signed_orbit(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
 def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
     # Level walk from the dominant conjugate: s_i at a positive label
     # lengthens the shortest element by one, so levels are disjoint and each
-    # is deduplicated on its own, first occurrence in (parent, i) order.
+    # is deduplicated on its own, first occurrence in (parent, i) order (a
+    # dict keeps a key where it was first set).  s_i subtracts c alpha_i,
+    # formed once per (i, c) in this walk.
     dominant, sign = _reduce(spec, lam)
+    cartan = spec.cartan
+    steps = {}
     images, signs = [], []
     level = [dominant]
     while level:
         images += level
         signs += [sign] * len(level)
-        level = list(dict.fromkeys(
-            tuple([l - c * a for l, a in zip(weight, spec.cartan[i])])
-            for weight in level for i, c in enumerate(weight) if c > 0
-        ))
+        reflected = {}
+        for weight in level:
+            for i, c in enumerate(weight):
+                if c > 0:
+                    step = steps.get((i, c))
+                    if step is None:
+                        step = steps[i, c] = [c * a for a in cartan[i]]
+                    reflected[tuple(map(sub, weight, step))] = None
+        level = list(reflected)
         sign = -sign
     stabiliser, remainder = divmod(spec.weyl_order, len(images))
     if remainder:

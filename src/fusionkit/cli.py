@@ -169,9 +169,10 @@ def _suite_identity(spec, config: RunConfig):
     gammas = identity._ResidueGrid(spec, config.k)
     weights = fusion.level_k_weights(spec, config.k)
     for mu in weights:
-        for nu in weights:
+        for nu, table in zip(weights, fusion.fuse_level_k_rows(spec, mu, weights, config.k)):
             report = identity.verify_numerator_identity(
-                spec, mu, nu, config.k, gammas, tolerance=config.tolerance
+                spec, mu, nu, config.k, gammas, tolerance=config.tolerance,
+                coefficients=table,
             )
             yield report, mu, nu
 
@@ -268,15 +269,10 @@ def _suite_csmodel(spec, config: RunConfig):
         [(("all pairs",), complex(csmodel.check_clock_commutator(model)), 0j)],
     ), None, None
 
-    def ortho_residuals():
-        states = [csmodel.primary_state(model, r) for r in weights]
-        for r, psi_r in zip(weights, states):
-            for s, psi_s in zip(weights, states):
-                value = csmodel.inner_product(psi_r, psi_s)
-                yield (r, s), value, complex(1.0 if r == s else 0.0)
-
+    overlaps = csmodel.primary_overlaps(model, weights)
     yield identity.make_report(
-        f"primary-orthonormality:{spec}:k={config.k}", 1e-12, ortho_residuals()
+        f"primary-orthonormality:{spec}:k={config.k}", 1e-12,
+        (((r, s), value, complex(1.0 if r == s else 0.0)) for r, s, value in overlaps),
     ), None, None
 
     yield identity.make_report(
@@ -306,8 +302,9 @@ def _suite_csmodel(spec, config: RunConfig):
     for mu in weights:
         operator_rows = csmodel.operator_fusion_rows(model, mu, weights)
         folded_rows = fusion.fuse_level_k_rows(spec, mu, weights, config.k)
-        for nu, operator_table, folded in zip(weights, operator_rows, folded_rows):
-            oracle = fusion.verlinde_table(spec, mu, nu, config.k)
+        oracle_rows = fusion.verlinde_rows(spec, mu, weights, config.k)
+        for nu, operator_table, folded, oracle in zip(weights, operator_rows, folded_rows,
+                                                      oracle_rows):
             agree = operator_table == folded == oracle
             mismatch_checks.append(
                 (f"mu={mu},nu={nu}", len(operator_table), len(folded), agree,
@@ -355,7 +352,7 @@ def _cmd_weights(args, config: RunConfig) -> int:
 def _cmd_fuse(args, config: RunConfig) -> int:
     if args.oracle and config.k is None:  # checked before the decomposition
         raise ValueError("--oracle needs a finite level")
-    from .fusion import fuse_level_k, tensor_decompose, verlinde_table
+    from .fusion import fuse_level_k, tensor_decompose, verlinde_rows
 
     spec = config.spec
     mu = _parse_weight(args.mu)
@@ -374,7 +371,7 @@ def _cmd_fuse(args, config: RunConfig) -> int:
     exit_code = EXIT_OK
     footer = []
     if args.oracle:
-        oracle = verlinde_table(spec, mu, nu, config.k)
+        (oracle,) = verlinde_rows(spec, mu, [nu], config.k)
         record["oracle_matches"] = oracle == table
         if not record["oracle_matches"]:
             record["oracle_table"] = _rows(oracle, "coefficient")

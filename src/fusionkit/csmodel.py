@@ -31,8 +31,8 @@ import math
 import random
 from collections import deque
 from functools import lru_cache
-from itertools import chain, compress, product
-from operator import add, attrgetter, mul, sub
+from itertools import chain, compress, product, repeat
+from operator import add, attrgetter, mul, sub, truediv
 from typing import NamedTuple
 
 from .algebra import (
@@ -181,17 +181,16 @@ def _entries(state) -> dict:
     return dict(zip(positions, map(state.__getitem__, positions)))
 
 
-def _bra(entries: dict) -> tuple:
-    """<x| of the state with these nonzero amplitudes: (positions, complex
-    conjugates of the amplitudes)."""
-    return list(entries), [value.conjugate() for value in entries.values()]
+def _bra(entries: dict) -> dict:
+    """<x| of the state with these nonzero amplitudes: position -> complex
+    conjugate of the amplitude."""
+    return dict(zip(entries, map(complex.conjugate, entries.values())))
 
 
-def _inner(bra: tuple, ket) -> complex:
+def _inner(bra: dict, ket) -> complex:
     """<bra|ket>, with the real and imaginary parts of the products each
     summed by math.fsum."""
-    positions, conjugates = bra
-    products = list(map(mul, conjugates, map(ket.__getitem__, positions)))
+    products = list(map(mul, bra.values(), map(ket.__getitem__, bra)))
     return complex(math.fsum(map(_REAL, products)), math.fsum(map(_IMAG, products)))
 
 
@@ -268,6 +267,18 @@ class LatticeOperator:
     def apply(self, states):
         if isinstance(states, list):
             return [self.apply(state) for state in states]
+        maps = self._maps()
+        if len(maps) == 1 and maps[0][0] == 1 and all(states):
+            # one term on a state with no zero amplitude: _image writes every
+            # position once, so this is one phase map and one scatter (a zero
+            # amplitude, which _image skips, keeps its signed zeros out)
+            _, shifts, phases = maps[0]
+            values = states if phases is None else map(mul, states, phases)
+            if shifts is None:
+                return tuple(values)
+            out = [0j] * len(states)
+            deque(map(out.__setitem__, shifts, values), maxlen=0)
+            return tuple(out)
         return tuple(self._image(_entries(states)))
 
     def _image(self, entries: dict) -> list:
@@ -425,6 +436,23 @@ def _primary_entries(model: GaussianModel, r: Weight) -> dict:
     return _kept(model, ("primary", r), build)
 
 
+def _primary_bra(model: GaussianModel, r: Weight) -> dict:
+    """<psi_r| over the nonzero amplitudes of psi_r, kept per model."""
+    entries = _primary_entries(model, r)
+    return _kept(model, ("primary bra", r), lambda: _bra(entries))
+
+
+def primary_overlaps(model: GaussianModel, weights):
+    """(r, s, <psi_r|psi_s>) for every ordered pair of weights, r outer,
+    over the kept nonzero amplitudes of each psi_r."""
+    weights = [tuple(r) for r in weights]
+    states = [primary_state(model, s) for s in weights]
+    for r in weights:
+        bra = _primary_bra(model, r)
+        for s, psi_s in zip(weights, states):
+            yield r, s, _inner(bra, psi_s)
+
+
 def wilson_operator(model: GaussianModel, mu: Weight) -> LatticeOperator:
     """O_mu = sum over the weight system of mu of the shift monomials b^v;
     Weyl even because the weight system is."""
@@ -570,18 +598,21 @@ class FourierOperator:
         for step, rows in plan.axes:
             size = period // step
             zeros = [0j] * size
-            lines = []
-            for start in range(0, len(data), period):
-                segment = data[start:start + period]
-                line = segment[:size]
-                if any(segment):
-                    for offset in range(size, period, size):
-                        line = list(map(add, line, segment[offset:offset + size]))
-                lines.append(_line_transform(line, rows) if any(line) else zeros)
-            data = list(chain.from_iterable(zip(*lines)))
-        norm = self._norm
-        values = [value / norm for value in data]
-        return tuple(map(values.__getitem__, plan.gather))
+            lines = zip(*[iter(data)] * size)
+            if step > 1:  # block o of every line is blocks[o::step]
+                blocks = list(lines)
+                folded = chain.from_iterable(blocks[0::step])
+                for offset in range(1, step):
+                    folded = map(add, folded, chain.from_iterable(blocks[offset::step]))
+                lines = zip(*[iter(folded)] * size)
+            transformed = []
+            for line in lines:
+                if all(line):
+                    transformed.append([sum(map(mul, row, line)) for row in rows])
+                else:
+                    transformed.append(_line_transform(line, rows) if any(line) else zeros)
+            data = list(chain.from_iterable(zip(*transformed)))
+        return tuple(map(truediv, map(data.__getitem__, plan.gather), repeat(self._norm)))
 
     def apply(self, states):
         if isinstance(states, list):
@@ -616,7 +647,10 @@ def check_s_conjugation(model: GaussianModel) -> float:
         inverse = s.apply_inverse(state)
         if unitary:
             image = s.apply(state)
-            worst = max(worst, abs(math.sqrt(inner_product(image, image).real) - 1.0))
+            # Re <image|image> over every amplitude: math.fsum rounds the exact
+            # sum once, so the products of zero amplitudes change no bit
+            norm_squared = math.fsum(map(_REAL, map(mul, map(complex.conjugate, image), image)))
+            worst = max(worst, abs(math.sqrt(norm_squared) - 1.0))
         for b, a in pairs:
             worst = max(worst, _max_gap(s.apply_inverse(b.apply(state)), a.apply(inverse)))
             if unitary:
@@ -659,7 +693,7 @@ def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:
     weights = level_k_weights(spec, model.k)
     operator = wilson_operator(model, tuple(mu))
     sources = [_primary_entries(model, nu) for nu in nus]
-    bras = [_bra(_primary_entries(model, iota)) for iota in weights]
+    bras = [_primary_bra(model, iota) for iota in weights]
     tables = []
     for source in sources:
         image = operator._image(source)

@@ -12,8 +12,8 @@ under an integer key, shared by every pair at the level, and read one row of
 nu per mu.  All of that is exact integer arithmetic, and require_integrable
 is the one guard on level-k input.  The
 independent oracle builds the S matrix numerically from alternating Weyl
-sums and evaluates the standard ratio; a rounding guard turns silent drift
-into a loud error.
+sums and evaluates the standard ratio, one row of nu per mu; a rounding
+guard turns silent drift into a loud error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .algebra import (
     AlgebraSpec,
@@ -230,24 +231,38 @@ def _s_matrix(spec: AlgebraSpec, k: int):
 def verlinde_table(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
     """Full fusion row of the independent oracle: lam -> N for every
     integrable lam, by the S-matrix ratio
-    sum_sigma S_{mu sigma} S_{nu sigma} S*_{lam sigma} / S_{0 sigma}."""
+    sum_sigma S_{mu sigma} S_{nu sigma} S*_{lam sigma} / S_{0 sigma};
+    verlinde_rows on [nu]."""
+    return verlinde_rows(spec, mu, [nu], k)[0]
+
+
+def verlinde_rows(spec: AlgebraSpec, mu: Weight, nus, k: int) -> list:
+    """One oracle table per nu in nus, as verlinde_table: the S rows are
+    conjugated once, and each ratio adds its products t_sigma S*_{lam sigma}
+    in sigma order.  A ratio more than 1e-6 from an integer raises
+    OracleMismatchError."""
     weights = level_k_weights(spec, k)
-    require_integrable(spec, k, mu, nu)
+    mu, nus = tuple(mu), [tuple(nu) for nu in nus]
+    require_integrable(spec, k, mu, *nus)
     check_cap("weyl_order", spec.weyl_order, spec)  # the cached S matrix sums signed orbits
     _, rows = _s_matrix(spec, k)
-    vacuum, row_mu, row_nu = (rows[weights.index(tuple(w))] for w in ((0,) * spec.rank, mu, nu))
-    # t_sigma = S_{mu sigma} S_{nu sigma} / S_{0 sigma} does not depend on lam
-    t = [a * b / v for a, b, v in zip(row_mu, row_nu, vacuum)]
-    table = {}
-    for lam, row_lam in zip(weights, rows):
-        total = sum(t_sigma * s.conjugate() for t_sigma, s in zip(t, row_lam))
-        nearest = round(total.real)
-        residual = abs(total - nearest)
-        if residual > 1e-6:
-            raise OracleMismatchError(
-                f"Verlinde ratio {total} for N_{{{mu},{nu}}}^{lam} at k={k} "
-                f"is {residual:.2e} from an integer"
-            )
-        if nearest:
-            table[lam] = nearest
-    return table
+    vacuum, row_mu = (rows[weights.index(w)] for w in ((0,) * spec.rank, mu))
+    conjugates = [list(map(complex.conjugate, row)) for row in rows]
+    tables = []
+    for nu in nus:
+        # t_sigma = S_{mu sigma} S_{nu sigma} / S_{0 sigma} does not depend on lam
+        t = [a * b / v for a, b, v in zip(row_mu, rows[weights.index(nu)], vacuum)]
+        table = {}
+        for lam, conjugate in zip(weights, conjugates):
+            total = sum(map(mul, t, conjugate))
+            nearest = round(total.real)
+            residual = abs(total - nearest)
+            if residual > 1e-6:
+                raise OracleMismatchError(
+                    f"Verlinde ratio {total} for N_{{{mu},{nu}}}^{lam} at k={k} "
+                    f"is {residual:.2e} from an integer"
+                )
+            if nearest:
+                table[lam] = nearest
+        tables.append(table)
+    return tables

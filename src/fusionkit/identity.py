@@ -187,7 +187,9 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     only if the case is walked; a grid of another algebra or level raises
     ValueError.
 
-    ``coefficients`` overrides the fusion table (used by negative controls).
+    ``coefficients`` is the fusion table to check, fuse_level_k's when None:
+    the identity suite passes the tables of one fold row per mu, and
+    negative controls pass wrong ones.
     """
     from .characters import _netted_rows, _point_tuple, _row_sums
     from .fusion import _shifted_terms, fuse_level_k, require_integrable

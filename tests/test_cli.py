@@ -313,8 +313,9 @@ def test_verify_identity_at_algebra_level(capsys):
 def test_verify_failure_exits_3(capsys, monkeypatch):
     from fusionkit import fusion
 
-    # identity imports fuse_level_k from fusion when a check runs
-    monkeypatch.setattr(fusion, "fuse_level_k", lambda *a, **k: {(0,): 2})
+    # the identity suite reads one fold row per mu from fusion when it runs
+    monkeypatch.setattr(fusion, "fuse_level_k_rows",
+                        lambda spec, mu, nus, k: [{(0,): 2} for _ in nus])
     code, out = run(capsys, "verify", "A1", "--k", "2", "--suite", "identity")
     assert code == 3
     records = [json.loads(line) for line in out.strip().splitlines()]

@@ -455,6 +455,118 @@ def test_operator_applies_to_a_stack_of_states():
         assert op.apply(state) == image
 
 
+def bits(state) -> list:
+    """The amplitudes of a state as the hex of their real and imaginary parts,
+    so that equal lists mean equal bits, signed zeros included."""
+    return [(z.real.hex(), z.imag.hex()) for z in state]
+
+
+def one_term_states(model):
+    """A dense state with no zero amplitude, a basis state, and the dense
+    state with every third amplitude set to a zero of either sign."""
+    dense = random_state(model, random.Random(11))
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    partly_zero = tuple(zeros[i // 3 % 4] if i % 3 == 0 else z for i, z in enumerate(dense))
+    return {"dense": dense, "basis": basis_state(model, (1,) * model.spec.rank),
+            "partly zero": partly_zero}
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 6), ("A", 2, 4), ("G", 2, 2)])
+def test_one_term_apply_equals_the_image_bit_for_bit(series, rank, k, monkeypatch):
+    """Every shift_op and clock_op maps a state with no zero amplitude by one
+    scatter or one phase map, and any other state through _image; the bits
+    of the image are those of _image's either way."""
+    model = build_model(build_algebra(series, rank), k)
+    images = []
+    true_image = csmodel.LatticeOperator._image
+
+    def spy(op, entries):
+        images.append(op)
+        return true_image(op, entries)
+
+    monkeypatch.setattr(csmodel.LatticeOperator, "_image", spy)
+    ops = [make(model, j) for make in (shift_op, clock_op) for j in range(1, rank + 1)]
+    for name, state in one_term_states(model).items():
+        for op in ops:
+            images.clear()
+            image = op.apply(state)
+            assert bits(image) == bits(true_image(op, csmodel._entries(state))), (name, op.terms)
+            assert type(image) is tuple
+            assert images == ([] if name == "dense" else [op])
+
+
+def test_multi_term_operators_go_through_the_image(monkeypatch):
+    """Wilson operators and one-term operators with a coefficient other than 1
+    are applied by _image, also to a state with no zero amplitude; a one-term
+    product with coefficient 1 (b_1 a_2, where the phase passes no shift) is
+    one phase map and one scatter.  The bits are _image's every time."""
+    model = build_model(A2, 4)
+    dense = one_term_states(model)["dense"]
+    calls = []
+    true_image = csmodel.LatticeOperator._image
+    monkeypatch.setattr(csmodel.LatticeOperator, "_image",
+                        lambda op, entries: calls.append(op) or true_image(op, entries))
+    through_image = [wilson_operator(model, (1, 0)),
+                     wilson_operator(model, (1, 1)) @ clock_op(model, 1),
+                     clock_op(model, 1) @ shift_op(model, 1),
+                     csmodel.LatticeOperator(model, [(2.0, (1, 0), (0, 0))])]
+    mapped = shift_op(model, 1) @ clock_op(model, 2)
+    assert [len(op.terms) for op in through_image + [mapped]] == [3, 7, 1, 1, 1]
+    for op in through_image + [mapped]:
+        calls.clear()
+        assert bits(op.apply(dense)) == bits(true_image(op, csmodel._entries(dense)))
+        assert calls == ([] if op is mapped else [op])
+
+
+def test_primary_overlaps_equal_the_inner_products_of_the_states():
+    """The kept bras give every <psi_r|psi_s> of the dense primaries, bit for
+    bit, r outer and s inner."""
+    model = build_model(A2, 3)
+    weights = level_k_weights(A2, 3)
+    states = [primary_state(model, r) for r in weights]
+    expected = [(r, s, inner_product(psi_r, psi_s))
+                for r, psi_r in zip(weights, states) for s, psi_s in zip(weights, states)]
+    overlaps = list(csmodel.primary_overlaps(model, weights))
+    assert [(r, s) for r, s, _ in overlaps] == [(r, s) for r, s, _ in expected]
+    assert bits(value for _, _, value in overlaps) == bits(value for _, _, value in expected)
+
+
+def segment_transform(op, state, plan):
+    """FourierOperator._transform as a loop over the lines of each pass: a
+    segment of L amplitudes is folded slice by slice unless it is all zero,
+    and a line is summed row by row, column by column over its nonzero
+    entries or not at all, as csmodel._line_transform decides."""
+    data = list(map(state.__getitem__, plan.source))
+    period = op.model.period
+    for step, rows in plan.axes:
+        size = period // step
+        lines = []
+        for start in range(0, len(data), period):
+            segment = data[start:start + period]
+            line = segment[:size]
+            if any(segment):
+                for offset in range(size, period, size):
+                    line = [x + y for x, y in zip(line, segment[offset:offset + size])]
+            lines.append(csmodel._line_transform(line, rows) if any(line) else [0j] * size)
+        data = [value for column in zip(*lines) for value in column]
+    values = [value / op._norm for value in data]
+    return tuple(values[i] for i in plan.gather)
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 6), ("A", 2, 2), ("A", 2, 4), ("A", 2, 5),
+                                           ("B", 2, 2), ("G", 2, 2)])
+def test_fourier_passes_equal_the_segment_loop_bit_for_bit(series, rank, k):
+    """S and S^-1 of dense, basis and partly zero states, and of the S images
+    check_s_conjugation shifts, have the bits of the segment-by-segment loop."""
+    model = build_model(build_algebra(series, rank), k)
+    s = FourierOperator(model)
+    states = list(one_term_states(model).values())
+    states.append(s.apply(states[1]))
+    for state in states:
+        for plan, transform in ((s._adjoint, s.apply), (s._inverse, s.apply_inverse)):
+            assert bits(transform(state)) == bits(segment_transform(s, state, plan))
+
+
 def test_weyl_evenness_of_wilson_operators():
     """O_mu commutes with the Weyl action on states (images of primaries
     under O are Weyl-odd combinations again)."""

@@ -1,12 +1,13 @@
 """Tensor products, alcove folding, and the Verlinde oracle."""
 
+import re
 from itertools import product
 
 import pytest
 
 from fusionkit import fusion
 from fusionkit.algebra import build_algebra
-from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
+from fusionkit.errors import CapExceeded, Caps, InvariantViolation, OracleMismatchError, use_caps
 from fusionkit.fusion import (
     _shifted_terms,
     fuse_level_k,
@@ -130,6 +131,58 @@ def test_verlinde_rejects_non_integrable_weights():
         verlinde_table(A2, (3, 0), (1, 0), 2)
     with pytest.raises(ValueError, match="level must be nonnegative"):
         verlinde_table(A2, (0, 0), (0, 0), -1)
+
+
+#: (algebra, highest level) of the Verlinde row checks
+VERLINDE_ROW_CASES = [
+    pytest.param(build_algebra(name[0], int(name[1:])), kmax, id=f"{name}-{kmax}")
+    for name, kmax in [("A1", 6), ("A2", 4), ("B2", 2), ("G2", 2), ("D4", 1)]
+]
+
+
+@pytest.mark.parametrize("spec,kmax", VERLINDE_ROW_CASES)
+def test_verlinde_rows_are_the_tables_of_their_pairs(spec, kmax):
+    """One oracle row of mu gives, in order, the table of each nu: that of
+    verlinde_table and that of the fold row."""
+    for k in range(kmax + 1):
+        weights = level_k_weights(spec, k)
+        for mu in weights:
+            rows = fusion.verlinde_rows(spec, mu, weights, k)
+            assert rows == [verlinde_table(spec, mu, nu, k) for nu in weights]
+            assert rows == fusion.fuse_level_k_rows(spec, mu, weights, k)
+        assert fusion.verlinde_rows(spec, weights[-1], [], k) == []
+
+
+def pairwise_ratios(spec, mu, nus, k, rows):
+    """(nu, lam, ratio) for every nu and lam, each ratio a generator sum over
+    sigma of t_sigma times S*_{lam sigma}, conjugated where it is read."""
+    weights = level_k_weights(spec, k)
+    vacuum, row_mu = rows[weights.index((0,) * spec.rank)], rows[weights.index(mu)]
+    for nu in nus:
+        t = [a * b / v for a, b, v in zip(row_mu, rows[weights.index(nu)], vacuum)]
+        for lam, row_lam in zip(weights, rows):
+            yield nu, lam, sum(t_sigma * s.conjugate() for t_sigma, s in zip(t, row_lam))
+
+
+def test_perturbed_s_row_raises_through_the_rows(monkeypatch, capsys):
+    """An S row bent by 0.05 in one entry makes a ratio of the rows path leave
+    the integers: OracleMismatchError names the same first ratio, to the bit,
+    as the pair-by-pair sum, and fuse --oracle exits 3."""
+    from fusionkit import cli
+
+    k, mu = 2, (1, 0)
+    weights, rows = fusion._s_matrix(A2, k)
+    i = weights.index(mu)
+    bent = rows[:i] + ((rows[i][0] + 0.05,) + rows[i][1:],) + rows[i + 1:]
+    monkeypatch.setattr(fusion, "_s_matrix", lambda spec, k: (weights, bent))
+    nu, lam, total = next((nu, lam, total) for nu, lam, total
+                          in pairwise_ratios(A2, mu, weights, k, bent)
+                          if abs(total - round(total.real)) > 1e-6)
+    message = f"Verlinde ratio {total} for N_{{{mu},{nu}}}^{lam} at k={k} "
+    with pytest.raises(OracleMismatchError, match=re.escape(message)):
+        fusion.verlinde_rows(A2, mu, weights, k)
+    assert cli.main(["fuse", "A2", "--k", "2", "--mu", "1,0", "--nu", "0,1", "--oracle"]) == 3
+    assert "verification failure: Verlinde ratio" in capsys.readouterr().err
 
 
 #: (algebra, highest level) beyond A1 and A2, one per remaining series

@@ -12,7 +12,13 @@ from fusionkit.algebra import build_algebra, dominant_conjugate, pairing_numerat
 from fusionkit.characters import GenericPoint, VarietyPoint, eval_char, eval_D
 from fusionkit.csmodel import build_model, operator_fusion_rows, primary_state
 from fusionkit.errors import DEFAULT_CAPS, Caps, caps_from_env
-from fusionkit.fusion import fuse_level_k, level_pairing, tensor_decompose, verlinde_table
+from fusionkit.fusion import (
+    fuse_level_k,
+    level_pairing,
+    tensor_decompose,
+    verlinde_rows,
+    verlinde_table,
+)
 from fusionkit.identity import verify_numerator_identity
 from fusionkit.weights import conjugate, weight_system, weyl_dimension
 
@@ -48,6 +54,7 @@ def test_wrong_length_weight_is_rejected(name, lam):
 #: every level-k entry point, called at k = 1 with the non-integrable (2, 0)
 NON_INTEGRABLE_CALLS = {
     "fuse_level_k": lambda lam: fuse_level_k(A2, (1, 0), lam, 1),
+    "verlinde_rows": lambda lam: verlinde_rows(A2, (1, 0), [(0, 1), lam], 1),
     "verlinde_table": lambda lam: verlinde_table(A2, lam, (1, 0), 1),
     "verify_numerator_identity":
         lambda lam: verify_numerator_identity(A2, lam, (0, 0), 1, [(0, 0)]),

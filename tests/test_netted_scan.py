@@ -131,13 +131,32 @@ def test_failing_cases_walk_the_grid(capsys, grid_walks, monkeypatch):
     side), and nothing of it is kept between cases."""
     from fusionkit import fusion
 
-    true_table = fusion.fuse_level_k
-    monkeypatch.setattr(fusion, "fuse_level_k", lambda *args: plus_one(true_table(*args), ()))
+    true_rows = fusion.fuse_level_k_rows
+    monkeypatch.setattr(fusion, "fuse_level_k_rows",
+                        lambda *args: [plus_one(table, ()) for table in true_rows(*args)])
     code, records = run_suite(capsys, "verify", "A3", "--k", "1", "--suite", "identity")
     assert code == 3 and len(records) == 16
     assert not any(r["passed"] for r in records)
     assert all(r["points_checked"] == 125 and r["witnesses"] for r in records)
     assert grid_walks == [("A3", 1)] * (3 * 16)
+
+
+def test_identity_suite_folds_one_row_per_mu(capsys, monkeypatch):
+    """At finite k the identity suite reads one fold row per mu, in weight
+    order, and checks each pair against its table in that row: no pair is
+    folded on its own."""
+    from fusionkit import fusion
+
+    rows, pairs = [], []
+    true_rows, true_pair = fusion.fuse_level_k_rows, fusion.fuse_level_k
+    monkeypatch.setattr(fusion, "fuse_level_k_rows",
+                        lambda spec, mu, nus, k: rows.append(mu) or true_rows(spec, mu, nus, k))
+    monkeypatch.setattr(fusion, "fuse_level_k",
+                        lambda *args: pairs.append(args) or true_pair(*args))
+    code, records = run_suite(capsys, "verify", "G2", "--k", "2", "--suite", "identity")
+    weights = level_k_weights(build_algebra("G", 2), 2)
+    assert code == 0 and len(records) == len(weights) ** 2
+    assert rows == weights and pairs == []
 
 
 @pytest.mark.parametrize("series,rank,k", [("A", 1, 4), ("A", 2, 3), ("G", 2, 2), ("A", 3, 1)])
