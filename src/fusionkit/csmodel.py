@@ -438,7 +438,7 @@ def _primary_entries(model: GaussianModel, r: Weight) -> dict:
 
 def _primary_bra(model: GaussianModel, r: Weight) -> dict:
     """<psi_r| over the nonzero amplitudes of psi_r, kept per model."""
-    entries = _primary_entries(model, r)
+    entries = _primary_entries(model, r)  # checks the caps, also when the bra is kept
     return _kept(model, ("primary bra", r), lambda: _bra(entries))
 
 
