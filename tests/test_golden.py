@@ -64,6 +64,9 @@ COMMAND_CASES = {
     # 1,920-image orbits through the Verlinde oracle: the rings benchmark's fuse call
     "D5_k1_fuse_oracle.jsonl": (["fuse", "D5", "--k", "1", "--mu", "1,0,0,0,0", "--nu",
                                  "0,0,0,1,0", "--oracle", "--format", "json"], 0),
+    # three 51,840-image orbits of E6 through the Verlinde oracle
+    "E6_k1_fuse_oracle.jsonl": (["fuse", "E6", "--k", "1", "--mu", "1,0,0,0,0,0", "--nu",
+                                 "0,0,0,0,1,0", "--oracle", "--format", "json"], 0),
     "G2_kinf_fuse.txt": (["fuse", "G2", "--k", "inf", "--mu", "1,0", "--nu", "0,1",
                           "--format", "text"], 0),
 }
