@@ -11,11 +11,12 @@ lam^T (D G) mu / D with D G integral (integer_gram, pairing_numerator).
 
 signed_orbit is the one orbit enumerator: a level-by-level walk from the
 dominant conjugate that returns every image once, its sign (-1)^w and the
-order of the stabiliser.  No float enters any exact decision: wall
-detection (a zero label of the dominant conjugate) has to be exact.  The one
-float pairing, G u against integer labels (_generic_pairing_vector), lives
-here too, so that characters and theta sums share it without loading each
-other.
+order of the stabiliser.  A regular orbit replays the walk program of rho,
+each image's parent and simple reflection, kept per algebra.  No float
+enters any exact decision: wall detection (a zero label of the dominant
+conjugate) has to be exact.  The one float pairing, G u against integer
+labels (_generic_pairing_vector), lives here too, so that characters and
+theta sums share it without loading each other.
 """
 
 from __future__ import annotations
@@ -338,19 +339,34 @@ def signed_orbit(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
 
 @lru_cache(maxsize=4096)
 def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
-    # Level walk from the dominant conjugate: s_i at a positive label
-    # lengthens the shortest element by one, so levels are disjoint and each
-    # is deduplicated on its own, first occurrence in (parent, i) order (a
-    # dict keeps a key where it was first set).  s_i subtracts c alpha_i,
-    # formed once per (i, c) in this walk.
     dominant, sign = _reduce(spec, lam)
+    images, ends = (_walk if 0 in dominant else _replay)(spec, dominant)
+    signs, start = [], 0
+    for end in ends:
+        signs += [sign] * (end - start)
+        start, sign = end, -sign
+    stabiliser, remainder = divmod(spec.weyl_order, len(images))
+    if remainder:
+        raise InvariantViolation(f"orbit of {lam} in {spec} has {len(images)} images, "
+                                 f"which does not divide |W| = {spec.weyl_order}")
+    return SignedOrbit(tuple(images), tuple(signs), stabiliser)
+
+
+def _walk(spec: AlgebraSpec, dominant: Weight):
+    """(images, level ends) of the level walk from a dominant weight: level j
+    is images[ends[j - 1]:ends[j]].
+
+    s_i at a positive label lengthens the shortest element by one, so levels
+    are disjoint and each is deduplicated on its own, first occurrence in
+    (parent, i) order (a dict keeps a key where it was first set).  s_i
+    subtracts c alpha_i, formed once per (i, c) in this walk."""
     cartan = spec.cartan
     steps = {}
-    images, signs = [], []
+    images, ends = [], []
     level = [dominant]
     while level:
         images += level
-        signs += [sign] * len(level)
+        ends.append(len(images))
         reflected = {}
         for weight in level:
             for i, c in enumerate(weight):
@@ -360,12 +376,59 @@ def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
                         step = steps[i, c] = [c * a for a in cartan[i]]
                     reflected[tuple(map(sub, weight, step))] = None
         level = list(reflected)
-        sign = -sign
-    stabiliser, remainder = divmod(spec.weyl_order, len(images))
-    if remainder:
-        raise InvariantViolation(f"orbit of {lam} in {spec} has {len(images)} images, "
-                                 f"which does not divide |W| = {spec.weyl_order}")
-    return SignedOrbit(tuple(images), tuple(signs), stabiliser)
+    return images, ends
+
+
+@lru_cache(maxsize=8)
+def _walk_program(spec: AlgebraSpec) -> tuple:
+    """(parents, generators, level ends) of the level walk from rho, which
+    records the first (parent, i) reaching each image: image n > 0 is s_i of
+    image p, p = parents[n - 1] and i = generators[n - 1].
+
+    From a regular dominant weight lam, s_i lengthens w exactly when label
+    i of w lam is positive, and distinct w give distinct w lam, so the
+    walk's (parent, i) sequence is the same for every such lam (Bjorner-
+    Brenti, Combinatorics of Coxeter Groups, 1.6); _replay reads it."""
+    from array import array  # loaded by the first regular orbit, not at CLI start-up
+
+    cartan, rank = spec.cartan, spec.rank
+    steps = {}
+    images, moves, ends, start = [spec.rho], [], [1], 0
+    while start < len(images):
+        reflected = {}
+        for n in range(start, len(images)):
+            weight = images[n]
+            for i, c in enumerate(weight):
+                if c > 0:
+                    step = steps.get((i, c))
+                    if step is None:
+                        step = steps[i, c] = [c * a for a in cartan[i]]
+                    reflected.setdefault(tuple(map(sub, weight, step)), n * rank + i)
+        start = len(images)
+        images += reflected
+        moves += reflected.values()
+        ends.append(len(images))
+    return (array("I", [m // rank for m in moves]), array("B", [m % rank for m in moves]),
+            tuple(ends[:-1]))
+
+
+def _replay(spec: AlgebraSpec, dominant: Weight):
+    """(images, level ends) of the level walk from a regular dominant weight,
+    from the walk program: each image is its parent minus c alpha_i, c the
+    parent's label i, with no label scan and no deduplication."""
+    parents, generators, ends = _walk_program(spec)
+    cartan = spec.cartan
+    steps = [{} for _ in cartan]
+    images = [dominant]
+    append = images.append
+    for p, i in zip(parents, generators):
+        parent = images[p]
+        c = parent[i]
+        step = steps[i].get(c)
+        if step is None:
+            step = steps[i][c] = [c * a for a in cartan[i]]
+        append(tuple(map(sub, parent, step)))
+    return images, ends
 
 
 def positive_roots(spec: AlgebraSpec):

@@ -683,25 +683,55 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
     return value
 
 
+def _primary_real(model: GaussianModel, r: Weight) -> dict:
+    """The nonzero amplitudes of psi_r as floats, kept per model: psi_r is
+    real by construction (signs times one amplitude), so this is its ket
+    and its bra at once."""
+    entries = _primary_entries(model, r)  # checks the caps, also when these are kept
+    return _kept(model, ("primary real", r),
+                 lambda: dict(zip(entries, map(_REAL, entries.values()))))
+
+
+def _real_image(operator: LatticeOperator, entries: dict) -> list:
+    """The real part of operator._image(entries), for an operator of pure
+    shifts with real coefficients on a real state: the same products and
+    sums, term by term, in floats."""
+    out = [0.0] * operator.model.cover_size
+    positions = list(entries)
+    amplitudes = list(entries.values())
+    for n, (coeff, shifts, _) in enumerate(operator._maps()):
+        values = amplitudes if coeff == 1 else map(coeff.real.__mul__, amplitudes)
+        targets = positions if shifts is None else map(shifts.__getitem__, positions)
+        if n == 0:  # a permutation of positions: the first term is written
+            deque(map(out.__setitem__, targets, values), maxlen=0)
+        else:
+            for target, value in zip(targets, values):
+                out[target] += value
+    return out
+
+
 def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:
     """One fusion table per nu in nus: apply O_mu to each primary psi_nu and
     expand the image over the orthonormal primaries, guarding integrality.
-    Memory is one image at a time, not one per integrable weight."""
+    Memory is one image at a time, not one per integrable weight.
+
+    O_mu is pure shifts with integer multiplicities and every psi is real,
+    so the image and each coefficient <psi_iota | O_mu psi_nu> are formed
+    in floats: one math.fsum of the products with the real bra."""
     spec = model.spec
     nus = [tuple(nu) for nu in nus]
     require_integrable(spec, model.k, mu, *nus)
     weights = level_k_weights(spec, model.k)
     operator = wilson_operator(model, tuple(mu))
-    sources = [_primary_entries(model, nu) for nu in nus]
-    bras = [_primary_bra(model, iota) for iota in weights]
+    sources = [_primary_real(model, nu) for nu in nus]
+    bras = [_primary_real(model, iota) for iota in weights]
     tables = []
     for source in sources:
-        image = operator._image(source)
+        image = _real_image(operator, source)
         table = {}
         for iota, bra in zip(weights, bras):
-            # the coefficient <psi_iota | O_mu psi_nu>
-            coefficient = _inner(bra, image)
-            nearest = round(coefficient.real)
+            coefficient = math.fsum(map(mul, bra.values(), map(image.__getitem__, bra)))
+            nearest = round(coefficient)
             if abs(coefficient - nearest) > 1e-8:
                 raise OracleMismatchError(
                     f"operator expansion coefficient {coefficient} at iota={iota} "

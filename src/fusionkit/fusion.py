@@ -213,16 +213,23 @@ def _s_matrix(spec: AlgebraSpec, k: int):
     sign is the kernel's phase at the point -(beta+rho).  Any overall scalar
     drops out of the Verlinde ratio, so rows are normalized numerically
     instead of carrying the closed-form lattice-volume prefactor.
+
+    The sums are symmetric bit for bit: w -> w^-1 maps the (residue, sign)
+    terms of entry (alpha, beta) onto those of (beta, alpha), and the phase
+    kernel counts terms per residue and adds with math.fsum, in any order.
+    So row alpha is summed at the points beta >= alpha only, and the rest
+    is mirrored from the rows above before the row is normalized.
     """
     from .characters import phase_kernel, phase_sums
 
     weights = level_k_weights(spec, k)
     kernel = phase_kernel(spec.quad_form, k + spec.dual_coxeter)
     points = [tuple(-b - 1 for b in beta) for beta in weights]
-    rows = []
-    for alpha in weights:
+    sums, rows = [], []
+    for n, alpha in enumerate(weights):
         images, signs, _ = signed_orbit(spec, tuple(a + 1 for a in alpha))
-        row = phase_sums(kernel, images, signs, points)
+        row = [above[n] for above in sums] + phase_sums(kernel, images, signs, points[n:])
+        sums.append(row)
         norm = math.hypot(*(part for x in row for part in (x.real, x.imag)))
         rows.append(tuple(x / norm for x in row))
     return tuple(weights), tuple(rows)

@@ -26,7 +26,7 @@ from fusionkit.csmodel import (
     shift_op,
     wilson_operator,
 )
-from fusionkit.errors import CapExceeded, Caps, use_caps
+from fusionkit.errors import CapExceeded, Caps, OracleMismatchError, use_caps
 from fusionkit.fusion import fuse_level_k, level_k_weights, verlinde_table
 
 import csmodel_oracle as oracle
@@ -430,6 +430,60 @@ def test_three_way_fusion_agreement(spec, kmax):
                 operator_table = operator_fusion_rows(model, mu, [nu])[0]
                 assert operator_table == fuse_level_k(spec, mu, nu, k)
                 assert operator_table == verlinde_table(spec, mu, nu, k)
+
+
+def complex_expansion_rows(model, mu, nus) -> list:
+    """operator_fusion_rows in complex arithmetic: the image of psi_nu by
+    LatticeOperator._image and each coefficient by csmodel._inner against
+    the complex bra <psi_iota|, with the same integrality guard."""
+    weights = level_k_weights(model.spec, model.k)
+    operator = wilson_operator(model, mu)
+    bras = [csmodel._bra(csmodel._primary_entries(model, iota)) for iota in weights]
+    tables = []
+    for nu in nus:
+        image = operator._image(csmodel._primary_entries(model, nu))
+        table = {}
+        for iota, bra in zip(weights, bras):
+            coefficient = csmodel._inner(bra, image)
+            nearest = round(coefficient.real)
+            if abs(coefficient - nearest) > 1e-8:
+                raise OracleMismatchError(f"coefficient {coefficient} at iota={iota}")
+            if nearest:
+                table[iota] = nearest
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("series,rank,k", MODELS)
+def test_real_expansion_equals_the_complex_expansion(series, rank, k):
+    model = build_model(build_algebra(series, rank), k)
+    weights = level_k_weights(model.spec, k)
+    for mu in weights:
+        assert operator_fusion_rows(model, mu, weights) == complex_expansion_rows(
+            model, mu, weights)
+
+
+def test_perturbed_primary_amplitude_raises(tmp_path, cold_caches, monkeypatch, capsys):
+    """psi_(1,0) with one amplitude raised by a tenth: the real expansion
+    leaves the integers, and verify A2 --k 4 --suite csmodel exits 3 on it."""
+    model = build_model(A2, 4)
+    entries = csmodel._primary_entries
+
+    def bent(model, r):
+        true = entries(model, r)
+        if r != (1, 0):
+            return true
+        first = next(iter(true))
+        return {**true, first: 1.1 * true[first]}
+
+    monkeypatch.setattr(csmodel, "_primary_entries", bent)
+    with pytest.raises(OracleMismatchError):
+        complex_expansion_rows(model, (1, 0), [(0, 0)])
+    with pytest.raises(OracleMismatchError, match="operator expansion coefficient"):
+        operator_fusion_rows(model, (1, 0), [(0, 0)])
+    csmodel._state_cache.cache_clear()
+    assert csmodel_suite(tmp_path)[0] == 3
+    assert "verification failure: operator expansion coefficient" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("series,rank,k", [("A", 1, 4), ("A", 2, 3), ("G", 2, 2)])

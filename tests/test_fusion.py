@@ -1,12 +1,14 @@
 """Tensor products, alcove folding, and the Verlinde oracle."""
 
+import math
 import re
 from itertools import product
 
 import pytest
 
 from fusionkit import fusion
-from fusionkit.algebra import build_algebra
+from fusionkit.algebra import build_algebra, signed_orbit
+from fusionkit.characters import phase_kernel, phase_sums
 from fusionkit.errors import CapExceeded, Caps, InvariantViolation, OracleMismatchError, use_caps
 from fusionkit.fusion import (
     _shifted_terms,
@@ -183,6 +185,36 @@ def test_perturbed_s_row_raises_through_the_rows(monkeypatch, capsys):
         fusion.verlinde_rows(A2, mu, weights, k)
     assert cli.main(["fuse", "A2", "--k", "2", "--mu", "1,0", "--nu", "0,1", "--oracle"]) == 3
     assert "verification failure: Verlinde ratio" in capsys.readouterr().err
+
+
+def full_row_s_matrix(spec, k):
+    """The S matrix as it was first built: every row summed at every point
+    by the phase kernel of G, then normalized by its hypot."""
+    weights = level_k_weights(spec, k)
+    kernel = phase_kernel(spec.quad_form, k + spec.dual_coxeter)
+    points = [tuple(-b - 1 for b in beta) for beta in weights]
+    rows = []
+    for alpha in weights:
+        images, signs, _ = signed_orbit(spec, tuple(a + 1 for a in alpha))
+        row = phase_sums(kernel, images, signs, points)
+        norm = math.hypot(*(part for x in row for part in (x.real, x.imag)))
+        rows.append(tuple(x / norm for x in row))
+    return tuple(weights), tuple(rows)
+
+
+def s_bits(matrix):
+    weights, rows = matrix
+    return weights, [[(x.real.hex(), x.imag.hex()) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("name,k", [("A1", 6), ("A2", 4), ("A3", 2), ("B2", 2), ("B3", 2),
+                                    ("C3", 1), ("D4", 2), ("F4", 1), ("G2", 3), ("D5", 1)])
+def test_s_matrix_from_its_upper_triangle_equals_full_rows(name, k):
+    """Mirroring the entries below the diagonal changes no bit, signed zeros
+    included, of the normalized rows."""
+    spec = build_algebra(name[0], int(name[1:]))
+    fusion._s_matrix.cache_clear()
+    assert s_bits(fusion._s_matrix(spec, k)) == s_bits(full_row_s_matrix(spec, k))
 
 
 #: (algebra, highest level) beyond A1 and A2, one per remaining series

@@ -1,10 +1,13 @@
 """Property tests of the signed-orbit walk against the breadth-first oracle
 and the reflection words of tests/weyl_oracle.py."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusionkit import algebra, characters, fusion
 from fusionkit.algebra import (
     build_algebra,
     dominant_conjugate,
@@ -15,12 +18,26 @@ from fusionkit.characters import alternating_sums
 from fusionkit.errors import InvariantViolation
 from fusionkit.fusion import level_k_weights
 
-from weyl_oracle import apply_word, simple_reflection, weyl_elements, weyl_orbit
+from weyl_oracle import apply_word, level_walk, weyl_elements, weyl_orbit
 
 ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
             ("D", 4), ("G", 2), ("F", 4)]
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@pytest.fixture
+def cold_orbits():
+    """Every store an orbit walk feeds, emptied before and after: the orbits,
+    the walk programs they replay, and the residue rows and S matrices read
+    from them."""
+    stores = (algebra._signed_orbit_cached, algebra._walk_program,
+              characters._orbit_rows, fusion._s_matrix)
+    for store in stores:
+        store.cache_clear()
+    yield
+    for store in stores:
+        store.cache_clear()
 
 
 def labels(rank, low=-4, high=4):
@@ -91,26 +108,6 @@ def test_wall_terms_leave_alternating_sums_unchanged(series, rank, data):
                           np.zeros(len(gammas), dtype=complex))
 
 
-def level_walk(spec, lam):
-    """(images, signs) of the level walk with each reflection formed in place:
-    from the dominant conjugate and its parity, level by level, each level
-    the first occurrences of s_i w over w in the level and i with a positive
-    label of w, in that order."""
-    dominant, sign = tuple(lam), 1
-    while min(dominant) < 0:  # reflect at the lowest-index negative label
-        i = next(i for i, label in enumerate(dominant) if label < 0)
-        dominant, sign = simple_reflection(spec, i + 1, dominant), -sign
-    images, signs, level = [], [], [dominant]
-    while level:
-        images += level
-        signs += [sign] * len(level)
-        level = list(dict.fromkeys(
-            tuple(l - c * a for l, a in zip(weight, spec.cartan[i]))
-            for weight in level for i, c in enumerate(weight) if c > 0))
-        sign = -sign
-    return list(zip(images, signs))
-
-
 #: (algebra, start) pinned to the level walk: the D5 level-1 orbits that
 #: fuse D5 --k 1 --oracle sums (mu + rho for each integrable mu), B3 wall
 #: weights, and starts outside the dominant chamber, on a wall and off it
@@ -126,13 +123,12 @@ def test_walk_order_is_pinned(name, lam):
     the breadth-first oracle's."""
     spec = build_algebra(name[0], int(name[1:]))
     orbit = signed_orbit(spec, lam)
-    pinned = level_walk(spec, lam)
-    assert walked(spec, lam) == pinned
-    assert orbit.stabiliser * len(pinned) == spec.weyl_order
+    images, signs, stabiliser = level_walk(spec, lam)
+    assert orbit == (images, signs, stabiliser)
     assert orbit.stabiliser == sum(apply_word(spec, word, lam) == tuple(lam)
                                    for word in weyl_elements(spec))
     if min(lam) > 0:
-        assert pinned == weyl_orbit(spec, lam)
+        assert list(zip(images, signs)) == weyl_orbit(spec, lam)
 
 
 def test_d5_level_one_orbits_are_pinned():
@@ -142,9 +138,10 @@ def test_d5_level_one_orbits_are_pinned():
     assert starts == {tuple(a + 1 for a in mu) for mu in level_k_weights(spec, 1)}
 
 
-def test_e6_rho_matches_oracle():
+def test_e6_rho_matches_oracle(cold_orbits):
     spec = build_algebra("E", 6)
     assert walked(spec, spec.rho) == weyl_orbit(spec, spec.rho)
+    assert signed_orbit(spec, spec.rho) == level_walk(spec, spec.rho)
     assert signed_orbit(spec, spec.rho).stabiliser == 1
 
 
@@ -152,3 +149,68 @@ def test_orbit_size_must_divide_weyl_order():
     forged = build_algebra("A", 2)._replace(weyl_order=7)
     with pytest.raises(InvariantViolation):
         signed_orbit(forged, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# replay of the walk program against the level walk of tests/weyl_oracle.py
+
+REPLAY_ALGEBRAS = ALGEBRAS + [("D", 5)]
+
+
+def regular_starts(spec):
+    """mu + rho for every dominant mu of level <= 3: the regular dominant
+    weights whose orbits the S matrix sums up to k = 3."""
+    return [tuple(a + 1 for a in mu) for mu in level_k_weights(spec, 3)]
+
+
+def assert_replays(spec, starts):
+    for lam in starts:
+        assert signed_orbit(spec, lam) == level_walk(spec, lam), lam
+
+
+@pytest.mark.parametrize("series,rank", REPLAY_ALGEBRAS)
+def test_replay_equals_the_level_walk(series, rank, cold_orbits, monkeypatch):
+    """Images, order, signs and stabiliser of every regular orbit are the
+    level walk's; each is replayed from the one program of the algebra, and
+    none is walked."""
+    spec = build_algebra(series, rank)
+    walked_from = []
+    walk = algebra._walk
+    monkeypatch.setattr(algebra, "_walk", lambda spec, lam: walked_from.append(lam)
+                        or walk(spec, lam))
+    assert_replays(spec, regular_starts(spec))
+    assert walked_from == []
+    assert algebra._walk_program.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("series,rank", REPLAY_ALGEBRAS)
+def test_replay_from_non_dominant_starts(series, rank, cold_orbits):
+    """Starts outside the dominant chamber whose dominant conjugate is
+    regular: the replay starts from the conjugate with the reduction's
+    parity."""
+    spec = build_algebra(series, rank)
+    starts = []
+    for lam in regular_starts(spec)[:6]:
+        images, _, _ = level_walk(spec, lam)
+        starts += images[1::max(1, len(images) // 5)]
+    assert all(min(lam) < 0 for lam in starts)
+    assert_replays(spec, starts)
+
+
+@pytest.mark.parametrize("mutant", ["parent", "generator"])
+def test_replay_mutants_fail(mutant, cold_orbits, monkeypatch):
+    """A walk program with one wrong parent or one wrong generator, on the
+    third level of D5, gives orbits that differ from the level walk."""
+    spec = build_algebra("D", 5)
+    parents, generators, ends = algebra._walk_program(spec)
+    n = ends[2]  # the first image of the fourth level, 0-based in parents
+    parents, generators = array("I", parents), array("B", generators)
+    if mutant == "parent":
+        parents[n - 1] = parents[n - 1] + 1 if parents[n - 1] + 1 < ends[2] else ends[1]
+    else:
+        generators[n - 1] = (generators[n - 1] + 1) % spec.rank
+    monkeypatch.setattr(algebra, "_walk_program", lambda spec: (parents, generators, ends))
+    algebra._signed_orbit_cached.cache_clear()
+    for lam in regular_starts(spec):
+        with pytest.raises(AssertionError):
+            assert_replays(spec, [lam])

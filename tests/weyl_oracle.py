@@ -1,14 +1,17 @@
 """Independent Weyl-group oracles for the tests: one simple reflection with
 its range check, a breadth-first signed orbit over (weight, sign) pairs, the
-group as reduced reflection words, and det C.
+level walk that signed_orbit replays, the group as reduced reflection words,
+and det C.
 
 They share nothing with algebra.signed_orbit, so the level walk is checked
-against a different enumeration.  Test modules import this file as a plain
-module (``from weyl_oracle import ...``); pytest puts the tests directory on
+against a different enumeration, and the walk-program replay against the
+walk itself.  Test modules import this file as a plain module
+(``from weyl_oracle import ...``); pytest puts the tests directory on
 sys.path.
 """
 
 from functools import lru_cache
+from operator import sub
 
 from fusionkit.algebra import AlgebraSpec, Weight, _gauss_jordan
 from fusionkit.errors import InvariantViolation, check_cap
@@ -57,6 +60,39 @@ def weyl_orbit(spec: AlgebraSpec, lam: Weight):
                     nxt.append(image)
         frontier = nxt
     return order
+
+
+def level_walk(spec: AlgebraSpec, lam: Weight):
+    """(images, signs, stabiliser) of the level walk from the dominant
+    conjugate of lam, reached by reflecting at the lowest-index negative
+    label: level by level, each level the first occurrences of s_i w over w
+    in the previous level and i with a positive label of w, in that order,
+    with s_i subtracting c alpha_i formed once per (i, c)."""
+    dominant, sign = tuple(lam), 1
+    while min(dominant) < 0:
+        i = next(i for i, label in enumerate(dominant) if label < 0)
+        dominant, sign = simple_reflection(spec, i + 1, dominant), -sign
+    cartan = spec.cartan
+    steps = {}
+    images, signs = [], []
+    level = [dominant]
+    while level:
+        images += level
+        signs += [sign] * len(level)
+        reflected = {}
+        for weight in level:
+            for i, c in enumerate(weight):
+                if c > 0:
+                    step = steps.get((i, c))
+                    if step is None:
+                        step = steps[i, c] = [c * a for a in cartan[i]]
+                    reflected[tuple(map(sub, weight, step))] = None
+        level = list(reflected)
+        sign = -sign
+    stabiliser, remainder = divmod(spec.weyl_order, len(images))
+    if remainder:
+        raise InvariantViolation(f"level walk of {lam} found {len(images)} images")
+    return tuple(images), tuple(signs), stabiliser
 
 
 def weyl_elements(spec: AlgebraSpec):
