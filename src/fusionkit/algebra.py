@@ -11,12 +11,12 @@ lam^T (D G) mu / D with D G integral (integer_gram, pairing_numerator).
 
 signed_orbit is the one orbit enumerator: a level-by-level walk from the
 dominant conjugate that returns every image once, its sign (-1)^w and the
-order of the stabiliser.  A regular orbit replays the walk program of rho,
-each image's parent and simple reflection, kept per algebra.  No float
-enters any exact decision: wall detection (a zero label of the dominant
-conjugate) has to be exact.  The one float pairing, G u against integer
-labels (_generic_pairing_vector), lives here too, so that characters and
-theta sums share it without loading each other.
+order of the stabiliser.  A regular orbit replays the walk program (each
+image's parent and simple reflection) of the first regular orbit walked in
+its algebra.  No float enters any exact decision: wall detection (a zero
+label of the dominant conjugate) has to be exact.  The one float pairing,
+G u against integer labels (_generic_pairing_vector), lives here too, so
+that characters and theta sums share it without loading each other.
 """
 
 from __future__ import annotations
@@ -340,7 +340,13 @@ def signed_orbit(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
 @lru_cache(maxsize=4096)
 def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
     dominant, sign = _reduce(spec, lam)
-    images, ends = (_walk if 0 in dominant else _replay)(spec, dominant)
+    program = None if 0 in dominant else _walk_programs.get(spec)
+    if program is None:
+        images, ends, moves = _walk(spec, dominant)
+        if 0 not in dominant:
+            _keep_program(spec, moves, ends)
+    else:
+        images, ends = _replay(spec, dominant, *program[:2]), program[2]
     signs, start = [], 0
     for end in ends:
         signs += [sign] * (end - start)
@@ -353,51 +359,23 @@ def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
 
 
 def _walk(spec: AlgebraSpec, dominant: Weight):
-    """(images, level ends) of the level walk from a dominant weight: level j
-    is images[ends[j - 1]:ends[j]].
+    """(images, level ends, moves) of the level walk from a dominant weight:
+    level j is images[ends[j - 1]:ends[j]], and image n > 0 is first reached
+    as s_i of image p, moves[n - 1] = p * rank + i.
 
     s_i at a positive label lengthens the shortest element by one, so levels
     are disjoint and each is deduplicated on its own, first occurrence in
     (parent, i) order (a dict keeps a key where it was first set).  s_i
     subtracts c alpha_i, formed once per (i, c) in this walk."""
-    cartan = spec.cartan
+    cartan, rank = spec.cartan, spec.rank
     steps = {}
-    images, ends = [], []
-    level = [dominant]
+    images, ends, moves = [], [], []
+    level, start = [dominant], 0
     while level:
         images += level
         ends.append(len(images))
         reflected = {}
-        for weight in level:
-            for i, c in enumerate(weight):
-                if c > 0:
-                    step = steps.get((i, c))
-                    if step is None:
-                        step = steps[i, c] = [c * a for a in cartan[i]]
-                    reflected[tuple(map(sub, weight, step))] = None
-        level = list(reflected)
-    return images, ends
-
-
-@lru_cache(maxsize=8)
-def _walk_program(spec: AlgebraSpec) -> tuple:
-    """(parents, generators, level ends) of the level walk from rho, which
-    records the first (parent, i) reaching each image: image n > 0 is s_i of
-    image p, p = parents[n - 1] and i = generators[n - 1].
-
-    From a regular dominant weight lam, s_i lengthens w exactly when label
-    i of w lam is positive, and distinct w give distinct w lam, so the
-    walk's (parent, i) sequence is the same for every such lam (Bjorner-
-    Brenti, Combinatorics of Coxeter Groups, 1.6); _replay reads it."""
-    from array import array  # loaded by the first regular orbit, not at CLI start-up
-
-    cartan, rank = spec.cartan, spec.rank
-    steps = {}
-    images, moves, ends, start = [spec.rho], [], [1], 0
-    while start < len(images):
-        reflected = {}
-        for n in range(start, len(images)):
-            weight = images[n]
+        for n, weight in enumerate(level, start):
             for i, c in enumerate(weight):
                 if c > 0:
                     step = steps.get((i, c))
@@ -405,18 +383,38 @@ def _walk_program(spec: AlgebraSpec) -> tuple:
                         step = steps[i, c] = [c * a for a in cartan[i]]
                     reflected.setdefault(tuple(map(sub, weight, step)), n * rank + i)
         start = len(images)
-        images += reflected
         moves += reflected.values()
-        ends.append(len(images))
-    return (array("I", [m // rank for m in moves]), array("B", [m % rank for m in moves]),
-            tuple(ends[:-1]))
+        level = list(reflected)
+    return images, ends, moves
 
 
-def _replay(spec: AlgebraSpec, dominant: Weight):
-    """(images, level ends) of the level walk from a regular dominant weight,
-    from the walk program: each image is its parent minus c alpha_i, c the
-    parent's label i, with no label scan and no deduplication."""
-    parents, generators, ends = _walk_program(spec)
+#: spec -> (parents, generators, level ends), the walk program of the first
+#: regular orbit walked; at most _WALK_PROGRAMS algebras, the oldest dropped
+_walk_programs = {}
+_WALK_PROGRAMS = 8
+
+
+def _keep_program(spec: AlgebraSpec, moves: list, ends: list) -> None:
+    """Keep the moves of a regular walk as its program: parents in
+    array('I') and generators in array('B'), about 15 MB for E7.
+
+    From a regular dominant weight lam, s_i lengthens w exactly when label
+    i of w lam is positive, and distinct w give distinct w lam, so the
+    walk's (parent, i) sequence is the same for every such lam (Bjorner-
+    Brenti, Combinatorics of Coxeter Groups, 1.6); _replay reads it."""
+    from array import array  # loaded by the first regular orbit, not at CLI start-up
+
+    rank = spec.rank
+    if len(_walk_programs) >= _WALK_PROGRAMS:
+        del _walk_programs[next(iter(_walk_programs))]
+    _walk_programs[spec] = (array("I", [m // rank for m in moves]),
+                            array("B", [m % rank for m in moves]), tuple(ends))
+
+
+def _replay(spec: AlgebraSpec, dominant: Weight, parents, generators) -> list:
+    """The images of the level walk from a regular dominant weight, from the
+    walk program: each image is its parent minus c alpha_i, c the parent's
+    label i, with no label scan and no deduplication."""
     cartan = spec.cartan
     steps = [{} for _ in cartan]
     images = [dominant]
@@ -428,7 +426,7 @@ def _replay(spec: AlgebraSpec, dominant: Weight):
         if step is None:
             step = steps[i][c] = [c * a for a in cartan[i]]
         append(tuple(map(sub, parent, step)))
-    return images, ends
+    return images
 
 
 def positive_roots(spec: AlgebraSpec):

@@ -436,19 +436,13 @@ def _primary_entries(model: GaussianModel, r: Weight) -> dict:
     return _kept(model, ("primary", r), build)
 
 
-def _primary_bra(model: GaussianModel, r: Weight) -> dict:
-    """<psi_r| over the nonzero amplitudes of psi_r, kept per model."""
-    entries = _primary_entries(model, r)  # checks the caps, also when the bra is kept
-    return _kept(model, ("primary bra", r), lambda: _bra(entries))
-
-
 def primary_overlaps(model: GaussianModel, weights):
     """(r, s, <psi_r|psi_s>) for every ordered pair of weights, r outer,
     over the kept nonzero amplitudes of each psi_r."""
     weights = [tuple(r) for r in weights]
     states = [primary_state(model, s) for s in weights]
     for r in weights:
-        bra = _primary_bra(model, r)
+        bra = _bra(_primary_entries(model, r))
         for s, psi_s in zip(weights, states):
             yield r, s, _inner(bra, psi_s)
 

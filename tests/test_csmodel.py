@@ -573,8 +573,8 @@ def test_multi_term_operators_go_through_the_image(monkeypatch):
 
 
 def test_primary_overlaps_equal_the_inner_products_of_the_states():
-    """The kept bras give every <psi_r|psi_s> of the dense primaries, bit for
-    bit, r outer and s inner."""
+    """The bras of the kept primaries give every <psi_r|psi_s> of the dense
+    primaries, bit for bit, r outer and s inner."""
     model = build_model(A2, 3)
     weights = level_k_weights(A2, 3)
     states = [primary_state(model, r) for r in weights]
