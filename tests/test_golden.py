@@ -37,6 +37,9 @@ CASES = {
     "A2_k5_csmodel": (["A2", "--k", "5", "--suite", "csmodel"], 0),
     # the csmodel invocation of the rings benchmark, at seed 0
     "A2_k4_csmodel": (["A2", "--k", "4", "--suite", "csmodel"], 0),
+    # rank 3, halves in the quadratic form, a 1,000-state cover and a
+    # non-unitary S: the non-simply-laced branch of check_s_conjugation
+    "C3_k1_csmodel": (["C3", "--k", "1", "--suite", "csmodel"], 0),
     "A1_kinf_identity": (["A1", "--k", "inf", "--suite", "identity"], 0),
     "A2_kinf_identity": (["A2", "--k", "inf", "--suite", "identity"], 0),
     # quadratic forms with thirds and with halves: the non-simply-laced generic cases
