@@ -221,10 +221,13 @@ def phase_sums(kernel: PhaseKernel, weights, coeffs, points) -> list:
     (point, residue) as exact integers; the one floating-point step is one
     math.fsum of count * root per part (_direct_sums)."""
     rank, period = len(kernel.matrix), kernel.period
-    weights, coeffs = list(weights), list(map(int, coeffs))
+    weights, given = list(weights), list(coeffs)
+    coeffs = list(map(int, given))
     points = _point_tuple(points, rank)
     if len(coeffs) != len(weights):
         raise ValueError("one coefficient per weight is required")
+    if coeffs != given:
+        raise ValueError("phase_sums coefficients must be integers")
     _require_exact_counts(max(map(abs, coeffs), default=0), len(coeffs))
     return list(_direct_sums(kernel, weights, coeffs, [
         [sum(map(mul, row, gamma)) % period for row in kernel.matrix] for gamma in points

@@ -14,13 +14,15 @@ plain index permutations that way.  For A1 the radical is trivial and the
 model is literally Z_L with L = 2(k+2); at k=2 the clock eigenvalues are the
 8th roots of unity.
 
-A state is a flat row-major tuple of the L^rank complex amplitudes of the
-array; operators take one state or a list of states.  The coroot labels are
-algebra's.  Operators are applied lazily as sums of phase/shift monomials
-with integer phase exponents mod L, read from the shared table
-characters.roots_of_unity, so operator identities hold to rounding error;
-they, the inner products and the primary states touch only nonzero
-amplitudes.  The Fourier operator is a separable discrete Fourier transform
+A state is a flat row-major tuple of the L^rank amplitudes of the array:
+floats for basis and primary states, which are real (signs times one
+amplitude, averaged over the radical), complex after a phase, a complex
+coefficient or the Fourier operator.  Operators take one state or a list
+of states.  The coroot labels are algebra's.  Operators are applied lazily
+as sums of phase/shift monomials with integer phase exponents mod L, read
+from the shared table characters.roots_of_unity, so operator identities
+hold to rounding error; they, the inner products and the primary states
+touch only nonzero amplitudes.  The Fourier operator is a separable discrete Fourier transform
 over the rank axes followed by a gather at B v mod L, below a hard size cap.
 """
 
@@ -41,6 +43,7 @@ from .algebra import (
     _coroot_labels,
     _gauss_jordan,
     cartan_inverse,
+    require_rank,
     signed_orbit,
 )
 from .characters import VarietyPoint, eval_D, roots_of_unity
@@ -169,7 +172,7 @@ def _array_index(model: GaussianModel, position: int) -> tuple:
 
 def _dense(model: GaussianModel, entries: dict) -> tuple:
     """The state whose nonzero amplitudes are ``entries`` (position -> value)."""
-    state = [0j] * model.cover_size
+    state = [0.0] * model.cover_size
     for position, value in entries.items():
         state[position] = value
     return tuple(state)
@@ -181,14 +184,9 @@ def _entries(state) -> dict:
     return dict(zip(positions, map(state.__getitem__, positions)))
 
 
-def _bra(entries: dict) -> dict:
-    """<x| of the state with these nonzero amplitudes: position -> complex
-    conjugate of the amplitude."""
-    return dict(zip(entries, map(complex.conjugate, entries.values())))
-
-
 def _inner(bra: dict, ket) -> complex:
-    """<bra|ket>, with the real and imaginary parts of the products each
+    """<bra|ket> for the conjugated nonzero amplitudes ``bra`` (a real
+    state's own), with the real and imaginary parts of the products each
     summed by math.fsum."""
     products = list(map(mul, bra.values(), map(ket.__getitem__, bra)))
     return complex(math.fsum(map(_REAL, products)), math.fsum(map(_IMAG, products)))
@@ -196,7 +194,7 @@ def _inner(bra: dict, ket) -> complex:
 
 def inner_product(bra, ket) -> complex:
     """<bra|ket> of two states, over the nonzero amplitudes of bra."""
-    return _inner(_bra(_entries(bra)), ket)
+    return _inner({i: x.conjugate() for i, x in _entries(bra).items()}, ket)
 
 
 def _class_entries(model: GaussianModel, points, values) -> dict:
@@ -206,11 +204,12 @@ def _class_entries(model: GaussianModel, points, values) -> dict:
     for point, value in zip(points, values):
         for offset in model.radical:
             position = _flat(model, [x + t for x, t in zip(point, offset)])
-            entries[position] = entries.get(position, 0j) + value
+            entries[position] = entries.get(position, 0.0) + value
     return entries
 
 
 def _basis_entries(model: GaussianModel, v) -> dict:
+    require_rank(model.spec, v)
     return _class_entries(model, [tuple(int(x) for x in v)], [1.0 / math.sqrt(len(model.radical))])
 
 
@@ -251,17 +250,20 @@ class LatticeOperator:
     A monomial (coeff, shift, power) acts as
         |v>  ->  coeff * exp(2 pi i (power^T C^-1 v)/K) |v + shift>.
     Clock operators are pure powers, shift operators pure shifts; products
-    stay in this family up to exact root-of-unity scalars.  apply takes one
-    state or a list of them.
+    stay in this family up to exact root-of-unity scalars.  A real (int or
+    float) coefficient is kept as a float, any other as a complex.  apply
+    takes one state or a list of them.
     """
 
     def __init__(self, model: GaussianModel, terms):
         self.model = model
         period = model.period
-        self.terms = tuple(
-            (complex(c), tuple(int(x) % period for x in s), tuple(int(x) % period for x in p))
-            for c, s, p in terms
-        )
+        kept = []
+        for c, s, p in terms:
+            require_rank(model.spec, s, p)
+            kept.append((float(c) if isinstance(c, (int, float)) else complex(c),
+                         tuple(int(x) % period for x in s), tuple(int(x) % period for x in p)))
+        self.terms = tuple(kept)
         self._term_maps = None
 
     def apply(self, states):
@@ -283,8 +285,8 @@ class LatticeOperator:
 
     def _image(self, entries: dict) -> list:
         """The image of the state with these nonzero amplitudes, as a list,
-        accumulated term by term."""
-        out = [0j] * self.model.cover_size
+        accumulated term by term; it stays real unless a term or state is not."""
+        out = [0.0] * self.model.cover_size
         positions = list(entries)
         amplitudes = list(entries.values())
         for n, (coeff, shifts, phases) in enumerate(self._maps()):
@@ -292,7 +294,7 @@ class LatticeOperator:
             if phases is not None:
                 values = map(mul, values, map(phases.__getitem__, positions))
             if coeff != 1:
-                values = map(coeff.__mul__, values)
+                values = map(mul, repeat(coeff), values)
             targets = positions if shifts is None else map(shifts.__getitem__, positions)
             if n == 0:  # a permutation of positions: the first term is written
                 deque(map(out.__setitem__, targets, values), maxlen=0)
@@ -390,7 +392,7 @@ def check_clock_commutator(model: GaussianModel) -> float:
                 image = commutator._image(basis)
                 # off the support of the basis state and its image both sides are 0
                 support = set(basis).union(compress(range(len(image)), image))
-                residual = max(abs(image[i] - phase * basis.get(i, 0j)) for i in support)
+                residual = max(abs(image[i] - phase * basis.get(i, 0.0)) for i in support)
                 worst = max(worst, residual)
     return worst
 
@@ -438,11 +440,11 @@ def _primary_entries(model: GaussianModel, r: Weight) -> dict:
 
 def primary_overlaps(model: GaussianModel, weights):
     """(r, s, <psi_r|psi_s>) for every ordered pair of weights, r outer,
-    over the kept nonzero amplitudes of each psi_r."""
+    over the kept nonzero amplitudes of each psi_r, real and so its bra."""
     weights = [tuple(r) for r in weights]
     states = [primary_state(model, s) for s in weights]
     for r in weights:
-        bra = _bra(_primary_entries(model, r))
+        bra = _primary_entries(model, r)
         for s, psi_s in zip(weights, states):
             yield r, s, _inner(bra, psi_s)
 
@@ -660,10 +662,11 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
     evaluated at the matching variety point."""
     spec = model.spec
     mu = tuple(mu)
+    bra = _basis_entries(model, gamma)  # real, so its own bra
     psi = _primary_entries(model, mu)  # checks the caps, also when the image is kept
     image = _kept(model, ("S^-1 primary", mu),
                   lambda: s_operator(model).apply_inverse(_dense(model, psi)))
-    value = _inner(_bra(_basis_entries(model, gamma)), image)
+    value = _inner(bra, image)
     point = VarietyPoint(tuple(gamma), model.level_shifted)
     expected = (
         eval_D(spec, tuple(m + 1 for m in mu), point)
@@ -677,51 +680,23 @@ def character_as_inner_product(model: GaussianModel, gamma, mu: Weight) -> compl
     return value
 
 
-def _primary_real(model: GaussianModel, r: Weight) -> dict:
-    """The nonzero amplitudes of psi_r as floats, kept per model: psi_r is
-    real by construction (signs times one amplitude), so this is its ket
-    and its bra at once."""
-    entries = _primary_entries(model, r)  # checks the caps, also when these are kept
-    return _kept(model, ("primary real", r),
-                 lambda: dict(zip(entries, map(_REAL, entries.values()))))
-
-
-def _real_image(operator: LatticeOperator, entries: dict) -> list:
-    """The real part of operator._image(entries), for an operator of pure
-    shifts with real coefficients on a real state: the same products and
-    sums, term by term, in floats."""
-    out = [0.0] * operator.model.cover_size
-    positions = list(entries)
-    amplitudes = list(entries.values())
-    for n, (coeff, shifts, _) in enumerate(operator._maps()):
-        values = amplitudes if coeff == 1 else map(coeff.real.__mul__, amplitudes)
-        targets = positions if shifts is None else map(shifts.__getitem__, positions)
-        if n == 0:  # a permutation of positions: the first term is written
-            deque(map(out.__setitem__, targets, values), maxlen=0)
-        else:
-            for target, value in zip(targets, values):
-                out[target] += value
-    return out
-
-
 def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:
     """One fusion table per nu in nus: apply O_mu to each primary psi_nu and
     expand the image over the orthonormal primaries, guarding integrality.
     Memory is one image at a time, not one per integrable weight.
 
     O_mu is pure shifts with integer multiplicities and every psi is real,
-    so the image and each coefficient <psi_iota | O_mu psi_nu> are formed
-    in floats: one math.fsum of the products with the real bra."""
+    so the image and each coefficient <psi_iota | O_mu psi_nu> are floats:
+    one math.fsum of the products with the kept entries of psi_iota."""
     spec = model.spec
     nus = [tuple(nu) for nu in nus]
     require_integrable(spec, model.k, mu, *nus)
     weights = level_k_weights(spec, model.k)
     operator = wilson_operator(model, tuple(mu))
-    sources = [_primary_real(model, nu) for nu in nus]
-    bras = [_primary_real(model, iota) for iota in weights]
+    bras = [_primary_entries(model, iota) for iota in weights]
     tables = []
-    for source in sources:
-        image = _real_image(operator, source)
+    for nu in nus:
+        image = operator._image(_primary_entries(model, nu))
         table = {}
         for iota, bra in zip(weights, bras):
             coefficient = math.fsum(map(mul, bra.values(), map(image.__getitem__, bra)))

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -432,16 +433,23 @@ def test_three_way_fusion_agreement(spec, kmax):
                 assert operator_table == verlinde_table(spec, mu, nu, k)
 
 
+def complex_entries(model, r) -> dict:
+    """The kept nonzero amplitudes of psi_r, made complex."""
+    return {i: complex(v) for i, v in csmodel._primary_entries(model, r).items()}
+
+
 def complex_expansion_rows(model, mu, nus) -> list:
-    """operator_fusion_rows in complex arithmetic: the image of psi_nu by
-    LatticeOperator._image and each coefficient by csmodel._inner against
-    the complex bra <psi_iota|, with the same integrality guard."""
+    """operator_fusion_rows in complex arithmetic: the image of psi_nu, with
+    complex amplitudes, by LatticeOperator._image and each coefficient by
+    csmodel._inner against the complex conjugate bra <psi_iota|, with the
+    same integrality guard."""
     weights = level_k_weights(model.spec, model.k)
     operator = wilson_operator(model, mu)
-    bras = [csmodel._bra(csmodel._primary_entries(model, iota)) for iota in weights]
+    bras = [{i: v.conjugate() for i, v in complex_entries(model, iota).items()}
+            for iota in weights]
     tables = []
     for nu in nus:
-        image = operator._image(csmodel._primary_entries(model, nu))
+        image = operator._image(complex_entries(model, nu))
         table = {}
         for iota, bra in zip(weights, bras):
             coefficient = csmodel._inner(bra, image)
@@ -570,6 +578,33 @@ def test_multi_term_operators_go_through_the_image(monkeypatch):
         calls.clear()
         assert bits(op.apply(dense)) == bits(true_image(op, csmodel._entries(dense)))
         assert calls == ([] if op is mapped else [op])
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 1, 6), ("A", 2, 3), ("C", 3, 1), ("G", 2, 2)])
+def test_real_states_hold_floats(series, rank, k):
+    """Basis and primary states and their kept entries are floats, and so is
+    a Wilson operator's image of a primary; a clock operator's image is
+    complex on its support."""
+    model = build_model(build_algebra(series, rank), k)
+    weights = level_k_weights(model.spec, k)
+    v = (1,) * rank
+    floats = [basis_state(model, v), csmodel._basis_entries(model, v).values()]
+    for r in weights:
+        psi = primary_state(model, r)
+        floats += [psi, csmodel._primary_entries(model, r).values()]
+        floats += [wilson_operator(model, mu).apply(psi) for mu in weights[:3]]
+        image = clock_op(model, 1).apply(psi)
+        assert {type(x) for x in image if x} == {complex}
+    assert all(type(x) is float for values in floats for x in values)
+
+
+def test_operator_terms_keep_real_coefficients_as_floats():
+    model = build_model(A2, 2)
+    op = csmodel.LatticeOperator(model, [(2, (1, 0), (0, 0)), (0.5, (0, 1), (0, 0)),
+                                         (1j, (0, 0), (1, 0)), (1 + 0j, (1, 1), (0, 0))])
+    assert [type(c) for c, _, _ in op.terms] == [float, float, complex, complex]
+    assert {type(c) for c, _, _ in wilson_operator(model, (1, 1)).terms} == {float}
+    assert {type(c) for c, _, _ in (shift_op(model, 1) @ clock_op(model, 1)).terms} == {complex}
 
 
 def test_primary_overlaps_equal_the_inner_products_of_the_states():
@@ -788,6 +823,20 @@ def csmodel_suite(tmp_path):
 def test_csmodel_suite_passes_unmutated(tmp_path, cold_caches):
     code, passed = csmodel_suite(tmp_path)
     assert code == 0 and len(passed) == 5 and all(passed.values())
+
+
+def test_suite_keeps_one_copy_per_primary(tmp_path, cold_caches):
+    """After the suite the store holds each of the 15 primaries once, as
+    floats; the other kept values are the S^-1 images of the primaries and
+    the operators' shift and phase maps."""
+    assert csmodel_suite(tmp_path)[0] == 0
+    store = csmodel._state_cache(build_model(A2, 4))
+    kinds = Counter(key[0] for key in store)
+    assert kinds["primary"] == len(level_k_weights(A2, 4)) == 15
+    assert set(kinds) == {"primary", "S^-1 primary", "shift", "phase"}
+    assert all(type(x) is float
+               for key, entries in store.items() if key[0] == "primary"
+               for x in entries.values())
 
 
 def test_transposed_fourier_kernel_fails_the_suite(tmp_path, cold_caches, monkeypatch):

@@ -10,7 +10,14 @@ import pytest
 import fusionkit
 from fusionkit.algebra import build_algebra, dominant_conjugate, pairing_numerator, signed_orbit
 from fusionkit.characters import GenericPoint, VarietyPoint, eval_char, eval_D
-from fusionkit.csmodel import build_model, operator_fusion_rows, primary_state
+from fusionkit.csmodel import (
+    LatticeOperator,
+    basis_state,
+    build_model,
+    character_as_inner_product,
+    operator_fusion_rows,
+    primary_state,
+)
 from fusionkit.errors import DEFAULT_CAPS, Caps, caps_from_env
 from fusionkit.fusion import (
     fuse_level_k,
@@ -27,7 +34,15 @@ PACKAGE = Path(fusionkit.__file__).resolve().parent
 A2 = build_algebra("A", 2)
 
 #: public entry points of A2, each called with one weight of the wrong length
+#: (a basis index, a shift or a phase power of the Gaussian model included)
 WRONG_LENGTH_CALLS = {
+    "basis_state": lambda lam: basis_state(build_model(A2, 1), lam),
+    "character_as_inner_product_gamma":
+        lambda lam: character_as_inner_product(build_model(A2, 1), lam, (0, 0)),
+    "LatticeOperator_shift": lambda lam: LatticeOperator(
+        build_model(A2, 1), [(1.0, (0, 0), (0, 0)), (1.0, lam, (0, 0))]),
+    "LatticeOperator_power":
+        lambda lam: LatticeOperator(build_model(A2, 1), [(1.0, (0, 0), lam)]),
     "conjugate": lambda lam: conjugate(A2, lam),
     "dominant_conjugate": lambda lam: dominant_conjugate(A2, lam),
     "eval_D_generic": lambda lam: eval_D(A2, lam, GenericPoint((0.3j, 0.7j))),

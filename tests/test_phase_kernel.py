@@ -306,6 +306,17 @@ def test_alternating_sums_match_numpy_reference_on_the_scan(series, rank, k):
             assert [repr(v) for v in values] == [repr(complex(v)) for v in expected]
 
 
+def test_non_integral_coefficient_is_rejected():
+    """phase_sums counts its coefficients as exact integers: 1.7 is refused,
+    not truncated to 1, while an integral float counts as its integer."""
+    kernel = phase_kernel(cartan_inverse(build_algebra("A", 2)), 5)
+    weights, points = [(1, 0), (0, 1)], [(1, 2), (3, 4)]
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        phase_sums(kernel, weights, [1.7, 0.5], points)
+    assert phase_sums(kernel, weights, [2.0, -1.0], points) == phase_sums(
+        kernel, weights, [2, -1], points)
+
+
 def test_exact_count_guard_raises():
     """float(count) must be exact: 2^53 and up is refused on every path."""
     spec = build_algebra("A", 2)
