@@ -251,6 +251,15 @@ def require_rank(spec: AlgebraSpec, *weights) -> None:
             raise ValueError(f"weight length does not match rank {spec.rank}")
 
 
+def require_dominant(spec: AlgebraSpec, *weights) -> None:
+    """require_rank, then raise ValueError unless every label of every
+    weight is nonnegative."""
+    require_rank(spec, *weights)
+    for lam in weights:
+        if any(label < 0 for label in lam):
+            raise ValueError(f"{tuple(lam)} is not dominant")
+
+
 def pairing_numerator(spec: AlgebraSpec, lam: Weight, mu: Weight) -> int:
     """lam^T (D G) mu in Python ints, so (lam, mu) = result / D exactly."""
     require_rank(spec, lam, mu)
@@ -295,10 +304,11 @@ def reflect_to_dominant(spec: AlgebraSpec, beta: Weight) -> SignedDominant:
     """Reduce beta to the dominant chamber, tracking the reflection parity.
 
     beta lies on a wall (is fixed by a reflection) exactly when its dominant
-    conjugate has a zero label; the result is then (None, 0).  Memoised per
-    (spec, beta): a term that tensor_decompose reduced is not walked again
-    when the identity's left side reduces it.
+    conjugate has a zero label; the result is then (None, 0).  The rank is
+    checked here; the memoised reduction behind it, _signed_dominant, is
+    what the hot loops of fusion and characters call.
     """
+    require_rank(spec, beta)
     return _signed_dominant(spec, tuple(beta))
 
 

@@ -35,7 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter, mod, mul
+from operator import itemgetter, mod, mul, truediv
 from typing import Iterator, NamedTuple, Union
 
 from .algebra import (
@@ -43,8 +43,9 @@ from .algebra import (
     AlgebraSpec,
     Weight,
     _generic_pairing_vector,
+    _signed_dominant,
     cartan_inverse,
-    reflect_to_dominant,
+    require_dominant,
     require_rank,
     signed_orbit,
 )
@@ -296,16 +297,24 @@ def _eval_D_cached(spec: AlgebraSpec, lam: Weight, p: EvalPoint) -> complex:
     _check_point(spec, p)
     lam = tuple(lam)
     if isinstance(p, GenericPoint):
-        images, signs, stabiliser = signed_orbit(spec, lam)
-        if stabiliser > 1:
-            return 0j
-        gu = _point_pairing_vector(spec, p)
+        return _D_column(spec, lam, [_point_pairing_vector(spec, p)])[0]
+    return alternating_sums(spec, [(lam, 1)], [p.gamma], p.level_shifted)[0]
+
+
+def _D_column(spec: AlgebraSpec, lam: Weight, pairing_vectors: list) -> list:
+    """D_lam at the generic points whose vectors G u are pairing_vectors, from
+    one signed-orbit fetch: 0j on a wall, else sign * exp((w lam, u)) added
+    from 0j in orbit order, each pairing sum(map(mul, w lam, G u))."""
+    images, signs, stabiliser = signed_orbit(spec, lam)
+    if stabiliser > 1:
+        return [0j] * len(pairing_vectors)
+    column = []
+    for gu in pairing_vectors:
         total = 0.0 + 0.0j
         for w_lam, sign in zip(images, signs):
-            pairing = sum(li * gi for li, gi in zip(w_lam, gu))
-            total += sign * cmath.exp(pairing)
-        return total
-    return alternating_sums(spec, [(lam, 1)], [p.gamma], p.level_shifted)[0]
+            total += sign * cmath.exp(sum(map(mul, w_lam, gu)))
+        column.append(total)
+    return column
 
 
 eval_D.cache_info = _eval_D_cached.cache_info
@@ -314,10 +323,8 @@ eval_D.cache_info = _eval_D_cached.cache_info
 def eval_char(spec: AlgebraSpec, mu: Weight, p: EvalPoint) -> complex:
     """Character of the dominant weight mu as the Weyl ratio
     D_{mu+rho}(p) / D_rho(p)."""
-    require_rank(spec, mu)
+    require_dominant(spec, mu)
     check_cap("weyl_order", spec.weyl_order, spec)
-    if any(label < 0 for label in mu):
-        raise ValueError(f"{mu} is not dominant; reduce mu + rho with reflect_to_dominant")
     lam = tuple(m + 1 for m in mu)
     return _weyl_ratios(spec, [lam], (p,))[lam][0]
 
@@ -337,8 +344,9 @@ def _ratio_columns(spec: AlgebraSpec, points: tuple) -> dict:
 
 def _weyl_ratios(spec: AlgebraSpec, shifted, points: tuple) -> dict:
     """The ratio columns over ``points`` of every rho-shifted dominant weight
-    in ``shifted``, each ratio divided once.  Callers check the Weyl-order
-    cap first."""
+    in ``shifted``, each ratio divided once; when every point is generic a
+    missing column is one _D_column.  Callers check the Weyl-order cap
+    first."""
     store = _ratio_columns(spec, points)
     columns = {}
     denominators = None
@@ -347,8 +355,11 @@ def _weyl_ratios(spec: AlgebraSpec, shifted, points: tuple) -> dict:
         if column is None:
             if denominators is None:
                 denominators = [_denominator(spec, p) for p in points]
-            column = tuple([_eval_D_cached(spec, lam, p) / denominator
-                            for p, denominator in zip(points, denominators)])
+                generic = all(isinstance(p, GenericPoint) for p in points)
+                vectors = [_point_pairing_vector(spec, p) for p in points] if generic else None
+            values = (_D_column(spec, lam, vectors) if generic
+                      else [_eval_D_cached(spec, lam, p) for p in points])
+            column = tuple(map(truediv, values, denominators))
             if (len(store) + 1) * len(points) <= _RATIO_STORE_ENTRIES:
                 store[lam] = column
         columns[lam] = column
@@ -368,16 +379,20 @@ def _denominator(spec: AlgebraSpec, p: EvalPoint) -> complex:
 def weyl_ratio_sums(spec: AlgebraSpec, terms, points) -> list:
     """sum over (lam, c) in terms of c D_lam(p) / D_rho(p) at every point p.
 
-    Each rho-shifted lam is reflected to the dominant chamber first, so
-    c sign(w) chi_{w(lam) - rho} enters; lam on a wall drops out.  Terms are
-    walked once, each adding c times its ratio column to every point, so a
-    point's value is 0j + c_1 r_1 + c_2 r_2 + ... in term order."""
+    Each rho-shifted lam is reflected to the dominant chamber once
+    (_signed_dominant), so c sign(w) chi_{w(lam) - rho} enters; lam on a
+    wall drops out.  A point's value is sum(map(mul, coefficients, its
+    ratios), 0j): 0j + c_1 r_1 + c_2 r_2 + ... in term order."""
     check_cap("weyl_order", spec.weyl_order, spec)
     points = tuple(points)
-    reduced = [(reflect_to_dominant(spec, lam), c) for lam, c in terms]
-    reduced = [(dom, c * sign) for (dom, sign), c in reduced if sign]
-    columns = _weyl_ratios(spec, [lam for lam, _ in reduced], points)
-    values = [0j] * len(points)
-    for lam, c in reduced:
-        values = [value + c * ratio for value, ratio in zip(values, columns[lam])]
-    return values
+    shifted, coeffs = [], []
+    for lam, c in terms:
+        dominant, sign = _signed_dominant(spec, tuple(lam))
+        if sign:
+            shifted.append(dominant)
+            coeffs.append(c * sign)
+    if not shifted:
+        return [0j] * len(points)
+    columns = _weyl_ratios(spec, shifted, points)
+    return [sum(map(mul, coeffs, ratios), 0j)
+            for ratios in zip(*map(columns.__getitem__, shifted))]

@@ -2,15 +2,16 @@
 S-matrix oracle.
 
 Tensor decomposition is the signed reflection algorithm: form the rho-shifted
-weights beta = nu + mu' + rho over the weights mu' of V(mu) (_shifted_terms,
-also read by identity), reduce each to the dominant chamber with parity, and
+weights beta = nu + mu' + rho over the weights mu' of V(mu) (identity reads
+them as _shifted_terms), reduce each to the dominant chamber with parity, and
 accumulate.  Level-k fusion (Kac-Walton) folds each beta into the level-(k+c)
 affine alcove, alternating finite reflections (negative labels) with the
 affine reflection about (beta, theta) = k + c; anything landing on a wall is
-discarded.  The fold depends on beta alone, so it is memoised per (spec, K)
-under an integer key, shared by every pair at the level, and read one row of
-nu per mu.  All of that is exact integer arithmetic, and require_integrable
-is the one guard on level-k input.  The
+discarded.  The reduction and the fold depend on beta alone, so each is
+memoised under an integer key (_keyed_terms), the fold per (spec, K), and
+both are read one row of nu per mu.  All of that is exact integer
+arithmetic; require_dominant guards the input at k = infinity and
+require_integrable at level k.  The
 independent oracle builds the S matrix numerically from alternating Weyl
 sums and evaluates the standard ratio, one row of nu per mu; a rounding
 guard turns silent drift into a loud error.
@@ -26,8 +27,9 @@ from operator import mul
 from .algebra import (
     AlgebraSpec,
     Weight,
+    _signed_dominant,
     comarks,
-    reflect_to_dominant,
+    require_dominant,
     require_rank,
     signed_orbit,
 )
@@ -38,6 +40,12 @@ _FOLD_LIMIT = 10_000
 
 #: rho-shifted weights kept per (spec, K) fold memo; past it folds are not kept
 _FOLD_MEMO_ENTRIES = 1 << 14
+
+#: rho-shifted weights kept per tensor memo; past it reductions are not kept
+_TENSOR_MEMO_ENTRIES = 1 << 14
+
+#: the least key offset of a tensor memo, so that small weights share one
+_TENSOR_OFFSET = 1 << 6
 
 
 def level_pairing(spec: AlgebraSpec, lam: Weight) -> int:
@@ -67,24 +75,87 @@ def _shifted_terms(spec: AlgebraSpec, mu: Weight, nu: Weight) -> list:
 
 
 def tensor_decompose(spec: AlgebraSpec, mu: Weight, nu: Weight) -> dict:
-    """Decompose mu (x) nu into irreducibles at algebra level (k = infinity).
+    """Decompose mu (x) nu into irreducibles at algebra level (k = infinity):
+    tensor_decompose_rows on [nu]."""
+    return tensor_decompose_rows(spec, mu, [nu])[0]
 
-    Returns a map dominant weight -> multiplicity.  The signed accumulation
-    must come out nonnegative; a negative count raises InvariantViolation.
-    """
-    mu, nu = tuple(mu), tuple(nu)
-    require_rank(spec, mu, nu)
-    counts: dict[Weight, int] = {}
-    for shifted, mult in _shifted_terms(spec, mu, nu):
-        reduced, sign = reflect_to_dominant(spec, shifted)
-        if sign == 0:
-            continue
-        summand = tuple(r - 1 for r in reduced)
-        counts[summand] = counts.get(summand, 0) + mult * sign
-    counts = {w: c for w, c in counts.items() if c != 0}
-    if any(c < 0 for c in counts.values()):
-        raise InvariantViolation(f"signed tensor accumulation of {mu} x {nu} went negative")
-    return counts
+
+def tensor_decompose_rows(spec: AlgebraSpec, mu: Weight, nus) -> list:
+    """One table per nu in nus, dominant weight -> multiplicity, each summand
+    where it first appears in V(mu)'s weight-system order: every rho-shifted
+    weight nu + mu' + rho is reduced to the dominant chamber with parity and
+    the signs accumulate.  A negative count raises InvariantViolation.
+
+    mu and every nu must be dominant.  The guards run once per weight, before
+    the memo; V(mu) is read once, and each term finds its reduction by its
+    key, nu's code plus that of mu' + rho."""
+    mu, nus = tuple(mu), [tuple(nu) for nu in nus]
+    require_dominant(spec, mu, *nus)
+    check_cap("dim", weyl_dimension(spec, mu), mu)  # the tensor memo holds V(mu)
+    # labels of mu' + rho lie in [1 - 3L, 1 + 3L], L = (mu, theta) (see
+    # _keyed_terms), and those of nu in [0, top]
+    top = max((max(nu) for nu in nus), default=0)
+    offset = max(_TENSOR_OFFSET, 1 << (3 * level_pairing(spec, mu) + top + 1).bit_length())
+    powers, terms = _keyed_terms(spec, mu, offset, top, "tensor")
+    memo = _tensor_memo(spec, offset)
+    tables = []
+    for nu in nus:
+        code = sum(map(mul, nu, powers))
+        counts = {}
+        for shift_code, mult, shift in terms:
+            entry = memo.get(code + shift_code)
+            if entry is None:
+                reduced, sign = _signed_dominant(spec, tuple([n + s for n, s in zip(nu, shift)]))
+                entry = _keep(memo, code + shift_code, _TENSOR_MEMO_ENTRIES,
+                              (reduced and tuple([r - 1 for r in reduced]), sign))
+            summand, sign = entry
+            if sign:
+                counts[summand] = counts.get(summand, 0) + mult * sign
+        counts = {w: c for w, c in counts.items() if c}
+        if any(c < 0 for c in counts.values()):
+            raise InvariantViolation(f"signed tensor accumulation of {mu} x {nu} went negative")
+        tables.append(counts)
+    return tables
+
+
+def _keyed_terms(spec: AlgebraSpec, mu: Weight, offset: int, top: int, kind: str) -> tuple:
+    """(powers, terms): the weights mu' of V(mu), read once, as terms (key,
+    multiplicity, mu' + rho), where digit i of the key in base 2 offset is
+    label i of mu' + rho plus offset.  Adding the code sum(nu * powers) of a
+    nu with labels in [0, top] keys nu + mu' + rho, injectively within one
+    offset.  A label of mu' + rho below -offset or at offset - top or above
+    raises InvariantViolation; every label of mu' lies in [-3L, 3L], L the
+    level (mu, theta), since |(mu', alpha^v)| <= 2 (mu, theta) / (alpha,
+    alpha) and short roots have (alpha, alpha) >= 2/3."""
+    base = 2 * offset
+    powers = [base ** i for i in range(spec.rank)]
+    terms = []
+    for mu_prime, mult in _weight_system_cached(spec, mu):
+        shift = tuple([m + 1 for m in mu_prime])
+        if min(shift) < -offset or max(shift) + top >= offset:
+            raise InvariantViolation(f"weight {mu_prime} of {mu} lies outside the {kind} key range")
+        terms.append((sum((s + offset) * p for s, p in zip(shift, powers)), mult, shift))
+    return powers, terms
+
+
+@lru_cache(maxsize=4)
+def _tensor_memo(spec: AlgebraSpec, offset: int) -> dict:
+    """key -> (tensor summand, its sign) of the rho-shifted weights keyed
+    under offset (_keyed_terms), up to _TENSOR_MEMO_ENTRIES."""
+    return {}
+
+
+@lru_cache(maxsize=4)
+def _fold_memo(spec: AlgebraSpec, level_shifted: int) -> dict:
+    """key -> _fold_entry(beta) at K = level_shifted, up to _FOLD_MEMO_ENTRIES."""
+    return {}
+
+
+def _keep(memo: dict, key: int, entries: int, entry: tuple) -> tuple:
+    """entry, kept in memo under key while the memo holds fewer than entries."""
+    if len(memo) < entries:
+        memo[key] = entry
+    return entry
 
 
 def _fold_to_alcove(spec: AlgebraSpec, beta: Weight, level_shifted: int):
@@ -99,7 +170,7 @@ def _fold_to_alcove(spec: AlgebraSpec, beta: Weight, level_shifted: int):
     current = tuple(beta)
     sign = 1
     for _ in range(_FOLD_LIMIT):
-        current, finite_sign = reflect_to_dominant(spec, current)
+        current, finite_sign = _signed_dominant(spec, current)
         if finite_sign == 0:
             return None, 0
         sign *= finite_sign
@@ -129,19 +200,12 @@ def fuse_level_k_rows(spec: AlgebraSpec, mu: Weight, nus, k: int) -> list:
     check_cap("dim", weyl_dimension(spec, mu), mu)  # the fold memo holds V(mu)
     level_shifted = k + spec.dual_coxeter
     memo = _fold_memo(spec, level_shifted)
-    # digits label + 4K lie in [0, 8K): integrable nu has labels in [0, k], and
-    # a weight of V(mu) has labels in [-3k, 3k] (|(mu', a^v)| <= 3 (mu, theta))
-    base, offset = 8 * level_shifted, 4 * level_shifted
-    powers = [base ** i for i in range(spec.rank)]
-    terms = []
-    for mu_prime, mult in _weight_system_cached(spec, mu):
-        shift = tuple([m + 1 for m in mu_prime])
-        if min(shift) < -offset or max(shift) + k >= offset:
-            raise InvariantViolation(f"weight {mu_prime} of {mu} lies outside the fold key range")
-        terms.append((sum((s + offset) * p for s, p in zip(shift, powers)), mult, shift))
+    # integrable nu has labels in [0, k], and a weight of V(mu) has labels in
+    # [-3k, 3k] (_keyed_terms), so the digits lie in [0, 8K)
+    powers, terms = _keyed_terms(spec, mu, 4 * level_shifted, k, "fold")
     tables = []
     for nu in nus:
-        code = sum(n * p for n, p in zip(nu, powers))
+        code = sum(map(mul, nu, powers))
         finite, counts = {}, {}  # dominant weight -> signed count, before and after folding
         for shift_code, mult, shift in terms:
             entry = memo.get(code + shift_code)
@@ -162,17 +226,11 @@ def fuse_level_k_rows(spec: AlgebraSpec, mu: Weight, nus, k: int) -> list:
     return tables
 
 
-@lru_cache(maxsize=4)
-def _fold_memo(spec: AlgebraSpec, level_shifted: int) -> dict:
-    """key -> _fold_entry(beta) at K = level_shifted, up to _FOLD_MEMO_ENTRIES."""
-    return {}
-
-
 def _fold_entry(spec: AlgebraSpec, beta: Weight, k: int, memo: dict, key: int) -> tuple:
     """(tensor summand, its sign, level-k summand, its sign) of one rho-shifted
     weight, signs 0 on a wall: the finite reduction of beta, then the alcove
     fold of that.  Kept in memo under key while it has room."""
-    reduced, sign = reflect_to_dominant(spec, beta)
+    reduced, sign = _signed_dominant(spec, beta)
     if sign == 0:
         entry = (None, 0, None, 0)
     else:
@@ -181,9 +239,7 @@ def _fold_entry(spec: AlgebraSpec, beta: Weight, k: int, memo: dict, key: int) -
         if target is not None and not is_integrable(spec, target, k):
             raise InvariantViolation(f"folding {beta} at k={k} left the level-k alcove")
         entry = (tuple(r - 1 for r in reduced), sign, target, sign * affine_sign)
-    if len(memo) < _FOLD_MEMO_ENTRIES:
-        memo[key] = entry
-    return entry
+    return _keep(memo, key, _FOLD_MEMO_ENTRIES, entry)
 
 
 def level_k_weights(spec: AlgebraSpec, k: int) -> list:

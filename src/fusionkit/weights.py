@@ -20,7 +20,7 @@ from .algebra import (
     integer_gram,
     pairing_numerator,
     positive_roots,
-    require_rank,
+    require_dominant,
 )
 from .errors import CheckedTuple, InvariantViolation, check_cap
 
@@ -49,9 +49,7 @@ def weyl_dimension(spec: AlgebraSpec, mu: Weight) -> int:
     """Dimension of the irreducible representation mu by the Weyl product
     formula over positive roots; exact."""
     mu = tuple(mu)
-    require_rank(spec, mu)
-    if any(label < 0 for label in mu):
-        raise ValueError(f"{mu} is not dominant")
+    require_dominant(spec, mu)
     return _weyl_dimension_cached(spec, mu)
 
 
@@ -187,6 +185,5 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
 
 def conjugate(spec: AlgebraSpec, mu: Weight) -> Weight:
     """Highest weight of the conjugate representation, -w0(mu)."""
-    if any(label < 0 for label in mu):
-        raise ValueError(f"{mu} is not dominant")
+    require_dominant(spec, mu)
     return dominant_conjugate(spec, tuple(-m for m in mu))

@@ -1,6 +1,7 @@
 """Character evaluation: Weyl ratios, trace sums, virtual characters, and
 the su(2) closed forms they must reproduce."""
 
+import cmath
 import math
 import random
 
@@ -27,6 +28,7 @@ from weyl_oracle import apply_word, weyl_elements, word_sign
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
+A3 = build_algebra("A", 3)
 B2 = build_algebra("B", 2)
 G2 = build_algebra("G", 2)
 
@@ -242,17 +244,32 @@ def random_terms(spec, rng, count=12):
             for _ in range(count)]
 
 
+def orbit_terms(spec, rng, count=64):
+    """rho-shifted terms drawn from the signed orbits of a few dominant
+    weights, so that many reduce to one dominant weight, with coefficients
+    of both signs, and some lie on a wall."""
+    pool = [tuple(rng.randint(0, 3) for _ in range(spec.rank)) for _ in range(4)]
+    images = [image for lam in pool for image in algebra.signed_orbit(spec, lam).images]
+    return [(rng.choice(images), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(count)]
+
+
 @pytest.mark.parametrize("spec,variety", [
-    (A1, False), (A2, False), (B2, False), (G2, False), (A2, True),
-], ids=["A1", "A2", "B2", "G2", "A2-variety"])
+    (A1, False), (A2, False), (B2, False), (G2, False), (A2, True), (A3, False),
+], ids=["A1", "A2", "B2", "G2", "A2-variety", "A3"])
 def test_weyl_ratio_sums_equal_term_formula(spec, variety):
+    """Bit for bit, on short random term lists and on lists of 64 terms that
+    repeat dominant weights with mixed signs."""
     rng = random.Random(7)
     if variety:
         points = [VarietyPoint(g, 5) for g in [(1, 1), (1, 2), (2, 1), (1, 3)]]
     else:
         points = [random_regular_point(spec, rng) for _ in range(6)]
-    for _ in range(8):
-        terms = random_terms(spec, rng)
+    for n in range(12):
+        terms = random_terms(spec, rng) if n < 8 else orbit_terms(spec, rng)
+        if n >= 8:
+            reduced = [reflect_to_dominant(spec, lam) for lam, _ in terms]
+            assert len({lam for lam, sign in reduced if sign}) < len(terms) / 2
+            assert {sign for _, sign in reduced} >= {-1, 1}
         expected = [reference_ratio_sum(spec, terms, p) for p in points]
         for store in (characters._ratio_columns, characters._eval_D_cached,
                       characters._point_pairing_vector, algebra._signed_dominant):
@@ -261,6 +278,40 @@ def test_weyl_ratio_sums_equal_term_formula(spec, variety):
         assert weyl_ratio_sums(spec, terms, points) == expected  # warm stores
         assert weyl_ratio_sums(spec, terms[::-1], points[::-1]) == [
             reference_ratio_sum(spec, terms[::-1], p) for p in points[::-1]]
+
+
+def reference_D(spec, lam, p):
+    """D_lam at a generic point as eval_D summed it term by term: each
+    pairing a generator sum, each term added to a running total."""
+    images, signs, stabiliser = algebra.signed_orbit(spec, lam)
+    if stabiliser > 1:
+        return 0j
+    gu = algebra._generic_pairing_vector(spec, p.u)
+    total = 0.0 + 0.0j
+    for w_lam, sign in zip(images, signs):
+        total += sign * cmath.exp(sum(li * gi for li, gi in zip(w_lam, gu)))
+    return total
+
+
+def bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+@pytest.mark.parametrize("spec", [A1, A2, B2, G2, A3], ids=["A1", "A2", "B2", "G2", "A3"])
+def test_D_column_equals_eval_D_bit_for_bit(spec):
+    """One orbit fetch per lam gives, at every generic point, the bits of
+    _eval_D_cached and of the term-by-term sum, on regular and wall lam."""
+    rng = random.Random(11)
+    points = [random_regular_point(spec, rng) for _ in range(6)]
+    vectors = [algebra._generic_pairing_vector(spec, p.u) for p in points]
+    regular = [tuple(rng.randint(1, 4) for _ in range(spec.rank)) for _ in range(3)]
+    walls = [(0,) + lam[1:] for lam in regular]
+    for lam in regular + walls:
+        characters._eval_D_cached.cache_clear()
+        column = characters._D_column(spec, lam, vectors)
+        assert bits(column) == bits(characters._eval_D_cached(spec, lam, p) for p in points)
+        assert bits(column) == bits(reference_D(spec, lam, p) for p in points)
+        assert (lam in walls) == (column == [0j] * len(points))
 
 
 def test_singular_point_raises_on_cold_and_warm_table():

@@ -74,6 +74,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "fuse", "A1", "--k", "2", "--mu", "3", "--nu", "0")[0] == 2
 
 
+@pytest.mark.parametrize("mu,nu", [("1,0", "-4,0"), ("1,0", "-2,0"), ("1,1", "-2,3"),
+                                   ("-1,0", "1,0")])
+def test_non_dominant_weight_at_k_inf_exits_2(capsys, mu, nu):
+    """fuse at k = infinity used to print a table for (1,0) x (-4,0), an empty
+    one for (1,0) x (-2,0) and exit 3 for (1,1) x (-2,3)."""
+    code, out, err = run_with_stderr(capsys, "fuse", "A2", "--k", "inf", f"--mu={mu}",
+                                     f"--nu={nu}")
+    assert (code, out) == (2, "") and "is not dominant" in err
+
+
 def test_cap_exceeded_exit_1(capsys, monkeypatch):
     monkeypatch.setenv("FUSIONKIT_CAPS", "dim=2")
     assert run(capsys, "weights", "A2", "--mu", "1,1")[0] == 1

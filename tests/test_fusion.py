@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from fusionkit import fusion
-from fusionkit.algebra import build_algebra, signed_orbit
+from fusionkit.algebra import build_algebra, reflect_to_dominant, signed_orbit
 from fusionkit.characters import phase_kernel, phase_sums
 from fusionkit.errors import CapExceeded, Caps, InvariantViolation, OracleMismatchError, use_caps
 from fusionkit.fusion import (
@@ -366,3 +366,119 @@ def test_fold_limit_raises(cold_folds, monkeypatch):
     monkeypatch.setattr(fusion, "_FOLD_LIMIT", 0)
     with pytest.raises(InvariantViolation, match="did not terminate"):
         fuse_level_k(A1, (1,), (1,), 2)
+
+
+# ---------------------------------------------------------------------------
+# tensor rows: one table per nu, read from a memo of reductions per key offset
+
+
+def signed_reflection_tensor(spec, mu, nu):
+    """Oracle for the tensor memo: reduce every rho-shifted term on its own
+    and accumulate in weight-system order."""
+    counts = {}
+    for beta, mult in _shifted_terms(spec, mu, nu):
+        reduced, sign = reflect_to_dominant(spec, beta)
+        if sign:
+            summand = tuple(r - 1 for r in reduced)
+            counts[summand] = counts.get(summand, 0) + mult * sign
+    return {w: c for w, c in counts.items() if c}
+
+
+@pytest.fixture
+def cold_tensors():
+    """Empty the tensor memos before and after a test, so a patched weight
+    system neither meets nor leaves memoised entries."""
+    fusion._tensor_memo.cache_clear()
+    yield
+    fusion._tensor_memo.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_tensor_row_is_the_tables_of_its_pairs(cold_tensors, name):
+    """One row of mu gives each nu's table, equal in values and in item order
+    (each summand where it first appears among V(mu)'s weights, not sorted)
+    to the pair's tensor_decompose and to a reduction of each term alone."""
+    spec = build_algebra(name[0], int(name[1:]))
+    labels = list(product(range(3), repeat=spec.rank))
+    unsorted = 0
+    for mu in labels:
+        row = fusion.tensor_decompose_rows(spec, mu, labels)
+        assert len(row) == len(labels)
+        for nu, table in zip(labels, row):
+            expected = list(signed_reflection_tensor(spec, mu, nu).items())
+            assert list(table.items()) == expected
+            assert list(tensor_decompose(spec, mu, nu).items()) == expected
+            unsorted += list(table) != sorted(table)
+    assert unsorted or spec.rank == 1
+    # a large nu keys its terms under a wider offset, in a memo of its own
+    mu, wide = labels[-1], [tuple(1000 * (i + 1) for i in range(spec.rank))]
+    assert fusion.tensor_decompose_rows(spec, mu, wide) == [
+        signed_reflection_tensor(spec, mu, wide[0])]
+    assert fusion._tensor_memo.cache_info().currsize == 2
+    assert fusion.tensor_decompose_rows(spec, mu, []) == []
+
+
+def test_tensor_memo_is_bounded(cold_tensors, monkeypatch):
+    """Past its entry bound the memo keeps nothing new, and the tables stay
+    the same."""
+    assert fusion._tensor_memo.cache_info().maxsize is not None
+    monkeypatch.setattr(fusion, "_TENSOR_MEMO_ENTRIES", 7)
+    labels = list(product(range(3), repeat=2))
+    for mu in labels:
+        for nu, table in zip(labels, fusion.tensor_decompose_rows(A2, mu, labels)):
+            assert list(table.items()) == list(signed_reflection_tensor(A2, mu, nu).items())
+    memo = fusion._tensor_memo(A2, fusion._TENSOR_OFFSET)
+    assert len(memo) == 7 and all(type(key) is int for key in memo)
+
+
+def test_dim_cap_checked_on_a_warm_tensor_memo(cold_tensors):
+    mu, labels = (2, 1), list(product(range(3), repeat=2))
+    fusion.tensor_decompose_rows(A2, mu, labels)
+    assert fusion._tensor_memo(A2, fusion._TENSOR_OFFSET)
+    with use_caps(Caps(dim=weyl_dimension(A2, mu) - 1)):
+        with pytest.raises(CapExceeded):
+            fusion.tensor_decompose_rows(A2, mu, labels)
+        with pytest.raises(CapExceeded):
+            tensor_decompose(A2, mu, (0, 1))
+
+
+@pytest.mark.parametrize("label", [-100, 100])
+def test_label_outside_the_tensor_key_range_raises(cold_tensors, monkeypatch, label):
+    """A weight whose term could share a key with another raises instead:
+    mu = (1,) has level 1, so its terms are keyed under the least offset,
+    whose digits hold labels in [-64, 64)."""
+    broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (label,): 1})
+    monkeypatch.setattr(fusion, "_weight_system_cached",
+                        lambda spec, mu: tuple(broken.entries.items()))
+    with pytest.raises(InvariantViolation, match="outside the tensor key range"):
+        tensor_decompose(A1, (1,), (1,))
+    assert fusion._tensor_memo(A1, fusion._TENSOR_OFFSET) == {}
+
+
+def test_tensor_accumulation_negative_raises(cold_tensors, monkeypatch):
+    # an extra weight -4 shifts to beta = -2, which reflects to 2 with sign -1
+    broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (-4,): 1})
+    monkeypatch.setattr(fusion, "_weight_system_cached",
+                        lambda spec, mu: tuple(broken.entries.items()))
+    with pytest.raises(InvariantViolation, match="signed tensor accumulation .* went negative"):
+        tensor_decompose(A1, (1,), (1,))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_term_keys_are_injective_at_the_least_offset(name):
+    """At the least offset the key range guard lets through, nu's code plus a
+    term's key tells every nu + mu' + rho with nu in [0, top]^rank apart."""
+    spec = build_algebra(name[0], int(name[1:]))
+    mu, top = (2,) * spec.rank, 2
+    labels = [m + 1 for weight in weight_system(spec, mu).entries for m in weight]
+    offset = max(-min(labels), max(labels) + top + 1)
+    with pytest.raises(InvariantViolation, match="outside the tensor key range"):
+        fusion._keyed_terms(spec, mu, offset - 1, top, "tensor")
+    powers, terms = fusion._keyed_terms(spec, mu, offset, top, "tensor")
+    betas = {}
+    for nu in product(range(top + 1), repeat=spec.rank):
+        code = sum(n * p for n, p in zip(nu, powers))
+        for key, _, shift in terms:
+            beta = tuple(n + s for n, s in zip(nu, shift))
+            assert betas.setdefault(code + key, beta) == beta
+    assert len(betas) == len(set(betas.values()))

@@ -1,5 +1,6 @@
-"""The input guards of the library, each with one home: the rank check in
-algebra, the integrability check in fusion and the series check in theta.
+"""The input guards of the library, each with one home: the rank and
+dominance checks in algebra, the integrability check in fusion and the
+series check in theta.
 Each entry point that takes a weight runs the guard, and each guard's
 message occurs once in the package, so a copied guard shows up here."""
 
@@ -8,7 +9,14 @@ from pathlib import Path
 import pytest
 
 import fusionkit
-from fusionkit.algebra import build_algebra, dominant_conjugate, pairing_numerator, signed_orbit
+from fusionkit import fusion
+from fusionkit.algebra import (
+    build_algebra,
+    dominant_conjugate,
+    pairing_numerator,
+    reflect_to_dominant,
+    signed_orbit,
+)
 from fusionkit.characters import GenericPoint, VarietyPoint, eval_char, eval_D
 from fusionkit.csmodel import (
     LatticeOperator,
@@ -23,6 +31,7 @@ from fusionkit.fusion import (
     fuse_level_k,
     level_pairing,
     tensor_decompose,
+    tensor_decompose_rows,
     verlinde_rows,
     verlinde_table,
 )
@@ -50,8 +59,10 @@ WRONG_LENGTH_CALLS = {
     "eval_char": lambda lam: eval_char(A2, lam, GenericPoint((0.3j, 0.7j))),
     "level_pairing": lambda lam: level_pairing(A2, lam),
     "pairing_numerator": lambda lam: pairing_numerator(A2, (1, 0), lam),
+    "reflect_to_dominant": lambda lam: reflect_to_dominant(A2, lam),
     "signed_orbit": lambda lam: signed_orbit(A2, lam),
     "tensor_decompose": lambda lam: tensor_decompose(A2, (1, 0), lam),
+    "tensor_decompose_rows": lambda lam: tensor_decompose_rows(A2, (1, 0), [(0, 1), lam]),
     "weight_system": lambda lam: weight_system(A2, lam),
     "weyl_dimension": lambda lam: weyl_dimension(A2, lam),
 }
@@ -84,7 +95,39 @@ def test_non_integrable_weight_is_rejected(name):
         NON_INTEGRABLE_CALLS[name]((2, 0))
 
 
+#: every entry point that takes a highest weight, called with a non-dominant one
+NON_DOMINANT_CALLS = {
+    "conjugate": lambda lam: conjugate(A2, lam),
+    "eval_char": lambda lam: eval_char(A2, lam, GenericPoint((0.3j, 0.7j))),
+    "tensor_decompose_mu": lambda lam: tensor_decompose(A2, lam, (1, 0)),
+    "tensor_decompose_nu": lambda lam: tensor_decompose(A2, (1, 0), lam),
+    "tensor_decompose_rows": lambda lam: tensor_decompose_rows(A2, (1, 1), [(0, 1), lam]),
+    "weight_system": lambda lam: weight_system(A2, lam),
+    "weyl_dimension": lambda lam: weyl_dimension(A2, lam),
+}
+
+
+@pytest.mark.parametrize("lam", [(-4, 0), (-2, 0), (-2, 3)])
+@pytest.mark.parametrize("name", sorted(NON_DOMINANT_CALLS))
+def test_non_dominant_weight_is_rejected(name, lam):
+    """A non-dominant highest weight is a usage error: at k = infinity
+    (1, 0) x (-4, 0) used to give a table, (1, 0) x (-2, 0) an empty one and
+    (1, 1) x (-2, 3) an invariant violation."""
+    with pytest.raises(ValueError, match=rf"\({lam[0]}, {lam[1]}\) is not dominant"):
+        NON_DOMINANT_CALLS[name](lam)
+
+
+def test_tensor_guards_run_before_the_memo():
+    """The dominance check of every nu runs before a tensor memo is fetched,
+    so a bad nu late in a row leaves no memo behind."""
+    fusion._tensor_memo.cache_clear()
+    with pytest.raises(ValueError, match="is not dominant"):
+        tensor_decompose_rows(A2, (1, 0), [(0, 1), (1, 1), (2, -1)])
+    assert fusion._tensor_memo.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("message", ["is not integrable at level",
+                                     "is not dominant",
                                      "weight length does not match rank",
                                      "theta sums are defined for the ADE series"])
 def test_guard_message_has_one_home(message):
