@@ -23,12 +23,14 @@ _LAZY_MODULES = {
     ),
     "fusion": (
         "fuse_level_k", "is_integrable", "level_k_weights", "level_pairing",
-        "tensor_decompose", "verlinde_table",
+        "tensor_decompose",
     ),
     "identity": (
         "VerificationReport", "conjugacy_square_check", "dim_bound", "parseval_bound",
         "verify_lemma_weightsum", "verify_numerator_identity",
     ),
+    "phase": (),
+    "verlinde": ("verlinde_table",),
     "weights": ("WeightSystem", "conjugate", "weight_system", "weyl_dimension"),
     "csmodel": (
         "FourierOperator", "GaussianModel", "LatticeOperator", "build_model",

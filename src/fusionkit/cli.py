@@ -7,11 +7,15 @@ lines, one report object per case, in a deterministic case order.
 
 Importing this module loads only the algebra and errors layers, and each
 command imports the layers it runs when it runs: weights loads weights; fuse
-loads fusion and weights (and characters with --oracle); verify loads
-identity, plus fusion and weights for every suite but theta, characters for
-every suite but bounds, conjugacy and theta, theta for the theta suite and
-csmodel for the csmodel suite; theta loads theta only.  No command loads
-numpy.
+loads fusion and weights (and verlinde and phase with --oracle); theta loads
+theta only.  verify loads the module that holds each suite it runs, beside
+the checks the suite makes (_SUITES): identity for the identity, lemma,
+bounds and conjugacy suites, with fusion and weights, and phase for the
+variety scans or characters for the identity suite at k = infinity; theta
+and identity for the theta suite; csmodel for the csmodel suite, with
+characters, phase, fusion, weights, identity and verlinde.  No module
+imports this one, so `python -m fusionkit.cli` compiles it once, and no
+command loads numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from functools import partial
-from itertools import product
+from importlib import import_module
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, build_algebra
@@ -33,7 +36,6 @@ from .errors import (
     InvariantViolation,
     OracleMismatchError,
     caps_from_env,
-    check_cap,
     use_caps,
 )
 
@@ -127,200 +129,16 @@ def _report_line(report, config: RunConfig, mu=None, nu=None) -> str:
     return json.dumps(record)
 
 
-def _random_regular_points(spec, count: int, seed: int):
-    import random
-
-    from .characters import GenericPoint, eval_D
-
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        u = tuple(1j * rng.uniform(0.2, 2.8) for _ in range(spec.rank))
-        point = GenericPoint(u)
-        if abs(eval_D(spec, spec.rho, point)) > 1e-6:
-            points.append(point)
-    return points
-
-
-# ---------------------------------------------------------------------------
-# suites
-
-
-def _suite_identity(spec, config: RunConfig):
-    from . import fusion, identity
-
-    if config.k is None:
-        from .characters import weyl_ratio_sums
-        from .weights import weyl_dimension
-
-        labels = [w for w in product(range(4), repeat=spec.rank)]
-        for mu in labels:  # every V(mu) is built by some case: check them before the first
-            check_cap("dim", weyl_dimension(spec, mu), mu)
-        points = _random_regular_points(spec, 25, config.seed)
-        for mu in labels:
-            for nu, table in zip(labels, fusion.tensor_decompose_rows(spec, mu, labels)):
-                report = identity.check_identity(
-                    f"char-sum-identity:{spec}:k=inf:mu={mu}:nu={nu}", spec, mu, nu,
-                    table, points, partial(weyl_ratio_sums, spec), config.tolerance,
-                )
-                yield report, mu, nu
-        return
-    gammas = identity._ResidueGrid(spec, config.k)
-    weights = fusion.level_k_weights(spec, config.k)
-    for mu in weights:
-        for nu, table in zip(weights, fusion.fuse_level_k_rows(spec, mu, weights, config.k)):
-            report = identity.verify_numerator_identity(
-                spec, mu, nu, config.k, gammas, tolerance=config.tolerance,
-                coefficients=table,
-            )
-            yield report, mu, nu
-
-
-def _suite_lemma(spec, config: RunConfig):
-    from . import fusion, identity
-
-    gammas = identity._ResidueGrid(spec, config.k)
-    for mu in fusion.level_k_weights(spec, config.k):
-        report = identity.verify_lemma_weightsum(
-            spec, mu, config.k, gammas, tolerance=config.tolerance
-        )
-        yield report, mu, None
-
-
-def _suite_bounds(spec, config: RunConfig):
-    from . import fusion, identity
-    from .weights import square_sum, weyl_dimension
-
-    weights = fusion.level_k_weights(spec, config.k)
-    squares = [square_sum(spec, w) for w in weights]  # checks every dim cap
-    dims = [weyl_dimension(spec, w) for w in weights]
-    # rows[i][j]: (sum N^2, sum N) of the table weights[i] x weights[j]
-    rows = [identity._squares_and_sums(spec, mu, weights, config.k) for mu in weights]
-    parseval_checks = []
-    dim_checks = []
-    for i, mu in enumerate(weights):
-        for j, sigma in enumerate(weights):
-            lhs, rhs, ok = identity._at_most(rows[j][i][0], squares[i], squares[j])
-            parseval_checks.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
-            total, bound, ok = identity._at_most(rows[i][j][1], dims[i], dims[j])
-            dim_checks.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
-    yield identity.integer_report(f"parseval-bound:{spec}:k={config.k}",
-                                  parseval_checks), None, None
-    yield identity.integer_report(f"dimension-bound:{spec}:k={config.k}",
-                                  dim_checks), None, None
-
-
-def _suite_conjugacy(spec, config: RunConfig):
-    from . import fusion, identity
-    from .weights import conjugate
-
-    identity._warn_if_self_conjugate(spec, stacklevel=1)
-    weights = fusion.level_k_weights(spec, config.k)
-    partners = [weights.index(conjugate(spec, b)) for b in weights]
-    checks = []
-    for a in weights:
-        row = identity._squares_and_sums(spec, a, weights, config.k)
-        for j, b in enumerate(weights):
-            (s1, s2), (l1, l2) = zip(row[j], row[partners[j]])
-            both = s1 == s2 and l1 == l2
-            checks.append((f"a={a},b={b}", s1, s2, both, abs(s1 - s2) + abs(l1 - l2)))
-    yield identity.integer_report(f"conjugacy-squares:{spec}:k={config.k}",
-                                  checks), None, None
-
-
-def _suite_theta(spec, config: RunConfig):
-    from . import identity, theta
-
-    k = config.k
-    taus = [0.5j, 1j, 0.3 + 2j]
-    gammas = [spec.rho, tuple(min(k, 1) if i == 0 else 0 for i in range(spec.rank)),
-              (0,) * spec.rank]
-    u = tuple(0.05 + 0.01 * i for i in range(spec.rank))
-
-    def t_residuals():
-        for tau in taus:
-            ctx = theta.ThetaContext(spec, max(k, 1), tau, u)
-            for gamma in gammas:
-                yield (tau, gamma), complex(theta.check_T_transform(ctx, gamma)), 0j
-
-    yield identity.make_report(
-        f"theta-T-transform:{spec}:k={k}", 1e-10, t_residuals()
-    ), None, None
-
-    ctx = theta.ThetaContext(spec, max(k, 1), 1j, u)
-    coarse = theta.check_heat_equation(ctx, spec.rho, h=2e-3)
-    fine = theta.check_heat_equation(ctx, spec.rho, h=1e-3)
-    ratio = coarse / fine if fine else math.inf
-    yield identity.make_report(
-        f"theta-heat-equation:{spec}:k={k}", 0.5,
-        [(("ratio",), complex(ratio), complex(4.0))],
-    ), None, None
-
-
-def _suite_csmodel(spec, config: RunConfig):
-    from . import csmodel, fusion, identity
-
-    model = csmodel.build_model(spec, config.k)
-    weights = fusion.level_k_weights(spec, config.k)
-
-    yield identity.make_report(
-        f"clock-commutator:{spec}:k={config.k}", 1e-12,
-        [(("all pairs",), complex(csmodel.check_clock_commutator(model)), 0j)],
-    ), None, None
-
-    overlaps = csmodel.primary_overlaps(model, weights)
-    yield identity.make_report(
-        f"primary-orthonormality:{spec}:k={config.k}", 1e-12,
-        (((r, s), value, complex(1.0 if r == s else 0.0)) for r, s, value in overlaps),
-    ), None, None
-
-    yield identity.make_report(
-        f"s-conjugation:{spec}:k={config.k}", 1e-10,
-        [(("sampled basis",), complex(csmodel.check_s_conjugation(model)), 0j)],
-    ), None, None
-
-    def char_residuals():
-        import random
-
-        rng = random.Random(config.seed)
-        gammas = [tuple(rng.randrange(model.period) for _ in range(spec.rank))
-                  for _ in range(8)]
-        for gamma in gammas:
-            for mu in weights:
-                try:
-                    value = csmodel.character_as_inner_product(model, gamma, mu)
-                    yield (gamma, mu), 0j, 0j
-                except OracleMismatchError:
-                    yield (gamma, mu), complex(1.0), 0j
-
-    yield identity.make_report(
-        f"character-inner-product:{spec}:k={config.k}", 1e-10, char_residuals()
-    ), None, None
-
-    mismatch_checks = []
-    for mu in weights:
-        operator_rows = csmodel.operator_fusion_rows(model, mu, weights)
-        folded_rows = fusion.fuse_level_k_rows(spec, mu, weights, config.k)
-        oracle_rows = fusion.verlinde_rows(spec, mu, weights, config.k)
-        for nu, operator_table, folded, oracle in zip(weights, operator_rows, folded_rows,
-                                                      oracle_rows):
-            agree = operator_table == folded == oracle
-            mismatch_checks.append(
-                (f"mu={mu},nu={nu}", len(operator_table), len(folded), agree,
-                 0 if agree else 1)
-            )
-    yield identity.integer_report(
-        f"three-way-fusion:{spec}:k={config.k}", mismatch_checks
-    ), None, None
-
-
+#: suite name -> (module, generator): each generator takes the algebra and the
+#: run config and yields (report, mu, nu) per case; verify imports the module
+#: when the suite runs
 _SUITES = {
-    "identity": _suite_identity,
-    "lemma": _suite_lemma,
-    "bounds": _suite_bounds,
-    "conjugacy": _suite_conjugacy,
-    "theta": _suite_theta,
-    "csmodel": _suite_csmodel,
+    "identity": ("identity", "_suite_identity"),
+    "lemma": ("identity", "_suite_lemma"),
+    "bounds": ("identity", "_suite_bounds"),
+    "conjugacy": ("identity", "_suite_conjugacy"),
+    "theta": ("theta", "_suite_theta"),
+    "csmodel": ("csmodel", "_suite_csmodel"),
 }
 
 
@@ -351,7 +169,7 @@ def _cmd_weights(args, config: RunConfig) -> int:
 def _cmd_fuse(args, config: RunConfig) -> int:
     if args.oracle and config.k is None:  # checked before the decomposition
         raise ValueError("--oracle needs a finite level")
-    from .fusion import fuse_level_k, tensor_decompose, verlinde_rows
+    from .fusion import fuse_level_k, tensor_decompose
 
     spec = config.spec
     mu = _parse_weight(args.mu)
@@ -370,6 +188,8 @@ def _cmd_fuse(args, config: RunConfig) -> int:
     exit_code = EXIT_OK
     footer = []
     if args.oracle:
+        from .verlinde import verlinde_rows
+
         (oracle,) = verlinde_rows(spec, mu, [nu], config.k)
         record["oracle_matches"] = oracle == table
         if not record["oracle_matches"]:
@@ -395,7 +215,9 @@ def _cmd_verify(args, config: RunConfig) -> int:
     all_passed = True
     with _output(config) as out:
         for name in names:
-            for report, mu, nu in _SUITES[name](config.spec, config):
+            module, function = _SUITES[name]
+            suite = getattr(import_module(f".{module}", __package__), function)
+            for report, mu, nu in suite(config.spec, config):
                 out.write(_report_line(report, config, mu, nu) + "\n")
                 out.flush()
                 all_passed &= report.passed
@@ -418,8 +240,7 @@ def _cmd_theta(args, config: RunConfig) -> int:
         gamma = tuple(m + 1 for m in mu)
     else:
         gamma = _parse_weight(args.gamma)
-        level = max(config.k, 1)
-        ctx = theta.ThetaContext(spec, level, tau, u)
+        ctx = theta.ThetaContext(spec, config.k, tau, u)
         value = theta.theta_weyl(ctx, gamma) if args.antisym else theta.theta_sum(ctx, gamma)
     t_residual = theta.check_T_transform(ctx, gamma)
     heat_residual = theta.check_heat_equation(ctx, gamma)

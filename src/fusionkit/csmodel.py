@@ -20,10 +20,11 @@ amplitude, averaged over the radical), complex after a phase, a complex
 coefficient or the Fourier operator.  Operators take one state or a list
 of states.  The coroot labels are algebra's.  Operators are applied lazily
 as sums of phase/shift monomials with integer phase exponents mod L, read
-from the shared table characters.roots_of_unity, so operator identities
+from the shared table phase.roots_of_unity, so operator identities
 hold to rounding error; they, the inner products and the primary states
 touch only nonzero amplitudes.  The Fourier operator is a separable discrete Fourier transform
 over the rank axes followed by a gather at B v mod L, below a hard size cap.
+The command line's csmodel suite (_suite_csmodel) is at the end of the module.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from .algebra import (
     require_rank,
     signed_orbit,
 )
-from .characters import VarietyPoint, eval_D, roots_of_unity
+from .characters import VarietyPoint, eval_D
 from .errors import CapExceeded, InvariantViolation, OracleMismatchError, check_cap
 from .fusion import level_k_weights, require_integrable
+from .phase import roots_of_unity
 from .weights import weight_system
 
 #: largest cover, in states, that FourierOperator transforms
@@ -710,3 +712,60 @@ def operator_fusion_rows(model: GaussianModel, mu: Weight, nus) -> list:
                 table[iota] = nearest
         tables.append(table)
     return tables
+
+
+def _suite_csmodel(spec: AlgebraSpec, config):
+    from .fusion import fuse_level_k_rows
+    from .identity import integer_report, make_report
+    from .verlinde import verlinde_rows
+
+    model = build_model(spec, config.k)
+    weights = level_k_weights(spec, config.k)
+
+    yield make_report(
+        f"clock-commutator:{spec}:k={config.k}", 1e-12,
+        [(("all pairs",), complex(check_clock_commutator(model)), 0j)],
+    ), None, None
+
+    overlaps = primary_overlaps(model, weights)
+    yield make_report(
+        f"primary-orthonormality:{spec}:k={config.k}", 1e-12,
+        (((r, s), value, complex(1.0 if r == s else 0.0)) for r, s, value in overlaps),
+    ), None, None
+
+    yield make_report(
+        f"s-conjugation:{spec}:k={config.k}", 1e-10,
+        [(("sampled basis",), complex(check_s_conjugation(model)), 0j)],
+    ), None, None
+
+    def char_residuals():
+        rng = random.Random(config.seed)
+        gammas = [tuple(rng.randrange(model.period) for _ in range(spec.rank))
+                  for _ in range(8)]
+        for gamma in gammas:
+            for mu in weights:
+                try:
+                    value = character_as_inner_product(model, gamma, mu)
+                    yield (gamma, mu), 0j, 0j
+                except OracleMismatchError:
+                    yield (gamma, mu), complex(1.0), 0j
+
+    yield make_report(
+        f"character-inner-product:{spec}:k={config.k}", 1e-10, char_residuals()
+    ), None, None
+
+    mismatch_checks = []
+    for mu in weights:
+        operator_rows = operator_fusion_rows(model, mu, weights)
+        folded_rows = fuse_level_k_rows(spec, mu, weights, config.k)
+        oracle_rows = verlinde_rows(spec, mu, weights, config.k)
+        for nu, operator_table, folded, oracle in zip(weights, operator_rows, folded_rows,
+                                                      oracle_rows):
+            agree = operator_table == folded == oracle
+            mismatch_checks.append(
+                (f"mu={mu},nu={nu}", len(operator_table), len(folded), agree,
+                 0 if agree else 1)
+            )
+    yield integer_report(
+        f"three-way-fusion:{spec}:k={config.k}", mismatch_checks
+    ), None, None

@@ -1,5 +1,4 @@
-"""Tensor products, level-k fusion by alcove folding, and a Verlinde-style
-S-matrix oracle.
+"""Tensor products and level-k fusion by alcove folding.
 
 Tensor decomposition is the signed reflection algorithm: form the rho-shifted
 weights beta = nu + mu' + rho over the weights mu' of V(mu) (identity reads
@@ -11,15 +10,12 @@ discarded.  The reduction and the fold depend on beta alone, so each is
 memoised under an integer key (_keyed_terms), the fold per (spec, K), and
 both are read one row of nu per mu.  All of that is exact integer
 arithmetic; require_dominant guards the input at k = infinity and
-require_integrable at level k.  The
-independent oracle builds the S matrix numerically from alternating Weyl
-sums and evaluates the standard ratio, one row of nu per mu; a rounding
-guard turns silent drift into a loud error.
+require_integrable at level k.  The independent Verlinde S-matrix oracle
+that these tables are checked against lives in the verlinde module.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -31,9 +27,8 @@ from .algebra import (
     comarks,
     require_dominant,
     require_rank,
-    signed_orbit,
 )
-from .errors import InvariantViolation, OracleMismatchError, check_cap
+from .errors import InvariantViolation, check_cap
 from .weights import _weight_system_cached, weyl_dimension
 
 _FOLD_LIMIT = 10_000
@@ -258,74 +253,3 @@ def _level_k_weights(spec: AlgebraSpec, k: int) -> tuple:
         if sum(l * b for l, b in zip(labels, bounds)) <= k:
             found.append(labels)
     return tuple(sorted(found))
-
-
-@lru_cache(maxsize=64)
-def _s_matrix(spec: AlgebraSpec, k: int):
-    """Rows of the numeric S matrix over integrable weights, unit-normalized.
-
-    Row alpha is sum_w (-1)^w exp(-2 pi i (w(alpha+rho), beta+rho)/K), summed
-    over the signed orbit of alpha+rho by the phase kernel of G; the minus
-    sign is the kernel's phase at the point -(beta+rho).  Any overall scalar
-    drops out of the Verlinde ratio, so rows are normalized numerically
-    instead of carrying the closed-form lattice-volume prefactor.
-
-    The sums are symmetric bit for bit: w -> w^-1 maps the (residue, sign)
-    terms of entry (alpha, beta) onto those of (beta, alpha), and the phase
-    kernel counts terms per residue and adds with math.fsum, in any order.
-    So row alpha is summed at the points beta >= alpha only, and the rest
-    is mirrored from the rows above before the row is normalized.
-    """
-    from .characters import phase_kernel, phase_sums
-
-    weights = level_k_weights(spec, k)
-    kernel = phase_kernel(spec.quad_form, k + spec.dual_coxeter)
-    points = [tuple(-b - 1 for b in beta) for beta in weights]
-    sums, rows = [], []
-    for n, alpha in enumerate(weights):
-        images, signs, _ = signed_orbit(spec, tuple(a + 1 for a in alpha))
-        row = [above[n] for above in sums] + phase_sums(kernel, images, signs, points[n:])
-        sums.append(row)
-        norm = math.hypot(*(part for x in row for part in (x.real, x.imag)))
-        rows.append(tuple(x / norm for x in row))
-    return tuple(weights), tuple(rows)
-
-
-def verlinde_table(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
-    """Full fusion row of the independent oracle: lam -> N for every
-    integrable lam, by the S-matrix ratio
-    sum_sigma S_{mu sigma} S_{nu sigma} S*_{lam sigma} / S_{0 sigma};
-    verlinde_rows on [nu]."""
-    return verlinde_rows(spec, mu, [nu], k)[0]
-
-
-def verlinde_rows(spec: AlgebraSpec, mu: Weight, nus, k: int) -> list:
-    """One oracle table per nu in nus, as verlinde_table: the S rows are
-    conjugated once, and each ratio adds its products t_sigma S*_{lam sigma}
-    in sigma order.  A ratio more than 1e-6 from an integer raises
-    OracleMismatchError."""
-    weights = level_k_weights(spec, k)
-    mu, nus = tuple(mu), [tuple(nu) for nu in nus]
-    require_integrable(spec, k, mu, *nus)
-    check_cap("weyl_order", spec.weyl_order, spec)  # the cached S matrix sums signed orbits
-    _, rows = _s_matrix(spec, k)
-    vacuum, row_mu = (rows[weights.index(w)] for w in ((0,) * spec.rank, mu))
-    conjugates = [list(map(complex.conjugate, row)) for row in rows]
-    tables = []
-    for nu in nus:
-        # t_sigma = S_{mu sigma} S_{nu sigma} / S_{0 sigma} does not depend on lam
-        t = [a * b / v for a, b, v in zip(row_mu, rows[weights.index(nu)], vacuum)]
-        table = {}
-        for lam, conjugate in zip(weights, conjugates):
-            total = sum(map(mul, t, conjugate))
-            nearest = round(total.real)
-            residual = abs(total - nearest)
-            if residual > 1e-6:
-                raise OracleMismatchError(
-                    f"Verlinde ratio {total} for N_{{{mu},{nu}}}^{lam} at k={k} "
-                    f"is {residual:.2e} from an integer"
-                )
-            if nearest:
-                table[lam] = nearest
-        tables.append(table)
-    return tables

@@ -21,6 +21,11 @@ The inequality checks (Parseval-style bound, dimension bound, conjugacy
 symmetry) are exact integer comparisons end to end.  fusion and weights are
 imported by the checks that use them, so a suite that only assembles
 reports (the theta suite) loads neither.
+
+The identity, lemma, bounds and conjugacy suites of the command line live
+at the end of this module (_suite_identity, _suite_lemma, _suite_bounds,
+_suite_conjugacy); the phase kernel is loaded by the variety scan, and
+characters only by the identity suite at k = infinity.
 """
 
 from __future__ import annotations
@@ -103,7 +108,8 @@ def make_report(case_id: str, tolerance: float, residuals) -> VerificationReport
 
 def integer_report(case_id: str, checks) -> VerificationReport:
     """Wrap exact integer comparisons (label, lhs, rhs, ok, overshoot) as a
-    report: the residual is the worst constraint violation, so tolerance is 0."""
+    report: the residual is the worst constraint violation, so tolerance is 0.
+    Empty checks raise ValueError, as an empty stream does in make_report."""
     worst = 0
     witnesses = []
     count = 0
@@ -112,6 +118,8 @@ def integer_report(case_id: str, checks) -> VerificationReport:
         if not ok:
             worst = max(worst, overshoot)
             witnesses.append((label, complex(lhs), complex(rhs)))
+    if count == 0:
+        raise ValueError(f"{case_id}: no points to check")
     return VerificationReport(
         case_id=case_id,
         points_checked=count,
@@ -191,8 +199,8 @@ def verify_numerator_identity(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int,
     the identity suite passes the tables of one fold row per mu, and
     negative controls pass wrong ones.
     """
-    from .characters import _netted_rows, _point_tuple, _row_sums
     from .fusion import _shifted_terms, fuse_level_k, require_integrable
+    from .phase import _netted_rows, _point_tuple, _row_sums
 
     mu, nu = tuple(mu), tuple(nu)
     require_integrable(spec, k, mu, nu)
@@ -278,3 +286,102 @@ def conjugacy_square_check(spec: AlgebraSpec, a: Weight, b: Weight, k: int):
     _warn_if_self_conjugate(spec, stacklevel=2)
     b = tuple(b)
     return tuple(zip(*_squares_and_sums(spec, a, [b, conjugate(spec, b)], k)))
+
+
+# ---------------------------------------------------------------------------
+# suites of the command line: each takes the algebra and the run config
+# (cli.RunConfig) and yields (report, mu, nu) per case
+
+
+def _random_regular_points(spec: AlgebraSpec, count: int, seed: int):
+    import random
+
+    from .characters import GenericPoint, eval_D
+
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        u = tuple(1j * rng.uniform(0.2, 2.8) for _ in range(spec.rank))
+        point = GenericPoint(u)
+        if abs(eval_D(spec, spec.rho, point)) > 1e-6:
+            points.append(point)
+    return points
+
+
+def _suite_identity(spec: AlgebraSpec, config):
+    from . import fusion
+
+    if config.k is None:
+        from .characters import weyl_ratio_sums
+        from .weights import weyl_dimension
+
+        labels = [w for w in product(range(4), repeat=spec.rank)]
+        for mu in labels:  # every V(mu) is built by some case: check them before the first
+            check_cap("dim", weyl_dimension(spec, mu), mu)
+        points = _random_regular_points(spec, 25, config.seed)
+        for mu in labels:
+            for nu, table in zip(labels, fusion.tensor_decompose_rows(spec, mu, labels)):
+                report = check_identity(
+                    f"char-sum-identity:{spec}:k=inf:mu={mu}:nu={nu}", spec, mu, nu,
+                    table, points, partial(weyl_ratio_sums, spec), config.tolerance,
+                )
+                yield report, mu, nu
+        return
+    gammas = _ResidueGrid(spec, config.k)
+    weights = fusion.level_k_weights(spec, config.k)
+    for mu in weights:
+        for nu, table in zip(weights, fusion.fuse_level_k_rows(spec, mu, weights, config.k)):
+            report = verify_numerator_identity(
+                spec, mu, nu, config.k, gammas, tolerance=config.tolerance,
+                coefficients=table,
+            )
+            yield report, mu, nu
+
+
+def _suite_lemma(spec: AlgebraSpec, config):
+    from .fusion import level_k_weights
+
+    gammas = _ResidueGrid(spec, config.k)
+    for mu in level_k_weights(spec, config.k):
+        report = verify_lemma_weightsum(
+            spec, mu, config.k, gammas, tolerance=config.tolerance
+        )
+        yield report, mu, None
+
+
+def _suite_bounds(spec: AlgebraSpec, config):
+    from .fusion import level_k_weights
+    from .weights import square_sum, weyl_dimension
+
+    weights = level_k_weights(spec, config.k)
+    squares = [square_sum(spec, w) for w in weights]  # checks every dim cap
+    dims = [weyl_dimension(spec, w) for w in weights]
+    # rows[i][j]: (sum N^2, sum N) of the table weights[i] x weights[j]
+    rows = [_squares_and_sums(spec, mu, weights, config.k) for mu in weights]
+    parseval_checks = []
+    dim_checks = []
+    for i, mu in enumerate(weights):
+        for j, sigma in enumerate(weights):
+            lhs, rhs, ok = _at_most(rows[j][i][0], squares[i], squares[j])
+            parseval_checks.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
+            total, bound, ok = _at_most(rows[i][j][1], dims[i], dims[j])
+            dim_checks.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
+    yield integer_report(f"parseval-bound:{spec}:k={config.k}", parseval_checks), None, None
+    yield integer_report(f"dimension-bound:{spec}:k={config.k}", dim_checks), None, None
+
+
+def _suite_conjugacy(spec: AlgebraSpec, config):
+    from .fusion import level_k_weights
+    from .weights import conjugate
+
+    _warn_if_self_conjugate(spec, stacklevel=1)
+    weights = level_k_weights(spec, config.k)
+    partners = [weights.index(conjugate(spec, b)) for b in weights]
+    checks = []
+    for a in weights:
+        row = _squares_and_sums(spec, a, weights, config.k)
+        for j, b in enumerate(weights):
+            (s1, s2), (l1, l2) = zip(row[j], row[partners[j]])
+            both = s1 == s2 and l1 == l2
+            checks.append((f"a={a},b={b}", s1, s2, both, abs(s1 - s2) + abs(l1 - l2)))
+    yield integer_report(f"conjugacy-squares:{spec}:k={config.k}", checks), None, None

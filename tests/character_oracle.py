@@ -21,19 +21,16 @@ import numpy as np
 
 from fusionkit.algebra import AlgebraSpec, Weight, cartan_inverse
 from fusionkit.characters import (
-    PHASE_TABLE_CAP,
     EvalPoint,
     GenericPoint,
     _check_point,
     _generic_pairing_vector,
-    phase_kernel,
-    phase_sums,
-    roots_of_unity,
     weyl_ratio_sums,
 )
 from fusionkit.errors import CapExceeded
 from fusionkit.fusion import _shifted_terms, fuse_level_k, tensor_decompose
 from fusionkit.identity import _rhs_terms
+from fusionkit.phase import PHASE_TABLE_CAP, phase_kernel, phase_sums, roots_of_unity
 from fusionkit.weights import weight_system
 
 

@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from fusionkit.algebra import signed_orbit
-from fusionkit.characters import roots_of_unity
+from fusionkit.phase import roots_of_unity
 
 
 def to_array(model, state) -> np.ndarray:

@@ -25,7 +25,7 @@ from fusionkit.csmodel import (
     operator_fusion_rows,
     primary_state,
 )
-from fusionkit.fusion import fuse_level_k, level_k_weights, verlinde_table
+from fusionkit.fusion import fuse_level_k, level_k_weights
 from fusionkit.identity import (
     conjugacy_square_check,
     dim_bound,
@@ -39,6 +39,7 @@ from fusionkit.theta import (
     theta_weyl,
     verify_kw_identity,
 )
+from fusionkit.verlinde import verlinde_table
 from fusionkit.weights import square_sum
 
 from character_oracle import lhs_char_sum, rhs_fusion_sum

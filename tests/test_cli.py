@@ -457,6 +457,18 @@ def test_theta_infinite_tau_exits_2(capsys):
     assert "tau must be finite" in captured.err
 
 
+def test_theta_sum_at_level_zero_exits_2(capsys):
+    """Theta_{gamma,0} is undefined: --k 0 is refused, not read as level 1.
+    The finite-tau character at k = 0 sums at level k + h^v and runs."""
+    code = cli.main(["theta", "A1", "--k", "0", "--gamma", "1", "--tau", "0+1i",
+                     "--u", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "theta level must be a positive integer" in captured.err
+    assert run(capsys, "theta", "A1", "--k", "0", "--char", "--mu", "0",
+               "--tau", "0+1i", "--u", "0.05")[0] == 0
+
+
 def test_parse_tau_maps_only_a_trailing_i():
     assert cli._parse_tau("0+1i") == 1j
     assert cli._parse_tau("0.3+2i") == 0.3 + 2j

@@ -11,7 +11,6 @@ import pytest
 
 from fusionkit import cli, csmodel
 from fusionkit.algebra import _coroot_labels, build_algebra
-from fusionkit.characters import roots_of_unity
 from fusionkit.csmodel import (
     FourierOperator,
     basis_state,
@@ -28,7 +27,9 @@ from fusionkit.csmodel import (
     wilson_operator,
 )
 from fusionkit.errors import CapExceeded, Caps, OracleMismatchError, use_caps
-from fusionkit.fusion import fuse_level_k, level_k_weights, verlinde_table
+from fusionkit.fusion import fuse_level_k, level_k_weights
+from fusionkit.phase import roots_of_unity
+from fusionkit.verlinde import verlinde_table
 
 import csmodel_oracle as oracle
 from weyl_oracle import apply_word, weyl_elements, word_sign

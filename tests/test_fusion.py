@@ -6,9 +6,8 @@ from itertools import product
 
 import pytest
 
-from fusionkit import fusion
+from fusionkit import fusion, verlinde
 from fusionkit.algebra import build_algebra, reflect_to_dominant, signed_orbit
-from fusionkit.characters import phase_kernel, phase_sums
 from fusionkit.errors import CapExceeded, Caps, InvariantViolation, OracleMismatchError, use_caps
 from fusionkit.fusion import (
     _shifted_terms,
@@ -16,8 +15,9 @@ from fusionkit.fusion import (
     is_integrable,
     level_k_weights,
     tensor_decompose,
-    verlinde_table,
 )
+from fusionkit.phase import phase_kernel, phase_sums
+from fusionkit.verlinde import verlinde_table
 from fusionkit.weights import WeightSystem, conjugate, weight_system, weyl_dimension
 
 A1 = build_algebra("A", 1)
@@ -149,10 +149,10 @@ def test_verlinde_rows_are_the_tables_of_their_pairs(spec, kmax):
     for k in range(kmax + 1):
         weights = level_k_weights(spec, k)
         for mu in weights:
-            rows = fusion.verlinde_rows(spec, mu, weights, k)
+            rows = verlinde.verlinde_rows(spec, mu, weights, k)
             assert rows == [verlinde_table(spec, mu, nu, k) for nu in weights]
             assert rows == fusion.fuse_level_k_rows(spec, mu, weights, k)
-        assert fusion.verlinde_rows(spec, weights[-1], [], k) == []
+        assert verlinde.verlinde_rows(spec, weights[-1], [], k) == []
 
 
 def pairwise_ratios(spec, mu, nus, k, rows):
@@ -173,16 +173,16 @@ def test_perturbed_s_row_raises_through_the_rows(monkeypatch, capsys):
     from fusionkit import cli
 
     k, mu = 2, (1, 0)
-    weights, rows = fusion._s_matrix(A2, k)
+    weights, rows = verlinde._s_matrix(A2, k)
     i = weights.index(mu)
     bent = rows[:i] + ((rows[i][0] + 0.05,) + rows[i][1:],) + rows[i + 1:]
-    monkeypatch.setattr(fusion, "_s_matrix", lambda spec, k: (weights, bent))
+    monkeypatch.setattr(verlinde, "_s_matrix", lambda spec, k: (weights, bent))
     nu, lam, total = next((nu, lam, total) for nu, lam, total
                           in pairwise_ratios(A2, mu, weights, k, bent)
                           if abs(total - round(total.real)) > 1e-6)
     message = f"Verlinde ratio {total} for N_{{{mu},{nu}}}^{lam} at k={k} "
     with pytest.raises(OracleMismatchError, match=re.escape(message)):
-        fusion.verlinde_rows(A2, mu, weights, k)
+        verlinde.verlinde_rows(A2, mu, weights, k)
     assert cli.main(["fuse", "A2", "--k", "2", "--mu", "1,0", "--nu", "0,1", "--oracle"]) == 3
     assert "verification failure: Verlinde ratio" in capsys.readouterr().err
 
@@ -213,8 +213,8 @@ def test_s_matrix_from_its_upper_triangle_equals_full_rows(name, k):
     """Mirroring the entries below the diagonal changes no bit, signed zeros
     included, of the normalized rows."""
     spec = build_algebra(name[0], int(name[1:]))
-    fusion._s_matrix.cache_clear()
-    assert s_bits(fusion._s_matrix(spec, k)) == s_bits(full_row_s_matrix(spec, k))
+    verlinde._s_matrix.cache_clear()
+    assert s_bits(verlinde._s_matrix(spec, k)) == s_bits(full_row_s_matrix(spec, k))
 
 
 #: (algebra, highest level) beyond A1 and A2, one per remaining series

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import fusionkit
-from fusionkit import cli, fusion
+from fusionkit import cli, fusion, identity
 from fusionkit.algebra import build_algebra
 from fusionkit.errors import DEFAULT_CAPS, CapExceeded, Caps, InvariantViolation, use_caps
-from fusionkit.characters import GenericPoint, alternating_sums, eval_char, eval_D
+from fusionkit.characters import GenericPoint, eval_char, eval_D
 from fusionkit.fusion import fuse_level_k, level_k_weights, tensor_decompose
 from fusionkit.identity import (
     VerificationReport,
@@ -28,6 +28,7 @@ from fusionkit.identity import (
     make_report,
     verify_numerator_identity,
 )
+from fusionkit.phase import alternating_sums
 
 from character_oracle import lhs_char_sum, rhs_fusion_sum
 
@@ -250,8 +251,9 @@ def test_row_suites_match_the_public_helpers(monkeypatch, name, k, mutant):
 
         monkeypatch.setattr(fusion, "fuse_level_k_rows", plus_one_above_the_diagonal)
     config = cli.RunConfig(spec, k, 1e-9, DEFAULT_CAPS, 0, None, "json")
+    assert {cli._SUITES[suite][0] for suite in ("bounds", "conjugacy")} == {"identity"}
     reports = [report for suite in ("bounds", "conjugacy")
-               for report, _, _ in cli._SUITES[suite](spec, config)]
+               for report, _, _ in getattr(identity, cli._SUITES[suite][1])(spec, config)]
     assert reports == helper_reports(spec, k)
     assert all(r.passed for r in reports) != mutant
     assert all(bool(r.witnesses) != r.passed for r in reports)
@@ -295,8 +297,10 @@ def test_non_finite_residual_fails(lhs, rhs):
 
 
 def test_empty_residual_stream_is_an_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty: no points to check"):
         make_report("empty", 1e-9, [])
+    with pytest.raises(ValueError, match="empty: no points to check"):
+        integer_report("empty", [])
     with pytest.raises(ValueError):
         verify_numerator_identity(A1, (1,), (1,), 2, [])
 

@@ -32,10 +32,9 @@ from fusionkit.fusion import (
     level_pairing,
     tensor_decompose,
     tensor_decompose_rows,
-    verlinde_rows,
-    verlinde_table,
 )
 from fusionkit.identity import verify_numerator_identity
+from fusionkit.verlinde import verlinde_rows, verlinde_table
 from fusionkit.weights import conjugate, weight_system, weyl_dimension
 
 PACKAGE = Path(fusionkit.__file__).resolve().parent

@@ -115,19 +115,40 @@ def test_probe_reports_numpy_when_something_imports_it():
     assert code == 0 and {"numpy", "fusionkit.csmodel"} <= loaded
 
 
+def imported_modules(source: str) -> set:
+    """Every module a fusionkit source file names in an import statement, at
+    module level or in a function, relative imports resolved against the
+    package: ``from . import cli`` names fusionkit and fusionkit.cli."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["fusionkit", module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_modules_sees_every_form_of_a_cli_import():
+    for source in ("import fusionkit.cli", "from fusionkit import cli", "from . import cli",
+                   "from .cli import main", "def f():\n    from fusionkit.cli import main"):
+        assert "fusionkit.cli" in imported_modules(source), source
+    assert "fusionkit.cli" not in imported_modules("from .identity import make_report")
+
+
 def test_no_package_module_imports_numpy():
     """No file under src/fusionkit imports numpy, at module level or in a
-    function."""
+    function, and none imports fusionkit.cli: under ``python -m
+    fusionkit.cli`` the CLI runs as __main__, so an import of it would
+    compile and run cli.py a second time."""
     package = Path(fusionkit.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(name.split(".")[0] == "numpy" for name in names), path.name
+        names = imported_modules(path.read_text())
+        assert not any(name.split(".")[0] == "numpy" for name in names), path.name
+        assert "fusionkit.cli" not in names, path.name
 
 
 def test_theta_command_loads_theta():
@@ -152,6 +173,35 @@ def test_theta_runs_without_numpy(argv):
     (THETA_GAMMA, THETA_LAYER),
 ], ids=[" ".join(THETA_SUITE), " ".join(THETA_CHAR), " ".join(THETA_GAMMA)])
 def test_theta_commands_load_only_the_theta_layer(argv, modules):
+    assert probe(argv) == (0, modules)
+
+
+#: the fusion layers every suite but theta loads
+FUSION_SUITE = {"fusionkit", "fusionkit.cli", "fusionkit.algebra", "fusionkit.errors",
+                "fusionkit.identity", "fusionkit.fusion", "fusionkit.weights"}
+
+#: the invocations of perfbench/run.py's workloads but the theta pair (pinned
+#: by test_theta_commands_load_only_the_theta_layer) and the exact fusionkit
+#: modules each loads: a call compiles only the kernels and the suite it runs
+BENCHMARK_INVOCATIONS = [
+    (["verify", "A3", "--k", "1", "--suite", "identity"], FUSION_SUITE | {"fusionkit.phase"}),
+    (["verify", "G2", "--k", "2", "--suite", "identity"], FUSION_SUITE | {"fusionkit.phase"}),
+    (["verify", "A2", "--k", "inf", "--suite", "identity", "--seed", "0"],
+     FUSION_SUITE | {"fusionkit.characters"}),
+    (["verify", "A2", "--k", "6", "--suite", "bounds"], FUSION_SUITE),
+    (["verify", "A2", "--k", "6", "--suite", "conjugacy"], FUSION_SUITE),
+    (["verify", "A2", "--k", "4", "--suite", "csmodel", "--seed", "0"],
+     FUSION_SUITE | {"fusionkit.csmodel", "fusionkit.characters", "fusionkit.phase",
+                     "fusionkit.verlinde"}),
+    (["fuse", "D5", "--k", "1", "--mu", "1,0,0,0,0", "--nu", "0,0,0,1,0", "--oracle"],
+     {"fusionkit", "fusionkit.cli", "fusionkit.algebra", "fusionkit.errors",
+      "fusionkit.fusion", "fusionkit.weights", "fusionkit.verlinde", "fusionkit.phase"}),
+]
+
+
+@pytest.mark.parametrize("argv,modules", BENCHMARK_INVOCATIONS,
+                         ids=[" ".join(argv) for argv, _ in BENCHMARK_INVOCATIONS])
+def test_benchmark_invocations_load_exactly_their_layers(argv, modules):
     assert probe(argv) == (0, modules)
 
 
@@ -209,10 +259,10 @@ PUBLIC_NAMES = [
     "conjugacy_square_check", "conjugate", "csmodel", "dim_bound", "dominant_conjugate",
     "errors", "eval_D", "eval_char", "fuse_level_k", "fusion", "identity", "importlib",
     "is_integrable", "kac_weyl_char", "level_k_weights", "level_pairing",
-    "operator_fusion_rows", "parseval_bound", "positive_roots", "primary_state",
+    "operator_fusion_rows", "parseval_bound", "phase", "positive_roots", "primary_state",
     "reflect_to_dominant", "s_operator", "shift_op", "signed_orbit", "tensor_decompose",
     "theta", "theta_sum", "theta_weyl", "use_caps", "verify_kw_identity",
-    "verify_lemma_weightsum", "verify_numerator_identity", "verlinde_table",
+    "verify_lemma_weightsum", "verify_numerator_identity", "verlinde", "verlinde_table",
     "weight_system", "weights", "weyl_dimension", "wilson_operator",
 ]
 
@@ -226,4 +276,4 @@ def test_public_names_are_pinned():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 68

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from fusionkit import characters, cli, identity
+from fusionkit import cli, identity, phase
 from fusionkit.algebra import build_algebra
-from fusionkit.characters import alternating_sums
 from fusionkit.fusion import fuse_level_k, level_k_weights
 from fusionkit.identity import _ResidueGrid, check_identity, verify_numerator_identity
+from fusionkit.phase import alternating_sums
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,15 +42,15 @@ TABLES = {"true": None, "plus-one": plus_one, "one-unit-move": one_unit_move}
 
 @pytest.fixture
 def row_sums_calls(monkeypatch):
-    """Counts the calls of characters._row_sums, the point walk."""
+    """Counts the calls of phase._row_sums, the point walk."""
     calls = []
-    walk = characters._row_sums
+    walk = phase._row_sums
 
     def spy(*args):
         calls.append(len(args[2]))
         return walk(*args)
 
-    monkeypatch.setattr(characters, "_row_sums", spy)
+    monkeypatch.setattr(phase, "_row_sums", spy)
     return calls
 
 

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionkit import algebra, characters, fusion
+from fusionkit import algebra, phase, verlinde
 from fusionkit.algebra import (
     build_algebra,
     dominant_conjugate,
     reflect_to_dominant,
     signed_orbit,
 )
-from fusionkit.characters import alternating_sums
 from fusionkit.errors import InvariantViolation
 from fusionkit.fusion import level_k_weights
+from fusionkit.phase import alternating_sums
 
 from weyl_oracle import apply_word, level_walk, weyl_elements, weyl_orbit
 
@@ -31,7 +31,7 @@ def cold_orbits():
     """Every store an orbit walk feeds, emptied before and after: the orbits,
     the walk programs they replay, and the residue rows and S matrices read
     from them."""
-    stores = (algebra._signed_orbit_cached, characters._orbit_rows, fusion._s_matrix)
+    stores = (algebra._signed_orbit_cached, phase._orbit_rows, verlinde._s_matrix)
     for store in stores:
         store.cache_clear()
     algebra._walk_programs.clear()

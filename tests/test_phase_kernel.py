@@ -8,20 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit.algebra import build_algebra, cartan_inverse, signed_orbit
-from fusionkit.characters import (
+from fusionkit.algebra import TWO_PI, build_algebra, cartan_inverse, signed_orbit
+from fusionkit.characters import VarietyPoint, eval_D
+from fusionkit.errors import CapExceeded, Caps, use_caps
+from fusionkit.fusion import _shifted_terms, fuse_level_k, level_k_weights
+from fusionkit.identity import _ResidueGrid, _rhs_terms
+from fusionkit.phase import (
     PHASE_TABLE_CAP,
-    TWO_PI,
-    VarietyPoint,
     alternating_sums,
-    eval_D,
     phase_kernel,
     phase_sums,
     roots_of_unity,
 )
-from fusionkit.errors import CapExceeded, Caps, use_caps
-from fusionkit.fusion import _s_matrix, _shifted_terms, fuse_level_k, level_k_weights
-from fusionkit.identity import _ResidueGrid, _rhs_terms
+from fusionkit.verlinde import _s_matrix
 from fusionkit.weights import weight_system
 
 from character_oracle import eval_char_trace, numpy_phase_kernel, numpy_phase_sums
