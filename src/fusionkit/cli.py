@@ -209,9 +209,11 @@ def _cmd_verify(args, config: RunConfig) -> int:
     finite_only = [name for name in names if name != "identity"]
     if config.k is None and finite_only:  # checked before the first case runs
         raise ValueError(f"the {finite_only[0]} suite needs a finite level")
-    if "theta" in names:  # and its series, also before the first case runs
+    if "theta" in names:  # and its series and level, also before the first case runs
         from .theta import _require_simply_laced
         _require_simply_laced(config.spec)
+        if config.k == 0:
+            raise ValueError("the theta suite needs a positive level")
     all_passed = True
     with _output(config) as out:
         for name in names:

@@ -17,8 +17,8 @@ model is literally Z_L with L = 2(k+2); at k=2 the clock eigenvalues are the
 A state is a flat row-major tuple of the L^rank amplitudes of the array:
 floats for basis and primary states, which are real (signs times one
 amplitude, averaged over the radical), complex after a phase, a complex
-coefficient or the Fourier operator.  Operators take one state or a list
-of states.  The coroot labels are algebra's.  Operators are applied lazily
+coefficient or the Fourier operator.  Operators take one state.  The
+coroot labels are algebra's.  Operators are applied lazily
 as sums of phase/shift monomials with integer phase exponents mod L, read
 from the shared table phase.roots_of_unity, so operator identities
 hold to rounding error; they, the inner products and the primary states
@@ -254,7 +254,7 @@ class LatticeOperator:
     Clock operators are pure powers, shift operators pure shifts; products
     stay in this family up to exact root-of-unity scalars.  A real (int or
     float) coefficient is kept as a float, any other as a complex.  apply
-    takes one state or a list of them.
+    takes one state.
     """
 
     def __init__(self, model: GaussianModel, terms):
@@ -268,22 +268,20 @@ class LatticeOperator:
         self.terms = tuple(kept)
         self._term_maps = None
 
-    def apply(self, states):
-        if isinstance(states, list):
-            return [self.apply(state) for state in states]
+    def apply(self, state):
         maps = self._maps()
-        if len(maps) == 1 and maps[0][0] == 1 and all(states):
+        if len(maps) == 1 and maps[0][0] == 1 and all(state):
             # one term on a state with no zero amplitude: _image writes every
             # position once, so this is one phase map and one scatter (a zero
             # amplitude, which _image skips, keeps its signed zeros out)
             _, shifts, phases = maps[0]
-            values = states if phases is None else map(mul, states, phases)
+            values = state if phases is None else map(mul, state, phases)
             if shifts is None:
                 return tuple(values)
-            out = [0j] * len(states)
+            out = [0j] * len(state)
             deque(map(out.__setitem__, shifts, values), maxlen=0)
             return tuple(out)
-        return tuple(self._image(_entries(states)))
+        return tuple(self._image(_entries(state)))
 
     def _image(self, entries: dict) -> list:
         """The image of the state with these nonzero amplitudes, as a list,
@@ -612,15 +610,11 @@ class FourierOperator:
             data = list(chain.from_iterable(zip(*transformed)))
         return tuple(map(truediv, map(data.__getitem__, plan.gather), repeat(self._norm)))
 
-    def apply(self, states):
-        if isinstance(states, list):
-            return [self.apply(state) for state in states]
-        return self._transform(states, self._adjoint)
+    def apply(self, state):
+        return self._transform(state, self._adjoint)
 
-    def apply_inverse(self, states):
-        if isinstance(states, list):
-            return [self.apply_inverse(state) for state in states]
-        return self._transform(states, self._inverse)
+    def apply_inverse(self, state):
+        return self._transform(state, self._inverse)
 
 
 @lru_cache(maxsize=2)
@@ -745,7 +739,7 @@ def _suite_csmodel(spec: AlgebraSpec, config):
         for gamma in gammas:
             for mu in weights:
                 try:
-                    value = character_as_inner_product(model, gamma, mu)
+                    character_as_inner_product(model, gamma, mu)
                     yield (gamma, mu), 0j, 0j
                 except OracleMismatchError:
                     yield (gamma, mu), complex(1.0), 0j
@@ -763,8 +757,7 @@ def _suite_csmodel(spec: AlgebraSpec, config):
                                                       oracle_rows):
             agree = operator_table == folded == oracle
             mismatch_checks.append(
-                (f"mu={mu},nu={nu}", len(operator_table), len(folded), agree,
-                 0 if agree else 1)
+                (f"mu={mu},nu={nu}", len(operator_table), len(folded), 0 if agree else 1)
             )
     yield integer_report(
         f"three-way-fusion:{spec}:k={config.k}", mismatch_checks

@@ -107,15 +107,15 @@ def make_report(case_id: str, tolerance: float, residuals) -> VerificationReport
 
 
 def integer_report(case_id: str, checks) -> VerificationReport:
-    """Wrap exact integer comparisons (label, lhs, rhs, ok, overshoot) as a
-    report: the residual is the worst constraint violation, so tolerance is 0.
-    Empty checks raise ValueError, as an empty stream does in make_report."""
+    """Wrap exact integer comparisons (label, lhs, rhs, overshoot) as a report:
+    a check fails exactly when its overshoot is positive, the residual is the
+    worst overshoot and tolerance is 0.  Empty checks raise ValueError."""
     worst = 0
     witnesses = []
     count = 0
-    for label, lhs, rhs, ok, overshoot in checks:
+    for label, lhs, rhs, overshoot in checks:
         count += 1
-        if not ok:
+        if overshoot > 0:
             worst = max(worst, overshoot)
             witnesses.append((label, complex(lhs), complex(rhs)))
     if count == 0:
@@ -362,10 +362,10 @@ def _suite_bounds(spec: AlgebraSpec, config):
     dim_checks = []
     for i, mu in enumerate(weights):
         for j, sigma in enumerate(weights):
-            lhs, rhs, ok = _at_most(rows[j][i][0], squares[i], squares[j])
-            parseval_checks.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
-            total, bound, ok = _at_most(rows[i][j][1], dims[i], dims[j])
-            dim_checks.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
+            lhs, rhs, _ = _at_most(rows[j][i][0], squares[i], squares[j])
+            parseval_checks.append((f"mu={mu},sigma={sigma}", lhs, rhs, max(0, lhs - rhs)))
+            total, bound, _ = _at_most(rows[i][j][1], dims[i], dims[j])
+            dim_checks.append((f"mu={mu},nu={sigma}", total, bound, max(0, total - bound)))
     yield integer_report(f"parseval-bound:{spec}:k={config.k}", parseval_checks), None, None
     yield integer_report(f"dimension-bound:{spec}:k={config.k}", dim_checks), None, None
 
@@ -382,6 +382,5 @@ def _suite_conjugacy(spec: AlgebraSpec, config):
         row = _squares_and_sums(spec, a, weights, config.k)
         for j, b in enumerate(weights):
             (s1, s2), (l1, l2) = zip(row[j], row[partners[j]])
-            both = s1 == s2 and l1 == l2
-            checks.append((f"a={a},b={b}", s1, s2, both, abs(s1 - s2) + abs(l1 - l2)))
+            checks.append((f"a={a},b={b}", s1, s2, abs(s1 - s2) + abs(l1 - l2)))
     yield integer_report(f"conjugacy-squares:{spec}:k={config.k}", checks), None, None

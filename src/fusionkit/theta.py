@@ -472,19 +472,18 @@ def _suite_theta(spec: AlgebraSpec, config):
 
     k = config.k
     taus = [0.5j, 1j, 0.3 + 2j]
-    gammas = [spec.rho, tuple(min(k, 1) if i == 0 else 0 for i in range(spec.rank)),
-              (0,) * spec.rank]
+    gammas = [spec.rho, (1,) + (0,) * (spec.rank - 1), (0,) * spec.rank]
     u = tuple(0.05 + 0.01 * i for i in range(spec.rank))
 
     def t_residuals():
         for tau in taus:
-            ctx = ThetaContext(spec, max(k, 1), tau, u)
+            ctx = ThetaContext(spec, k, tau, u)
             for gamma in gammas:
                 yield (tau, gamma), complex(check_T_transform(ctx, gamma)), 0j
 
     yield make_report(f"theta-T-transform:{spec}:k={k}", 1e-10, t_residuals()), None, None
 
-    ctx = ThetaContext(spec, max(k, 1), 1j, u)
+    ctx = ThetaContext(spec, k, 1j, u)
     coarse = check_heat_equation(ctx, spec.rho, h=2e-3)
     fine = check_heat_equation(ctx, spec.rho, h=1e-3)
     ratio = coarse / fine if fine else math.inf

@@ -1,21 +1,25 @@
 """Weight systems of irreducible highest-weight representations.
 
-The full multiset of weights is built by walking root strings down from the
-highest weight; multiplicities come from the Freudenthal recursion evaluated
-at the dominant weights only (multiplicity is Weyl-invariant), then spread
-over the Weyl orbits.  Every pairing is an integer numerator over the common
-denominator D of the quadratic form; each formula divides once, exactly.
+Only the dominant weights of V(mu) are found directly, by descending from mu
+along positive roots inside the dominant chamber.  The Freudenthal recursion
+runs on them alone (multiplicity is Weyl-invariant; Moody-Patera 1982), and
+every other weight is an image in the orbit walk of one of them
+(algebra._walk), carrying its multiplicity.  Every pairing is an integer
+numerator over the common denominator D of the quadratic form; each formula
+divides once, exactly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 from typing import NamedTuple
 
 from .algebra import (
     AlgebraSpec,
     Weight,
     _reduce,
+    _walk,
     dominant_conjugate,
     integer_gram,
     pairing_numerator,
@@ -100,11 +104,11 @@ def _square_sum_cached(spec: AlgebraSpec, mu: Weight) -> int:
 
 @lru_cache(maxsize=512)
 def _weight_system_cached(spec: AlgebraSpec, mu: Weight):
-    """(weight, multiplicity) pairs of V(mu), checked once against the Weyl
-    dimension when built."""
-    members = _weight_set(spec, mu)
-    mults = _dominant_multiplicities(spec, mu, members)
-    entries = tuple((w, mults[_reduce(spec, w)[0]]) for w in sorted(members))
+    """(weight, multiplicity) pairs of V(mu): the Weyl orbit of each dominant
+    weight, every image carrying its multiplicity; checked once against the
+    Weyl dimension when built."""
+    mults = _dominant_multiplicities(spec, mu, _dominant_weights(spec, mu))
+    entries = tuple(sorted((w, m) for lam, m in mults.items() for w in _walk(spec, lam)[0]))
     total, dim = sum(m for _, m in entries), weyl_dimension(spec, mu)
     if total != dim:
         raise InvariantViolation(f"multiplicities of {mu} add up to {total}, "
@@ -112,40 +116,33 @@ def _weight_system_cached(spec: AlgebraSpec, mu: Weight):
     return entries
 
 
-def _weight_set(spec: AlgebraSpec, mu: Weight):
-    """The saturated set of weights of V(mu), walked by root strings:
-    lam - alpha_i belongs whenever (steps up along alpha_i) + lam_i >= 1."""
-    simple = spec.cartan
-    members = {mu}
+def _dominant_weights(spec: AlgebraSpec, mu: Weight) -> set:
+    """The dominant weights of V(mu), reached from mu by subtracting positive
+    roots without leaving the dominant chamber: every dominant lam < mu lies
+    at or below some dominant mu - alpha, alpha > 0 (Stembridge, The partial
+    order of dominant weights, 1998)."""
+    roots = positive_roots(spec)
+    found = {mu}
     frontier = [mu]
     while frontier:
-        nxt = []
-        for lam in frontier:
-            for i in range(spec.rank):
-                alpha = simple[i]
-                up = 0
-                probe = tuple(l + a for l, a in zip(lam, alpha))
-                while probe in members:
-                    up += 1
-                    probe = tuple(p + a for p, a in zip(probe, alpha))
-                if up + lam[i] >= 1:
-                    below = tuple(l - a for l, a in zip(lam, alpha))
-                    if below not in members:
-                        members.add(below)
-                        nxt.append(below)
-        frontier = nxt
-    return members
+        below = {lower for lam in frontier for alpha in roots
+                 for lower in [tuple(map(sub, lam, alpha))] if min(lower) >= 0}
+        frontier = below - found
+        found |= frontier
+    return found
 
 
-def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
+def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, dominant_weights) -> dict:
     """Freudenthal recursion on the dominant weights, top down:
 
         ((mu+rho)^2 - (lam+rho)^2) m_lam = 2 sum_{alpha>0} sum_{j>=1}
                                              m_{lam+j alpha} (lam+j alpha, alpha)
 
     Dominant weights are visited by increasing denominator: for dominant
-    lam below lam', (lam+rho)^2 < (lam'+rho)^2 (Humphreys, section 13.4), so
-    every m_{lam+j alpha} is known when lam is reached.
+    lam below lam', (lam+rho)^2 < (lam'+rho)^2 (Humphreys, section 13.4).
+    The dominant conjugate of lam + j alpha lies above lam, so its
+    multiplicity is known when lam is reached, and lam + j alpha is a weight
+    exactly when it has one; the alpha-string through lam is unbroken.
     """
     mu_rho = tuple(m + 1 for m in mu)
     norm_top = pairing_numerator(spec, mu_rho, mu_rho)
@@ -156,8 +153,7 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
     # both sides are numerators over D, which cancels in the ratio
     dominant = sorted(
         (norm_top - pairing_numerator(spec, lam_rho, lam_rho), lam)
-        for lam in members if all(label >= 0 for label in lam)
-        for lam_rho in [tuple(l + 1 for l in lam)]
+        for lam in dominant_weights for lam_rho in [tuple(l + 1 for l in lam)]
     )
     mults: dict[Weight, int] = {}
     for denominator, lam in dominant:
@@ -169,12 +165,10 @@ def _dominant_multiplicities(spec: AlgebraSpec, mu: Weight, members):
         acc = 0
         for alpha, row, step in roots:
             base = sum(l * r for l, r in zip(lam, row))
-            j = 1
-            shifted = tuple(l + j * a for l, a in zip(lam, alpha))
-            while shifted in members:
-                acc += mults[_reduce(spec, shifted)[0]] * (base + j * step)
-                j += 1
-                shifted = tuple(l + j * a for l, a in zip(lam, alpha))
+            j, shifted = 1, tuple(map(add, lam, alpha))
+            while mult := mults.get(_reduce(spec, shifted)[0]):
+                acc += mult * (base + j * step)
+                j, shifted = j + 1, tuple(map(add, shifted, alpha))
         value, remainder = divmod(2 * acc, denominator)
         if remainder or value <= 0:
             raise InvariantViolation(f"multiplicity {2 * acc}/{denominator} of {lam} in {mu} "

@@ -381,6 +381,16 @@ def test_verify_all_refuses_a_non_ade_algebra_before_any_case(capsys, algebra):
     assert err == f"error: theta sums are defined for the ADE series, not {algebra}\n"
 
 
+@pytest.mark.parametrize("suite", ["theta", "all"])
+def test_verify_refuses_the_theta_suite_at_level_zero(capsys, suite):
+    """Theta_{gamma,0} is undefined: a verify run that includes the theta
+    suite refuses --k 0 before its first case, with nothing written (it used
+    to pass two theta cases summed at level 1)."""
+    code, out, err = run_with_stderr(capsys, "verify", "A1", "--k", "0", "--suite", suite)
+    assert code == 2 and out == ""
+    assert err == "error: the theta suite needs a positive level\n"
+
+
 def test_cap_error_keeps_the_lines_of_finished_cases(capsys):
     """Each report line is written as its case finishes: on A3 the csmodel
     suite stops at the Fourier cap (exit 1) after its first two cases,

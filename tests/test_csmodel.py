@@ -339,7 +339,8 @@ def test_s_apply_is_the_adjoint_kernel(series, rank, k):
     s = s_operator(model)
     size = model.cover_size
     units = [tuple(1.0 if i == j else 0j for i in range(size)) for j in range(size)]
-    adjoint = np.array(s.apply_inverse(units)).conj()  # row w: conj of column w of K
+    # row w: conj of column w of K
+    adjoint = np.array([s.apply_inverse(unit) for unit in units]).conj()
     rng = random.Random(5)
     states = [basis_state(model, v) for v in csmodel._sample_indices(model, 8)]
     states += [random_state(model, rng) for _ in range(4)]
@@ -504,18 +505,6 @@ def test_operator_rows_equal_verlinde_rows(series, rank, k):
         rows = operator_fusion_rows(model, mu, weights)
         assert rows == [verlinde_table(spec, mu, nu, k) for nu in weights]
         assert rows[1:2] == operator_fusion_rows(model, mu, weights[1:2])
-
-
-def test_operator_applies_to_a_stack_of_states():
-    """A list of states maps to the list of their images, each equal to the
-    image of the state alone."""
-    model = build_model(A2, 2)
-    op = wilson_operator(model, (1, 1)) @ clock_op(model, 1)
-    states = [primary_state(model, r) for r in level_k_weights(A2, 2)]
-    stacked = op.apply(states)
-    assert isinstance(stacked, list) and len(stacked) == len(states)
-    for state, image in zip(states, stacked):
-        assert op.apply(state) == image
 
 
 def bits(state) -> list:
@@ -729,8 +718,6 @@ def test_fourier_operator_matches_the_dense_kernel(series, rank, k):
         array = oracle.to_array(model, state)
         assert max_gap(s.apply(state), kernel.apply(array).ravel()) < 1e-13
         assert max_gap(s.apply_inverse(state), kernel.apply_inverse(array).ravel()) < 1e-13
-    for images, single in ((s.apply(states), s.apply), (s.apply_inverse(states), s.apply_inverse)):
-        assert images == [single(state) for state in states]
 
 
 @pytest.mark.parametrize("series,rank,k", ORACLE_MODELS)
@@ -746,7 +733,7 @@ def test_lattice_operators_match_the_array_model(series, rank, k):
     states += [primary_state(model, r) for r in weights[:3]]
     stack = np.stack([oracle.to_array(model, state) for state in states])
     for op in operators:
-        images = op.apply(states)
+        images = map(op.apply, states)
         reference = oracle.apply(op, stack)
         for image, expected in zip(images, reference):
             assert max_gap(image, expected.ravel()) < 1e-13

@@ -217,13 +217,12 @@ def helper_reports(spec, k):
     parseval, dims, conjugacy = [], [], []
     for mu in weights:
         for sigma in weights:
-            lhs, rhs, ok = parseval_bound(spec, mu, sigma, k)
-            parseval.append((f"mu={mu},sigma={sigma}", lhs, rhs, ok, max(0, lhs - rhs)))
-            total, bound, ok = dim_bound(spec, mu, sigma, k)
-            dims.append((f"mu={mu},nu={sigma}", total, bound, ok, max(0, total - bound)))
+            lhs, rhs, _ = parseval_bound(spec, mu, sigma, k)
+            parseval.append((f"mu={mu},sigma={sigma}", lhs, rhs, max(0, lhs - rhs)))
+            total, bound, _ = dim_bound(spec, mu, sigma, k)
+            dims.append((f"mu={mu},nu={sigma}", total, bound, max(0, total - bound)))
             (s1, s2), (l1, l2) = conjugacy_square_check(spec, mu, sigma, k)
-            conjugacy.append((f"a={mu},b={sigma}", s1, s2, s1 == s2 and l1 == l2,
-                              abs(s1 - s2) + abs(l1 - l2)))
+            conjugacy.append((f"a={mu},b={sigma}", s1, s2, abs(s1 - s2) + abs(l1 - l2)))
     return [integer_report(f"parseval-bound:{spec}:k={k}", parseval),
             integer_report(f"dimension-bound:{spec}:k={k}", dims),
             integer_report(f"conjugacy-squares:{spec}:k={k}", conjugacy)]
@@ -294,6 +293,18 @@ def test_non_finite_residual_fails(lhs, rhs):
     assert not report.passed
     assert report.max_abs_residual == math.inf
     assert [point for point, _, _ in report.witnesses] == ["p1"]
+
+
+def test_integer_report_fails_exactly_on_a_positive_overshoot():
+    """A check's verdict is its overshoot: zero passes, whatever lhs and rhs
+    are, and the residual is the worst overshoot."""
+    report = integer_report("checks", [("a", 3, 3, 0), ("b", 5, 3, 2), ("c", 2, 3, 1),
+                                       ("d", 9, 1, 0)])
+    assert not report.passed and report.points_checked == 4
+    assert report.max_abs_residual == 2.0 and report.tolerance == 0.0
+    assert [(label, lhs, rhs) for label, lhs, rhs in report.witnesses] == [
+        ("b", 5, 3), ("c", 2, 3)]
+    assert integer_report("checks", [("a", 1, 2, 0), ("b", 7, 2, 0)]).passed
 
 
 def test_empty_residual_stream_is_an_error():

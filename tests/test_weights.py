@@ -7,7 +7,7 @@ import pytest
 
 from fusionkit import weights
 from fusionkit.algebra import build_algebra
-from fusionkit.errors import CapExceeded, Caps, InvariantViolation, use_caps
+from fusionkit.errors import DEFAULT_CAPS, CapExceeded, Caps, InvariantViolation, use_caps
 from fusionkit.weights import (
     WeightSystem,
     conjugate,
@@ -16,7 +16,7 @@ from fusionkit.weights import (
     weyl_dimension,
 )
 
-from weyl_oracle import apply_word, weyl_elements
+from weyl_oracle import apply_word, weight_multiplicities, weyl_elements
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -60,6 +60,23 @@ def test_freudenthal_agrees_with_weyl_dimension(series, rank, max_label):
         with use_caps(Caps(dim=20000)):
             ws = weight_system(spec, labels)
         assert sum(ws.entries.values()) == weyl_dimension(spec, labels)
+
+
+@pytest.mark.parametrize("series,rank,label_sum", [
+    ("A", 1, 6), ("A", 2, 4), ("A", 3, 3), ("A", 4, 2), ("B", 2, 3), ("B", 3, 2),
+    ("C", 3, 2), ("C", 4, 1), ("D", 4, 2), ("D", 5, 1), ("G", 2, 4), ("F", 4, 1),
+    ("E", 6, 1), ("E", 7, 1),
+])
+def test_weight_system_matches_the_saturation_oracle(series, rank, label_sum):
+    """Every V(mu) with labels summing to at most label_sum, under the
+    default dim cap (147 in all: the E7 representation of dim 365,750 is
+    above it), has the weights and multiplicities of the root-string
+    saturation reference."""
+    spec = build_algebra(series, rank)
+    for labels in product(range(label_sum + 1), repeat=rank):
+        if sum(labels) <= label_sum and weyl_dimension(spec, labels) <= DEFAULT_CAPS.dim:
+            expected = weight_multiplicities(spec, labels)
+            assert weight_system(spec, labels).entries == expected, labels
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("A", 3)])

@@ -13,7 +13,7 @@ sys.path.
 from functools import lru_cache
 from operator import sub
 
-from fusionkit.algebra import AlgebraSpec, Weight, _gauss_jordan
+from fusionkit.algebra import AlgebraSpec, Weight, _gauss_jordan, integer_gram, positive_roots
 from fusionkit.errors import InvariantViolation, check_cap
 
 
@@ -138,3 +138,79 @@ def apply_word(spec: AlgebraSpec, word, lam: Weight) -> Weight:
 
 def word_sign(word) -> int:
     return -1 if len(word) % 2 else 1
+
+
+def weight_set(spec: AlgebraSpec, mu: Weight) -> list:
+    """The weights of V(mu) by root-string saturation, in the order found:
+    lam - alpha_i belongs whenever (steps up along alpha_i) + lam_i >= 1.
+    Each step down subtracts one simple root, so the weights come level by
+    level in depth below mu."""
+    simple = spec.cartan
+    members = {tuple(mu)}
+    order = [tuple(mu)]
+    frontier = list(order)
+    while frontier:
+        nxt = []
+        for lam in frontier:
+            for i in range(spec.rank):
+                alpha = simple[i]
+                up = 0
+                probe = tuple(l + a for l, a in zip(lam, alpha))
+                while probe in members:
+                    up += 1
+                    probe = tuple(p + a for p, a in zip(probe, alpha))
+                if up + lam[i] >= 1:
+                    below = tuple(l - a for l, a in zip(lam, alpha))
+                    if below not in members:
+                        members.add(below)
+                        nxt.append(below)
+        order += nxt
+        frontier = nxt
+    return order
+
+
+def weight_multiplicities(spec: AlgebraSpec, mu: Weight) -> dict:
+    """Multiplicities of V(mu) on weight_set: Freudenthal's recursion at its
+    dominant weights, top down by depth, with lam + j alpha a weight exactly
+    when it is in the set,
+
+        ((mu+rho)^2 - (lam+rho)^2) m_lam = 2 sum_{alpha>0} sum_{j>=1}
+                                             m_{lam+j alpha} (lam+j alpha, alpha),
+
+    then every weight carries the multiplicity of its dominant conjugate,
+    reached by simple reflections.  The pairings are exact numerators over
+    D (algebra.integer_gram)."""
+    d_gram = integer_gram(spec)[1]
+
+    def pair(x, y):
+        return sum(a * g * b for a, row in zip(x, d_gram) for g, b in zip(row, y))
+
+    def dominant(lam):
+        while min(lam) < 0:
+            lam = simple_reflection(spec, lam.index(min(lam)) + 1, lam)
+        return lam
+
+    members = weight_set(spec, mu)
+    found = set(members)
+    mu_rho = tuple(m + 1 for m in mu)
+    top = pair(mu_rho, mu_rho)
+    # (alpha, (D G) alpha) per positive root
+    roots = [(alpha, [sum(g * a for g, a in zip(row, alpha)) for row in d_gram])
+             for alpha in positive_roots(spec)]
+    mults = {tuple(mu): 1}
+    for lam in members[1:]:
+        if min(lam) < 0:
+            continue
+        acc = 0
+        for alpha, row in roots:
+            shifted = tuple(l + a for l, a in zip(lam, alpha))
+            while shifted in found:
+                acc += mults[dominant(shifted)] * sum(x * r for x, r in zip(shifted, row))
+                shifted = tuple(s + a for s, a in zip(shifted, alpha))
+        lam_rho = tuple(l + 1 for l in lam)
+        value, remainder = divmod(2 * acc, top - pair(lam_rho, lam_rho))
+        if remainder or value <= 0:
+            raise InvariantViolation(f"multiplicity of {lam} in {mu} came out as "
+                                     f"{2 * acc}/{top - pair(lam_rho, lam_rho)}")
+        mults[lam] = value
+    return {lam: mults[dominant(lam)] for lam in members}
