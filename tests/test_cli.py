@@ -232,13 +232,9 @@ def test_fuse_oracle_mismatch_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
-def test_invariant_violation_exits_3(capsys, monkeypatch):
+def test_invariant_violation_exits_3(capsys, monkeypatch, cold_memos):
     monkeypatch.setattr(fusion, "_FOLD_LIMIT", 0)
-    fusion._fold_memo.cache_clear()
-    try:
-        code, _ = run(capsys, "fuse", "A1", "--k", "2", "--mu", "1", "--nu", "1")
-    finally:
-        fusion._fold_memo.cache_clear()
+    code, _ = run(capsys, "fuse", "A1", "--k", "2", "--mu", "1", "--nu", "1")
     assert code == 3
 
 

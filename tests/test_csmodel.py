@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fusionkit import cli, csmodel
+from fusionkit import cli, csmodel, verlinde
 from fusionkit.algebra import _coroot_labels, build_algebra
 from fusionkit.csmodel import (
     FourierOperator,
@@ -862,3 +862,29 @@ def test_dropped_radical_offset_fails_the_suite(tmp_path, cold_caches, monkeypat
     monkeypatch.setattr(csmodel, "_basis_entries", dropped)
     code, passed = csmodel_suite(tmp_path)
     assert code == 3 and not passed["s-conjugation"]
+
+
+@pytest.mark.parametrize("side", ["operator", "verlinde"])
+def test_three_way_fusion_witness_names_its_side(tmp_path, cold_caches, monkeypatch, side):
+    """One coefficient bumped in the operator rows or in the Verlinde rows:
+    the one failing pair's witness counts the channel where that side leaves
+    the folded table, as lhs for the operator side and rhs for Verlinde."""
+    module, name = ((csmodel, "operator_fusion_rows") if side == "operator"
+                    else (verlinde, "verlinde_rows"))
+    rows = getattr(module, name)
+
+    def bumped(*args):
+        tables = rows(*args)
+        if args[1] == (1, 0):  # mu, in either signature; the first nu is (0, 0)
+            tables[0] = {**tables[0], (0, 0): tables[0].get((0, 0), 0) + 1}
+        return tables
+
+    monkeypatch.setattr(module, name, bumped)
+    path = tmp_path / "out.jsonl"
+    code = cli.main(["verify", "A2", "--k", "2", "--suite", "csmodel", "--output", str(path)])
+    record = json.loads(path.read_text().splitlines()[-1])
+    assert code == 3 and record["case_id"] == "three-way-fusion:A2:k=2"
+    assert not record["passed"] and record["max_abs_residual"] == 1.0
+    lhs, rhs = (1.0, 0.0) if side == "operator" else (0.0, 1.0)
+    assert record["witnesses"] == [
+        {"point": repr("mu=(1, 0),nu=(0, 0)"), "lhs": [lhs, 0.0], "rhs": [rhs, 0.0]}]

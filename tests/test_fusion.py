@@ -2,11 +2,13 @@
 
 import math
 import re
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from fusionkit import fusion, verlinde
+from fusionkit import algebra, fusion, verlinde
 from fusionkit.algebra import build_algebra, reflect_to_dominant, signed_orbit
 from fusionkit.errors import CapExceeded, Caps, InvariantViolation, OracleMismatchError, use_caps
 from fusionkit.fusion import (
@@ -19,6 +21,8 @@ from fusionkit.fusion import (
 from fusionkit.phase import phase_kernel, phase_sums
 from fusionkit.verlinde import verlinde_table
 from fusionkit.weights import WeightSystem, conjugate, weight_system, weyl_dimension
+
+from weyl_oracle import kac_walton_table
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -266,57 +270,100 @@ def test_conjugation_covariance():
                 assert table_bar == {conjugate(A2, w): c for w, c in table.items()}
 
 
+#: (algebra, highest level) of the Kac-Walton oracle sweep: 3,198 (mu, nu) pairs
+KAC_WALTON_CASES = [("A1", 8), ("A2", 6), ("A3", 3), ("A4", 2), ("B2", 3), ("B3", 2),
+                    ("C3", 2), ("D4", 2), ("D5", 1), ("E6", 1), ("F4", 1), ("G2", 3)]
+
+
+def kac_walton_rows():
+    """(name, spec, k, mu, level-k weights) over every level up to each
+    case's highest level."""
+    for name, kmax in KAC_WALTON_CASES:
+        spec = build_algebra(name[0], int(name[1:]))
+        for k in range(kmax + 1):
+            weights = level_k_weights(spec, k)
+            for mu in weights:
+                yield name, spec, k, mu, weights
+
+
+def test_level_k_rows_match_the_kac_walton_oracle(cold_memos):
+    """Every row of mu gives, sorted, each nu's table as the oracle folds
+    every weight of V(mu) on its own."""
+    pairs = 0
+    for name, spec, k, mu, weights in kac_walton_rows():
+        for nu, table in zip(weights, fusion.fuse_level_k_rows(spec, mu, weights, k)):
+            assert table == kac_walton_table(spec, mu, nu, k), (name, k, mu, nu)
+            assert list(table) == sorted(table)
+            pairs += 1
+    assert pairs == 3198
+
+
+def test_parity_mutant_fails_the_kac_walton_sweep(cold_memos, monkeypatch):
+    """With algebra._reduce never flipping parity, the tables of every case
+    but D5 and E6 (levels 0 and 1) leave the oracle's, as a mismatch or an
+    InvariantViolation: 2,060 of the 3,198 pairs."""
+    reduce = algebra._reduce
+    monkeypatch.setattr(algebra, "_reduce", lambda spec, beta: (reduce(spec, beta)[0], 1))
+    flagged = Counter()
+    for name, spec, k, mu, weights in kac_walton_rows():
+        for nu in weights:
+            try:
+                flagged[name] += fuse_level_k(spec, mu, nu, k) != kac_walton_table(spec, mu, nu, k)
+            except InvariantViolation:
+                flagged[name] += 1
+    assert {name for name, count in flagged.items() if count} == {
+        name for name, _ in KAC_WALTON_CASES} - {"D5", "E6"}
+    assert sum(flagged.values()) == 2060
+
+
 def two_step_fuse(spec, mu, nu, k):
-    """Oracle for the memoised fold: decompose mu (x) nu at k = infinity, then
-    fold each netted summand into the level-(k+c) alcove on its own."""
-    counts = {}
+    """The level-k table with no memo: decompose mu (x) nu at k = infinity,
+    then fold each netted summand into the level-(k+c) alcove on its own.
+    Returns (table, number of summands that land on a wall)."""
+    counts, walls = {}, 0
     for summand, mult in tensor_decompose(spec, mu, nu).items():
         folded, sign = fusion._fold_to_alcove(
             spec, tuple(s + 1 for s in summand), k + spec.dual_coxeter
         )
+        walls += not sign
         if sign:
             target = tuple(f - 1 for f in folded)
             counts[target] = counts.get(target, 0) + mult * sign
-    return {w: c for w, c in counts.items() if c}
-
-
-@pytest.fixture
-def cold_folds():
-    """Empty the fold memos before and after a test, so a patched fold
-    neither meets nor leaves memoised entries."""
-    fusion._fold_memo.cache_clear()
-    yield
-    fusion._fold_memo.cache_clear()
+    return {w: c for w, c in counts.items() if c}, walls
 
 
 @pytest.mark.parametrize("name,kmax", [("A1", 4), ("A2", 3), ("A3", 2), ("B2", 2),
                                        ("C3", 1), ("D4", 1), ("G2", 3), ("F4", 1)])
-def test_memoised_fold_matches_two_step_fold(cold_folds, name, kmax):
+def test_memoised_fold_matches_two_step_fold(cold_memos, name, kmax):
+    """The fold memo, warm from every lower level, gives the tables of a fold
+    with no memo, and some summands land on the affine wall."""
     spec = build_algebra(name[0], int(name[1:]))
-    entries = []
+    walls = 0
     for k in range(kmax + 1):
         weights = level_k_weights(spec, k)
         for mu in weights:
-            for nu in weights:
-                assert fuse_level_k(spec, mu, nu, k) == two_step_fuse(spec, mu, nu, k)
-        entries += fusion._fold_memo(spec, k + spec.dual_coxeter).values()
-    # both kinds of wall were met: a finite one, and an affine one after reduction
-    assert any(sign == 0 for _, sign, _, _ in entries)
-    assert any(sign != 0 and folded == 0 for _, sign, _, folded in entries)
+            for nu, table in zip(weights, fusion.fuse_level_k_rows(spec, mu, weights, k)):
+                expected, wall = two_step_fuse(spec, mu, nu, k)
+                assert table == expected
+                walls += wall
+    assert walls and fusion._fold_summand.cache_info().hits
 
 
-def test_fold_memo_is_bounded(cold_folds, monkeypatch):
-    assert fusion._fold_memo.cache_info().maxsize is not None
-    monkeypatch.setattr(fusion, "_FOLD_MEMO_ENTRIES", 7)
+def test_fold_memo_is_bounded(cold_memos, monkeypatch):
+    """Past its bound the fold memo drops old summands, and the tables stay
+    the same."""
+    assert fusion._fold_summand.cache_info().maxsize is not None
+    monkeypatch.setattr(fusion, "_fold_summand",
+                        lru_cache(maxsize=7)(fusion._fold_summand.__wrapped__))
     k = 3
     weights = level_k_weights(A2, k)
     for mu in weights:
-        for nu in weights:
-            assert fuse_level_k(A2, mu, nu, k) == two_step_fuse(A2, mu, nu, k)
-    assert len(fusion._fold_memo(A2, k + A2.dual_coxeter)) == 7
+        for nu, table in zip(weights, fusion.fuse_level_k_rows(A2, mu, weights, k)):
+            assert table == kac_walton_table(A2, mu, nu, k)
+    assert fusion._fold_summand.cache_info().currsize == 7
 
 
-def test_finite_accumulation_negative_raises(cold_folds, monkeypatch):
+def test_finite_accumulation_negative_raises(cold_memos, monkeypatch):
     # an extra weight -4 shifts to beta = -2, which reflects to 2 with sign -1
     broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (-4,): 1})
     monkeypatch.setattr(fusion, "_weight_system_cached",
@@ -326,43 +373,48 @@ def test_finite_accumulation_negative_raises(cold_folds, monkeypatch):
 
 
 @pytest.mark.parametrize("label", [-100, 100])
-def test_label_outside_the_fold_key_range_raises(cold_folds, monkeypatch, label):
-    """A weight whose beta could share a fold key with another raises
-    instead: at k = 3 (K = 5) the key digits hold labels in [-20, 20)."""
+def test_label_outside_the_key_range_raises_at_level_k(cold_memos, monkeypatch, label):
+    """A level-k row keys its terms like a tensor row: mu = (1,) at k = 3 is
+    keyed under the least offset, whose digits hold labels in [-64, 64), so a
+    weight whose term could share a key with another raises instead."""
     broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (label,): 1})
     monkeypatch.setattr(fusion, "_weight_system_cached",
                         lambda spec, mu: tuple(broken.entries.items()))
-    with pytest.raises(InvariantViolation, match="outside the fold key range"):
+    with pytest.raises(InvariantViolation, match="outside the tensor key range"):
         fuse_level_k(A1, (1,), (1,), 3)
-    assert fusion._fold_memo(A1, 5) == {}
+    assert fusion._tensor_memo(A1, fusion._TENSOR_OFFSET) == {}
 
 
-def test_row_is_the_tables_of_its_pairs(cold_folds):
-    """One row of mu gives, in order, the table of each nu, and rows of one
-    level share one fold memo keyed by integers."""
+def test_row_is_the_tables_of_its_pairs(cold_memos):
+    """One row of mu gives, in order, the table of each nu, and level-k rows
+    read the tensor memo that k = infinity rows read, keyed by integers."""
     k = 3
     weights = level_k_weights(A2, k)
     for mu in weights:
         assert fusion.fuse_level_k_rows(A2, mu, weights, k) == [
-            two_step_fuse(A2, mu, nu, k) for nu in weights]
-    memo = fusion._fold_memo(A2, k + A2.dual_coxeter)
+            kac_walton_table(A2, mu, nu, k) for nu in weights]
+    memo = fusion._tensor_memo(A2, fusion._TENSOR_OFFSET)
     assert memo and all(type(key) is int for key in memo)
+    entries = len(memo)
+    for mu in weights:
+        fusion.tensor_decompose_rows(A2, mu, weights)
+    assert len(memo) == entries and fusion._tensor_memo.cache_info().currsize == 1
     assert fusion.fuse_level_k_rows(A2, (1, 0), [], k) == []
 
 
-def test_folded_accumulation_negative_raises(cold_folds, monkeypatch):
+def test_folded_accumulation_negative_raises(cold_memos, monkeypatch):
     monkeypatch.setattr(fusion, "_fold_to_alcove", lambda spec, beta, level: (beta, -1))
     with pytest.raises(InvariantViolation, match="folded accumulation .* went negative"):
         fuse_level_k(A1, (1,), (1,), 3)
 
 
-def test_fold_leaving_the_alcove_raises(cold_folds, monkeypatch):
+def test_fold_leaving_the_alcove_raises(cold_memos, monkeypatch):
     monkeypatch.setattr(fusion, "_fold_to_alcove", lambda spec, beta, level: (beta, 1))
     with pytest.raises(InvariantViolation, match="left the level-k alcove"):
         fuse_level_k(A1, (1,), (1,), 1)
 
 
-def test_fold_limit_raises(cold_folds, monkeypatch):
+def test_fold_limit_raises(cold_memos, monkeypatch):
     monkeypatch.setattr(fusion, "_FOLD_LIMIT", 0)
     with pytest.raises(InvariantViolation, match="did not terminate"):
         fuse_level_k(A1, (1,), (1,), 2)
@@ -384,17 +436,8 @@ def signed_reflection_tensor(spec, mu, nu):
     return {w: c for w, c in counts.items() if c}
 
 
-@pytest.fixture
-def cold_tensors():
-    """Empty the tensor memos before and after a test, so a patched weight
-    system neither meets nor leaves memoised entries."""
-    fusion._tensor_memo.cache_clear()
-    yield
-    fusion._tensor_memo.cache_clear()
-
-
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
-def test_tensor_row_is_the_tables_of_its_pairs(cold_tensors, name):
+def test_tensor_row_is_the_tables_of_its_pairs(cold_memos, name):
     """One row of mu gives each nu's table, equal in values and in item order
     (each summand where it first appears among V(mu)'s weights, not sorted)
     to the pair's tensor_decompose and to a reduction of each term alone."""
@@ -418,7 +461,7 @@ def test_tensor_row_is_the_tables_of_its_pairs(cold_tensors, name):
     assert fusion.tensor_decompose_rows(spec, mu, []) == []
 
 
-def test_tensor_memo_is_bounded(cold_tensors, monkeypatch):
+def test_tensor_memo_is_bounded(cold_memos, monkeypatch):
     """Past its entry bound the memo keeps nothing new, and the tables stay
     the same."""
     assert fusion._tensor_memo.cache_info().maxsize is not None
@@ -431,19 +474,28 @@ def test_tensor_memo_is_bounded(cold_tensors, monkeypatch):
     assert len(memo) == 7 and all(type(key) is int for key in memo)
 
 
-def test_dim_cap_checked_on_a_warm_tensor_memo(cold_tensors):
-    mu, labels = (2, 1), list(product(range(3), repeat=2))
+def test_dim_cap_checked_on_a_warm_tensor_memo(cold_memos):
+    """A cap below mu's dimension trips on warm tensor and fold memos, at
+    k = infinity and at level k."""
+    mu, labels, k = (2, 1), list(product(range(3), repeat=2)), 3
+    weights = level_k_weights(A2, k)
     fusion.tensor_decompose_rows(A2, mu, labels)
+    fusion.fuse_level_k_rows(A2, mu, weights, k)
     assert fusion._tensor_memo(A2, fusion._TENSOR_OFFSET)
+    assert fusion._fold_summand.cache_info().currsize
     with use_caps(Caps(dim=weyl_dimension(A2, mu) - 1)):
         with pytest.raises(CapExceeded):
             fusion.tensor_decompose_rows(A2, mu, labels)
         with pytest.raises(CapExceeded):
             tensor_decompose(A2, mu, (0, 1))
+        with pytest.raises(CapExceeded):
+            fusion.fuse_level_k_rows(A2, mu, weights, k)
+        with pytest.raises(CapExceeded):
+            fuse_level_k(A2, mu, (0, 1), k)
 
 
 @pytest.mark.parametrize("label", [-100, 100])
-def test_label_outside_the_tensor_key_range_raises(cold_tensors, monkeypatch, label):
+def test_label_outside_the_tensor_key_range_raises(cold_memos, monkeypatch, label):
     """A weight whose term could share a key with another raises instead:
     mu = (1,) has level 1, so its terms are keyed under the least offset,
     whose digits hold labels in [-64, 64)."""
@@ -455,7 +507,7 @@ def test_label_outside_the_tensor_key_range_raises(cold_tensors, monkeypatch, la
     assert fusion._tensor_memo(A1, fusion._TENSOR_OFFSET) == {}
 
 
-def test_tensor_accumulation_negative_raises(cold_tensors, monkeypatch):
+def test_tensor_accumulation_negative_raises(cold_memos, monkeypatch):
     # an extra weight -4 shifts to beta = -2, which reflects to 2 with sign -1
     broken = WeightSystem(A1, (1,), {(1,): 1, (-1,): 1, (-4,): 1})
     monkeypatch.setattr(fusion, "_weight_system_cached",
@@ -473,8 +525,8 @@ def test_term_keys_are_injective_at_the_least_offset(name):
     labels = [m + 1 for weight in weight_system(spec, mu).entries for m in weight]
     offset = max(-min(labels), max(labels) + top + 1)
     with pytest.raises(InvariantViolation, match="outside the tensor key range"):
-        fusion._keyed_terms(spec, mu, offset - 1, top, "tensor")
-    powers, terms = fusion._keyed_terms(spec, mu, offset, top, "tensor")
+        fusion._keyed_terms(spec, mu, offset - 1, top)
+    powers, terms = fusion._keyed_terms(spec, mu, offset, top)
     betas = {}
     for nu in product(range(top + 1), repeat=spec.rank):
         code = sum(n * p for n, p in zip(nu, powers))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionkit import algebra, phase, verlinde
+from fusionkit import algebra
 from fusionkit.algebra import (
     build_algebra,
     dominant_conjugate,
@@ -24,21 +24,6 @@ ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3)
             ("D", 4), ("G", 2), ("F", 4)]
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
-
-
-@pytest.fixture
-def cold_orbits():
-    """Every store an orbit walk feeds, emptied before and after: the orbits,
-    the walk programs they replay, and the residue rows and S matrices read
-    from them."""
-    stores = (algebra._signed_orbit_cached, phase._orbit_rows, verlinde._s_matrix)
-    for store in stores:
-        store.cache_clear()
-    algebra._walk_programs.clear()
-    yield
-    for store in stores:
-        store.cache_clear()
-    algebra._walk_programs.clear()
 
 
 def labels(rank, low=-4, high=4):
@@ -139,7 +124,7 @@ def test_d5_level_one_orbits_are_pinned():
     assert starts == {tuple(a + 1 for a in mu) for mu in level_k_weights(spec, 1)}
 
 
-def test_e6_rho_matches_oracle(cold_orbits):
+def test_e6_rho_matches_oracle(cold_memos):
     spec = build_algebra("E", 6)
     assert walked(spec, spec.rho) == weyl_orbit(spec, spec.rho)
     assert signed_orbit(spec, spec.rho) == level_walk(spec, spec.rho)
@@ -170,7 +155,7 @@ def assert_replays(spec, starts):
 
 
 @pytest.mark.parametrize("series,rank", REPLAY_ALGEBRAS)
-def test_replay_equals_the_level_walk(series, rank, cold_orbits, monkeypatch):
+def test_replay_equals_the_level_walk(series, rank, cold_memos, monkeypatch):
     """Images, order, signs and stabiliser of every regular orbit are the
     level walk's; the first is walked and keeps the program of the algebra,
     and every later one is replayed from it."""
@@ -186,7 +171,7 @@ def test_replay_equals_the_level_walk(series, rank, cold_orbits, monkeypatch):
 
 
 @pytest.mark.parametrize("series,rank", REPLAY_ALGEBRAS)
-def test_replay_from_non_dominant_starts(series, rank, cold_orbits):
+def test_replay_from_non_dominant_starts(series, rank, cold_memos):
     """Starts outside the dominant chamber whose dominant conjugate is
     regular: the replay starts from the conjugate with the reduction's
     parity."""
@@ -200,7 +185,7 @@ def test_replay_from_non_dominant_starts(series, rank, cold_orbits):
 
 
 @pytest.mark.parametrize("mutant", ["parent", "generator"])
-def test_replay_mutants_fail(mutant, cold_orbits, monkeypatch):
+def test_replay_mutants_fail(mutant, cold_memos, monkeypatch):
     """A walk program with one wrong parent or one wrong generator, on the
     third level of D5, gives orbits that differ from the level walk."""
     spec = build_algebra("D", 5)

@@ -1,11 +1,13 @@
 """Independent Weyl-group oracles for the tests: one simple reflection with
 its range check, a breadth-first signed orbit over (weight, sign) pairs, the
 level walk that signed_orbit replays, the group as reduced reflection words,
-and det C.
+det C, weight systems by root-string saturation, and level-k fusion tables
+by Kac-Walton folding of every weight of V(mu).
 
 They share nothing with algebra.signed_orbit, so the level walk is checked
 against a different enumeration, and the walk-program replay against the
-walk itself.  Test modules import this file as a plain module
+walk itself; the fusion oracle calls none of the production reductions and
+folds.  Test modules import this file as a plain module
 (``from weyl_oracle import ...``); pytest puts the tests directory on
 sys.path.
 """
@@ -214,3 +216,39 @@ def weight_multiplicities(spec: AlgebraSpec, mu: Weight) -> dict:
                                      f"{2 * acc}/{top - pair(lam_rho, lam_rho)}")
         mults[lam] = value
     return {lam: mults[dominant(lam)] for lam in members}
+
+
+def kac_walton_table(spec: AlgebraSpec, mu: Weight, nu: Weight, k: int) -> dict:
+    """Level-k fusion table of mu (x) nu, dominant weight -> coefficient, by
+    Kac-Walton folding of each term nu + mu' + rho over the weights mu' of V(mu)
+    (weight_multiplicities) into the open level-K alcove, K = k + h^v: reflect
+    at the most negative label until dominant, then about (beta, theta) = K,
+    beta -> beta - ((beta, theta) - K) theta, flipping the sign each time.  A
+    term on a wall (a zero label, or (beta, theta) = K) drops out."""
+    d, d_gram = integer_gram(spec)
+    theta = spec.highest_root
+    theta_row = [sum(g * t for g, t in zip(row, theta)) for row in d_gram]
+    level = k + spec.dual_coxeter
+    counts = {}
+    for mu_prime, mult in _multiplicity_items(spec, tuple(mu)):
+        beta, sign = tuple(n + m + 1 for n, m in zip(nu, mu_prime)), 1
+        while True:
+            while min(beta) < 0:
+                beta = simple_reflection(spec, beta.index(min(beta)) + 1, beta)
+                sign = -sign
+            height, remainder = divmod(sum(b * t for b, t in zip(beta, theta_row)), d)
+            if remainder:
+                raise InvariantViolation(f"(beta, theta) of {beta} is not an integer")
+            if 0 in beta or height <= level:
+                break
+            beta = tuple(b - (height - level) * t for b, t in zip(beta, theta))
+            sign = -sign
+        if 0 not in beta and height < level:
+            lam = tuple(b - 1 for b in beta)
+            counts[lam] = counts.get(lam, 0) + mult * sign
+    return {lam: c for lam, c in counts.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _multiplicity_items(spec: AlgebraSpec, mu: Weight) -> tuple:
+    return tuple(weight_multiplicities(spec, mu).items())
