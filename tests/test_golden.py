@@ -47,6 +47,8 @@ CASES = {
     "B2_kinf_identity": (["B2", "--k", "inf", "--suite", "identity"], 0),
     # 192-image orbits with wall terms: the largest orbits of the set
     "D4_k1_lemma": (["D4", "--k", "1", "--suite", "lemma"], 0),
+    # 55 orbits of up to 51,840 images, 52 of them on walls
+    "E6_k1_lemma": (["E6", "--k", "1", "--suite", "lemma"], 0),
 }
 
 #: file name -> (command line, exit code); the suffix names the format
