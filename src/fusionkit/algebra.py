@@ -11,12 +11,13 @@ lam^T (D G) mu / D with D G integral (integer_gram, pairing_numerator).
 
 signed_orbit is the one orbit enumerator: a level-by-level walk from the
 dominant conjugate that returns every image once, its sign (-1)^w and the
-order of the stabiliser.  A regular orbit replays the walk program (each
-image's parent and simple reflection) of the first regular orbit walked in
-its algebra.  No float enters any exact decision: wall detection (a zero
-label of the dominant conjugate) has to be exact.  The one float pairing,
-G u against integer labels (_generic_pairing_vector), lives here too, so
-that characters and theta sums share it without loading each other.
+order of the stabiliser.  No orbit is kept: every orbit, on a wall or off
+it, replays the walk program (each image's parent and simple reflection) of
+the first orbit walked with its algebra and zero labels.  No float enters
+any exact decision: wall detection (a zero label of the dominant conjugate)
+has to be exact.  The one float pairing, G u against integer labels
+(_generic_pairing_vector), lives here too, so that characters and theta
+sums share it without loading each other.
 """
 
 from __future__ import annotations
@@ -336,27 +337,16 @@ class SignedOrbit(NamedTuple):
 
 
 def signed_orbit(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
-    """The signed Weyl orbit of lam as tuples, cached per lam.
-    The Weyl-order cap is checked on every call.
+    """The signed Weyl orbit of lam as tuples, replayed on every call; the
+    Weyl-order cap is checked on every call.
 
     On a wall (stabiliser > 1) each image is still listed once, with the
     parity of one element reaching it; alternating sums over such an orbit
     vanish, and symmetric ones weigh each image by the stabiliser."""
     require_rank(spec, lam)
     check_cap("weyl_order", spec.weyl_order, spec)
-    return _signed_orbit_cached(spec, tuple(lam))
-
-
-@lru_cache(maxsize=4096)
-def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
     dominant, sign = _reduce(spec, lam)
-    program = None if 0 in dominant else _walk_programs.get(spec)
-    if program is None:
-        images, ends, moves = _walk(spec, dominant)
-        if 0 not in dominant:
-            _keep_program(spec, moves, ends)
-    else:
-        images, ends = _replay(spec, dominant, *program[:2]), program[2]
+    images, ends = _orbit(spec, dominant)
     signs, start = [], 0
     for end in ends:
         signs += [sign] * (end - start)
@@ -366,6 +356,38 @@ def _signed_orbit_cached(spec: AlgebraSpec, lam: Weight) -> SignedOrbit:
         raise InvariantViolation(f"orbit of {lam} in {spec} has {len(images)} images, "
                                  f"which does not divide |W| = {spec.weyl_order}")
     return SignedOrbit(tuple(images), tuple(signs), stabiliser)
+
+
+#: (spec, zero labels) -> (parents, generators, level ends), the walk program of
+#: one stabiliser type; at most _PROGRAM_MOVES moves kept, the oldest dropped first
+_walk_programs = {}
+_PROGRAM_MOVES = 1 << 23
+
+
+def _orbit(spec: AlgebraSpec, dominant: Weight):
+    """(images, level ends) of the level walk from a dominant weight, replayed
+    from the walk program of its stabiliser type, or walked once to make it.
+    A program keeps parents in array('I') and generators in array('B'), five
+    bytes a move, 42 MB at the bound.
+
+    Let J be the zero labels of dominant lam.  Label i of w lam has the sign
+    of (lam, w^-1 alpha_i^vee), which depends on J only, and distinct cosets
+    w W_J give distinct images w lam, so the walk's (parent, i) sequence is
+    the same for every lam of type J (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, 1.6 and 2.4); _replay reads it."""
+    key = (spec, tuple(x == 0 for x in dominant))
+    program = _walk_programs.get(key)
+    if program is not None:
+        return _replay(spec, dominant, *program[:2]), program[2]
+    images, ends, moves = _walk(spec, dominant)
+    if len(moves) <= _PROGRAM_MOVES:
+        from array import array  # loaded by the first orbit, not at CLI start-up
+
+        while sum(len(kept[0]) for kept in _walk_programs.values()) > _PROGRAM_MOVES - len(moves):
+            del _walk_programs[next(iter(_walk_programs))]
+        _walk_programs[key] = (array("I", [m // spec.rank for m in moves]),
+                               array("B", [m % spec.rank for m in moves]), tuple(ends))
+    return images, ends
 
 
 def _walk(spec: AlgebraSpec, dominant: Weight):
@@ -398,33 +420,10 @@ def _walk(spec: AlgebraSpec, dominant: Weight):
     return images, ends, moves
 
 
-#: spec -> (parents, generators, level ends), the walk program of the first
-#: regular orbit walked; at most _WALK_PROGRAMS algebras, the oldest dropped
-_walk_programs = {}
-_WALK_PROGRAMS = 8
-
-
-def _keep_program(spec: AlgebraSpec, moves: list, ends: list) -> None:
-    """Keep the moves of a regular walk as its program: parents in
-    array('I') and generators in array('B'), about 15 MB for E7.
-
-    From a regular dominant weight lam, s_i lengthens w exactly when label
-    i of w lam is positive, and distinct w give distinct w lam, so the
-    walk's (parent, i) sequence is the same for every such lam (Bjorner-
-    Brenti, Combinatorics of Coxeter Groups, 1.6); _replay reads it."""
-    from array import array  # loaded by the first regular orbit, not at CLI start-up
-
-    rank = spec.rank
-    if len(_walk_programs) >= _WALK_PROGRAMS:
-        del _walk_programs[next(iter(_walk_programs))]
-    _walk_programs[spec] = (array("I", [m // rank for m in moves]),
-                            array("B", [m % rank for m in moves]), tuple(ends))
-
-
 def _replay(spec: AlgebraSpec, dominant: Weight, parents, generators) -> list:
-    """The images of the level walk from a regular dominant weight, from the
-    walk program: each image is its parent minus c alpha_i, c the parent's
-    label i, with no label scan and no deduplication."""
+    """The images of the level walk from a dominant weight, from the walk
+    program of its type: each image is its parent minus c alpha_i, c the
+    parent's label i, with no label scan and no deduplication."""
     cartan = spec.cartan
     steps = [{} for _ in cartan]
     images = [dominant]

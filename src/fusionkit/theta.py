@@ -259,8 +259,8 @@ class Truncation(NamedTuple):
 
 
 def _cut(ctx: ThetaContext, gamma: Weight, margin: float = 0.0):
-    """(shift, radius, tail bound) of truncation(ctx, gamma, margin), with
-    no point enumerated."""
+    """(shift, radius, tail bound) of truncation(ctx, gamma), with no point
+    enumerated; margin widens |Im u| for callers that move u."""
     spec, level = ctx.spec, ctx.level
     gamma = tuple(int(x) for x in gamma)
     require_rank(spec, gamma)
@@ -294,13 +294,12 @@ def _cut(ctx: ThetaContext, gamma: Weight, margin: float = 0.0):
     return shift, radius, bound
 
 
-def truncation(ctx: ThetaContext, gamma: Weight, margin: float = 0.0) -> Truncation:
+def truncation(ctx: ThetaContext, gamma: Weight) -> Truncation:
     """The truncation of theta_sum at gamma: the smallest radius whose tail
-    is provably below TRUNCATION_EPSILON.  Term magnitudes at norm r are bounded by
-    exp(-pi k t r^2 + 2 pi k b r), t = Im(tau), b = |Im u| + margin (for
-    callers that move u); shell populations by a box count through the
-    smallest Gram eigenvalue."""
-    shift, radius, bound = _cut(ctx, gamma, margin)
+    is provably below TRUNCATION_EPSILON.  Term magnitudes at norm r are
+    bounded by exp(-pi k t r^2 + 2 pi k b r), t = Im(tau), b = |Im u|; shell
+    populations by a box count through the smallest Gram eigenvalue."""
+    shift, radius, bound = _cut(ctx, gamma)
     points = len(_lattice_points(ctx.spec, shift, ctx.level, radius)[0])
     return Truncation(shift, radius, points, bound)
 

@@ -4,7 +4,7 @@ Only the dominant weights of V(mu) are found directly, by descending from mu
 along positive roots inside the dominant chamber.  The Freudenthal recursion
 runs on them alone (multiplicity is Weyl-invariant; Moody-Patera 1982), and
 every other weight is an image in the orbit walk of one of them
-(algebra._walk), carrying its multiplicity.  Every pairing is an integer
+(algebra._orbit), carrying its multiplicity.  Every pairing is an integer
 numerator over the common denominator D of the quadratic form; each formula
 divides once, exactly.
 """
@@ -18,8 +18,8 @@ from typing import NamedTuple
 from .algebra import (
     AlgebraSpec,
     Weight,
+    _orbit,
     _reduce,
-    _walk,
     dominant_conjugate,
     integer_gram,
     pairing_numerator,
@@ -108,7 +108,7 @@ def _weight_system_cached(spec: AlgebraSpec, mu: Weight):
     weight, every image carrying its multiplicity; checked once against the
     Weyl dimension when built."""
     mults = _dominant_multiplicities(spec, mu, _dominant_weights(spec, mu))
-    entries = tuple(sorted((w, m) for lam, m in mults.items() for w in _walk(spec, lam)[0]))
+    entries = tuple(sorted((w, m) for lam, m in mults.items() for w in _orbit(spec, lam)[0]))
     total, dim = sum(m for _, m in entries), weyl_dimension(spec, mu)
     if total != dim:
         raise InvariantViolation(f"multiplicities of {mu} add up to {total}, "

@@ -14,6 +14,7 @@ import fusionkit
 from fusionkit import cli, fusion
 
 SRC = str(Path(fusionkit.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_optimized(*args):
@@ -155,11 +156,12 @@ def test_cap_dim_reaches_finite_level_runs(capsys):
         assert run(capsys, *argv, "--cap-dim", "2")[0] == 1, suite
 
 
-def run_limited(argv, timeout):
-    """Run the CLI in a child under a 2 GiB address-space limit, so a scan
-    that outgrows it fails alone instead of filling the machine."""
+def run_limited(argv, timeout, limit=2 << 30):
+    """Run the CLI in a child under an address-space limit, 2 GiB unless
+    given, so a scan that outgrows it fails alone instead of filling the
+    machine."""
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run([sys.executable, "-m", "fusionkit.cli", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=timeout,
@@ -184,6 +186,16 @@ def test_e6_lemma_nets_without_a_grid():
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(records) == 3
     assert all(r["passed"] and r["points_checked"] == 13 ** 6 == 4826809 for r in records)
+
+
+def test_e6_wall_orbits_fit_in_160_mib():
+    """verify E6 --k 1 --suite lemma sums 55 orbits of up to 51,840 images,
+    52 of them on walls; no orbit is kept, so it runs under a 160 MiB
+    address-space limit and prints its golden output."""
+    argv = ("verify", "E6", "--k", "1", "--suite", "lemma", "--seed", "0")
+    proc = run_limited(argv, timeout=60, limit=160 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "E6_k1_lemma.jsonl").read_text()
 
 
 def test_e_series_runs_without_orbits_pass(capsys):

@@ -2,6 +2,7 @@
 and the reflection words of tests/weyl_oracle.py."""
 
 from array import array
+from itertools import product
 
 import numpy as np
 import pytest
@@ -149,56 +150,116 @@ def regular_starts(spec):
     return [tuple(a + 1 for a in mu) for mu in level_k_weights(spec, 3)]
 
 
+def zero_labels(lam):
+    return tuple(x == 0 for x in lam)
+
+
+def typed_starts(spec):
+    """Two dominant weights of every stabiliser type (set of zero labels),
+    the first of each type first: its other labels all 1, then 2, 3, 1, ...
+    (the two agree on the type with every label zero)."""
+    types = list(product((True, False), repeat=spec.rank))
+    return ([tuple(int(not zero) for zero in type_) for type_ in types]
+            + [tuple(0 if zero else 1 + (i + 1) % 3 for i, zero in enumerate(type_))
+               for type_ in types])
+
+
 def assert_replays(spec, starts):
     for lam in starts:
         assert signed_orbit(spec, lam) == level_walk(spec, lam), lam
 
 
-@pytest.mark.parametrize("series,rank", REPLAY_ALGEBRAS)
-def test_replay_equals_the_level_walk(series, rank, cold_memos, monkeypatch):
-    """Images, order, signs and stabiliser of every regular orbit are the
-    level walk's; the first is walked and keeps the program of the algebra,
-    and every later one is replayed from it."""
-    spec = build_algebra(series, rank)
+def count_walks(monkeypatch):
+    """The dominant weights that _walk is called on, in call order."""
     walked_from = []
     walk = algebra._walk
     monkeypatch.setattr(algebra, "_walk", lambda spec, lam: walked_from.append(lam)
                         or walk(spec, lam))
-    starts = regular_starts(spec)
-    assert_replays(spec, starts)
-    assert walked_from == starts[:1]
-    assert list(algebra._walk_programs) == [spec]
+    return walked_from
+
+
+@pytest.mark.parametrize("series,rank", REPLAY_ALGEBRAS)
+def test_replay_equals_the_level_walk(series, rank, cold_memos, monkeypatch):
+    """Images, order, signs and stabiliser of every orbit, on a wall or off
+    it, are the level walk's; the first orbit of each stabiliser type is
+    walked once and keeps the program of its type, and every later one,
+    regular ones of level <= 3 included, is replayed from it."""
+    spec = build_algebra(series, rank)
+    walked_from = count_walks(monkeypatch)
+    starts = typed_starts(spec)
+    assert_replays(spec, starts + regular_starts(spec))
+    types = len(starts) // 2
+    assert walked_from == starts[:types]
+    assert list(algebra._walk_programs) == [(spec, zero_labels(lam)) for lam in starts[:types]]
 
 
 @pytest.mark.parametrize("series,rank", REPLAY_ALGEBRAS)
 def test_replay_from_non_dominant_starts(series, rank, cold_memos):
-    """Starts outside the dominant chamber whose dominant conjugate is
-    regular: the replay starts from the conjugate with the reduction's
-    parity."""
+    """Starts outside the dominant chamber, regular and on walls: the replay
+    starts from the dominant conjugate with the reduction's parity."""
     spec = build_algebra(series, rank)
     starts = []
-    for lam in regular_starts(spec)[:6]:
+    for lam in regular_starts(spec)[:6] + typed_starts(spec)[1:6]:
         images, _, _ = level_walk(spec, lam)
         starts += images[1::max(1, len(images) // 5)]
     assert all(min(lam) < 0 for lam in starts)
     assert_replays(spec, starts)
 
 
-@pytest.mark.parametrize("mutant", ["parent", "generator"])
-def test_replay_mutants_fail(mutant, cold_memos, monkeypatch):
-    """A walk program with one wrong parent or one wrong generator, on the
-    third level of D5, gives orbits that differ from the level walk."""
-    spec = build_algebra("D", 5)
-    signed_orbit(spec, spec.rho)
-    parents, generators, ends = algebra._walk_programs[spec]
+def mutate(program, mutant, rank):
+    """A copy of a walk program with one wrong parent or one wrong generator
+    at the first image of its fourth level."""
+    parents, generators, ends = program
     n = ends[2]  # the first image of the fourth level, 0-based in parents
     parents, generators = array("I", parents), array("B", generators)
     if mutant == "parent":
         parents[n - 1] = parents[n - 1] + 1 if parents[n - 1] + 1 < ends[2] else ends[1]
     else:
-        generators[n - 1] = (generators[n - 1] + 1) % spec.rank
-    monkeypatch.setitem(algebra._walk_programs, spec, (parents, generators, ends))
-    algebra._signed_orbit_cached.cache_clear()
-    for lam in regular_starts(spec):
-        with pytest.raises(AssertionError):
-            assert_replays(spec, [lam])
+        generators[n - 1] = (generators[n - 1] + 1) % rank
+    return parents, generators, ends
+
+
+@pytest.mark.parametrize("mutant", ["parent", "generator"])
+def test_replay_mutants_fail(mutant, cold_memos, monkeypatch):
+    """A walk program with one wrong parent or one wrong generator, on the
+    third level of D5, gives orbits that differ from the level walk, for
+    the regular type and for a wall type alike."""
+    spec = build_algebra("D", 5)
+    regular = regular_starts(spec)
+    wall = sorted({(0,) + lam[1:] for lam in regular})
+    for starts in (regular, wall):
+        signed_orbit(spec, starts[0])
+        key = (spec, zero_labels(starts[0]))
+        mutated = mutate(algebra._walk_programs[key], mutant, spec.rank)
+        monkeypatch.setitem(algebra._walk_programs, key, mutated)
+        for lam in starts:
+            with pytest.raises(AssertionError):
+                assert_replays(spec, [lam])
+
+
+@pytest.mark.parametrize("series,rank", [("B", 3), ("D", 4)])
+def test_program_store_is_bounded_by_moves(series, rank, cold_memos, monkeypatch):
+    """Under a small bound the kept moves never pass it, the oldest program
+    goes first, a program larger than the bound is used but not kept, and
+    every orbit is still the level walk's; a type whose program was dropped
+    is walked again."""
+    spec = build_algebra(series, rank)
+    bound = spec.weyl_order // 2
+    monkeypatch.setattr(algebra, "_PROGRAM_MOVES", bound)
+    walked_from = count_walks(monkeypatch)
+    expected, walks = {}, []  # type -> moves, oldest first; the starts walked
+    for lam in typed_starts(spec) * 2:
+        key = (spec, zero_labels(lam))
+        if key not in expected:
+            walks.append(lam)
+            moves = len(level_walk(spec, lam)[0]) - 1
+            if moves <= bound:
+                while sum(expected.values()) + moves > bound:
+                    del expected[next(iter(expected))]
+                expected[key] = moves
+        assert_replays(spec, [lam])
+        kept = [(key, len(program[0])) for key, program in algebra._walk_programs.items()]
+        assert kept == list(expected.items())
+        assert sum(moves for _, moves in kept) <= bound
+    assert (spec, (False,) * rank) not in expected  # |W| - 1 moves, above the bound
+    assert walked_from == walks
